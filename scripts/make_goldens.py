@@ -1,17 +1,42 @@
 #!/usr/bin/env python3
-"""Regenerate the golden model files in fixtures/ (deterministic)."""
+"""Regenerate the golden files in fixtures/ (deterministic).
 
+With no option it writes the hand-built model files. With ``--search`` it
+writes ``fixtures/search_goldens.json``: bootstrap arc tallies and one
+faithful-settings tabu search on the fixture's full and risk tables. Those
+goldens pin the search's exact move sequence, so regenerate them only when a
+change to the search is meant to change its results.
+"""
+
+import argparse
+import contextlib
+import dataclasses
+import io
+import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from beliefnet import cli, configio
+from beliefnet.data import load_datatable
+from beliefnet.learn import (
+    TabuConfig,
+    TabuLog,
+    bootstrap_strengths,
+    tabu_search,
+    tiers_to_blacklist,
+)
 from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
 from beliefnet.modelio import save
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SEARCH_GOLDENS = os.path.join(FIXTURES, "search_goldens.json")
+SEARCH_SEED = 42
+SEARCH_B = 16  # replicates per table: small enough for the tier-1 suite
 
 
 def mini_net():
@@ -68,8 +93,73 @@ def chain6_net():
     )
 
 
-def main():
+def fixture_tables(workdir):
+    """{kind: (DataTable, Constraints)} for the fixture's full and risk tables.
+
+    The tables come from the CLI ``prep`` stage run into ``workdir``; the
+    constraints are the blacklists of the matching tier files.
+    """
+    fixture = lambda name: os.path.join(FIXTURES, name)  # noqa: E731
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([
+            "prep", "--raw", fixture("synthetic_survey.csv"),
+            "--recode", fixture("prep.yaml"), "--themes", fixture("themes.yaml"),
+            "--name", "survey", "--workspace", workdir,
+        ])
+    if code != 0:
+        raise RuntimeError(f"prep failed with exit code {code}")
+    out = {}
+    for kind in ("full", "risk"):
+        stem = os.path.join(workdir, "data", f"survey_{kind}")
+        data = load_datatable(stem + ".csv", stem + ".dict.yaml")
+        tiers = configio.load_tier_config(fixture(f"tiers_{kind}.yaml"))
+        out[kind] = (data, tiers_to_blacklist(tiers, [v.name for v in data.variables]))
+    return out
+
+
+def search_goldens(workdir):
+    """The search results pinned by fixtures/search_goldens.json."""
+    fast = configio.load_learn_config(os.path.join(FIXTURES, "learn_fast.yaml")).tabu
+    fast = dataclasses.replace(fast, seed=SEARCH_SEED)
+    doc = {"seed": SEARCH_SEED, "bootstrap_b": SEARCH_B, "bootstrap": {}}
+    tables = fixture_tables(workdir)
+    for kind, (data, constraints) in tables.items():
+        strengths = bootstrap_strengths(
+            data, b=SEARCH_B, constraints=constraints, config=fast, seed=SEARCH_SEED
+        )
+        doc["bootstrap"][kind] = {
+            f"{a} -> {b}": n for (a, b), n in strengths.dir_counts.items()
+        }
+    data, constraints = tables["risk"]
+    log = TabuLog()
+    faithful = TabuConfig(tenure=10, max_iterations=1000, stall_limit=100, seed=SEARCH_SEED)
+    dag = tabu_search(data, constraints=constraints, config=faithful, log=log)
+    doc["tabu_risk_faithful"] = {
+        "arcs": [f"{a} -> {b}" for a, b in dag.arcs()],
+        "iterations": log.iterations,
+        "cache_misses": log.cache_misses,
+        "best_scores": log.best_scores,
+    }
+    return doc
+
+
+def dump_goldens(doc) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--search", action="store_true",
+                        help="write fixtures/search_goldens.json instead of the model files")
+    args = parser.parse_args(argv)
     os.makedirs(FIXTURES, exist_ok=True)
+    if args.search:
+        with tempfile.TemporaryDirectory() as work:
+            text = dump_goldens(search_goldens(work))
+        with open(SEARCH_GOLDENS, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print("wrote fixtures/search_goldens.json")
+        return
     save(mini_net(), os.path.join(FIXTURES, "mini.bn.yaml"))
     save(chain6_net(), os.path.join(FIXTURES, "chain6.bn.yaml"))
     print("wrote fixtures/mini.bn.yaml and fixtures/chain6.bn.yaml")
