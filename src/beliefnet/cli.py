@@ -30,7 +30,7 @@ from .data import (
     split_population,
 )
 from .errors import BeliefnetError, MalformedFile, WorkspaceError
-from .inference import conditional_table, fit_bayes, fit_mle, posterior
+from .inference import fit_bayes, fit_mle, posterior
 from .learn import (
     averaged_network,
     bootstrap_strengths,
@@ -81,12 +81,29 @@ class Workspace:
             fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise WorkspaceError(
-                f"workspace {self.root} is locked by another command "
+                f"workspace {self.root} is locked by {self._lock_holder()} "
                 f"(remove {self._lock} if that command is gone)"
             ) from None
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
+
+    def _lock_holder(self) -> str:
+        """Who holds the lock: the recorded PID and whether it still runs."""
+        try:
+            with open(self._lock, encoding="utf-8") as fh:
+                pid = int(fh.read().strip())
+        except (OSError, ValueError):
+            return "another command"
+        if pid <= 0 or os.name != "posix":  # kill(pid, 0) only probes on POSIX
+            return f"process {pid}"
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return f"process {pid}, which is no longer running"
+        except OSError:  # e.g. EPERM: it exists but belongs to another user
+            pass
+        return f"process {pid}, which is still running"
 
     def __exit__(self, *exc):
         try:
@@ -342,10 +359,11 @@ def cmd_query(args, ws: Workspace) -> int:
     outputs = []
     for target, sweeps in cfg.tables:
         baseline = posterior(net, target)
-        blocks = []
-        for sweep in sweeps:
-            rows = conditional_table(net, target, sweep)[1:]
-            blocks.append((sweep, rows))
+        blocks = [
+            (sweep, [posterior(net, target, {sweep: level})
+                     for level in net.variable(sweep).levels])
+            for sweep in sweeps
+        ]
         path = ws.guard(
             ws.path("reports", f"{args.name}_query_{target}.csv"), args.force
         )

@@ -3,9 +3,10 @@
 Posterior queries prune barren nodes (everything outside the ancestral
 closure of the target and the evidence), reduce the remaining CPT factors by
 the evidence, and eliminate hidden variables along a min-fill ordering.
-Factors are renormalized as they are produced, accumulating the log scale, so
-the evidence probability survives underflow; the scale is folded back into
-the reported P(evidence).
+Factors are renormalized as they are produced, and so is the running product
+of the factors left at the end, accumulating the log scale, so the evidence
+probability survives underflow: QueryResult carries log P(evidence) exactly,
+and evidence is rejected only when its probability is a structural zero.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .model import (
     FittedNetwork,
     topological_order,
 )
-
-# below this, an evidence probability is reported as structurally zero
-ZERO_EVIDENCE_FLOOR = 1e-300
-
 
 class Factor:
     """A nonnegative table over an ordered variable scope."""
@@ -121,13 +118,18 @@ def _min_fill_order(scopes, hidden):
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Posterior of one target plus the probability of the conditioning evidence."""
+    """Posterior of one target plus the probability of the conditioning evidence.
+
+    ``evidence_probability`` underflows to 0.0 below about 1e-308;
+    ``log_evidence_probability`` keeps its natural log at any magnitude.
+    """
 
     target: str
     levels: tuple
     distribution: np.ndarray
     evidence: Evidence
     evidence_probability: float
+    log_evidence_probability: float
     elimination_order: tuple = ()
 
     def __getitem__(self, level):
@@ -186,19 +188,24 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
             log_scale += math.log(total)
         factors = [f for f in factors if name not in f.scope] + [summed]
 
-    final = factors[0]
-    for f in factors[1:]:
-        final = final.multiply(f)
+    # scalar factors of reduced evidence roots and factors over the target
+    # alone are left; renormalize their running product too
+    final = None
+    for f in factors:
+        final = f if final is None else final.multiply(f)
+        total = float(final.values.sum())
+        if total == 0.0:
+            raise ZeroProbabilityEvidence(evidence, 0.0)
+        final = Factor(final.scope, final.cards, final.values / total)
+        log_scale += math.log(total)
     var = net.variable(target)
     final = final._aligned((target,), (var.r,)).reshape(var.r)
     z = float(final.sum())
-    p_evidence = z * math.exp(log_scale) if z > 0.0 else 0.0
-    if p_evidence < ZERO_EVIDENCE_FLOOR:
-        raise ZeroProbabilityEvidence(evidence, p_evidence)
+    log_pe = log_scale + math.log(z)
     dist = final / z
     dist.flags.writeable = False
     return QueryResult(
-        target, var.levels, dist, evidence, p_evidence, tuple(order)
+        target, var.levels, dist, evidence, math.exp(log_pe), log_pe, tuple(order)
     )
 
 

@@ -2,8 +2,11 @@
 
 The search walks the space of DAGs with add/delete/reverse moves under a
 decomposable score, keeping a tabu list of the inverses of recent moves so it
-can cross score plateaus and shallow optima. Robustness comes from a
-nonparametric bootstrap: each replicate resamples the rows with replacement,
+can cross score plateaus and shallow optima. The search works on column
+indices: parent sets and ancestor sets are int bitmasks, so a cycle test is
+one bit test, and a per-pair table of move deltas is kept across iterations,
+so a move rescores only the candidates that read the one or two families it
+changed. Robustness comes from a nonparametric bootstrap: each replicate resamples the rows with replacement,
 learns a DAG, and the per-edge inclusion frequencies ("strengths") are
 averaged into a consensus network at a threshold estimated from the strength
 distribution itself.
@@ -109,15 +112,11 @@ class Constraints:
 
 
 def _check_acyclic_arcs(arcs):
-    children = {}
-    for a, b in arcs:
-        children.setdefault(a, []).append(b)
     nodes = sorted({n for arc in arcs for n in arc})
     try:
         Dag(nodes, {n: [a for a, b in arcs if b == n] for n in nodes})
     except Exception as exc:
         raise UnsatisfiableConstraints(f"required arcs contain a cycle: {exc}") from exc
-    return children
 
 
 def tiers_to_blacklist(tiers: TierSpec, variables) -> Constraints:
@@ -144,61 +143,111 @@ def tiers_to_blacklist(tiers: TierSpec, variables) -> Constraints:
     return Constraints(forbidden=forbidden)
 
 
+# move kinds of the search, in the order the scan tries them for a pair
+_ADD, _DELETE, _REVERSE = 0, 1, 2
+
+
+def _bits(mask):
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ancestry(pmask):
+    """(anc, via) bitmasks of an acyclic graph given by parent bitmasks.
+
+    anc[x] holds the proper ancestors of x. via[x] holds the ancestors of x's
+    parents, i.e. the nodes with a path of two or more arcs into x, so an
+    existing arc a->x is the only path from a to x exactly when a is not in
+    via[x].
+    """
+    anc = [-1] * len(pmask)
+    via = [0] * len(pmask)
+
+    def visit(x):
+        up = through = 0
+        ps = pmask[x]
+        while ps:
+            low = ps & -ps
+            p = low.bit_length() - 1
+            above = anc[p] if anc[p] >= 0 else visit(p)
+            up |= above | low
+            through |= above
+            ps ^= low
+        anc[x], via[x] = up, through
+        return up
+
+    for x in range(len(pmask)):
+        if anc[x] < 0:
+            visit(x)
+    return anc, via
+
+
+def _arc_masks(arcs, col):
+    """(into, out) bitmasks: into[b] holds a and out[a] holds b per arc a->b."""
+    into = [0] * len(col)
+    out = [0] * len(col)
+    for a, b in arcs:
+        into[col[b]] |= 1 << col[a]
+        out[col[a]] |= 1 << col[b]
+    return into, out
+
+
 class _SearchState:
-    """Mutable DAG state with fast ancestry queries for move legality."""
+    """DAG over column indices with a lazily refilled table of move deltas.
 
-    def __init__(self, nodes, required_arcs=()):
-        self.nodes = list(nodes)
-        self.parents = {n: set() for n in self.nodes}
-        self.children = {n: set() for n in self.nodes}
-        for a, b in required_arcs:
-            self.parents[b].add(a)
-            self.children[a].add(b)
+    pmask[x] is the bitmask of x's parents and cur[x] its local score;
+    ancestor masks (see ``_ancestry``) make every cycle test one bit test.
+    For the ordered pair i = a*n + b, single[i] is the score change of adding
+    or deleting a->b (whichever the graph allows) and reverse[i] that of
+    reversing an existing a->b. single[i] reads only b's family and
+    reverse[i] only those of a and b, so a change to x's parents clears
+    column x of both tables and row x of ``reverse``; ``_best_move`` refills
+    an entry when its scan next reaches it as a legal candidate.
+    """
 
-    def has_arc(self, a, b):
-        return a in self.parents[b]
-
-    def reaches(self, start, goal, skip_arc=None):
-        """True when a directed path start -> ... -> goal exists."""
-        if start == goal:
-            return True
-        stack = [start]
-        seen = {start}
-        while stack:
-            cur = stack.pop()
-            for nxt in self.children[cur]:
-                if skip_arc is not None and (cur, nxt) == skip_arc:
-                    continue
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    def apply(self, move: Move):
-        a, b = move.arc
-        if move.kind == Move.ADD:
-            self.parents[b].add(a)
-            self.children[a].add(b)
-        elif move.kind == Move.DELETE:
-            self.parents[b].discard(a)
-            self.children[a].discard(b)
-        else:
-            self.parents[b].discard(a)
-            self.children[a].discard(b)
-            self.parents[a].add(b)
-            self.children[b].add(a)
+    def __init__(self, scorer, forbidden, required):
+        self.forbidden, self.forbidden_out = forbidden
+        self.required, self.required_out = required
+        n = len(self.required)
+        self.n = n
+        self.scorer = scorer
+        self.pmask = list(self.required)
+        self.children = list(self.required_out)
+        self.cur = [scorer.local(x, m) for x, m in enumerate(self.pmask)]
+        self.single = [None] * (n * n)
+        self.reverse = [None] * (n * n)
+        self.anc, self.via = _ancestry(self.pmask)
 
     def snapshot(self):
-        return {n: frozenset(ps) for n, ps in self.parents.items()}
+        return tuple(self.pmask)
 
-    def restore(self, snap):
-        self.parents = {n: set(ps) for n, ps in snap.items()}
-        self.children = {n: set() for n in self.nodes}
-        for n, ps in self.parents.items():
-            for p in ps:
-                self.children[p].add(n)
+    def restore(self, masks):
+        self._set_families([(x, m) for x, m in enumerate(masks) if m != self.pmask[x]])
+
+    def apply(self, kind, a, b):
+        pm = self.pmask
+        if kind == _ADD:
+            self._set_families([(b, pm[b] | 1 << a)])
+        elif kind == _DELETE:
+            self._set_families([(b, pm[b] & ~(1 << a))])
+        else:
+            self._set_families([(b, pm[b] & ~(1 << a)), (a, pm[a] | 1 << b)])
+
+    def _set_families(self, changes):
+        n = self.n
+        stale = [None] * n
+        for x, mask in changes:
+            for p in _bits(self.pmask[x] ^ mask):
+                self.children[p] ^= 1 << x
+            self.pmask[x] = mask
+            self.cur[x] = self.scorer.local(x, mask)
+            self.single[x::n] = stale
+            self.reverse[x::n] = stale
+            self.reverse[x * n:(x + 1) * n] = stale
+        self.anc, self.via = _ancestry(self.pmask)
 
 
 def tabu_search(
@@ -215,36 +264,36 @@ def tabu_search(
     single move improves the score. Deterministic given the config seed; with
     restarts > 1 the extra starts perturb the incumbent with seeded random
     moves.
+
+    Each iteration scans the ordered node pairs in column order. Parent sets
+    are bitmasks, ancestor bitmasks make each cycle test O(1), and a per-pair
+    delta table keeps the score change of every candidate move: a move clears
+    only the entries that read the one or two families it changed, and an
+    entry is rescored when the scan next reaches it as a legal candidate. So
+    an iteration costs O(1) per pair plus a cached local-score lookup per
+    cleared entry, and the search scores exactly the families, and makes
+    exactly the moves, of a full rescan that rescores every candidate.
     """
     config = config or TabuConfig()
     constraints = constraints or Constraints()
     nodes = [v.name for v in data.variables]
-    node_set = set(nodes)
+    col = {n: i for i, n in enumerate(nodes)}
     for a, b in constraints.forbidden | constraints.required:
-        if a not in node_set or b not in node_set:
-            raise UnknownVariable(a if a not in node_set else b)
-    for a, b in constraints.required:
-        if (a, b) in constraints.forbidden:  # unreachable; Constraints checks
-            raise UnsatisfiableConstraints(f"required arc {a}->{b} is forbidden")
+        if a not in col or b not in col:
+            raise UnknownVariable(a if a not in col else b)
+    forbidden = _arc_masks(constraints.forbidden, col)
+    required = _arc_masks(constraints.required, col)
 
     scorer = DecomposableScore(data, score, cache=ScoreCache())
-    state = _SearchState(nodes, constraints.required)
-    local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-    total = sum(local.values())
-
+    state = _SearchState(scorer, forbidden, required)
     best_snap = state.snapshot()
-    best_total = total
+    best_total = sum(state.cur)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     for restart in range(config.restarts):
         if restart > 0:
-            state.restore(best_snap)
-            _perturb(state, constraints, rng, len(nodes))
-            local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-            total = sum(local.values())
-        total, snap, s_total = _tabu_phase(
-            state, scorer, constraints, config, local, total, best_total, log
-        )
+            state.restore(_perturb(best_snap, state.forbidden, state.required, rng))
+        snap, s_total = _tabu_phase(state, config, sum(state.cur), log)
         if s_total > best_total + SCORE_EPS:
             best_total, best_snap = s_total, snap
         if log is not None:
@@ -252,44 +301,47 @@ def tabu_search(
 
     # greedy polish: guarantee no legal single move improves the best DAG
     state.restore(best_snap)
-    local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-    total = sum(local.values())
+    total = sum(state.cur)
     while True:
-        move, delta = _best_move(state, scorer, constraints, tabu=None, it=0,
-                                 aspiration=None)
+        move, delta = _best_move(state, tabu=None, it=0, aspiration=None)
         if move is None or delta <= SCORE_EPS:
             break
-        _apply_scored(state, move, scorer, local)
+        state.apply(*move)
         total += delta
         if log is not None:
             log.best_scores.append(total)
-    best_snap = state.snapshot()
 
     if log is not None and scorer.cache is not None:
         log.cache_hits = scorer.cache.hits
         log.cache_misses = scorer.cache.misses
 
-    col = {n: i for i, n in enumerate(nodes)}
     parents = {
-        n: tuple(sorted(best_snap[n], key=col.__getitem__)) for n in nodes
+        nodes[x]: tuple(nodes[p] for p in _bits(mask)) for x, mask in enumerate(state.pmask)
     }
     return Dag(tuple(nodes), parents)
 
 
-def _tabu_phase(state, scorer, constraints, config, local, total, global_best, log):
-    tabu = {}
+def _tabu_phase(state, config, total, log):
+    n = state.n
+    # tabu[kind*n*n + a*n + b]: last iteration at which that move is tabu
+    tabu = [-1] * (3 * n * n)
     best_total = total
     best_snap = state.snapshot()
     stall = 0
     for it in range(config.max_iterations):
-        move, delta = _best_move(
-            state, scorer, constraints, tabu, it, aspiration=best_total
-        )
+        move, delta = _best_move(state, tabu, it, aspiration=best_total)
         if move is None:
             break
-        _apply_scored(state, move, scorer, local)
+        state.apply(*move)
         total += delta
-        tabu[move.inverse()] = it + config.tenure
+        kind, a, b = move
+        if kind == _ADD:
+            inverse = _DELETE * n * n + a * n + b
+        elif kind == _DELETE:
+            inverse = a * n + b
+        else:
+            inverse = _REVERSE * n * n + b * n + a
+        tabu[inverse] = it + config.tenure
         if total > best_total + SCORE_EPS:
             best_total = total
             best_snap = state.snapshot()
@@ -301,78 +353,88 @@ def _tabu_phase(state, scorer, constraints, config, local, total, global_best, l
             log.best_scores.append(best_total)
         if stall > config.stall_limit:
             break
-    return total, best_snap, best_total
+    return best_snap, best_total
 
 
-def _apply_scored(state, move, scorer, local):
-    state.apply(move)
-    a, b = move.arc
-    local[b] = scorer.local(b, state.parents[b])
-    if move.kind == Move.REVERSE:
-        local[a] = scorer.local(a, state.parents[a])
+def _best_move(state, tabu, it, aspiration):
+    """Highest-delta legal move as ((kind, a, b), delta).
 
-
-def _best_move(state, scorer, constraints, tabu, it, aspiration):
-    """Highest-delta legal move; ties go to the first in enumeration order.
-
-    With ``tabu`` set, tabu moves are skipped unless they would beat the
-    best-seen score (aspiration). With ``tabu=None`` only improving moves
-    matter (greedy polish); the caller filters on delta.
+    Candidates are taken pair by pair (a-major, then b; delete before
+    reverse), and a later one wins only if it beats the best so far by more
+    than SCORE_EPS. With ``tabu`` set, tabu moves are skipped unless they
+    would beat the best-seen score (aspiration), judged on the current total
+    summed afresh. With ``tabu=None`` only improving moves matter (greedy
+    polish); the caller filters on delta.
     """
+    n = state.n
+    nn = n * n
+    pmask, anc, via, cur = state.pmask, state.anc, state.via, state.cur
+    forbidden, children = state.forbidden, state.children
+    forbidden_out, required_out = state.forbidden_out, state.required_out
+    full = (1 << n) - 1
+    single, reverse = state.single, state.reverse
+    local = state.scorer.local
+    if tabu is not None:
+        total = sum(cur)
+        limit = aspiration + SCORE_EPS
     best = None
-    best_delta = -math.inf
-    nodes = state.nodes
-    cur_local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-    total = sum(cur_local.values())
-    for a in nodes:
-        for b in nodes:
-            if a == b:
-                continue
-            has = state.has_arc(a, b)
-            candidates = []
-            if not has:
-                if (a, b) not in constraints.forbidden and not state.reaches(b, a):
-                    delta = (
-                        scorer.local(b, state.parents[b] | {a}) - cur_local[b]
-                    )
-                    candidates.append((Move(Move.ADD, (a, b)), delta))
+    best_delta = bar = -math.inf  # a candidate must beat this: best delta so far + SCORE_EPS
+    for a in range(n):
+        abit = 1 << a
+        kids = children[a]
+        row = a * n
+        # deletable arcs out of a, then addable ones: no self-loop, no
+        # existing or forbidden arc, no arc into an ancestor of a
+        cand = (kids & ~required_out[a]) | (full & ~(kids | abit | forbidden_out[a] | anc[a]))
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            b = low.bit_length() - 1
+            i = row + b
+            if kids & low:
+                d = single[i]
+                if d is None:
+                    d = single[i] = local(b, pmask[b] & ~abit) - cur[b]
+                if d > bar and (tabu is None or tabu[nn + i] <= it or total + d > limit):
+                    best, bar = (_DELETE, a, b), d + SCORE_EPS
+                    best_delta = d
+                if forbidden[a] & low or via[b] & abit:
+                    continue
+                d = reverse[i]
+                if d is None:
+                    d = reverse[i] = single[i] + local(a, pmask[a] | low) - cur[a]
+                kind, key = _REVERSE, 2 * nn + i
             else:
-                if (a, b) not in constraints.required:
-                    delta = (
-                        scorer.local(b, state.parents[b] - {a}) - cur_local[b]
-                    )
-                    candidates.append((Move(Move.DELETE, (a, b)), delta))
-                    if (b, a) not in constraints.forbidden and not state.reaches(
-                        a, b, skip_arc=(a, b)
-                    ):
-                        d = (
-                            scorer.local(b, state.parents[b] - {a})
-                            - cur_local[b]
-                            + scorer.local(a, state.parents[a] | {b})
-                            - cur_local[a]
-                        )
-                        candidates.append((Move(Move.REVERSE, (a, b)), d))
-            for move, delta in candidates:
-                if tabu is not None and tabu.get(move, -1) > it:
-                    if aspiration is None or total + delta <= aspiration + SCORE_EPS:
-                        continue
-                if delta > best_delta + SCORE_EPS:
-                    best, best_delta = move, delta
+                d = single[i]
+                if d is None:
+                    d = single[i] = local(b, pmask[b] | abit) - cur[b]
+                kind, key = _ADD, i
+            if d > bar and (tabu is None or tabu[key] <= it or total + d > limit):
+                best, bar = (kind, a, b), d + SCORE_EPS
+                best_delta = d
     return best, best_delta
 
 
-def _perturb(state, constraints, rng, n_moves):
-    """Random legal add/delete moves used to diversify restarts."""
-    nodes = state.nodes
-    for _ in range(n_moves):
-        a, b = (nodes[i] for i in rng.integers(0, len(nodes), 2))
+def _perturb(masks, forbidden, required, rng):
+    """Parent masks after random legal add/delete moves (diversifies restarts)."""
+    pmask = list(masks)
+    n = len(pmask)
+    anc, _ = _ancestry(pmask)
+    for _ in range(n):
+        a, b = (int(i) for i in rng.integers(0, n, 2))
         if a == b:
             continue
-        if state.has_arc(a, b):
-            if (a, b) not in constraints.required:
-                state.apply(Move(Move.DELETE, (a, b)))
-        elif (a, b) not in constraints.forbidden and not state.reaches(b, a):
-            state.apply(Move(Move.ADD, (a, b)))
+        abit = 1 << a
+        if pmask[b] & abit:
+            if required[b] & abit:
+                continue
+            pmask[b] &= ~abit
+        elif forbidden[b] & abit or anc[a] >> b & 1:
+            continue
+        else:
+            pmask[b] |= abit
+        anc, _ = _ancestry(pmask)
+    return tuple(pmask)
 
 
 class ArcStrengthTable:
@@ -571,7 +633,6 @@ def averaged_network(
         raise ValueError("threshold must be in (0, 1]")
     constraints = constraints or Constraints()
     variables = tuple(variables if variables is not None else strengths.variables)
-    order = {n: i for i, n in enumerate(variables)}
 
     edges = []
     for a, b in strengths.pairs():
@@ -580,7 +641,9 @@ def averaged_network(
             edges.append((s, a, b))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
 
-    state = _SearchState(list(variables))
+    col = {n: i for i, n in enumerate(variables)}
+    pmask = [0] * len(variables)
+    anc, _ = _ancestry(pmask)
     for s, a, b in edges:
         d_ab = strengths.direction(a, b)
         if d_ab > 0.5 or (d_ab == 0.5 and a < b):
@@ -591,12 +654,13 @@ def averaged_network(
             if skipped is not None:
                 skipped.append((frm, to, s, "forbidden"))
             continue
-        if state.reaches(to, frm):
+        if anc[col[frm]] >> col[to] & 1:
             if skipped is not None:
                 skipped.append((frm, to, s, "cycle"))
             continue
-        state.apply(Move(Move.ADD, (frm, to)))
+        pmask[col[to]] |= 1 << col[frm]
+        anc, _ = _ancestry(pmask)
     parents = {
-        n: tuple(sorted(state.parents[n], key=order.__getitem__)) for n in variables
+        n: tuple(variables[p] for p in _bits(pmask[col[n]])) for n in variables
     }
     return Dag(variables, parents)

@@ -26,7 +26,7 @@ def local_loglik(count_table: CountTable) -> float:
 
 
 class ScoreCache:
-    """Memo of local scores keyed by (variable, frozenset(parents)).
+    """Memo of local scores keyed by (child column, parent-column bitmask).
 
     Values are plain function results, so a cached score equals an uncached
     recomputation bit for bit.
@@ -53,29 +53,36 @@ class DecomposableScore:
         self.kind = kind
         self.cache = cache
         self._log_n = math.log(data.n_rows) if data.n_rows else 0.0
-        self._col = {v.name: i for i, v in enumerate(data.variables)}
-        self._r = {v.name: v.r for v in data.variables}
+        self._names = tuple(v.name for v in data.variables)
+        self._r = tuple(v.r for v in data.variables)
 
-    def local(self, variable: str, parents) -> float:
+    def local(self, variable, parents) -> float:
         """Penalized local score of one family.
 
-        Parents are canonicalized to data column order before counting, so the
-        value does not depend on the order the caller lists them in.
+        ``variable`` is a name or a column index; ``parents`` is an iterable
+        of names or an int bitmask of column indices. Parents are counted in
+        data column order, so the value does not depend on the order the
+        caller lists them in.
         """
-        parents = tuple(sorted(parents, key=self._col.__getitem__))
-        key = (variable, frozenset(parents))
+        child = variable if isinstance(variable, int) else self.data.var_index(variable)
+        if not isinstance(parents, int):
+            parents = sum({1 << self.data.var_index(p) for p in parents})
+        key = (child, parents)
         if self.cache is not None:
             cached = self.cache.store.get(key)
             if cached is not None:
                 self.cache.hits += 1
                 return cached
             self.cache.misses += 1
-        value = local_loglik(counts(self.data, variable, parents))
+        columns = [i for i in range(len(self._names)) if parents >> i & 1]
+        value = local_loglik(
+            counts(self.data, self._names[child], [self._names[i] for i in columns])
+        )
         if self.kind != "LOGLIK":
             q = 1
-            for p in parents:
-                q *= self._r[p]
-            d = q * (self._r[variable] - 1)
+            for i in columns:
+                q *= self._r[i]
+            d = q * (self._r[child] - 1)
             value -= d if self.kind == "AIC" else 0.5 * d * self._log_n
         if self.cache is not None:
             self.cache.store[key] = value

@@ -368,7 +368,9 @@ class TestCliContract:
                 "--workspace", ws, "--name", "locked",
             )
             assert code == 2
-            assert "locked" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "locked" in err
+            assert "12345" in err
         finally:
             lock.unlink()
 

@@ -161,6 +161,42 @@ class TestPosterior:
         assert np.log(res.evidence_probability) == pytest.approx(want_log_pe, abs=1e-9)
         assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_roots", [19, 25])
+    def test_many_tiny_independent_evidence_roots(self, n_roots):
+        # each observed root reduces to a scalar factor of 1e-16; together
+        # P(evidence) = 1e-304 (19 roots) or 1e-400 (25 roots, below the
+        # smallest double), which is tiny but not zero
+        roots = [f"R{i}" for i in range(n_roots)]
+        variables = (CategoricalVariable("T", ("t0", "t1")),) + tuple(
+            CategoricalVariable(r, ("common", "rare")) for r in roots
+        )
+        cpts = {"T": Cpt("T", (), [[0.25, 0.75]])}
+        cpts.update({r: Cpt(r, (), [[1 - 1e-16, 1e-16]]) for r in roots})
+        net = FittedNetwork(variables, Dag(("T", *roots), {}), cpts)
+        res = posterior(net, "T", {r: "rare" for r in roots})
+        assert res.log_evidence_probability == pytest.approx(n_roots * np.log(1e-16), rel=1e-12)
+        assert res.evidence_probability == pytest.approx(np.exp(n_roots * np.log(1e-16)), rel=1e-9)
+        assert res.distribution.tolist() == pytest.approx([0.25, 0.75], abs=1e-15)
+
+    def test_tiny_evidence_likelihoods_on_target(self):
+        # 30 observed children of the target, each 1e-16 likely under t0 and
+        # 1e-15 under t1: the product over the target underflows unless the
+        # final product is renormalized as it grows
+        kids = [f"C{i}" for i in range(30)]
+        variables = (CategoricalVariable("T", ("t0", "t1")),) + tuple(
+            CategoricalVariable(c, ("common", "rare")) for c in kids
+        )
+        cpts = {"T": Cpt("T", (), [[0.5, 0.5]])}
+        cpts.update(
+            {c: Cpt(c, ("T",), [[1 - 1e-16, 1e-16], [1 - 1e-15, 1e-15]]) for c in kids}
+        )
+        net = FittedNetwork(variables, Dag(("T", *kids), {c: ("T",) for c in kids}), cpts)
+        res = posterior(net, "T", {c: "rare" for c in kids})
+        # odds t0 : t1 = 1 : 1e30
+        assert res["t0"] == pytest.approx(1e-30, rel=1e-9)
+        want = np.log(0.5) + 30 * np.log(1e-15) + np.log1p(1e-30)
+        assert res.log_evidence_probability == pytest.approx(want, rel=1e-12)
+
     def test_chain_rule_evidence_probability(self):
         rng = np.random.default_rng(107)
         for _ in range(10):

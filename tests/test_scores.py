@@ -168,7 +168,7 @@ class TestScoreCache:
         first = ev.local("B", ("A",))
         fresh = DecomposableScore(t, "AIC").local("B", ("A",))
         assert first == fresh
-        assert cache.store[("B", frozenset(("A",)))] == fresh
+        assert cache.store[(1, 0b1)] == fresh  # key: (child column, parent mask)
 
     def test_parent_order_canonicalized(self):
         rng = np.random.default_rng(47)
