@@ -188,24 +188,26 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
             log_scale += math.log(total)
         factors = [f for f in factors if name not in f.scope] + [summed]
 
-    # scalar factors of reduced evidence roots and factors over the target
-    # alone are left; renormalize their running product too
-    final = None
-    for f in factors:
-        final = f if final is None else final.multiply(f)
+    # left: factors over the target alone and the scalar factors of reduced
+    # evidence roots; renormalize their running product as it grows
+    final = factors[0]
+    for f in factors[1:]:
+        final = final.multiply(f)
         total = float(final.values.sum())
         if total == 0.0:
-            raise ZeroProbabilityEvidence(evidence, 0.0)
-        final = Factor(final.scope, final.cards, final.values / total)
+            break
+        final.values /= total  # a fresh array, not a CPT view
         log_scale += math.log(total)
     var = net.variable(target)
     final = final._aligned((target,), (var.r,)).reshape(var.r)
     z = float(final.sum())
-    log_pe = log_scale + math.log(z)
+    if z == 0.0:
+        raise ZeroProbabilityEvidence(evidence, 0.0)
     dist = final / z
     dist.flags.writeable = False
     return QueryResult(
-        target, var.levels, dist, evidence, math.exp(log_pe), log_pe, tuple(order)
+        target, var.levels, dist, evidence, z * math.exp(log_scale),
+        log_scale + math.log(z), tuple(order),
     )
 
 

@@ -6,10 +6,10 @@ can cross score plateaus and shallow optima. The search works on column
 indices: parent sets and ancestor sets are int bitmasks, so a cycle test is
 one bit test, and a per-pair table of move deltas is kept across iterations,
 so a move rescores only the candidates that read the one or two families it
-changed. Robustness comes from a nonparametric bootstrap: each replicate resamples the rows with replacement,
-learns a DAG, and the per-edge inclusion frequencies ("strengths") are
-averaged into a consensus network at a threshold estimated from the strength
-distribution itself.
+changed. Robustness comes from a nonparametric bootstrap: each replicate
+resamples the rows with replacement, learns a DAG, and the per-edge inclusion
+frequencies ("strengths") are averaged into a consensus network at a
+threshold estimated from the strength distribution itself.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ def _best_move(state, tabu, it, aspiration):
         total = sum(cur)
         limit = aspiration + SCORE_EPS
     best = None
-    best_delta = bar = -math.inf  # a candidate must beat this: best delta so far + SCORE_EPS
+    best_delta = bar = -math.inf  # bar: best delta so far + SCORE_EPS
     for a in range(n):
         abit = 1 << a
         kids = children[a]
