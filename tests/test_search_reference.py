@@ -10,7 +10,7 @@ import reference_search
 from beliefnet.data import DataTable
 from beliefnet.inference import sample
 from beliefnet.learn import Constraints, TabuConfig, TabuLog, tabu_search, tiers_to_blacklist
-from beliefnet.model import TierSpec
+from beliefnet.model import CategoricalVariable, TierSpec
 from netgen import random_net
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -40,7 +40,7 @@ def _random_table(rng):
         # enumeration-order tie rule decides between them
         j = int(rng.integers(len(data.variables)))
         var = data.variables[j]
-        copy = type(var)(var.name + "_copy", var.levels)
+        copy = CategoricalVariable(var.name + "_copy", var.levels)
         codes = np.concatenate([data.codes, data.codes[:, j:j + 1]], axis=1)
         data = DataTable(data.variables + (copy,), codes)
     return data
