@@ -189,15 +189,15 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
         factors = [f for f in factors if name not in f.scope] + [summed]
 
     # left: factors over the target alone and the scalar factors of reduced
-    # evidence roots; renormalize their running product as it grows
+    # evidence roots; renormalize their running product as it grows, and keep
+    # multiplying past a structural zero so the target axis is always present
     final = factors[0]
     for f in factors[1:]:
         final = final.multiply(f)
         total = float(final.values.sum())
-        if total == 0.0:
-            break
-        final.values /= total  # a fresh array, not a CPT view
-        log_scale += math.log(total)
+        if total > 0.0:
+            final.values /= total  # a fresh array, not a CPT view
+            log_scale += math.log(total)
     var = net.variable(target)
     final = final._aligned((target,), (var.r,)).reshape(var.r)
     z = float(final.sum())

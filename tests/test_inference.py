@@ -77,6 +77,24 @@ class TestPosterior:
         with pytest.raises(ZeroProbabilityEvidence):
             posterior(net, "A", {"B": "b1"})
 
+    def test_zero_probability_evidence_on_roots_before_target(self):
+        # two observed roots come before the target, so their scalar factors
+        # are multiplied first; one of them is a structural zero
+        variables = tuple(
+            CategoricalVariable(n, (f"{n.lower()}0", f"{n.lower()}1"))
+            for n in ("X", "Y", "T")
+        )
+        cpts = {
+            "X": Cpt("X", (), [[1.0, 0.0]]),
+            "Y": Cpt("Y", (), [[0.4, 0.6]]),
+            "T": Cpt("T", (), [[0.3, 0.7]]),
+        }
+        net = FittedNetwork(variables, Dag(("X", "Y", "T"), {}), cpts)
+        with pytest.raises(ZeroProbabilityEvidence):
+            posterior(net, "T", {"X": "x1", "Y": "y0"})
+        with pytest.raises(ZeroProbabilityEvidence):
+            posterior(net, "T", {"Y": "y0", "X": "x1"})
+
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(60):
