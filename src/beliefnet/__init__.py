@@ -53,7 +53,6 @@ from .inference import (
 from .learn import (
     ArcStrengthTable,
     Constraints,
-    Move,
     TabuConfig,
     TabuLog,
     averaged_network,

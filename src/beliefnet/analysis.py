@@ -14,12 +14,14 @@ Three instruments:
   CPT entry theta scales the rest of its row by (1 - theta') / (1 - theta).
   For an evidence-free target event, P(event) is linear in theta, so the
   derivative is exact from two evaluations; tornado bars record the P-shift
-  at theta +/- delta for every parameter of a node set.
+  at theta +/- delta for every parameter of a node set. The unperturbed
+  P(event) is computed once per tornado or influence map.
+
+Every instrument runs serially in the calling process.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,44 +99,21 @@ class SobolMatrix:
         return self.cells[(input_var, target)]
 
 
-_MATRIX_NET = {}
-
-
-def _matrix_init(net):
-    _MATRIX_NET["net"] = net
-
-
-def _matrix_cell(pair):
-    input_var, target = pair
-    net = _MATRIX_NET["net"]
-    return pair, sobol_first_order(net, target, input_var).aggregate * 100.0
-
-
-def sobol_matrix(net: FittedNetwork, targets, inputs, n_jobs: int = 1) -> SobolMatrix:
+def sobol_matrix(net: FittedNetwork, targets, inputs) -> SobolMatrix:
     """Aggregate Sobol indices for every input/target pair, in percent.
 
     Inputs are sorted by the first target's column, descending, with each
-    target excluded from its own inputs (None cell). Cells fan out to worker
-    processes when n_jobs > 1; the merge is by cell index, so the result does
-    not depend on scheduling.
+    target excluded from its own inputs (None cell).
     """
     targets = tuple(targets)
     inputs = tuple(inputs)
     for name in targets + inputs:
         net.variable(name)
-    jobs = [(i, t) for i in inputs for t in targets if i != t]
-    cells = {(i, t): None for i in inputs for t in targets}
-    if n_jobs == 1:
-        _matrix_init(net)
-        results = map(_matrix_cell, jobs)
-        for pair, value in results:
-            cells[pair] = value
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_matrix_init, initargs=(net,)
-        ) as pool:
-            for pair, value in pool.map(_matrix_cell, jobs):
-                cells[pair] = value
+    cells = {
+        (i, t): None if i == t else sobol_first_order(net, t, i).aggregate * 100.0
+        for i in inputs
+        for t in targets
+    }
 
     first = targets[0]
 
@@ -251,10 +230,7 @@ def sensitivity_slope(
     evidence = Evidence(evidence) if evidence is not None else None
 
     if evidence is None or len(evidence) == 0:
-        other = (theta + 1.0) / 2.0 if theta <= 0.5 else theta / 2.0
-        p0 = _event_probability(net, event)
-        p1 = _event_probability(perturb_parameter(net, param, other), event)
-        return (p1 - p0) / (other - theta)
+        return _linear_slope(net, event, param, theta, _event_probability(net, event))
 
     eps = min(1e-4, (1.0 - theta) / 2.0, theta / 2.0 if theta > 0.0 else np.inf)
     if theta == 0.0:
@@ -265,6 +241,13 @@ def sensitivity_slope(
     lo = _event_probability(perturb_parameter(net, param, theta - eps), event, evidence)
     hi = _event_probability(perturb_parameter(net, param, theta + eps), event, evidence)
     return (hi - lo) / (2.0 * eps)
+
+
+def _linear_slope(net, event, param, theta, p0):
+    """Exact evidence-free slope from P(event) = p0 at theta and one perturbation."""
+    other = (theta + 1.0) / 2.0 if theta <= 0.5 else theta / 2.0
+    p1 = _event_probability(perturb_parameter(net, param, other), event)
+    return (p1 - p0) / (other - theta)
 
 
 @dataclass(frozen=True)
@@ -309,22 +292,9 @@ def _node_params(net, name):
             yield CptParameterId(name, j, k)
 
 
-_TORNADO = {}
-
-
-def _tornado_init(net, event, delta):
-    _TORNADO.update(net=net, event=event, delta=delta)
-
-
-def _tornado_bar(param):
-    net, event, delta = _TORNADO["net"], _TORNADO["event"], _TORNADO["delta"]
-    return _make_bar(net, event, param, delta)
-
-
-def _make_bar(net, event, param, delta):
+def _make_bar(net, event, param, delta, p0):
     cpt = net.cpts[param.variable]
     theta = float(cpt.table[param.config, param.state])
-    p0 = _event_probability(net, event)
     if 1.0 - theta == 0.0:
         # saturated row: co-variation undefined, recorded as a zero bar
         up = DirectedShift("increase", 0.0, 0.0)
@@ -350,9 +320,7 @@ def _make_bar(net, event, param, delta):
     )
 
 
-def tornado(
-    net: FittedNetwork, event, nodes=None, delta: float = 0.1, n_jobs: int = 1
-) -> list:
+def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
     """One-way perturbation bars for every CPT parameter of ``nodes``.
 
     ``nodes`` defaults to the ancestors of the event variable. Each bar holds
@@ -366,15 +334,12 @@ def tornado(
     net.variable(variable).level_index(level)
     if nodes is None:
         nodes = [n for n in net.dag.nodes if n in net.dag.ancestors(variable)]
-    params = [p for name in nodes for p in _node_params(net, name)]
-    if n_jobs == 1:
-        _tornado_init(net, event, delta)
-        bars = [_tornado_bar(p) for p in params]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_tornado_init, initargs=(net, event, delta)
-        ) as pool:
-            bars = list(pool.map(_tornado_bar, params))
+    p0 = _event_probability(net, event)
+    bars = [
+        _make_bar(net, event, p, delta, p0)
+        for name in nodes
+        for p in _node_params(net, name)
+    ]
     bars.sort(key=lambda bar: (-bar.magnitude, bar.param))
     return bars
 
@@ -388,17 +353,19 @@ def node_influence(net: FittedNetwork, event) -> dict:
     variable, level = event
     net.variable(variable).level_index(level)
     ancestors = net.dag.ancestors(variable)
+    p0 = _event_probability(net, event)
     influence = {}
     for name in net.dag.nodes:
         if name == variable or name not in ancestors:
             influence[name] = 0.0
             continue
         best = 0.0
+        table = net.cpts[name].table
         for param in _node_params(net, name):
-            cpt = net.cpts[name]
-            if 1.0 - float(cpt.table[param.config, param.state]) == 0.0:
+            theta = float(table[param.config, param.state])
+            if 1.0 - theta == 0.0:
                 continue  # saturated: no defined slope
-            best = max(best, abs(sensitivity_slope(net, event, param)))
+            best = max(best, abs(_linear_slope(net, event, param, theta, p0)))
         influence[name] = best
     return influence
 

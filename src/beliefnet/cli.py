@@ -381,7 +381,7 @@ def cmd_sobol(args, ws: Workspace) -> int:
     started = _begin()
     net = load_model(args.model)
     cfg = configio.load_sobol_config(args.config)
-    matrix = analysis.sobol_matrix(net, cfg.targets, cfg.inputs, n_jobs=args.workers)
+    matrix = analysis.sobol_matrix(net, cfg.targets, cfg.inputs)
     csv_path = ws.guard(ws.path("reports", f"{args.name}_sobol.csv"), args.force)
     reports.write_sobol_csv(csv_path, matrix)
     rows = [
@@ -465,9 +465,7 @@ def cmd_sensitivity(args, ws: Workspace) -> int:
     net = load_model(args.model)
     cfg = configio.load_sensitivity_config(args.config)
     event = (cfg.target_variable, cfg.target_state)
-    bars = analysis.tornado(
-        net, event, nodes=cfg.nodes, delta=cfg.delta, n_jobs=args.workers
-    )
+    bars = analysis.tornado(net, event, nodes=cfg.nodes, delta=cfg.delta)
     csv_path = ws.guard(ws.path("reports", f"{args.name}_tornado.csv"), args.force)
     reports.write_tornado_csv(csv_path, bars, event, cfg.delta)
     txt_path = ws.path("reports", f"{args.name}_tornado.txt")
@@ -547,7 +545,12 @@ def _add_common(sub, name_default):
     sub.add_argument("--name", default=name_default, help="output name stem")
     sub.add_argument("--force", action="store_true", help="allow overwriting outputs")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=_positive_int, default=1)
+    sub.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes for the learn bootstrap; other commands run serially",
+    )
     sub.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp comment in SVGs"
     )

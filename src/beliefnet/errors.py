@@ -136,7 +136,12 @@ class SaturatedParameter(BeliefnetError):
 class BootstrapError(BeliefnetError):
     def __init__(self, replicate, cause):
         self.replicate = replicate
+        self.cause = cause
         super().__init__(f"bootstrap replicate {replicate} failed: {cause}")
+
+    def __reduce__(self):
+        # rebuilt from both arguments when a worker process sends it back
+        return type(self), (self.replicate, self.cause)
 
 
 class InvalidQuery(BeliefnetError):

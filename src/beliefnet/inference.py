@@ -97,13 +97,11 @@ def _min_fill_order(scopes, hidden):
     while pending:
         best, best_fill = None, None
         for v in sorted(pending):
-            nbrs = adjacency[v] & set(adjacency)
-            fill = sum(
-                1
-                for i, a in enumerate(sorted(nbrs))
-                for b in sorted(nbrs)[i + 1:]
-                if b not in adjacency[a]
-            )
+            # nbrs - adjacency[a] is a plus the neighbours a lacks, so every
+            # missing pair is seen from both ends (eliminated vertices are
+            # already gone from every neighbour set)
+            nbrs = adjacency[v]
+            fill = sum(len(nbrs - adjacency[a]) - 1 for a in nbrs) // 2
             if best_fill is None or fill < best_fill:
                 best, best_fill = v, fill
         nbrs = adjacency[best]

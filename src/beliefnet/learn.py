@@ -15,6 +15,8 @@ threshold estimated from the strength distribution itself.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,23 +35,6 @@ from .scores import DecomposableScore, ScoreCache
 
 # score deltas below this are treated as ties, not improvements
 SCORE_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Move:
-    ADD = "add"
-    DELETE = "delete"
-    REVERSE = "reverse"
-
-    kind: str
-    arc: tuple
-
-    def inverse(self) -> "Move":
-        if self.kind == Move.ADD:
-            return Move(Move.DELETE, self.arc)
-        if self.kind == Move.DELETE:
-            return Move(Move.ADD, self.arc)
-        return Move(Move.REVERSE, (self.arc[1], self.arc[0]))
 
 
 @dataclass(frozen=True)
@@ -490,28 +475,14 @@ class ArcStrengthTable:
         ]
 
 
-_BOOT = {}
-
-
-def _boot_init(codes, variables, source, score, constraints, config):
-    _BOOT["data"] = DataTable(variables, codes, source)
-    _BOOT["score"] = score
-    _BOOT["constraints"] = constraints
-    _BOOT["config"] = config
-
-
-def _boot_one(args):
-    replicate, seed = args
-    data = _BOOT["data"]
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
-    idx = rng.integers(0, data.n_rows, data.n_rows)
-    dag = tabu_search(
-        data.take(idx),
-        score=_BOOT["score"],
-        constraints=_BOOT["constraints"],
-        config=_BOOT["config"],
-    )
-    return replicate, tuple(dag.arcs())
+def _boot_one(data, score, constraints, config, seed, replicate):
+    try:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
+        idx = rng.integers(0, data.n_rows, data.n_rows)
+        dag = tabu_search(data.take(idx), score=score, constraints=constraints, config=config)
+    except Exception as exc:  # noqa: BLE001 - annotate with replicate index
+        raise BootstrapError(replicate, exc) from exc
+    return tuple(dag.arcs())
 
 
 def bootstrap_strengths(
@@ -528,44 +499,33 @@ def bootstrap_strengths(
     Each replicate resamples n_rows rows with replacement using a sub-seed
     derived from (seed, replicate index), learns a DAG, and the arc tallies
     are merged. Replicates are independent, so the result is identical for
-    any n_jobs and any execution order.
+    any n_jobs and any execution order. A failing replicate raises
+    BootstrapError naming its index; a worker process that dies instead
+    names the first replicate without a result.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
     constraints = constraints or Constraints()
     config = config or TabuConfig()
+    one = functools.partial(_boot_one, data, score, constraints, config, seed)
+    pool = None if n_jobs == 1 else concurrent.futures.ProcessPoolExecutor(n_jobs)
     tally = {}
-    jobs = [(rep, seed) for rep in range(b)]
-    if n_jobs == 1:
-        _boot_init(data.codes, data.variables, data.source, score, constraints, config)
-        results = map(_boot_one, jobs)
-        for rep, arcs in _collect(results):
-            for arc in arcs:
-                tally[arc] = tally.get(arc, 0) + 1
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=_boot_init,
-            initargs=(data.codes, data.variables, data.source, score, constraints, config),
-        ) as pool:
-            chunk = max(1, b // (4 * n_jobs))
-            for rep, arcs in _collect(pool.map(_boot_one, jobs, chunksize=chunk)):
+    received = 0
+    with pool or contextlib.nullcontext():
+        if pool is None:
+            results = map(one, range(b))
+        else:
+            results = pool.map(one, range(b), chunksize=max(1, b // (4 * n_jobs)))
+        try:
+            for arcs in results:
+                received += 1
                 for arc in arcs:
                     tally[arc] = tally.get(arc, 0) + 1
+        except concurrent.futures.BrokenExecutor as exc:
+            # a worker died without raising; the first replicate with no result
+            # is the earliest one it can have been running
+            raise BootstrapError(received, exc) from exc
     return ArcStrengthTable([v.name for v in data.variables], b, tally)
-
-
-def _collect(results):
-    it = iter(results)
-    rep = -1
-    while True:
-        try:
-            rep, arcs = next(it)
-        except StopIteration:
-            return
-        except Exception as exc:  # noqa: BLE001 - annotate with replicate index
-            raise BootstrapError(rep + 1, exc) from exc
-        yield rep, arcs
 
 
 def l1_threshold(strengths) -> float:

@@ -7,12 +7,30 @@ compare the two on DAG, TabuLog.best_scores, iterations and cache misses.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from beliefnet.learn import SCORE_EPS, Constraints, Move, TabuConfig
+from beliefnet.learn import SCORE_EPS, Constraints, TabuConfig
 from beliefnet.model import Dag
 from beliefnet.scores import DecomposableScore, ScoreCache
+
+
+@dataclass(frozen=True)
+class Move:
+    ADD = "add"
+    DELETE = "delete"
+    REVERSE = "reverse"
+
+    kind: str
+    arc: tuple
+
+    def inverse(self) -> "Move":
+        if self.kind == Move.ADD:
+            return Move(Move.DELETE, self.arc)
+        if self.kind == Move.DELETE:
+            return Move(Move.ADD, self.arc)
+        return Move(Move.REVERSE, (self.arc[1], self.arc[0]))
 
 
 class SearchState:

@@ -9,6 +9,7 @@ from beliefnet.data import DataTable, counts
 from beliefnet.errors import InvalidQuery, ZeroProbabilityEvidence
 from beliefnet.inference import (
     Factor,
+    _min_fill_order,
     conditional_table,
     fit_bayes,
     fit_mle,
@@ -232,6 +233,61 @@ class TestPosterior:
             assert got.evidence_probability == pytest.approx(
                 float(joint[tuple(index)].sum()), abs=1e-9
             )
+
+
+def reference_min_fill_order(scopes, hidden):
+    """The min-fill ordering as first written: re-sorted pairwise fill count."""
+    adjacency = {}
+    for scope in scopes:
+        for v in scope:
+            adjacency.setdefault(v, set())
+        for i, a in enumerate(scope):
+            for b in scope[i + 1:]:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    order = []
+    pending = set(hidden)
+    while pending:
+        best, best_fill = None, None
+        for v in sorted(pending):
+            nbrs = adjacency[v] & set(adjacency)
+            fill = sum(
+                1
+                for i, a in enumerate(sorted(nbrs))
+                for b in sorted(nbrs)[i + 1:]
+                if b not in adjacency[a]
+            )
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        nbrs = adjacency[best]
+        for a in nbrs:
+            adjacency[a] |= nbrs - {a}
+            adjacency[a].discard(best)
+        del adjacency[best]
+        pending.discard(best)
+        order.append(best)
+    return order
+
+
+class TestMinFillOrder:
+    def test_matches_reference_on_random_graphs(self):
+        rng = np.random.default_rng(2024)
+        for case in range(3000):
+            n = int(rng.integers(2, 13))
+            names = [f"V{i}" for i in range(n)]
+            if case % 2:
+                net = random_net(rng, n, max_parents=int(rng.integers(1, 5)))
+                scopes = [(v,) + net.dag.parent_tuple(v) for v in net.dag.nodes]
+            else:
+                scopes = [
+                    tuple(names[i] for i in rng.choice(n, size=k, replace=False))
+                    for k in rng.integers(1, min(n, 4) + 1, size=int(rng.integers(1, 2 * n)))
+                ]
+            present = sorted({v for scope in scopes for v in scope})
+            hidden = [v for v in present if rng.random() < 0.7]
+            assert _min_fill_order(scopes, hidden) == reference_min_fill_order(
+                scopes, hidden
+            ), (scopes, hidden)
 
 
 class TestConditionalTable:

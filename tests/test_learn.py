@@ -1,5 +1,9 @@
 """Structure learning: tabu search, bootstrap strengths, threshold, consensus."""
 
+import multiprocessing
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,6 @@ from beliefnet.inference import sample
 from beliefnet.learn import (
     ArcStrengthTable,
     Constraints,
-    Move,
     TabuConfig,
     TabuLog,
     averaged_network,
@@ -46,13 +49,19 @@ def dependent_pair(n=1000, flip=0.05, seed=0):
     return binary_table({"A": a, "B": b})
 
 
-class TestMoves:
-    def test_inverses(self):
-        assert Move(Move.ADD, ("A", "B")).inverse() == Move(Move.DELETE, ("A", "B"))
-        assert Move(Move.DELETE, ("A", "B")).inverse() == Move(Move.ADD, ("A", "B"))
-        assert Move(Move.REVERSE, ("A", "B")).inverse() == Move(
-            Move.REVERSE, ("B", "A")
-        )
+def replicate_codes(data, seed, replicate):
+    """The resampled codes that bootstrap replicate ``replicate`` searches."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
+    return data.take(rng.integers(0, data.n_rows, data.n_rows)).codes
+
+
+# pool workers see a search patched in the parent only when they are forked;
+# allow_none keeps the check from fixing the start method for the whole test run
+START_METHOD = (
+    multiprocessing.get_start_method(allow_none=True)
+    or multiprocessing.get_all_start_methods()[0]
+)
+needs_fork = pytest.mark.skipif(START_METHOD != "fork", reason="needs fork-started workers")
 
 
 class TestConstraints:
@@ -250,6 +259,49 @@ class TestBootstrap:
             bootstrap_strengths(data, b=5, config=FAST, seed=9)
         assert exc.value.replicate == 2  # zero-based, matches sub-seed derivation
         assert "blew up" in str(exc.value)
+
+    @needs_fork
+    def test_failing_replicate_mid_chunk_reports_index_with_workers(self, monkeypatch):
+        import beliefnet.learn as learn_mod
+
+        data = dependent_pair(n=60, seed=53)
+        seed, failing = 11, 30  # b=200, 2 workers: chunks of 25, so 30 is mid-chunk
+        bad_codes = replicate_codes(data, seed, failing)
+
+        def flaky(resampled, **kwargs):
+            if np.array_equal(resampled.codes, bad_codes):
+                raise RuntimeError("replicate blew up")
+            return Dag(tuple(v.name for v in resampled.variables), {})
+
+        monkeypatch.setattr(learn_mod, "tabu_search", flaky)
+        with pytest.raises(BootstrapError) as exc:
+            bootstrap_strengths(data, b=200, config=FAST, seed=seed, n_jobs=2)
+        assert exc.value.replicate == failing
+        assert "blew up" in str(exc.value)
+
+    @needs_fork
+    def test_crashed_worker_raises_bootstrap_error(self, monkeypatch):
+        import beliefnet.learn as learn_mod
+
+        data = dependent_pair(n=60, seed=59)
+        seed, failing = 12, 13
+        bad_codes = replicate_codes(data, seed, failing)
+
+        def crashing(resampled, **kwargs):
+            if np.array_equal(resampled.codes, bad_codes):
+                os._exit(1)
+            return Dag(tuple(v.name for v in resampled.variables), {})
+
+        monkeypatch.setattr(learn_mod, "tabu_search", crashing)
+        with pytest.raises(BootstrapError) as exc:
+            bootstrap_strengths(data, b=40, config=FAST, seed=seed, n_jobs=2)
+        assert exc.value.replicate <= failing
+
+    def test_bootstrap_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(BootstrapError(3, RuntimeError("x"))))
+        assert isinstance(err, BootstrapError)
+        assert err.replicate == 3
+        assert str(err) == "bootstrap replicate 3 failed: x"
 
 
 def brute_force_l1_partition(values):
