@@ -232,6 +232,18 @@ class CountTable:
         return int(self.counts.sum())
 
 
+def _tally(child, parents, r, weights=None) -> np.ndarray:
+    """(q, r) table of N_ijk, j mixed-radix over ``parents`` ((int64 column,
+    arity) pairs, first most significant); each row adds its weight, or 1."""
+    q = 1
+    code = None
+    for col, arity in parents:
+        code = col if code is None else code * arity + col
+        q *= arity
+    cell = child if code is None else code * r + child
+    return np.bincount(cell, weights=weights, minlength=q * r).reshape(q, r)
+
+
 def counts(table: DataTable, variable, parents=()) -> CountTable:
     """Tally N_ijk over the rows complete in the variable and its parents.
 
@@ -240,18 +252,10 @@ def counts(table: DataTable, variable, parents=()) -> CountTable:
     """
     var = table.variable(variable)
     parent_vars = tuple(table.variable(p) for p in parents)
-    child = table.column(variable)
-    complete = child >= 0
-    j = np.zeros(table.n_rows, dtype=np.int64)
-    for p in parent_vars:
-        col = table.column(p.name)
-        complete &= col >= 0
-        j = j * p.r + col
-    q = 1
-    for p in parent_vars:
-        q *= p.r
-    flat = (j[complete] * var.r + child[complete]).astype(np.int64)
-    tallied = np.bincount(flat, minlength=q * var.r).reshape(q, var.r)
+    cols = [table.column(v.name) for v in (var,) + parent_vars]
+    complete = np.logical_and.reduce([col >= 0 for col in cols])
+    child, *parent_cols = [col[complete].astype(np.int64) for col in cols]
+    tallied = _tally(child, [(col, p.r) for col, p in zip(parent_cols, parent_vars)], var.r)
     return CountTable(var, parent_vars, tallied)
 
 

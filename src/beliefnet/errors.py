@@ -4,6 +4,11 @@
 class BeliefnetError(Exception):
     """Base class for all beliefnet errors."""
 
+    def __reduce__(self):
+        # pickled by worker processes; rebuilt without __init__, whose
+        # signature varies: ``args`` holds the message, __dict__ the attributes
+        return type(self).__new__, (type(self),), {"args": self.args, **self.__dict__}
+
 
 class CycleDetected(BeliefnetError):
     """A directed cycle was found where a DAG was required."""
@@ -138,10 +143,6 @@ class BootstrapError(BeliefnetError):
         self.replicate = replicate
         self.cause = cause
         super().__init__(f"bootstrap replicate {replicate} failed: {cause}")
-
-    def __reduce__(self):
-        # rebuilt from both arguments when a worker process sends it back
-        return type(self), (self.replicate, self.cause)
 
 
 class InvalidQuery(BeliefnetError):

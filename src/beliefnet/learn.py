@@ -241,6 +241,7 @@ def tabu_search(
     constraints: Constraints | None = None,
     config: TabuConfig | None = None,
     log: TabuLog | None = None,
+    weights=None,
 ) -> Dag:
     """Learn a DAG by tabu search over add/delete/reverse moves.
 
@@ -258,6 +259,9 @@ def tabu_search(
     an iteration costs O(1) per pair plus a cached local-score lookup per
     cleared entry, and the search scores exactly the families, and makes
     exactly the moves, of a full rescan that rescores every candidate.
+
+    ``weights`` are row multiplicities: ``np.bincount(idx, minlength=n_rows)``
+    learns exactly the DAG of ``data.take(idx)`` (see ``DecomposableScore``).
     """
     config = config or TabuConfig()
     constraints = constraints or Constraints()
@@ -269,7 +273,7 @@ def tabu_search(
     forbidden = _arc_masks(constraints.forbidden, col)
     required = _arc_masks(constraints.required, col)
 
-    scorer = DecomposableScore(data, score, cache=ScoreCache())
+    scorer = DecomposableScore(data, score, cache=ScoreCache(), weights=weights)
     state = _SearchState(scorer, forbidden, required)
     best_snap = state.snapshot()
     best_total = sum(state.cur)
@@ -476,10 +480,12 @@ class ArcStrengthTable:
 
 
 def _boot_one(data, score, constraints, config, seed, replicate):
+    """Arcs of one replicate, searched on row multiplicities, not a copied table."""
     try:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
         idx = rng.integers(0, data.n_rows, data.n_rows)
-        dag = tabu_search(data.take(idx), score=score, constraints=constraints, config=config)
+        dag = tabu_search(data, score=score, constraints=constraints, config=config,
+                          weights=np.bincount(idx, minlength=data.n_rows))
     except Exception as exc:  # noqa: BLE001 - annotate with replicate index
         raise BootstrapError(replicate, exc) from exc
     return tuple(dag.arcs())
@@ -498,8 +504,9 @@ def bootstrap_strengths(
 
     Each replicate resamples n_rows rows with replacement using a sub-seed
     derived from (seed, replicate index), learns a DAG, and the arc tallies
-    are merged. Replicates are independent, so the result is identical for
-    any n_jobs and any execution order. A failing replicate raises
+    are merged; a replicate reweights the rows by their draw counts instead
+    of copying them. Replicates are independent, so the result is identical
+    for any n_jobs and any execution order. A failing replicate raises
     BootstrapError naming its index; a worker process that dies instead
     names the first replicate without a result.
     """

@@ -13,6 +13,7 @@ from beliefnet.errors import (
     BootstrapError,
     EmptyStrengths,
     UnassignedVariable,
+    UnknownLevel,
     UnsatisfiableConstraints,
 )
 from beliefnet.inference import sample
@@ -49,10 +50,10 @@ def dependent_pair(n=1000, flip=0.05, seed=0):
     return binary_table({"A": a, "B": b})
 
 
-def replicate_codes(data, seed, replicate):
-    """The resampled codes that bootstrap replicate ``replicate`` searches."""
+def replicate_weights(data, seed, replicate):
+    """The row multiplicities that bootstrap replicate ``replicate`` searches with."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
-    return data.take(rng.integers(0, data.n_rows, data.n_rows)).codes
+    return np.bincount(rng.integers(0, data.n_rows, data.n_rows), minlength=data.n_rows)
 
 
 # pool workers see a search patched in the parent only when they are forked;
@@ -266,12 +267,12 @@ class TestBootstrap:
 
         data = dependent_pair(n=60, seed=53)
         seed, failing = 11, 30  # b=200, 2 workers: chunks of 25, so 30 is mid-chunk
-        bad_codes = replicate_codes(data, seed, failing)
+        bad_weights = replicate_weights(data, seed, failing)
 
-        def flaky(resampled, **kwargs):
-            if np.array_equal(resampled.codes, bad_codes):
+        def flaky(data, weights, **kwargs):
+            if np.array_equal(weights, bad_weights):
                 raise RuntimeError("replicate blew up")
-            return Dag(tuple(v.name for v in resampled.variables), {})
+            return Dag(tuple(v.name for v in data.variables), {})
 
         monkeypatch.setattr(learn_mod, "tabu_search", flaky)
         with pytest.raises(BootstrapError) as exc:
@@ -285,17 +286,39 @@ class TestBootstrap:
 
         data = dependent_pair(n=60, seed=59)
         seed, failing = 12, 13
-        bad_codes = replicate_codes(data, seed, failing)
+        bad_weights = replicate_weights(data, seed, failing)
 
-        def crashing(resampled, **kwargs):
-            if np.array_equal(resampled.codes, bad_codes):
+        def crashing(data, weights, **kwargs):
+            if np.array_equal(weights, bad_weights):
                 os._exit(1)
-            return Dag(tuple(v.name for v in resampled.variables), {})
+            return Dag(tuple(v.name for v in data.variables), {})
 
         monkeypatch.setattr(learn_mod, "tabu_search", crashing)
         with pytest.raises(BootstrapError) as exc:
             bootstrap_strengths(data, b=40, config=FAST, seed=seed, n_jobs=2)
         assert exc.value.replicate <= failing
+
+    @needs_fork
+    def test_worker_error_arrives_with_its_cause(self, monkeypatch):
+        import beliefnet.learn as learn_mod
+
+        data = dependent_pair(n=60, seed=61)
+        seed, failing = 14, 5
+        bad_weights = replicate_weights(data, seed, failing)
+
+        def flaky(data, weights, **kwargs):
+            if np.array_equal(weights, bad_weights):
+                raise UnknownLevel("A", "v9")
+            return Dag(tuple(v.name for v in data.variables), {})
+
+        monkeypatch.setattr(learn_mod, "tabu_search", flaky)
+        with pytest.raises(BootstrapError) as exc:
+            bootstrap_strengths(data, b=8, config=FAST, seed=seed, n_jobs=2)
+        assert exc.value.replicate == failing
+        cause = exc.value.cause
+        assert isinstance(cause, UnknownLevel)
+        assert (cause.variable, cause.level) == ("A", "v9")
+        assert "has no level 'v9'" in str(exc.value)
 
     def test_bootstrap_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(BootstrapError(3, RuntimeError("x"))))

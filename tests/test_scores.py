@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from beliefnet.data import CountTable, DataTable
 from beliefnet.model import CategoricalVariable, Dag, parameter_count
@@ -181,3 +182,104 @@ class TestScoreCache:
         )
         ev = DecomposableScore(t, "AIC")
         assert ev.local("C", ("A", "B")) == ev.local("C", ("B", "A"))
+
+
+def reference_counts(table, variable, parents=()):
+    """N_ijk by the tally ``data.counts`` made before it shared the scorer's kernel."""
+    var = table.variable(variable)
+    parent_vars = tuple(table.variable(p) for p in parents)
+    child = table.column(variable)
+    complete = child >= 0
+    j = np.zeros(table.n_rows, dtype=np.int64)
+    for p in parent_vars:
+        col = table.column(p.name)
+        complete &= col >= 0
+        j = j * p.r + col
+    q = 1
+    for p in parent_vars:
+        q *= p.r
+    flat = (j[complete] * var.r + child[complete]).astype(np.int64)
+    return np.bincount(flat, minlength=q * var.r).reshape(q, var.r)
+
+
+def reference_local(table, variable, parents, kind):
+    """Penalized local score by the counts + local_loglik path the kernel replaced."""
+    n = reference_counts(table, variable, parents)
+    n_ij = n.sum(axis=1)
+    value = float(xlogy(n, n).sum() - xlogy(n_ij, n_ij).sum())
+    if kind != "LOGLIK":
+        d = n.shape[0] * (table.variable(variable).r - 1)
+        log_n = math.log(table.n_rows) if table.n_rows else 0.0
+        value -= d if kind == "AIC" else 0.5 * d * log_n
+    return value
+
+
+def random_table(rng):
+    k = int(rng.integers(2, 7))
+    arities = rng.integers(2, 5, k)
+    n = int(rng.integers(1, 300))
+    variables = [
+        CategoricalVariable(f"V{i}", tuple(f"l{j}" for j in range(r)))
+        for i, r in enumerate(arities)
+    ]
+    codes = np.stack([rng.integers(0, r, n) for r in arities], axis=1)
+    return DataTable(variables, codes)
+
+
+class TestKernelOracle:
+    """The column-cached, weighted kernel against the pre-kernel scoring path."""
+
+    @pytest.mark.parametrize("kind", ["AIC", "BIC", "LOGLIK"])
+    def test_equals_reference_on_random_tables(self, kind):
+        rng = np.random.default_rng({"AIC": 101, "BIC": 103, "LOGLIK": 107}[kind])
+        for _ in range(40):
+            t = random_table(rng)
+            k = len(t.variables)
+            ev = DecomposableScore(t, kind)
+            for _ in range(8):
+                child = int(rng.integers(k))
+                mask = int(rng.integers(1 << k)) & ~(1 << child)
+                if rng.random() < 0.25:
+                    mask = 0
+                names = [t.variables[i].name for i in range(k) if mask >> i & 1]
+                want = reference_local(t, t.variables[child].name, names, kind)
+                assert ev.local(child, mask) == want
+                assert ev.local(t.variables[child].name, names[::-1]) == want
+
+    @pytest.mark.parametrize("kind", ["AIC", "BIC", "LOGLIK"])
+    def test_weights_equal_resampled_table(self, kind):
+        rng = np.random.default_rng({"AIC": 109, "BIC": 113, "LOGLIK": 127}[kind])
+        for _ in range(15):
+            t = random_table(rng)
+            k = len(t.variables)
+            idx = rng.integers(0, t.n_rows, t.n_rows)
+            w = np.bincount(idx, minlength=t.n_rows)
+            weighted = DecomposableScore(t, kind, weights=w)
+            resampled = t.take(idx)
+            plain = DecomposableScore(resampled, kind)
+            for child in range(k):
+                for mask in range(1 << k):
+                    if mask >> child & 1:
+                        continue
+                    names = [t.variables[i].name for i in range(k) if mask >> i & 1]
+                    want = reference_local(resampled, t.variables[child].name, names, kind)
+                    assert weighted.local(child, mask) == want
+                    assert plain.local(child, mask) == want
+
+    @pytest.mark.parametrize("weights", [
+        np.ones(9), np.ones(11), np.ones((10, 1)), -np.ones(10),
+        np.array([1.0] * 9 + [np.nan]),
+    ], ids=["short", "long", "2d", "negative", "nan"])
+    def test_bad_weights_rejected(self, weights):
+        t = table({"A": [0, 1] * 5, "B": [1, 0] * 5})
+        with pytest.raises(ValueError):
+            DecomposableScore(t, "AIC", weights=weights)
+
+    def test_missing_value_in_a_weighted_row_rejected(self):
+        v = CategoricalVariable("A", ("a", "b"))
+        t = DataTable([v], np.array([[0], [-1], [1]], dtype=np.int32))
+        with pytest.raises(ValueError):
+            DecomposableScore(t, "AIC", weights=[1, 1, 1])
+        assert DecomposableScore(t, "AIC", weights=[2, 0, 1]).local("A", ()) == reference_local(
+            t.take([0, 0, 2]), "A", (), "AIC"
+        )

@@ -57,20 +57,22 @@ def _random_tiers(rng, names):
     return tiers_to_blacklist(TierSpec(tiers, within_tier_edges=within), names)
 
 
-def _run(search, data, constraints, config):
+def _run(search, data, constraints, config, **kwargs):
     log = TabuLog()
-    dag = search(data, constraints=constraints, config=config, log=log)
+    dag = search(data, constraints=constraints, config=config, log=log, **kwargs)
     return dag.parents, log.best_scores, log.iterations, log.restarts, log.cache_misses
 
 
-@pytest.mark.parametrize("case", ["plain", "tiers", "restarts", "required"])
+@pytest.mark.parametrize("case", ["plain", "tiers", "restarts", "required", "weighted"])
 def test_matches_full_rescan_reference(case):
-    rng = np.random.default_rng({"plain": 61, "tiers": 67, "restarts": 71, "required": 73}[case])
+    rng = np.random.default_rng(
+        {"plain": 61, "tiers": 67, "restarts": 71, "required": 73, "weighted": 79}[case]
+    )
     for _ in range(6):
         data = _random_table(rng)
         names = [v.name for v in data.variables]
         constraints = None
-        if case == "tiers":
+        if case in ("tiers", "weighted"):
             constraints = _random_tiers(rng, names)
         elif case == "required":
             a, b = sorted(rng.choice(len(names), 2, replace=False))
@@ -84,6 +86,14 @@ def test_matches_full_rescan_reference(case):
             restarts=3 if case == "restarts" else 1,
             seed=int(rng.integers(1 << 20)),
         )
-        fast = _run(tabu_search, data, constraints, config)
-        slow = _run(reference_search.tabu_search, data, constraints, config)
+        if case == "weighted":
+            # a bootstrap replicate: the original rows with their draw counts
+            idx = rng.integers(0, data.n_rows, data.n_rows)
+            weights = np.bincount(idx, minlength=data.n_rows)
+            fast = _run(tabu_search, data, constraints, config, weights=weights)
+            slow = _run(reference_search.tabu_search, data.take(idx), constraints, config)
+        else:
+            fast = _run(tabu_search, data, constraints, config)
+            slow = _run(reference_search.tabu_search, data, constraints, config)
         assert fast == slow
+
