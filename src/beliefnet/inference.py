@@ -7,6 +7,12 @@ Factors are renormalized as they are produced, and so is the running product
 of the factors left at the end, accumulating the log scale, so the evidence
 probability survives underflow: QueryResult carries log P(evidence) exactly,
 and evidence is rejected only when its probability is a structural zero.
+
+A query's cost is mostly Python overhead per step, so the min-fill ordering
+works on int bitmasks, and the factors a query builds skip the checks of the
+public ``Factor`` constructor. Neither changes the arithmetic: every product
+and sum happens in the same order as in the reference elimination loop of
+the tests, so results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -40,22 +46,30 @@ class Factor:
             raise ValueError(f"values shape {values.shape} != cards {self.cards}")
         self.values = values
 
+    @classmethod
+    def _raw(cls, scope, cards, values):
+        """Unchecked: tuples ``scope``, ``cards`` and a float array of that shape."""
+        f = object.__new__(cls)
+        f.scope, f.cards, f.values = scope, cards, values
+        return f
+
     @staticmethod
     def from_cpt(net: FittedNetwork, name: str) -> "Factor":
         cpt = net.cpts[name]
         cards = net.parent_cards(name) + (net.variable(name).r,)
-        return Factor(cpt.parent_order + (name,), cards, cpt.table.reshape(cards))
+        return Factor._raw(cpt.parent_order + (name,), cards, cpt.table.reshape(cards))
 
     def reduce(self, evidence_levels: dict) -> "Factor":
         """Select the observed level on every evidence axis in scope."""
-        index = tuple(
-            evidence_levels.get(v, slice(None)) for v in self.scope
-        )
         keep = [i for i, v in enumerate(self.scope) if v not in evidence_levels]
-        return Factor(
+        if len(keep) == len(self.scope):
+            return self
+        # the trailing Ellipsis keeps a fully indexed table a 0-d array
+        index = tuple(evidence_levels.get(v, slice(None)) for v in self.scope)
+        return Factor._raw(
             tuple(self.scope[i] for i in keep),
             tuple(self.cards[i] for i in keep),
-            self.values[index],
+            self.values[index + (...,)],
         )
 
     def _aligned(self, scope, cards):
@@ -66,51 +80,60 @@ class Factor:
         return vals.reshape(shape)
 
     def multiply(self, other: "Factor") -> "Factor":
-        scope = self.scope + tuple(v for v in other.scope if v not in self.scope)
-        lookup = dict(zip(self.scope, self.cards)) | dict(zip(other.scope, other.cards))
-        cards = tuple(lookup[v] for v in scope)
-        return Factor(
-            scope, cards, self._aligned(scope, cards) * other._aligned(scope, cards)
-        )
+        extra = [i for i, v in enumerate(other.scope) if v not in self.scope]
+        scope = self.scope + tuple(other.scope[i] for i in extra)
+        cards = self.cards + tuple(other.cards[i] for i in extra)
+        # self's axes already lead the product's scope, in order
+        left = self.values.reshape(self.cards + (1,) * len(extra))
+        return Factor._raw(scope, cards, left * other._aligned(scope, cards))
 
     def sum_out(self, name: str) -> "Factor":
         axis = self.scope.index(name)
-        return Factor(
+        return Factor._raw(
             self.scope[:axis] + self.scope[axis + 1:],
             self.cards[:axis] + self.cards[axis + 1:],
-            self.values.sum(axis=axis),
+            self.values.sum(axis=axis)[...],  # 0-d array, not a numpy scalar
         )
 
 
 def _min_fill_order(scopes, hidden):
-    """Greedy min-fill elimination order over the factor interaction graph."""
-    adjacency = {}
+    """Greedy min-fill elimination order over the factor interaction graph;
+    ties go to the smallest name. Neighbour sets are bitmasks over the
+    variables numbered in sorted-name order."""
+    names = sorted({v for scope in scopes for v in scope})
+    index = {v: i for i, v in enumerate(names)}
+    adj = [0] * len(names)
     for scope in scopes:
-        for v in scope:
-            adjacency.setdefault(v, set())
-        for i, a in enumerate(scope):
-            for b in scope[i + 1:]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+        ids = [index[v] for v in scope]
+        clique = sum(1 << i for i in ids)
+        for i in ids:
+            adj[i] |= clique & ~(1 << i)
     order = []
-    pending = set(hidden)
+    pending = sorted(index[v] for v in hidden)
     while pending:
         best, best_fill = None, None
-        for v in sorted(pending):
-            # nbrs - adjacency[a] is a plus the neighbours a lacks, so every
-            # missing pair is seen from both ends (eliminated vertices are
-            # already gone from every neighbour set)
-            nbrs = adjacency[v]
-            fill = sum(len(nbrs - adjacency[a]) - 1 for a in nbrs) // 2
+        for v in pending:
+            # nbrs & ~adj[a] is a plus the neighbours a lacks, so every
+            # missing pair is counted from both ends
+            nbrs = m = adj[v]
+            fill = 0
+            while m:
+                low = m & -m
+                m ^= low
+                fill += (nbrs & ~adj[low.bit_length() - 1]).bit_count() - 1
+            fill //= 2
             if best_fill is None or fill < best_fill:
                 best, best_fill = v, fill
-        nbrs = adjacency[best]
-        for a in nbrs:
-            adjacency[a] |= nbrs - {a}
-            adjacency[a].discard(best)
-        del adjacency[best]
-        pending.discard(best)
-        order.append(best)
+                if fill == 0:  # no later vertex can beat it
+                    break
+        nbrs = m = adj[best]
+        while m:
+            low = m & -m
+            m ^= low
+            a = low.bit_length() - 1
+            adj[a] = (adj[a] | nbrs) & ~(low | 1 << best)
+        pending.remove(best)
+        order.append(names[best])
     return order
 
 
@@ -182,7 +205,7 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
         summed = prod.sum_out(name)
         total = float(summed.values.sum())
         if total > 0.0:
-            summed = Factor(summed.scope, summed.cards, summed.values / total)
+            summed.values /= total  # a fresh array, not a CPT view
             log_scale += math.log(total)
         factors = [f for f in factors if name not in f.scope] + [summed]
 

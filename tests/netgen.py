@@ -16,10 +16,24 @@ def random_dag(rng, n_nodes, p_arc=0.35, max_parents=3):
     return Dag(tuple(names), {n: tuple(ps) for n, ps in parents.items()})
 
 
+def window_dag(rng, n_nodes, window=8, max_parents=4):
+    """Nodes in a chain order, each with up to ``max_parents`` parents among
+    the ``window`` nodes before it (the shape of the benchmark's random nets)."""
+    names = [f"V{i:02d}" for i in range(n_nodes)]
+    parents = {}
+    for i, name in enumerate(names):
+        pool = range(max(0, i - window), i)
+        m = int(rng.integers(0, min(max_parents, len(pool)) + 1))
+        chosen = sorted(int(c) for c in rng.choice(pool, size=m, replace=False)) if m else []
+        parents[name] = tuple(names[c] for c in chosen)
+    return Dag(tuple(names), parents)
+
+
 def random_net(rng, n_nodes, min_levels=2, max_levels=4, p_arc=0.35, max_parents=3,
-               concentration=1.0):
-    """Random DAG with Dirichlet(concentration) CPT rows."""
-    dag = random_dag(rng, n_nodes, p_arc, max_parents)
+               concentration=1.0, dag=None):
+    """Random DAG (or the given one) with Dirichlet(concentration) CPT rows."""
+    if dag is None:
+        dag = random_dag(rng, n_nodes, p_arc, max_parents)
     variables = []
     for name in dag.nodes:
         r = int(rng.integers(min_levels, max_levels + 1))

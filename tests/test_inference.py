@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from netgen import random_evidence, random_net
+from netgen import random_evidence, random_net, window_dag
+from reference_inference import reference_min_fill_order, reference_posterior
+from beliefnet import inference
 from beliefnet.data import DataTable, counts
 from beliefnet.errors import InvalidQuery, ZeroProbabilityEvidence
 from beliefnet.inference import (
@@ -33,6 +35,23 @@ def chain_ab(p_a=0.3, p_b_given=((0.9, 0.1), (0.2, 0.8))):
 
 
 class TestFactor:
+    def test_constructor_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            Factor(("A", "B"), (2, 3), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            Factor(("A",), (2,), 1.0)
+
+    def test_multiply_equals_broadcast_product_for_reordered_overlap(self):
+        rng = np.random.default_rng(11)
+        f = Factor(("A", "B", "C"), (2, 3, 4), rng.random((2, 3, 4)))
+        g = Factor(("C", "D", "A"), (4, 5, 2), rng.random((4, 5, 2)))
+        prod = f.multiply(g)
+        assert prod.scope == ("A", "B", "C", "D")
+        assert prod.cards == (2, 3, 4, 5)
+        want = f.values[:, :, :, None] * g.values.transpose(2, 0, 1)[:, None, :, :]
+        assert prod.values.shape == want.shape
+        assert np.array_equal(prod.values, want)
+
     def test_multiply_aligns_scopes(self):
         f = Factor(("A", "B"), (2, 3), np.arange(6).reshape(2, 3))
         g = Factor(("B", "C"), (3, 2), np.ones((3, 2)))
@@ -235,40 +254,6 @@ class TestPosterior:
             )
 
 
-def reference_min_fill_order(scopes, hidden):
-    """The min-fill ordering as first written: re-sorted pairwise fill count."""
-    adjacency = {}
-    for scope in scopes:
-        for v in scope:
-            adjacency.setdefault(v, set())
-        for i, a in enumerate(scope):
-            for b in scope[i + 1:]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    order = []
-    pending = set(hidden)
-    while pending:
-        best, best_fill = None, None
-        for v in sorted(pending):
-            nbrs = adjacency[v] & set(adjacency)
-            fill = sum(
-                1
-                for i, a in enumerate(sorted(nbrs))
-                for b in sorted(nbrs)[i + 1:]
-                if b not in adjacency[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        nbrs = adjacency[best]
-        for a in nbrs:
-            adjacency[a] |= nbrs - {a}
-            adjacency[a].discard(best)
-        del adjacency[best]
-        pending.discard(best)
-        order.append(best)
-    return order
-
-
 class TestMinFillOrder:
     def test_matches_reference_on_random_graphs(self):
         rng = np.random.default_rng(2024)
@@ -288,6 +273,98 @@ class TestMinFillOrder:
             assert _min_fill_order(scopes, hidden) == reference_min_fill_order(
                 scopes, hidden
             ), (scopes, hidden)
+
+    def test_matches_reference_at_benchmark_width(self, monkeypatch):
+        # 40-node nets with parents from an 8-node window, queried with 0-6
+        # evidence variables: the evidence-reduced scopes posterior orders
+        seen = []
+
+        def spy(scopes, hidden):
+            seen.append((list(scopes), set(hidden)))
+            return _min_fill_order(scopes, hidden)
+
+        monkeypatch.setattr(inference, "_min_fill_order", spy)
+        rng = np.random.default_rng(2025)
+        for _ in range(30):
+            net = random_net(rng, 40, max_levels=5, dag=window_dag(rng, 40))
+            for _ in range(5):
+                target = net.variables[int(rng.integers(40))].name
+                posterior(net, target, random_evidence(rng, net, max_vars=6, exclude=(target,)))
+        assert len(seen) == 150
+        assert max(len(hidden) for _, hidden in seen) >= 20
+        for scopes, hidden in seen:
+            assert _min_fill_order(scopes, hidden) == reference_min_fill_order(
+                scopes, hidden
+            ), (scopes, hidden)
+
+
+def _with_structural_zeros(net):
+    """``net`` with its CPT entries below 0.15 set to zero (each row keeps
+    its largest entry) and the rows renormalized."""
+    cpts = {}
+    for name, cpt in net.cpts.items():
+        table = cpt.table.copy()
+        table[(table < 0.15) & (table < table.max(axis=1, keepdims=True))] = 0.0
+        cpts[name] = Cpt(name, cpt.parent_order, table / table.sum(axis=1, keepdims=True))
+    return FittedNetwork(net.variables, net.dag, cpts)
+
+
+class TestReferencePosterior:
+    """posterior against the elimination loop as first written, with ==."""
+
+    @staticmethod
+    def queries(rng, net, n):
+        roots = [v for v in net.dag.nodes if not net.dag.parent_tuple(v)]
+        for q in range(n):
+            target = net.variables[int(rng.integers(len(net.variables)))].name
+            ev = random_evidence(rng, net, max_vars=6, exclude=(target,))
+            if q % 3 == 0:  # observe up to three roots as well
+                for r in rng.permutation(roots)[: int(rng.integers(1, 4))]:
+                    if r != target and len(ev) < 6:
+                        var = net.variable(str(r))
+                        ev[var.name] = var.levels[int(rng.integers(var.r))]
+            yield target, ev
+
+    @staticmethod
+    def nets(rng):
+        for case in range(24):
+            n = int(rng.integers(3, 16)) if case % 2 else 24
+            dag = window_dag(rng, n) if case % 3 else None
+            yield random_net(rng, n, max_levels=5, max_parents=4, dag=dag)
+
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(404)
+        n_roots_observed = 0
+        for net in self.nets(rng):
+            roots = {v for v in net.dag.nodes if not net.dag.parent_tuple(v)}
+            for target, ev in self.queries(rng, net, 10):
+                got = posterior(net, target, ev)
+                dist, log_pe, order = reference_posterior(net, target, ev)
+                assert got.distribution.tolist() == dist.tolist()
+                assert got.log_evidence_probability == log_pe
+                assert got.elimination_order == order
+                n_roots_observed += bool(roots & set(ev))
+        assert n_roots_observed >= 40
+
+    def test_structural_zeros_raise_like_reference(self):
+        rng = np.random.default_rng(405)
+        zero = equal = 0
+        for net in self.nets(rng):
+            net = _with_structural_zeros(net)
+            for target, ev in self.queries(rng, net, 10):
+                try:
+                    dist, log_pe, order = reference_posterior(net, target, ev)
+                except ZeroProbabilityEvidence:
+                    with pytest.raises(ZeroProbabilityEvidence):
+                        posterior(net, target, ev)
+                    zero += 1
+                    continue
+                got = posterior(net, target, ev)
+                assert got.distribution.tolist() == dist.tolist()
+                assert got.log_evidence_probability == log_pe
+                assert got.elimination_order == order
+                equal += 1
+        assert zero >= 10 and equal >= 10
 
 
 class TestConditionalTable:
