@@ -1,10 +1,10 @@
-"""Exact variable elimination as first written, kept as an oracle.
+"""Exact variable elimination on validated factors, kept as an oracle.
 
 ``ReferenceFactor`` validates every table it builds and aligns both operands
 of a product by transposing; ``reference_min_fill_order`` counts fill over
-re-sorted neighbour sets; ``reference_posterior`` is the elimination loop
-built from the two. ``beliefnet.inference`` must give bit-identical results:
-the same products and sums in the same order.
+re-sorted neighbour sets; ``reference_posterior`` is the elimination loop,
+renormalization included, built from the two. ``beliefnet.inference`` must
+give bit-identical results: the same products and sums in the same order.
 """
 
 import math

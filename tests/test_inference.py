@@ -310,7 +310,7 @@ def _with_structural_zeros(net):
 
 
 class TestReferencePosterior:
-    """posterior against the elimination loop as first written, with ==."""
+    """posterior against the validated-factor elimination loop, with ==."""
 
     @staticmethod
     def queries(rng, net, n):
