@@ -148,16 +148,8 @@ def _ancestry(pmask):
     existing arc a->x is the only path from a to x exactly when a is not in
     via[x].
     """
-    anc, via = [0] * len(pmask), [0] * len(pmask)
-    _update_ancestry(pmask, anc, via, range(len(pmask)))
-    return anc, via
-
-
-def _update_ancestry(pmask, anc, via, redo):
-    """Recompute anc and via in place for the nodes in ``redo``, which must
-    hold every node whose ancestors may have changed."""
-    for x in redo:
-        anc[x] = -1
+    anc = [-1] * len(pmask)
+    via = [0] * len(pmask)
 
     def visit(x):
         up = through = 0
@@ -172,9 +164,10 @@ def _update_ancestry(pmask, anc, via, redo):
         anc[x], via[x] = up, through
         return up
 
-    for x in redo:
+    for x in range(len(pmask)):
         if anc[x] < 0:
             visit(x)
+    return anc, via
 
 
 def _arc_masks(arcs, col):
@@ -191,8 +184,7 @@ class _SearchState:
     """DAG over column indices with a lazily refilled table of move deltas.
 
     pmask[x] is the bitmask of x's parents and cur[x] its local score;
-    ancestor masks (see ``_ancestry``) make every cycle test one bit test,
-    and a change of families updates them only where ancestors can change.
+    ancestor masks (see ``_ancestry``) make every cycle test one bit test.
     For the ordered pair i = a*n + b, single[i] is the score change of adding
     or deleting a->b (whichever the graph allows) and reverse[i] that of
     reversing an existing a->b. single[i] reads only b's family and
@@ -232,34 +224,15 @@ class _SearchState:
     def _set_families(self, changes):
         n = self.n
         stale = [None] * n
-        moved = 0
         for x, mask in changes:
-            old = self.pmask[x]
-            for p in _bits(old ^ mask):
+            for p in _bits(self.pmask[x] ^ mask):
                 self.children[p] ^= 1 << x
             self.pmask[x] = mask
             self.cur[x] = self.scorer.local(x, mask)
             self.single[x::n] = stale
             self.reverse[x::n] = stale
             self.reverse[x * n:(x + 1) * n] = stale
-            moved |= 1 << x
-        anc, via = self.anc, self.via
-        if len(changes) == 1 and not old & ~mask:
-            # parents added to x only: x and its descendants gain their ancestors
-            gain = through = 0
-            for p in _bits(mask & ~old):
-                gain |= anc[p] | 1 << p
-                through |= anc[p]
-            for d in range(n):
-                if anc[d] & moved:
-                    anc[d] |= gain
-                    via[d] |= gain
-            anc[x] |= gain
-            via[x] |= through
-        else:
-            # only a moved node or a descendant of one can change ancestors
-            redo = [d for d in range(n) if (anc[d] | 1 << d) & moved]
-            _update_ancestry(self.pmask, anc, via, redo)
+        self.anc, self.via = _ancestry(self.pmask)
 
 
 def tabu_search(
