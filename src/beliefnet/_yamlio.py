@@ -1,0 +1,51 @@
+"""YAML parsing and emission for every beliefnet file, through libyaml when
+PyYAML ships it. Both parsers give the same documents; the emitters differ
+only on strings outside printable ASCII (the pure one may split them across
+lines) and on empty keys, so such documents take the pure emitter and every
+file is written byte for byte as ``yaml.safe_dump`` writes it.
+"""
+
+from __future__ import annotations
+
+import yaml
+
+from .errors import MalformedFile
+
+if yaml.__with_libyaml__:
+    Loader, Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    Loader, Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+def load(stream, source):
+    """The document in ``stream`` (text or a text file); a syntax error raises
+    MalformedFile(source, "line L, column C", problem)."""
+    try:
+        return yaml.load(stream, Loader=Loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        position = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "(unknown)"
+        raise MalformedFile(source, position, getattr(exc, "problem", str(exc))) from exc
+    except ValueError as exc:  # undecodable bytes, or a bad value under a tag like !!int
+        raise MalformedFile(source, "(document)", str(exc)) from exc
+
+
+def dump(doc, stream=None, width=None):
+    """Block-style YAML of ``doc`` with keys in insertion order, written to
+    ``stream`` or returned as text."""
+    dumper = Dumper if _plain(doc) else yaml.SafeDumper
+    return yaml.dump(
+        doc, stream, Dumper=dumper, sort_keys=False, default_flow_style=None, width=width
+    )
+
+
+def _plain(node) -> bool:
+    """True when every string in ``node`` is printable ASCII and no mapping
+    key is empty."""
+    if isinstance(node, str):
+        return node.isascii() and node.isprintable()
+    if isinstance(node, dict):
+        return all(key != "" and _plain(key) and _plain(v) for key, v in node.items())
+    if isinstance(node, list):
+        return all(map(_plain, node))
+    return True

@@ -16,9 +16,7 @@ import secrets
 import sys
 import time
 
-import yaml
-
-from . import __version__, analysis, configio, charts, reports
+from . import __version__, _yamlio, analysis, configio, charts, reports
 from .data import (
     collapse_rare,
     drop_incomplete,
@@ -149,7 +147,7 @@ def _write_manifest(path, command, args, seed, inputs, outputs, started, extra=N
         },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=None)
+        _yamlio.dump(doc, fh)
 
 
 _STARTED_MONO = [0.0]
@@ -233,12 +231,7 @@ def cmd_prep(args, ws: Workspace) -> int:
 
     audit_path = ws.path("data", f"{args.name}.audit.yaml")
     with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(
-            {"format": "beliefnet-audit", "version": 1, **audit},
-            fh,
-            sort_keys=False,
-            default_flow_style=None,
-        )
+        _yamlio.dump({"format": "beliefnet-audit", "version": 1, **audit}, fh)
     outputs.append(audit_path)
     inputs = [args.raw, args.recode] + ([args.themes] if args.themes else [])
     _write_manifest(
@@ -516,8 +509,10 @@ def cmd_export(args, ws: Workspace) -> int:
         )
     elif args.colors:
         with open(args.colors, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-        colors = {str(k): str(v) for k, v in (doc or {}).items()}
+            doc = _yamlio.load(fh, args.colors) or {}
+        if not isinstance(doc, dict):
+            raise MalformedFile(args.colors, "(root)", "expected a map of node -> color")
+        colors = {str(k): str(v) for k, v in doc.items()}
     dot_path = ws.guard(ws.path("reports", f"{args.name}.dot"), args.force)
     reports.write_text(dot_path, export_dot(net.dag, colors))
     _write_manifest(

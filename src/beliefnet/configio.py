@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
+from . import _yamlio
 from .data import RecodeSpec, ThemeSpec, VariableRecode
 from .errors import MalformedFile, VersionMismatch
 from .learn import Constraints, TabuConfig
@@ -20,13 +19,8 @@ SUPPORTED_VERSION = 1
 
 
 def _load_doc(path, expected_format):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        pos = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "(unknown)"
-        raise MalformedFile(path, pos, getattr(exc, "problem", str(exc))) from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = _yamlio.load(fh, path)
     if not isinstance(doc, dict):
         raise MalformedFile(path, "(root)", "expected a mapping")
     if doc.get("format") != expected_format:
@@ -38,10 +32,50 @@ def _load_doc(path, expected_format):
     return doc
 
 
-def _need(doc, key, path, where=""):
-    if key not in doc:
-        raise MalformedFile(path, f"{where}{key}", "missing field")
-    return doc[key]
+_REQUIRED = object()
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1] or 'auto'")
+
+
+def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
+    """``doc[key]`` read as ``kind``, ``default`` when absent or empty.
+
+    ``kind`` is bool, int, list or dict (the value must be one), float (a
+    number, or a string such as "1e-3", which YAML 1.1 does not read as a
+    number) or str (any value, converted); ``check`` is a (predicate,
+    reason) pair on the result. Every failure raises MalformedFile naming
+    the field ``where`` + ``key``.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedFile(path, where.rstrip(".") or "(root)", "expected a mapping")
+    value = doc.get(key)
+    position = f"{where}{key}"
+    if value is None:
+        if default is _REQUIRED:
+            raise MalformedFile(path, position, "missing field")
+        value = default
+    if kind is float and not isinstance(value, bool):
+        try:
+            value, ok = float(value), True
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+    elif kind is str:
+        value, ok = str(value), True
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise MalformedFile(path, position, f"expected {kind.__name__}, got {value!r}")
+    if check is not None and not check[0](value):
+        raise MalformedFile(path, position, check[1])
+    return value
+
+
+def _pairs(doc, key, path):
+    pairs = _field(doc, key, list, [], path=path)
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise MalformedFile(path, key, "expected a list of [parent, child] pairs")
+    return tuple((str(a), str(b)) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -55,12 +89,12 @@ class PrepConfig:
 def load_prep_config(path) -> PrepConfig:
     doc = _load_doc(path, "beliefnet-prep")
     entries = []
-    for i, entry in enumerate(_need(doc, "variables", path)):
+    for i, entry in enumerate(_field(doc, "variables", list, path=path)):
         where = f"variables[{i}]."
-        name = str(_need(entry, "name", path, where))
-        levels = tuple(str(x) for x in _need(entry, "levels", path, where))
+        name = _field(entry, "name", str, path=path, where=where)
+        levels = tuple(str(x) for x in _field(entry, "levels", list, path=path, where=where))
         mapping = {}
-        for token, label in _need(entry, "map", path, where).items():
+        for token, label in _field(entry, "map", dict, path=path, where=where).items():
             mapping[str(token)] = None if label is None else str(label)
         try:
             entries.append(
@@ -68,24 +102,26 @@ def load_prep_config(path) -> PrepConfig:
                     name,
                     levels,
                     mapping,
-                    source=str(entry.get("source", "") or ""),
-                    ordinal=bool(entry.get("ordinal", False)),
-                    unmapped=str(entry.get("unmapped", "strict")),
+                    source=_field(entry, "source", str, "", path=path, where=where),
+                    ordinal=_field(entry, "ordinal", bool, False, path=path, where=where),
+                    unmapped=_field(entry, "unmapped", str, "strict", path=path, where=where),
                 )
             )
         except ValueError as exc:
             raise MalformedFile(path, f"variables[{i}]", str(exc)) from exc
-    models = {}
-    for table, names in (doc.get("models") or {}).items():
-        models[str(table)] = [str(n) for n in names]
+    models_doc = _field(doc, "models", dict, {}, path=path)
+    models = {
+        str(t): [str(n) for n in _field(models_doc, t, list, path=path, where="models.")]
+        for t in models_doc
+    }
     try:
         spec = RecodeSpec(entries)
     except ValueError as exc:
         raise MalformedFile(path, "variables", str(exc)) from exc
     return PrepConfig(
         recode=spec,
-        missing_threshold=int(doc.get("missing_threshold", 50)),
-        framing=str(doc.get("framing", "DevelopAI")),
+        missing_threshold=_field(doc, "missing_threshold", int, 50, _NONNEGATIVE, path=path),
+        framing=_field(doc, "framing", str, "DevelopAI", path=path),
         models=models,
     )
 
@@ -99,11 +135,11 @@ class ThemeGroup:
 def load_theme_config(path) -> list:
     doc = _load_doc(path, "beliefnet-themes")
     groups = []
-    for i, entry in enumerate(_need(doc, "themes", path)):
+    for i, entry in enumerate(_field(doc, "themes", list, path=path)):
         where = f"themes[{i}]."
-        name = str(_need(entry, "name", path, where))
-        members = tuple(str(m) for m in _need(entry, "members", path, where))
-        population = str(entry.get("population", "all"))
+        name = _field(entry, "name", str, path=path, where=where)
+        members = tuple(str(m) for m in _field(entry, "members", list, path=path, where=where))
+        population = _field(entry, "population", str, "all", path=path, where=where)
         if population not in ("risk", "opportunity", "all"):
             raise MalformedFile(
                 path, f"{where}population", f"unknown population {population!r}"
@@ -119,10 +155,11 @@ def load_tier_config(path) -> TierSpec:
     doc = _load_doc(path, "beliefnet-tiers")
     tiers = []
     flags = []
-    for i, entry in enumerate(_need(doc, "tiers", path)):
+    for i, entry in enumerate(_field(doc, "tiers", list, path=path)):
         where = f"tiers[{i}]."
-        tiers.append(tuple(str(v) for v in _need(entry, "variables", path, where)))
-        flags.append(bool(entry.get("within_tier_edges", True)))
+        names = _field(entry, "variables", list, path=path, where=where)
+        tiers.append(tuple(str(v) for v in names))
+        flags.append(_field(entry, "within_tier_edges", bool, True, path=path, where=where))
     try:
         return TierSpec(tuple(tiers), tuple(flags))
     except ValueError as exc:
@@ -145,37 +182,27 @@ class LearnConfig:
 
 def load_learn_config(path) -> LearnConfig:
     doc = _load_doc(path, "beliefnet-learn")
-    tabu_doc = doc.get("tabu") or {}
-    try:
-        tabu = TabuConfig(
-            tenure=int(tabu_doc.get("tenure", 10)),
-            max_iterations=int(tabu_doc.get("max_iterations", 1000)),
-            stall_limit=int(tabu_doc.get("stall_limit", 100)),
-            restarts=int(tabu_doc.get("restarts", 1)),
+    tabu_doc = _field(doc, "tabu", dict, {}, path=path)
+    tabu = {
+        key: _field(tabu_doc, key, int, default, _POSITIVE, path=path, where="tabu.")
+        for key, default in (
+            ("tenure", 10), ("max_iterations", 1000), ("stall_limit", 100), ("restarts", 1)
         )
-    except ValueError as exc:
-        raise MalformedFile(path, "tabu", str(exc)) from exc
-    threshold = doc.get("threshold", "auto")
-    if threshold in ("auto", None):
-        threshold = None
-    else:
-        threshold = float(threshold)
-        if not 0.0 < threshold <= 1.0:
-            raise MalformedFile(path, "threshold", "must be in (0, 1] or 'auto'")
-    score = str(doc.get("score", "AIC")).upper()
+    }
+    threshold = None
+    if doc.get("threshold") not in ("auto", None):
+        threshold = _field(doc, "threshold", float, check=_UNIT_INTERVAL, path=path)
+    score = _field(doc, "score", str, "AIC", path=path).upper()
     if score not in ("AIC", "BIC", "LOGLIK"):
         raise MalformedFile(path, "score", f"unknown score {score!r}")
-    alpha = float(doc.get("alpha", 1.0))
-    if not alpha > 0:
-        raise MalformedFile(path, "alpha", "must be > 0")
     return LearnConfig(
         score=score,
-        alpha=alpha,
-        bootstrap=int(doc.get("bootstrap", 2000)),
+        alpha=_field(doc, "alpha", float, 1.0, _POSITIVE, path=path),
+        bootstrap=_field(doc, "bootstrap", int, 2000, _NONNEGATIVE, path=path),
         threshold=threshold,
-        tabu=tabu,
-        whitelist=tuple((str(a), str(b)) for a, b in doc.get("whitelist") or ()),
-        blacklist=tuple((str(a), str(b)) for a, b in doc.get("blacklist") or ()),
+        tabu=TabuConfig(**tabu),
+        whitelist=_pairs(doc, "whitelist", path),
+        blacklist=_pairs(doc, "blacklist", path),
     )
 
 
@@ -187,10 +214,12 @@ class QueryConfig:
 def load_query_config(path) -> QueryConfig:
     doc = _load_doc(path, "beliefnet-query")
     tables = []
-    for i, entry in enumerate(_need(doc, "tables", path)):
+    for i, entry in enumerate(_field(doc, "tables", list, path=path)):
         where = f"tables[{i}]."
-        target = str(_need(entry, "target", path, where))
-        sweeps = tuple(str(v) for v in _need(entry, "evidence_variables", path, where))
+        target = _field(entry, "target", str, path=path, where=where)
+        sweeps = tuple(
+            str(v) for v in _field(entry, "evidence_variables", list, path=path, where=where)
+        )
         tables.append((target, sweeps))
     return QueryConfig(tuple(tables))
 
@@ -204,8 +233,8 @@ class SobolConfig:
 def load_sobol_config(path) -> SobolConfig:
     doc = _load_doc(path, "beliefnet-sobol")
     return SobolConfig(
-        targets=tuple(str(t) for t in _need(doc, "targets", path)),
-        inputs=tuple(str(i) for i in _need(doc, "inputs", path)),
+        targets=tuple(str(t) for t in _field(doc, "targets", list, path=path)),
+        inputs=tuple(str(i) for i in _field(doc, "inputs", list, path=path)),
     )
 
 
@@ -218,15 +247,16 @@ class ScenarioConfig:
 def load_scenario_config(path) -> ScenarioConfig:
     doc = _load_doc(path, "beliefnet-scenarios")
     scenarios = []
-    for i, entry in enumerate(_need(doc, "scenarios", path)):
+    for i, entry in enumerate(_field(doc, "scenarios", list, path=path)):
         where = f"scenarios[{i}]."
-        name = str(_need(entry, "name", path, where))
+        name = _field(entry, "name", str, path=path, where=where)
         ev = {
-            str(k): str(v) for k, v in (entry.get("evidence") or {}).items()
+            str(k): str(v)
+            for k, v in _field(entry, "evidence", dict, {}, path=path, where=where).items()
         }
         scenarios.append(ScenarioDef(name, Evidence(ev)))
     return ScenarioConfig(
-        targets=tuple(str(t) for t in _need(doc, "targets", path)),
+        targets=tuple(str(t) for t in _field(doc, "targets", list, path=path)),
         scenarios=tuple(scenarios),
     )
 
@@ -241,15 +271,11 @@ class SensitivityConfig:
 
 def load_sensitivity_config(path) -> SensitivityConfig:
     doc = _load_doc(path, "beliefnet-sensitivity")
-    target = _need(doc, "target", path)
-    variable = str(_need(target, "variable", path, "target."))
-    state = str(_need(target, "state", path, "target."))
-    nodes = doc.get("nodes", "auto")
-    if nodes in ("auto", None):
-        nodes = None
-    else:
-        nodes = tuple(str(n) for n in nodes)
-    delta = float(doc.get("delta", 0.1))
-    if not delta > 0:
-        raise MalformedFile(path, "delta", "must be > 0")
+    target = _field(doc, "target", dict, path=path)
+    variable = _field(target, "variable", str, path=path, where="target.")
+    state = _field(target, "state", str, path=path, where="target.")
+    nodes = None
+    if doc.get("nodes") not in ("auto", None):
+        nodes = tuple(str(n) for n in _field(doc, "nodes", list, path=path))
+    delta = _field(doc, "delta", float, 0.1, _POSITIVE, path=path)
     return SensitivityConfig(variable, state, nodes, delta)

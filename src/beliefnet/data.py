@@ -14,13 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _yamlio
 from .errors import (
+    MalformedFile,
     MissingColumn,
     NonBinaryMember,
     RaggedRow,
     UnknownLevel,
     UnknownVariable,
     UnmappedToken,
+    VersionMismatch,
 )
 from .model import CategoricalVariable
 
@@ -393,8 +396,6 @@ def split_population(table: DataTable, framing="DevelopAI"):
 
 def save_datatable(table: DataTable, csv_path, dict_path) -> None:
     """Write the table as a label CSV plus a YAML variable dictionary."""
-    import yaml
-
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([v.name for v in table.variables])
@@ -416,24 +417,31 @@ def save_datatable(table: DataTable, csv_path, dict_path) -> None:
         ],
     }
     with open(dict_path, "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=None)
+        _yamlio.dump(doc, fh)
 
 
 def load_datatable(csv_path, dict_path) -> DataTable:
-    import yaml
-
-    from .errors import MalformedFile, VersionMismatch
-
     with open(dict_path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = _yamlio.load(fh, dict_path)
     if not isinstance(doc, dict) or doc.get("format") != "beliefnet-dict":
         raise MalformedFile(dict_path, "format", "expected beliefnet-dict")
     if doc.get("version") != 1:
         raise VersionMismatch(dict_path, doc.get("version"), 1)
-    variables = [
-        CategoricalVariable(e["name"], tuple(e["levels"]), bool(e.get("ordinal", False)))
-        for e in doc["variables"]
-    ]
+    try:
+        variables = [
+            CategoricalVariable(
+                str(e["name"]),
+                tuple(str(x) for x in e["levels"]),
+                bool(e.get("ordinal", False)),
+            )
+            for e in doc["variables"]
+        ]
+        if len({v.name for v in variables}) != len(variables):
+            raise ValueError("duplicate variable names")
+    except KeyError as exc:
+        raise MalformedFile(dict_path, "variables", f"missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedFile(dict_path, "variables", str(exc)) from exc
     raw = load_csv(csv_path, required_columns=[v.name for v in variables])
     order = [raw.columns.index(v.name) for v in variables]
     codes = np.empty((raw.n_rows, len(variables)), dtype=np.int32)

@@ -56,7 +56,7 @@ class Factor:
     @staticmethod
     def from_cpt(net: FittedNetwork, name: str) -> "Factor":
         cpt = net.cpts[name]
-        cards = net.parent_cards(name) + (net.variable(name).r,)
+        cards = net.family_cards[name]
         return Factor._raw(cpt.parent_order + (name,), cards, cpt.table.reshape(cards))
 
     def reduce(self, evidence_levels: dict) -> "Factor":

@@ -13,6 +13,7 @@ distribution of the variable given that configuration.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -357,7 +358,7 @@ class Cpt:
 class FittedNetwork:
     """A DAG plus one CPT per node: a fully parameterized discrete network."""
 
-    __slots__ = ("variables", "dag", "cpts", "metadata", "_index")
+    __slots__ = ("variables", "dag", "cpts", "metadata", "family_cards", "_index")
 
     def __init__(self, variables, dag, cpts, metadata=None):
         self.variables = tuple(variables)
@@ -373,6 +374,9 @@ class FittedNetwork:
             cpts = {c.variable: c for c in cpts}
         if set(cpts) != set(self._index):
             raise ValueError("need exactly one CPT per node")
+        # name -> (parent cards in CPT order..., own card): the CPT's shape
+        # as a factor, read by every query
+        self.family_cards = {}
         for name, cpt in cpts.items():
             if cpt.variable != name:
                 raise ValueError(f"CPT under key {name!r} is for {cpt.variable!r}")
@@ -380,14 +384,13 @@ class FittedNetwork:
                 raise ValueError(
                     f"CPT parent order for {name!r} does not match the DAG"
                 )
-            var = self._index[name]
-            q = 1
-            for p in cpt.parent_order:
-                q *= self._index[p].r
-            if cpt.table.shape != (q, var.r):
+            cards = tuple(self._index[v].r for v in cpt.parent_order + (name,))
+            expected = (math.prod(cards[:-1]), cards[-1])
+            if cpt.table.shape != expected:
                 raise ValueError(
-                    f"CPT for {name!r} has shape {cpt.table.shape}, expected {(q, var.r)}"
+                    f"CPT for {name!r} has shape {cpt.table.shape}, expected {expected}"
                 )
+            self.family_cards[name] = cards
         self.cpts = cpts
         self.metadata = dict(metadata or {})
 
@@ -398,7 +401,7 @@ class FittedNetwork:
             raise UnknownVariable(name) from None
 
     def parent_cards(self, name: str) -> tuple:
-        return tuple(self._index[p].r for p in self.dag.parent_tuple(name))
+        return self.family_cards[name][:-1]
 
     def with_cpt(self, cpt: Cpt) -> "FittedNetwork":
         """A copy of this network with one CPT replaced (metadata preserved)."""

@@ -8,8 +8,7 @@ field, bit for bit.
 
 from __future__ import annotations
 
-import yaml
-
+from . import _yamlio
 from .errors import MalformedFile, VersionMismatch
 from .model import CategoricalVariable, Cpt, Dag, FittedNetwork
 
@@ -36,7 +35,7 @@ def serialize(net: FittedNetwork) -> str:
         ],
         "metadata": dict(net.metadata),
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100000)
+    return _yamlio.dump(doc, width=100000)
 
 
 def save(net: FittedNetwork, path) -> None:
@@ -44,8 +43,9 @@ def save(net: FittedNetwork, path) -> None:
         fh.write(serialize(net))
 
 
-def deserialize(text: str, source="<string>") -> FittedNetwork:
-    doc = _load_yaml(text, source)
+def deserialize(text, source="<string>") -> FittedNetwork:
+    """The network in ``text``, YAML text or a text file."""
+    doc = _yamlio.load(text, source)
     if not isinstance(doc, dict):
         raise MalformedFile(source, "(root)", "expected a mapping")
     if doc.get("format") != FORMAT_NAME:
@@ -82,19 +82,7 @@ def deserialize(text: str, source="<string>") -> FittedNetwork:
 
 def load(path) -> FittedNetwork:
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read(), source=str(path))
-
-
-def _load_yaml(text, source):
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            position = f"line {mark.line + 1}, column {mark.column + 1}"
-        else:
-            position = "(unknown)"
-        raise MalformedFile(source, position, getattr(exc, "problem", str(exc))) from exc
+        return deserialize(fh, source=str(path))
 
 
 def _req(doc, key, source):

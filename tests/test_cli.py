@@ -351,6 +351,33 @@ class TestCliContract:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["export --colors", "learn --dict"])
+    def test_malformed_yaml_exit_2_with_position(self, ws, tmp_path, capsys, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("a: [1, 2\n", encoding="utf-8")
+        if command == "export --colors":
+            argv = ["export", "--model", ws / "models" / "full.bn.yaml", "--colors", bad]
+        else:
+            argv = ["learn", "--data", ws / "data" / "survey_full.csv", "--dict", bad]
+        assert run(*argv, "--workspace", tmp_path / "ws") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beliefnet: error:")
+        assert f"{bad}: line 2, column 1:" in err
+
+    def test_mistyped_config_field_exit_2(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "sens.yaml"
+        cfg.write_text(
+            "format: beliefnet-sensitivity\nversion: 1\n"
+            "target: {variable: HeardEURegulation, state: 'No'}\ndelta: [1, 2]\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "sensitivity", "--model", ws / "models" / "full.bn.yaml", "--config", cfg,
+            "--workspace", tmp_path / "ws",
+        )
+        assert code == 2
+        assert f"beliefnet: error: {cfg}: delta: expected float" in capsys.readouterr().err
+
     def test_overwrite_requires_force(self, ws, capsys):
         code = run(
             "export", "--model", ws / "models" / "full.bn.yaml",

@@ -1,6 +1,11 @@
 """Config file parsing and validation."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefnet.configio import (
     load_learn_config,
@@ -12,7 +17,9 @@ from beliefnet.configio import (
     load_theme_config,
     load_tier_config,
 )
-from beliefnet.errors import MalformedFile, VersionMismatch
+from beliefnet.data import load_datatable
+from beliefnet.errors import BeliefnetError, MalformedFile, VersionMismatch
+from beliefnet.modelio import load as load_model
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -32,11 +39,11 @@ class TestHeaders:
         with pytest.raises(VersionMismatch):
             load_tier_config(p)
 
-    def test_syntax_error_position(self, tmp_path):
+    def test_syntax_error_position(self, tmp_path, yaml_path):
         p = write(tmp_path, "format: beliefnet-tiers\nversion: 1\ntiers: [:::\n")
         with pytest.raises(MalformedFile) as exc:
             load_tier_config(p)
-        assert "line" in exc.value.position
+        assert exc.value.position == "line 3, column 9"
 
 
 class TestPrep:
@@ -98,6 +105,16 @@ class TestTiers:
         assert spec.tiers[0] == ("Sex", "Age", "Education", "VoteIntent")
         assert spec.within_tier_edges == (True, True, True)
 
+    def test_quoted_flag_rejected(self, tmp_path):
+        p = write(
+            tmp_path,
+            "format: beliefnet-tiers\nversion: 1\ntiers:\n"
+            "  - variables: [A]\n    within_tier_edges: 'false'\n",
+        )
+        with pytest.raises(MalformedFile) as exc:
+            load_tier_config(p)
+        assert exc.value.position == "tiers[0].within_tier_edges"
+
     def test_duplicate_across_tiers(self, tmp_path):
         p = write(
             tmp_path,
@@ -132,6 +149,26 @@ class TestLearn:
         p = write(tmp_path, "format: beliefnet-learn\nversion: 1\nscore: K2\n")
         with pytest.raises(MalformedFile):
             load_learn_config(p)
+
+    @pytest.mark.parametrize("line, position", [
+        ("tabu: {tenure: x}", "tabu.tenure"),
+        ("tabu: {stall_limit: 0}", "tabu.stall_limit"),
+        ("tabu: [1]", "tabu"),
+        ("alpha: [1]", "alpha"),
+        ("bootstrap: -1", "bootstrap"),
+        ("bootstrap: .inf", "bootstrap"),
+        ("bootstrap: 2.5", "bootstrap"),
+        ("tabu: {tenure: true}", "tabu.tenure"),
+        ("alpha: true", "alpha"),
+        ("alpha: 1" + "0" * 400, "alpha"),
+        ("threshold: x", "threshold"),
+        ("whitelist: [[A]]", "whitelist"),
+    ])
+    def test_mistyped_field_is_named(self, tmp_path, line, position):
+        p = write(tmp_path, f"format: beliefnet-learn\nversion: 1\n{line}\n")
+        with pytest.raises(MalformedFile) as exc:
+            load_learn_config(p)
+        assert exc.value.position == position
 
     def test_constraints_built(self, tmp_path):
         p = write(
@@ -177,3 +214,87 @@ class TestAnalysisConfigs:
         )
         with pytest.raises(MalformedFile):
             load_sensitivity_config(p)
+
+
+DICT_TEXT = """\
+format: beliefnet-dict
+version: 1
+n_rows: 2
+source: abc
+variables:
+- {name: A, levels: [a0, a1], ordinal: false}
+- name: B
+  levels: [b0, b1, b2]
+  ordinal: true
+"""
+
+
+def _load_dictionary(path):
+    csv_path = os.path.join(os.path.dirname(path), "table.csv")
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("A,B\na0,b2\na1,\n")
+    return load_datatable(csv_path, path)
+
+
+def _fixture(name):
+    with open(os.path.join("fixtures", name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+# (name, text, loader) for every file a user hands to the CLI
+LOADERS = [
+    (name, _fixture(name), loader)
+    for name, loader in [
+        ("prep.yaml", load_prep_config),
+        ("themes.yaml", load_theme_config),
+        ("tiers_full.yaml", load_tier_config),
+        ("learn_fast.yaml", load_learn_config),
+        ("query.yaml", load_query_config),
+        ("sobol.yaml", load_sobol_config),
+        ("scenarios.yaml", load_scenario_config),
+        ("sensitivity.yaml", load_sensitivity_config),
+        ("mini.bn.yaml", load_model),
+    ]
+] + [("dict.yaml", DICT_TEXT, _load_dictionary)]
+
+VALUES = ("", "[]", "{}", "x", "-1", "0", "2.5", "[1, 2]", "{a: 1}", "{1: x}", "null",
+          ".nan", ".inf", "true", "auto", "'1e-3'", "[[A]]", "!!int x", "!!float y")
+
+
+MUTATIONS = ("delete", "drop colon", "indent", "dedent", "duplicate", "value")
+
+
+def _mutate(line, kind, value):
+    """The lines that replace ``line`` after one mutation."""
+    key, colon, _ = line.partition(":")
+    lead = line[:len(line) - len(line.lstrip(" -"))]
+    return {
+        "delete": [],
+        "drop colon": [key + line[len(key) + 1:]] if colon else [line + ":"],
+        "indent": ["  " + line],
+        "dedent": [line.lstrip(" -")],
+        "duplicate": [line, line],
+        "value": [f"{key}: {value}" if colon else lead + value],
+    }[kind]
+
+
+class TestMutatedFiles:
+    """A file with one line mutated either loads or raises a BeliefnetError."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_loads_or_raises_beliefnet_error(self, data):
+        name, text, loader = data.draw(st.sampled_from(LOADERS), label="file")
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+        value = data.draw(st.sampled_from(VALUES), label="value")
+        lines[i:i + 1] = _mutate(lines[i], kind, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            try:
+                loader(path)
+            except BeliefnetError:
+                pass

@@ -73,14 +73,21 @@ class TestGoldens:
 
 
 class TestErrors:
-    def test_malformed_yaml_has_position(self):
+    def test_malformed_yaml_has_position(self, yaml_path):
         with pytest.raises(MalformedFile) as exc:
             deserialize("format: beliefnet-model\nversion: 1\nvariables: [:::")
-        assert "line" in exc.value.position
+        assert exc.value.position == "line 3, column 13"
 
     def test_wrong_format(self):
         with pytest.raises(MalformedFile):
             deserialize("format: something-else\nversion: 1\n")
+
+    def test_undecodable_file(self, tmp_path):
+        p = tmp_path / "bad.bn.yaml"
+        p.write_bytes(b"format: beliefnet-model\nversion: 1\nmetadata: {note: \xff}\n")
+        with pytest.raises(MalformedFile) as exc:
+            load(p)
+        assert "utf-8" in exc.value.reason
 
     def test_version_mismatch(self):
         with pytest.raises(VersionMismatch):
