@@ -7,21 +7,26 @@ Three instruments:
   per state as indicators Y_k = 1[Y = k]; the aggregate index is the
   variance-weighted combination sum_k Var_X(E[Y_k|X]) / sum_k Var(Y_k).
   Expectations condition observationally (evidence propagation), so the index
-  captures both direct and mediated influence.
+  captures both direct and mediated influence. Each index needs one joint
+  P(X, Y).
 * Scenario reasoning: posteriors of target variables under named
   multi-variable evidence profiles.
 * One-way CPT sensitivity under proportional co-variation: perturbing one
   CPT entry theta scales the rest of its row by (1 - theta') / (1 - theta).
-  For an evidence-free target event, P(event) is linear in theta, so the
-  derivative is exact from two evaluations; tornado bars record the P-shift
-  at theta +/- delta for every parameter of a node set. The unperturbed
-  P(event) is computed once per tornado or influence map.
+  P(e) is linear in every CPT entry, and one elimination that leaves a
+  node's CPT out gives the gradient by all its entries (Darwiche 2003), so
+  slopes are exact; with evidence, the quotient rule combines the gradients
+  of P(event, evidence) and P(evidence). Parameters outside the ancestral
+  closure of the event and the evidence give exact zeros. Tornado bars
+  record the P-shift at theta +/- delta from perturbed copies of the
+  network, computing the unperturbed P(event) once.
 
 Every instrument runs serially in the calling process.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +38,7 @@ from .errors import (
     ZeroProbabilityEvidence,
 )
 from .model import Cpt, Evidence, FittedNetwork, config_levels, d_separated
-from .inference import posterior
+from .inference import _eliminate, posterior
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,6 @@ class SobolResult:
     target_levels: tuple
     per_state: np.ndarray  # S_i^(k), one per target state
     aggregate: float
-
-
-def _marginal(net, name):
-    return posterior(net, name).distribution
 
 
 def sobol_first_order(net: FittedNetwork, target: str, input_var: str) -> SobolResult:
@@ -62,7 +63,9 @@ def sobol_first_order(net: FittedNetwork, target: str, input_var: str) -> SobolR
     t_var = net.variable(target)
     net.variable(input_var)
 
-    p = _marginal(net, target)
+    joint = _eliminate(net, (input_var, target), {})[0]
+    joint = joint / joint.sum()  # rows: input levels, columns: target levels
+    p = joint.sum(axis=0)
     var_k = p * (1.0 - p)
     if not np.any(var_k > 0.0):
         raise DegenerateTarget(target)
@@ -71,12 +74,10 @@ def sobol_first_order(net: FittedNetwork, target: str, input_var: str) -> SobolR
         zeros = np.zeros(t_var.r)
         return SobolResult(target, input_var, t_var.levels, zeros, 0.0)
 
-    x_var = net.variable(input_var)
-    weights = _marginal(net, input_var)
-    expectations = np.zeros((x_var.r, t_var.r))
-    for i, level in enumerate(x_var.levels):
-        if weights[i] > 0.0:
-            expectations[i] = posterior(net, target, {input_var: level}).distribution
+    weights = joint.sum(axis=1)
+    seen = weights > 0.0
+    expectations = np.zeros_like(joint)
+    expectations[seen] = joint[seen] / weights[seen, None]
 
     mean_k = weights @ expectations
     cond_var_k = weights @ (expectations - mean_k) ** 2
@@ -205,49 +206,77 @@ def perturb_parameter(net: FittedNetwork, param: CptParameterId, value: float) -
     return net.with_cpt(Cpt(param.variable, cpt.parent_order, table))
 
 
-def _event_probability(net, event, evidence=None):
+def _event_probability(net, event):
     variable, level = event
-    return posterior(net, variable, evidence)[level]
+    return posterior(net, variable)[level]
+
+
+def _gradient(net, name, ev_levels):
+    """G[u, x] = dP(ev) / dtheta_{x|u} for every entry of ``name``'s CPT,
+    divided by e^L, and L. G is the product of every other factor summed
+    down to the family; P(ev) = sum(theta * G).
+    """
+    cpt = net.cpts[name]
+    family = cpt.parent_order + (name,)
+    keep = tuple(v for v in family if v not in ev_levels)
+    values, log_scale, _ = _eliminate(net, keep, ev_levels, without=name)
+    grad = np.zeros(net.family_cards[name])
+    # a length-1 axis (a kept variable no factor holds) broadcasts
+    grad[tuple(ev_levels.get(v, slice(None)) for v in family)] = values
+    return grad.reshape(cpt.table.shape), log_scale
+
+
+def _slopes(table, grad):
+    """Co-varied slope of every entry from the gradient G:
+    G[u, x] - (sum_x' theta_{x'|u} G[u, x'] - theta_{x|u} G[u, x]) / (1 - theta_{x|u}),
+    also at theta = 0. Cells of saturated entries (theta = 1) are meaningless.
+    """
+    weighted = table * grad
+    rest = weighted.sum(axis=1, keepdims=True) - weighted
+    room = 1.0 - table
+    return grad - rest / np.where(room == 0.0, 1.0, room)
 
 
 def sensitivity_slope(
     net: FittedNetwork, event, param: CptParameterId, evidence=None
 ) -> float:
-    """d P(event) / d theta under proportional co-variation.
+    """d P(event | evidence) / d theta under proportional co-variation.
 
-    Without evidence, P(event) is linear in theta, so the slope comes exactly
-    from two evaluations. With evidence, P is a ratio of linear functions and
-    the slope is a central finite difference at the current value.
+    Exact for theta in [0, 1): from the CPT gradient of P(event), which is
+    linear in theta, or with evidence by the quotient rule from the
+    gradients of P(event, evidence) and P(evidence). Parameters outside the
+    ancestral closure of the event and the evidence give exactly 0.0.
     """
     cpt = _check_param(net, param)
     if cpt.r < 2:
         raise InvalidQuery("parameter row needs at least 2 states")
     variable, level = event
-    net.variable(variable).level_index(level)
+    target = net.variable(variable).level_index(level)
     theta = float(cpt.table[param.config, param.state])
     if 1.0 - theta == 0.0:
         raise SaturatedParameter(param)
-    evidence = Evidence(evidence) if evidence is not None else None
+    evidence = Evidence(evidence).validate(net)
+    if variable in evidence:
+        raise InvalidQuery(f"target {variable!r} appears in the evidence")
+    ev = {name: net.variable(name).level_index(lvl) for name, lvl in evidence.items()}
+    both = {**ev, variable: target}
+    if param.variable not in net.dag.ancestral_closure(both):
+        return 0.0
 
-    if evidence is None or len(evidence) == 0:
-        return _linear_slope(net, event, param, theta, _event_probability(net, event))
+    def derivative(ev_levels):
+        """P(ev_levels) and its slope along the parameter, over e^L; and L."""
+        grad, scale = _gradient(net, param.variable, ev_levels)
+        at = (param.config, param.state)
+        return float((cpt.table * grad).sum()), float(_slopes(cpt.table, grad)[at]), scale
 
-    eps = min(1e-4, (1.0 - theta) / 2.0, theta / 2.0 if theta > 0.0 else np.inf)
-    if theta == 0.0:
-        eps = min(1e-4, (1.0 - theta) / 2.0)
-        p0 = _event_probability(net, event, evidence)
-        p1 = _event_probability(perturb_parameter(net, param, eps), event, evidence)
-        return (p1 - p0) / eps
-    lo = _event_probability(perturb_parameter(net, param, theta - eps), event, evidence)
-    hi = _event_probability(perturb_parameter(net, param, theta + eps), event, evidence)
-    return (hi - lo) / (2.0 * eps)
-
-
-def _linear_slope(net, event, param, theta, p0):
-    """Exact evidence-free slope from P(event) = p0 at theta and one perturbation."""
-    other = (theta + 1.0) / 2.0 if theta <= 0.5 else theta / 2.0
-    p1 = _event_probability(perturb_parameter(net, param, other), event)
-    return (p1 - p0) / (other - theta)
+    p, slope, scale = derivative(both)
+    if not ev:
+        return slope * math.exp(scale)
+    p_ev, ev_slope, ev_scale = derivative(ev)
+    if p_ev == 0.0:
+        raise ZeroProbabilityEvidence(evidence, 0.0)
+    # d(A/B) = (dA - (A/B) dB) / B for A = P(event, evidence), B = P(evidence)
+    return math.exp(scale - ev_scale) * (slope - p * ev_slope / p_ev) / p_ev
 
 
 @dataclass(frozen=True)
@@ -347,26 +376,23 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
 def node_influence(net: FittedNetwork, event) -> dict:
     """Max |slope| over each node's parameters; exact zeros off the ancestry.
 
-    The event's own variable and every non-ancestor report exactly 0; the map
-    feeds the DOT exporter's fill-color scale.
+    One gradient elimination per ancestor gives the exact slope of every
+    unsaturated entry. The event's own variable and every non-ancestor
+    report exactly 0; the map feeds the DOT exporter's fill-color scale.
     """
     variable, level = event
-    net.variable(variable).level_index(level)
+    ev = {variable: net.variable(variable).level_index(level)}
     ancestors = net.dag.ancestors(variable)
-    p0 = _event_probability(net, event)
     influence = {}
     for name in net.dag.nodes:
         if name == variable or name not in ancestors:
             influence[name] = 0.0
             continue
-        best = 0.0
         table = net.cpts[name].table
-        for param in _node_params(net, name):
-            theta = float(table[param.config, param.state])
-            if 1.0 - theta == 0.0:
-                continue  # saturated: no defined slope
-            best = max(best, abs(_linear_slope(net, event, param, theta, p0)))
-        influence[name] = best
+        grad, scale = _gradient(net, name, ev)
+        free = 1.0 - table != 0.0
+        top = np.abs(_slopes(table, grad)[free]).max(initial=0.0)
+        influence[name] = float(top) * math.exp(scale)
     return influence
 
 

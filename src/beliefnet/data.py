@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +70,29 @@ class RawTable:
 
 
 def load_csv(path, required_columns=None) -> RawTable:
-    """Read a UTF-8 CSV with a header row, preserving cell text verbatim."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("(empty file: no header row)") from None
-        rows = list(reader)
-    table = RawTable(header, rows)
+    """Read a UTF-8 CSV with a header row, preserving cell text verbatim.
+
+    Text that is not UTF-8 or not CSV raises MalformedFile with the line of
+    the bad byte or of the record the reader could not finish.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedFile(path, f"line {line}", f"not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, start = [], 1
+    try:
+        for row in reader:
+            rows.append(row)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise MalformedFile(path, f"line {start}", str(exc)) from None
+    if not rows:
+        raise MissingColumn("(empty file: no header row)")
+    table = RawTable(rows[0], rows[1:])
     for name in required_columns or ():
         if name not in table.columns:
             raise MissingColumn(name)

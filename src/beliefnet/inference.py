@@ -2,7 +2,10 @@
 
 Posterior queries prune barren nodes (everything outside the ancestral
 closure of the target and the evidence), reduce the remaining CPT factors by
-the evidence, and eliminate hidden variables along a min-fill ordering.
+the evidence, and eliminate hidden variables along a min-fill ordering. The
+same elimination, ``_eliminate``, can keep several variables (a joint
+marginal) and leave one CPT out of the product (a CPT gradient); the
+analysis module builds Sobol indices and sensitivity slopes on it.
 Factors are renormalized as they are produced, and so is the running product
 of the factors left at the end, accumulating the log scale, so the evidence
 probability survives underflow: QueryResult carries log P(evidence) exactly,
@@ -157,36 +160,24 @@ class QueryResult:
         return float(self.distribution[self.levels.index(level)])
 
 
-def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> QueryResult:
-    """Exact P(target | evidence) by variable elimination.
+def _eliminate(net, keep, ev_levels, order=None, without=None):
+    """Variable elimination down to the variables ``keep``.
 
-    ``order`` overrides the min-fill elimination order; it must be a
-    permutation of the hidden variables that the default would eliminate.
+    Prunes barren nodes (everything outside the ancestral closure of ``keep``
+    and the evidence), reduces the CPT factors by ``ev_levels`` (name to
+    level index), leaves out the CPT of ``without``, and eliminates the other
+    variables along ``order`` (min-fill by default). Returns the product of
+    the remaining factors as an array with one axis per variable of ``keep``
+    (of length 1 for a kept variable no factor holds), the log of the scale
+    divided out of it, and the elimination order.
     """
-    evidence = Evidence(evidence).validate(net)
-    net.variable(target)
-    if target in evidence:
-        raise InvalidQuery(f"target {target!r} appears in the evidence")
-
-    ev_levels = {
-        name: net.variable(name).level_index(lvl) for name, lvl in evidence.items()
-    }
-
-    # barren-node pruning: only ancestors of target/evidence can matter
-    relevant = set()
-    stack = [target, *ev_levels]
-    while stack:
-        cur = stack.pop()
-        if cur not in relevant:
-            relevant.add(cur)
-            stack.extend(net.dag.parent_tuple(cur))
-
+    relevant = net.dag.ancestral_closure([*keep, *ev_levels])
     factors = [
         Factor.from_cpt(net, name).reduce(ev_levels)
         for name in net.dag.nodes
-        if name in relevant
+        if name in relevant and name != without
     ]
-    hidden = relevant - {target} - set(ev_levels)
+    hidden = relevant - set(keep) - set(ev_levels)
     if order is None:
         order = _min_fill_order([f.scope for f in factors], hidden)
     else:
@@ -209,18 +200,35 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
             log_scale += math.log(total)
         factors = [f for f in factors if name not in f.scope] + [summed]
 
-    # left: factors over the target alone and the scalar factors of reduced
+    # left: factors over kept variables and the scalar factors of reduced
     # evidence roots; renormalize their running product as it grows, and keep
-    # multiplying past a structural zero so the target axis is always present
-    final = factors[0]
+    # multiplying past a structural zero so every kept axis is present
+    final = factors[0] if factors else Factor._raw((), (), np.ones(()))
     for f in factors[1:]:
         final = final.multiply(f)
         total = float(final.values.sum())
         if total > 0.0:
             final.values /= total  # a fresh array, not a CPT view
             log_scale += math.log(total)
+    cards = tuple(net.variable(v).r for v in keep)
+    return final._aligned(keep, cards), log_scale, tuple(order)
+
+
+def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> QueryResult:
+    """Exact P(target | evidence) by variable elimination.
+
+    ``order`` overrides the min-fill elimination order; it must be a
+    permutation of the hidden variables that the default would eliminate.
+    """
+    evidence = Evidence(evidence).validate(net)
     var = net.variable(target)
-    final = final._aligned((target,), (var.r,)).reshape(var.r)
+    if target in evidence:
+        raise InvalidQuery(f"target {target!r} appears in the evidence")
+
+    ev_levels = {
+        name: net.variable(name).level_index(lvl) for name, lvl in evidence.items()
+    }
+    final, log_scale, order = _eliminate(net, (target,), ev_levels, order)
     z = float(final.sum())
     if z == 0.0:
         raise ZeroProbabilityEvidence(evidence, 0.0)
@@ -228,7 +236,7 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
     dist.flags.writeable = False
     return QueryResult(
         target, var.levels, dist, evidence, z * math.exp(log_scale),
-        log_scale + math.log(z), tuple(order),
+        log_scale + math.log(z), order,
     )
 
 

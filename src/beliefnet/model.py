@@ -133,9 +133,12 @@ class Dag:
 
     def ancestors(self, node: str) -> set:
         """Strict ancestors of ``node``."""
-        self.parent_tuple(node)
+        return self.ancestral_closure(self.parent_tuple(node))
+
+    def ancestral_closure(self, nodes) -> set:
+        """``nodes`` plus all their ancestors."""
         seen = set()
-        stack = list(self.parents[node])
+        stack = list(nodes)
         while stack:
             cur = stack.pop()
             if cur not in seen:
@@ -199,14 +202,8 @@ def d_separated(dag: Dag, x: str, y: str, given=()) -> bool:
         raise ValueError("x and y must be distinct and not part of the conditioning set")
 
     children = dag.children_map()
-    # given plus all its ancestors: the set from which a collider can be opened
-    anc_given = set(given)
-    stack = list(given)
-    while stack:
-        for p in dag.parents[stack.pop()]:
-            if p not in anc_given:
-                anc_given.add(p)
-                stack.append(p)
+    # the set from which a collider can be opened
+    anc_given = dag.ancestral_closure(given)
 
     visited = set()
     frontier = [(x, "up")]

@@ -8,13 +8,18 @@ beliefnet.inference.
 import numpy as np
 
 
-def full_joint(net):
-    """Joint probability tensor with one axis per variable, in net.variables order."""
+def full_joint(net, without=None):
+    """Joint probability tensor with one axis per variable, in net.variables order.
+
+    ``without`` names a CPT left out of the product.
+    """
     names = [v.name for v in net.variables]
     axis = {n: i for i, n in enumerate(names)}
     cards = [v.r for v in net.variables]
     joint = np.ones(cards)
     for v in net.variables:
+        if v.name == without:
+            continue
         cpt = net.cpts[v.name]
         dims = [axis[p] for p in cpt.parent_order] + [axis[v.name]]
         shape = [net.variable(p).r for p in cpt.parent_order] + [v.r]
@@ -41,6 +46,15 @@ def joint_prob(net, assignment):
     return float(joint[idx])
 
 
+def probability(net, assignment):
+    """P(a partial assignment), summed off the joint tensor."""
+    joint = full_joint(net)
+    index = [slice(None)] * joint.ndim
+    for name, level in assignment.items():
+        index[_axis(net, name)] = net.variable(name).level_index(level)
+    return float(joint[tuple(index)].sum())
+
+
 def posterior(net, target, evidence=None):
     """(distribution over target levels, P(evidence)) by summing the joint."""
     evidence = evidence or {}
@@ -55,6 +69,28 @@ def posterior(net, target, evidence=None):
     dist = reduced.sum(axis=tuple(i for i in range(reduced.ndim) if i != t_pos))
     p_evidence = float(dist.sum())
     return dist / p_evidence, p_evidence
+
+
+def cpt_gradient(net, name, assignment):
+    """d P(assignment) / d theta for every entry of ``name``'s CPT, as a (q, r) table.
+
+    P(assignment) is a sum over the joint of products that hold each CPT
+    exactly once, so the derivative by one entry is the same sum over the
+    product of the other CPTs, restricted to that entry's family values.
+    """
+    joint = full_joint(net, without=name)
+    for other, level in assignment.items():
+        mask = np.zeros(net.variable(other).r)
+        mask[net.variable(other).level_index(level)] = 1.0
+        shape = [1] * joint.ndim
+        shape[_axis(net, other)] = mask.size
+        joint = joint * mask.reshape(shape)
+    family = list(net.cpts[name].parent_order) + [name]
+    axes = [_axis(net, v) for v in family]
+    table = joint.sum(axis=tuple(i for i in range(joint.ndim) if i not in axes))
+    # summed axes keep their original order; put them in family order
+    table = np.transpose(table, [sorted(axes).index(a) for a in axes])
+    return table.reshape(-1, net.variable(name).r)
 
 
 def conditionally_independent(net, x, y, given, tol=1e-9):

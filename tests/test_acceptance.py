@@ -387,7 +387,7 @@ def test_criterion_8_sensitivity_correctness():
         )
     _report(
         8,
-        "two-point slopes match central differences (1e-6) on 500 triples; "
+        "gradient slopes match central differences (1e-6) on 500 triples; "
         "three-point collinearity 1e-10; tornado shifts = slope x delta (1e-9)",
         worst_fd < 1e-6 and worst_col < 1e-10 and worst_bar < 1e-9,
         f"fd {worst_fd:.2e}, collinearity {worst_col:.2e}, bars {worst_bar:.2e}",

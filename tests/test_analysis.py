@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from netgen import random_net
+from netgen import random_evidence, random_net
+from beliefnet import analysis
 from beliefnet.analysis import (
     CptParameterId,
     ScenarioDef,
@@ -282,13 +283,140 @@ class TestSensitivitySlope:
         with pytest.raises(SaturatedParameter):
             sensitivity_slope(net, ("Y", "y1"), CptParameterId("Y", 0, 0))
 
-    def test_evidence_uses_finite_differences(self):
+    def test_evidence_uses_quotient_rule(self):
         net = chain_xmy()
         slope = sensitivity_slope(
             net, ("Y", "y1"), CptParameterId("X", 0, 0), evidence={"M": "m1"}
         )
         # X's prior is irrelevant once M is observed (Y ⟂ X | M)
         assert slope == pytest.approx(0.0, abs=1e-9)
+
+
+def zeroed_net(rng, n_nodes):
+    """A random net whose CPTs hold theta = 0 entries and saturated rows."""
+    net = random_net(rng, n_nodes)
+    cpts = {}
+    for name, cpt in net.cpts.items():
+        table = np.array(cpt.table)
+        for row in table:
+            drop = rng.random(row.size) < 0.3
+            drop[int(rng.integers(row.size))] = False  # keep one entry
+            row[drop] = 0.0
+            row /= row.sum()
+        cpts[name] = Cpt(name, cpt.parent_order, table)
+    return FittedNetwork(net.variables, net.dag, cpts)
+
+
+def random_case(rng, n_nodes=6):
+    """(net, event, evidence) with the event variable kept out of the evidence."""
+    net = zeroed_net(rng, n_nodes)
+    t_var = net.variables[int(rng.integers(n_nodes))]
+    event = (t_var.name, t_var.levels[int(rng.integers(t_var.r))])
+    return net, event, random_evidence(rng, net, max_vars=2, exclude=(t_var.name,))
+
+
+def two_point_slope(net, param, p_of):
+    """Slope of the linear function ``p_of(net)`` from two perturbed values."""
+    theta = float(net.cpts[param.variable].table[param.config, param.state])
+    other = (theta + 1.0) / 2.0 if theta <= 0.5 else theta / 2.0
+    return (p_of(perturb_parameter(net, param, other)) - p_of(net)) / (other - theta)
+
+
+def closure(net, names):
+    """The given variables plus their ancestors, from ``Dag.ancestors``."""
+    found = set(names)
+    for name in names:
+        found |= net.dag.ancestors(name)
+    return found
+
+
+class TestCptGradient:
+    """Gradient slopes against enumeration of the full joint."""
+
+    def test_gradient_matches_enumeration(self):
+        rng = np.random.default_rng(301)
+        checked = 0
+        for _ in range(40):
+            net, event, evidence = random_case(rng)
+            assignment = {**evidence, event[0]: event[1]}
+            ev = {n: net.variable(n).level_index(v) for n, v in assignment.items()}
+            p = oracles.probability(net, assignment)
+            for name in closure(net, assignment):
+                grad, scale = analysis._gradient(net, name, ev)
+                want = oracles.cpt_gradient(net, name, assignment)
+                assert np.abs(grad * np.exp(scale) - want).max() <= 1e-12
+                # P is linear in each entry: P = sum(theta * G)
+                assert float((net.cpts[name].table * want).sum()) == pytest.approx(p, abs=1e-12)
+                checked += 1
+        assert checked > 100
+
+    def test_node_influence_matches_two_point_slopes(self):
+        rng = np.random.default_rng(302)
+        for _ in range(30):
+            net, event, _ = random_case(rng)
+            variable, level = event
+            infl = node_influence(net, event)
+
+            def p_event(m):
+                return oracles.probability(m, {variable: level})
+
+            for name in net.dag.ancestors(variable):
+                slopes = [
+                    abs(two_point_slope(net, param, p_event))
+                    for param in analysis._node_params(net, name)
+                    if net.cpts[name].table[param.config, param.state] != 1.0
+                ]
+                assert infl[name] == pytest.approx(max(slopes, default=0.0), abs=1e-12)
+
+    def test_slope_with_evidence_matches_quotient(self):
+        rng = np.random.default_rng(303)
+        checked = 0
+        while checked < 150:
+            net, event, evidence = random_case(rng)
+            if not evidence:
+                continue
+            variable = event[0]
+            names = sorted(closure(net, [variable, *evidence]))
+            name = names[int(rng.integers(len(names)))]
+            cpt = net.cpts[name]
+            param = CptParameterId(name, int(rng.integers(cpt.q)), int(rng.integers(cpt.r)))
+            if cpt.table[param.config, param.state] == 1.0 or cpt.r < 2:
+                continue
+            b = oracles.probability(net, evidence)
+            if b == 0.0:
+                with pytest.raises(ZeroProbabilityEvidence):
+                    sensitivity_slope(net, event, param, evidence)
+                continue
+
+            def joint(m):
+                return oracles.probability(m, {**evidence, variable: event[1]})
+
+            def marginal(m):
+                return oracles.probability(m, evidence)
+
+            a = joint(net)
+            da, db = two_point_slope(net, param, joint), two_point_slope(net, param, marginal)
+            want = (da * b - a * db) / b**2
+            got = sensitivity_slope(net, event, param, evidence)
+            assert got == pytest.approx(want, abs=1e-12)
+            checked += 1
+
+    def test_outside_closure_exact_zero(self):
+        rng = np.random.default_rng(304)
+        checked = 0
+        for _ in range(60):
+            net, event, evidence = random_case(rng)
+            inside = closure(net, [event[0], *evidence])
+            for name in net.dag.nodes:
+                cpt = net.cpts[name]
+                if name in inside or cpt.r < 2:
+                    continue
+                for param in analysis._node_params(net, name):
+                    if cpt.table[param.config, param.state] == 1.0:
+                        continue
+                    assert sensitivity_slope(net, event, param, evidence) == 0.0
+                    checked += 1
+        assert checked > 100
 
 
 class TestTornado:

@@ -364,6 +364,22 @@ class TestCliContract:
         assert err.startswith("beliefnet: error:")
         assert f"{bad}: line 2, column 1:" in err
 
+    @pytest.mark.parametrize("fault, line", [(b'"', 4), (b"\xff", 7)])
+    def test_malformed_csv_exit_2(self, tmp_path, capsys, fault, line):
+        with open(RAW, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[line - 1] = fault + lines[line - 1]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code = run(
+            "prep", "--raw", bad, "--recode", PREP, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "bad",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beliefnet: error:")
+        assert f"{bad}: line {line}:" in err
+
     def test_mistyped_config_field_exit_2(self, ws, tmp_path, capsys):
         cfg = tmp_path / "sens.yaml"
         cfg.write_text(

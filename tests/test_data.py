@@ -1,7 +1,14 @@
 """Survey pipeline: loading, recoding, missing handling, themes, splits, counts."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beliefnet.cli import main
 
 from beliefnet.data import (
     MENTIONED,
@@ -23,6 +30,8 @@ from beliefnet.data import (
     split_population,
 )
 from beliefnet.errors import (
+    BeliefnetError,
+    MalformedFile,
     MissingColumn,
     NonBinaryMember,
     RaggedRow,
@@ -73,6 +82,18 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n", encoding="utf-8")
         assert load_csv(p).fingerprint == load_csv(p).fingerprint
+
+    def test_unterminated_quote_names_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text('a,b\n1,2\n"3,4\n' + "5,6\n" * 40000, encoding="utf-8")
+        with pytest.raises(MalformedFile, match=r"t\.csv: line 3: field larger"):
+            load_csv(p)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(MalformedFile, match=r"t\.csv: line 3: not UTF-8"):
+            load_csv(p)
 
 
 class TestRecode:
@@ -345,3 +366,71 @@ class TestPersistence:
         save_datatable(t, tmp_path / "b.csv", tmp_path / "b.yaml")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.yaml").read_bytes() == (tmp_path / "b.yaml").read_bytes()
+
+
+RAW_SURVEY = os.path.join("fixtures", "synthetic_survey.csv")
+CSV_MUTATIONS = ("delete", "append cell", "drop comma", "insert 0xff", "prefix quote",
+                 "code -1")
+
+
+def _mutate_row(line, kind, at):
+    """The lines that replace the CSV line ``line`` after one mutation."""
+    cells = line.split(b",")
+    k = at % len(cells)
+    if kind == "delete":
+        return []
+    if kind == "append cell":
+        return [line + b",x"]
+    if kind == "drop comma":
+        if len(cells) > 1:
+            k = at % (len(cells) - 1)
+            cells[k:k + 2] = [cells[k] + cells[k + 1]]
+        return [b",".join(cells)]
+    if kind == "insert 0xff":
+        k = at % (len(line) + 1)
+        return [line[:k] + b"\xff" + line[k:]]
+    if kind == "prefix quote":
+        return [b'"' + line]
+    cells[k] = b"-1"
+    return [b",".join(cells)]
+
+
+@pytest.fixture(scope="module")
+def csv_files(tmp_path_factory):
+    """(lines, loader) of the raw fixture survey and of its prepared full table."""
+    root = tmp_path_factory.mktemp("prep")
+    assert main([
+        "prep", "--raw", RAW_SURVEY, "--recode", os.path.join("fixtures", "prep.yaml"),
+        "--themes", os.path.join("fixtures", "themes.yaml"), "--workspace", str(root),
+        "--name", "survey",
+    ]) == 0
+    prepared = root / "data" / "survey_full.csv"
+    dict_path = root / "data" / "survey_full.dict.yaml"
+    with open(RAW_SURVEY, "rb") as fh:
+        raw = fh.read()
+    return [
+        (raw.split(b"\n"), load_csv),
+        (prepared.read_bytes().split(b"\n"), lambda path: load_datatable(path, dict_path)),
+    ]
+
+
+class TestMutatedCsv:
+    """A CSV with one line mutated either loads or raises a BeliefnetError."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_loads_or_raises_beliefnet_error(self, csv_files, data):
+        lines, loader = data.draw(st.sampled_from(csv_files), label="file")
+        lines = list(lines)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(CSV_MUTATIONS), label="mutation")
+        at = data.draw(st.integers(0, 10**6), label="position")
+        lines[i:i + 1] = _mutate_row(lines[i], kind, at)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            with open(path, "wb") as fh:
+                fh.write(b"\n".join(lines))
+            try:
+                loader(path)
+            except BeliefnetError:
+                pass
