@@ -1,8 +1,10 @@
 """beliefnet command line: prep, learn, fit, query, sobol, scenario, sensitivity, export.
 
 Every artifact-producing command runs inside a workspace (data/, models/,
-strengths/, reports/), takes an exclusive lock file, refuses to overwrite
-outputs without --force, and writes one manifest next to its primary output.
+strengths/, reports/) and takes an exclusive lock file. Before its first
+write it checks every output it will list, and refuses to run if any exists
+unless --force is given. It ends by writing one manifest next to its
+primary output.
 Exit codes: 0 success, 1 usage error, 2 data/model error.
 """
 
@@ -65,13 +67,6 @@ class Workspace:
     def path(self, *parts) -> str:
         return os.path.join(self.root, *parts)
 
-    def guard(self, path, force):
-        if os.path.exists(path) and not force:
-            raise WorkspaceError(
-                f"refusing to overwrite {path} (pass --force to allow)"
-            )
-        return path
-
     def __enter__(self):
         self.prepare()
         self._lock = os.path.join(self.root, LOCK_NAME)
@@ -119,49 +114,68 @@ def _fingerprint(path) -> str:
     return digest.hexdigest()
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return secrets.randbits(31)
+# where each command writes its manifest: (workspace directory, suffix after --name)
+_MANIFESTS = {
+    "prep": ("data", ".manifest.yaml"),
+    "learn": ("models", ".manifest.yaml"),
+    "fit": ("models", ".manifest.yaml"),
+    "query": ("reports", "_query.manifest.yaml"),
+    "sobol": ("reports", "_sobol.manifest.yaml"),
+    "scenario": ("reports", "_scenario.manifest.yaml"),
+    "sensitivity": ("reports", "_sensitivity.manifest.yaml"),
+    "export": ("reports", "_export.manifest.yaml"),
+}
 
 
-def _write_manifest(path, command, args, seed, inputs, outputs, started, extra=None):
-    doc = {
-        "format": "beliefnet-manifest",
-        "version": 1,
-        "command": command,
-        "tool_version": __version__,
-        "seed": seed,
-        "workers": getattr(args, "workers", 1),
-        "config": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func",) and isinstance(v, (str, int, float, bool, type(None)))
-        },
-        "inputs": {str(p): _fingerprint(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-        "extra": extra or {},
-        "timing": {
-            "started_utc": started,
-            "elapsed_seconds": round(time.time() - _STARTED_MONO[0], 3),
-        },
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _yamlio.dump(doc, fh)
+class _Run:
+    """One command's run: its start time, the outputs it claimed, the seed and
+    extras it recorded, and the manifest that lists them."""
 
+    def __init__(self, args, ws):
+        self.args, self.ws = args, ws
+        self.clock = time.monotonic()
+        self.started = datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        )
+        self.timestamp = None if args.no_timestamp else self.started
+        self.outputs = []
+        self.seed = None
+        self.extra = {}
 
-_STARTED_MONO = [0.0]
+    def claim(self, directory, name) -> str:
+        """The workspace path ``directory/name``, recorded as an output; an
+        existing file is refused unless --force."""
+        path = self.ws.path(directory, name)
+        if os.path.exists(path) and not self.args.force:
+            raise WorkspaceError(f"refusing to overwrite {path} (pass --force to allow)")
+        self.outputs.append(path)
+        return path
 
-
-def _begin():
-    _STARTED_MONO[0] = time.time()
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
-def _timestamp(args):
-    if args.no_timestamp:
-        return None
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    def finish(self):
+        args = self.args
+        directory, suffix = _MANIFESTS[args.command]
+        doc = {
+            "format": "beliefnet-manifest",
+            "version": 1,
+            "command": args.command,
+            "tool_version": __version__,
+            "seed": self.seed,
+            "workers": args.workers,
+            "config": {
+                k: v
+                for k, v in sorted(vars(args).items())
+                if isinstance(v, (str, int, float, bool, type(None)))
+            },
+            "inputs": {p: _fingerprint(p) for n in args.inputs if (p := getattr(args, n))},
+            "outputs": self.outputs,
+            "extra": self.extra,
+            "timing": {
+                "started_utc": self.started,
+                "elapsed_seconds": round(time.monotonic() - self.clock, 3),
+            },
+        }
+        path = self.ws.path(directory, args.name + suffix)
+        reports.write_text(path, _yamlio.dump(doc))
 
 
 def _default_models(table, groups):
@@ -180,8 +194,7 @@ def _default_models(table, groups):
     return models
 
 
-def cmd_prep(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_prep(args, run: _Run):
     cfg = configio.load_prep_config(args.recode)
     groups = configio.load_theme_config(args.themes) if args.themes else []
     raw = load_csv(args.raw, required_columns=[v.source for v in cfg.recode.variables])
@@ -207,9 +220,7 @@ def cmd_prep(args, ws: Workspace) -> int:
         risk, opportunity = split_population(table, cfg.framing)
         tables["risk"] = risk
         tables["opportunity"] = opportunity
-
-    outputs = []
-    audit["tables"] = {}
+    finals, paths = {}, {}
     for kind, t in tables.items():
         wanted = models.get(kind)
         if wanted is None:
@@ -217,40 +228,35 @@ def cmd_prep(args, ws: Workspace) -> int:
         missing = [n for n in wanted if n not in {v.name for v in t.variables}]
         if missing:
             raise MalformedFile(args.recode, f"models.{kind}", f"unknown variables {missing}")
-        selected = t.select(wanted)
-        final = drop_incomplete(selected)
-        csv_path = ws.guard(ws.path("data", f"{args.name}_{kind}.csv"), args.force)
-        dict_path = ws.path("data", f"{args.name}_{kind}.dict.yaml")
-        save_datatable(final, csv_path, dict_path)
-        outputs += [csv_path, dict_path]
+        finals[kind] = drop_incomplete(t.select(wanted))
+        paths[kind] = (run.claim("data", f"{args.name}_{kind}.csv"),
+                       run.claim("data", f"{args.name}_{kind}.dict.yaml"))
+    audit_path = run.claim("data", f"{args.name}.audit.yaml")
+
+    audit["tables"] = {}
+    for kind, final in finals.items():
+        save_datatable(final, *paths[kind])
         audit["tables"][kind] = {
-            "rows_before_drop": t.n_rows,
+            "rows_before_drop": tables[kind].n_rows,
             "rows": final.n_rows,
             "variables": len(final.variables),
         }
 
-    audit_path = ws.path("data", f"{args.name}.audit.yaml")
-    with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
-        _yamlio.dump({"format": "beliefnet-audit", "version": 1, **audit}, fh)
-    outputs.append(audit_path)
-    inputs = [args.raw, args.recode] + ([args.themes] if args.themes else [])
-    _write_manifest(
-        ws.path("data", f"{args.name}.manifest.yaml"),
-        "prep", args, None, inputs, outputs, started,
+    reports.write_text(
+        audit_path, _yamlio.dump({"format": "beliefnet-audit", "version": 1, **audit})
     )
     for kind, stats in audit["tables"].items():
         print(f"{kind}: {stats['rows']} rows x {stats['variables']} variables")
-    return EXIT_OK
 
 
-def cmd_learn(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_learn(args, run: _Run):
     data = load_datatable(args.data, args.dict)
     cfg = configio.load_learn_config(args.config) if args.config else configio.LearnConfig()
-    seed = _resolve_seed(args)
+    seed = run.seed = secrets.randbits(31) if args.seed is None else args.seed
     b = cfg.bootstrap if args.bootstrap is None else args.bootstrap
-    if b < 0:
-        raise ValueError("--bootstrap must be >= 0")
+    model_path = run.claim("models", f"{args.name}.bn.yaml")
+    if b > 0:
+        strengths_path = run.claim("strengths", f"{args.name}_strengths.csv")
     constraints = cfg.constraints()
     if args.tiers:
         tiers = configio.load_tier_config(args.tiers)
@@ -265,8 +271,6 @@ def cmd_learn(args, ws: Workspace) -> int:
         seed=seed,
     )
 
-    extra = {"bootstrap": b, "score": cfg.score, "alpha": cfg.alpha}
-    outputs = []
     skipped = []
     if b == 0:
         dag = tabu_search(data, score=cfg.score, constraints=constraints, config=tabu_cfg)
@@ -291,13 +295,14 @@ def cmd_learn(args, ws: Workspace) -> int:
             constraints,
             skipped=skipped,
         )
-        strengths_path = ws.guard(
-            ws.path("strengths", f"{args.name}_strengths.csv"), args.force
-        )
         reports.write_strengths_csv(strengths_path, strengths)
-        outputs.append(strengths_path)
-    extra["threshold"] = threshold
-    extra["skipped_edges"] = [list(s) for s in skipped]
+    run.extra = {
+        "bootstrap": b,
+        "score": cfg.score,
+        "alpha": cfg.alpha,
+        "threshold": threshold,
+        "skipped_edges": [list(s) for s in skipped],
+    }
 
     net = fit_bayes(dag, data, alpha=cfg.alpha)
     metadata = dict(net.metadata)
@@ -311,21 +316,12 @@ def cmd_learn(args, ws: Workspace) -> int:
         }
     )
     net = FittedNetwork(net.variables, net.dag, net.cpts, metadata)
-    model_path = ws.guard(ws.path("models", f"{args.name}.bn.yaml"), args.force)
     save_model(net, model_path)
-    outputs.insert(0, model_path)
-    _write_manifest(
-        ws.path("models", f"{args.name}.manifest.yaml"),
-        "learn", args, seed, [args.data, args.dict] +
-        ([args.tiers] if args.tiers else []) + ([args.config] if args.config else []),
-        outputs, started, extra,
-    )
     print(f"learned {len(dag.arcs())} arcs (B={b}, threshold={threshold})")
-    return EXIT_OK
 
 
-def cmd_fit(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_fit(args, run: _Run):
+    model_path = run.claim("models", f"{args.name}.bn.yaml")
     base = load_model(args.model)
     data = load_datatable(args.data, args.dict)
     if args.method == "mle":
@@ -335,47 +331,31 @@ def cmd_fit(args, ws: Workspace) -> int:
     metadata = dict(net.metadata)
     metadata["tool_version"] = __version__
     net = FittedNetwork(net.variables, net.dag, net.cpts, metadata)
-    model_path = ws.guard(ws.path("models", f"{args.name}.bn.yaml"), args.force)
     save_model(net, model_path)
-    _write_manifest(
-        ws.path("models", f"{args.name}.manifest.yaml"),
-        "fit", args, None, [args.model, args.data, args.dict], [model_path], started,
-    )
     print(f"refitted parameters onto {len(base.dag.arcs())} arcs")
-    return EXIT_OK
 
 
-def cmd_query(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_query(args, run: _Run):
     net = load_model(args.model)
     cfg = configio.load_query_config(args.config)
-    outputs = []
-    for target, sweeps in cfg.tables:
+    paths = [run.claim("reports", f"{args.name}_query_{target}.csv") for target, _ in cfg.tables]
+    for path, (target, sweeps) in zip(paths, cfg.tables):
         baseline = posterior(net, target)
         blocks = [
             (sweep, [posterior(net, target, {sweep: level})
                      for level in net.variable(sweep).levels])
             for sweep in sweeps
         ]
-        path = ws.guard(
-            ws.path("reports", f"{args.name}_query_{target}.csv"), args.force
-        )
         reports.write_query_csv(path, target, net.variable(target).levels, baseline, blocks)
-        outputs.append(path)
-    _write_manifest(
-        ws.path("reports", f"{args.name}_query.manifest.yaml"),
-        "query", args, None, [args.model, args.config], outputs, started,
-    )
-    print(f"wrote {len(outputs)} conditional table(s)")
-    return EXIT_OK
+    print(f"wrote {len(paths)} conditional table(s)")
 
 
-def cmd_sobol(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_sobol(args, run: _Run):
+    csv_path = run.claim("reports", f"{args.name}_sobol.csv")
+    txt_path = run.claim("reports", f"{args.name}_sobol.txt")
     net = load_model(args.model)
     cfg = configio.load_sobol_config(args.config)
     matrix = analysis.sobol_matrix(net, cfg.targets, cfg.inputs)
-    csv_path = ws.guard(ws.path("reports", f"{args.name}_sobol.csv"), args.force)
     reports.write_sobol_csv(csv_path, matrix)
     rows = [
         [name]
@@ -385,7 +365,6 @@ def cmd_sobol(args, ws: Workspace) -> int:
         ]
         for name in matrix.inputs
     ]
-    txt_path = ws.path("reports", f"{args.name}_sobol.txt")
     reports.write_text(
         txt_path,
         reports.text_table(
@@ -394,28 +373,19 @@ def cmd_sobol(args, ws: Workspace) -> int:
             rows,
         ),
     )
-    _write_manifest(
-        ws.path("reports", f"{args.name}_sobol.manifest.yaml"),
-        "sobol", args, None, [args.model, args.config], [csv_path, txt_path], started,
-    )
     print(f"wrote sobol matrix: {len(matrix.inputs)} inputs x {len(matrix.targets)} targets")
-    return EXIT_OK
 
 
-def cmd_scenario(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_scenario(args, run: _Run):
     net = load_model(args.model)
     cfg = configio.load_scenario_config(args.config)
+    csv_paths = [run.claim("reports", f"{args.name}_scenario_{t}.csv") for t in cfg.targets]
+    txt_path = run.claim("reports", f"{args.name}_scenario.txt")
+    svg_paths = [run.claim("reports", f"{args.name}_scenario_{t}.svg") for t in cfg.targets]
     results = analysis.scenario_posteriors(net, cfg.scenarios, cfg.targets)
-    outputs = []
     # all CSVs land before any SVG is attempted
-    for target in cfg.targets:
-        path = ws.guard(
-            ws.path("reports", f"{args.name}_scenario_{target}.csv"), args.force
-        )
+    for path, target in zip(csv_paths, cfg.targets):
         reports.write_scenario_csv(path, target, net.variable(target).levels, results)
-        outputs.append(path)
-    txt_path = ws.path("reports", f"{args.name}_scenario.txt")
     sections = []
     for target in cfg.targets:
         levels = net.variable(target).levels
@@ -432,36 +402,29 @@ def cmd_scenario(args, ws: Workspace) -> int:
             )
         )
     reports.write_text(txt_path, "\n".join(sections))
-    outputs.append(txt_path)
-    stamp = _timestamp(args)
-    for target in cfg.targets:
+    for path, target in zip(svg_paths, cfg.targets):
         svg = charts.scenario_bars_svg(
             target,
             net.variable(target).levels,
             [r.name for r in results],
             [r.posteriors[target].distribution for r in results],
-            timestamp=stamp,
+            timestamp=run.timestamp,
         )
-        path = ws.path("reports", f"{args.name}_scenario_{target}.svg")
         reports.write_text(path, svg)
-        outputs.append(path)
-    _write_manifest(
-        ws.path("reports", f"{args.name}_scenario.manifest.yaml"),
-        "scenario", args, None, [args.model, args.config], outputs, started,
-    )
     print(f"wrote {len(cfg.scenarios)} scenarios x {len(cfg.targets)} targets")
-    return EXIT_OK
 
 
-def cmd_sensitivity(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_sensitivity(args, run: _Run):
+    csv_path = run.claim("reports", f"{args.name}_tornado.csv")
+    txt_path = run.claim("reports", f"{args.name}_tornado.txt")
+    dot_path = run.claim("reports", f"{args.name}_influence.dot")
+    svg_path = run.claim("reports", f"{args.name}_tornado.svg")
     net = load_model(args.model)
     cfg = configio.load_sensitivity_config(args.config)
+    run.extra = {"delta": cfg.delta}
     event = (cfg.target_variable, cfg.target_state)
     bars = analysis.tornado(net, event, nodes=cfg.nodes, delta=cfg.delta)
-    csv_path = ws.guard(ws.path("reports", f"{args.name}_tornado.csv"), args.force)
     reports.write_tornado_csv(csv_path, bars, event, cfg.delta)
-    txt_path = ws.path("reports", f"{args.name}_tornado.txt")
     reports.write_text(
         txt_path,
         reports.text_table(
@@ -474,7 +437,6 @@ def cmd_sensitivity(args, ws: Workspace) -> int:
         ),
     )
     influence = analysis.node_influence(net, event)
-    dot_path = ws.path("reports", f"{args.name}_influence.dot")
     reports.write_text(
         dot_path, export_dot(net.dag, analysis.influence_colors(influence))
     )
@@ -482,22 +444,14 @@ def cmd_sensitivity(args, ws: Workspace) -> int:
         bars,
         f"{cfg.target_variable}={cfg.target_state}",
         cfg.delta,
-        timestamp=_timestamp(args),
+        timestamp=run.timestamp,
     )
-    svg_path = ws.path("reports", f"{args.name}_tornado.svg")
     reports.write_text(svg_path, svg)
-    _write_manifest(
-        ws.path("reports", f"{args.name}_sensitivity.manifest.yaml"),
-        "sensitivity", args, None, [args.model, args.config],
-        [csv_path, txt_path, dot_path, svg_path], started,
-        extra={"delta": cfg.delta},
-    )
     print(f"wrote {len(bars)} tornado bars")
-    return EXIT_OK
 
 
-def cmd_export(args, ws: Workspace) -> int:
-    started = _begin()
+def cmd_export(args, run: _Run):
+    dot_path = run.claim("reports", f"{args.name}.dot")
     net = load_model(args.model)
     colors = None
     if args.influence:
@@ -513,21 +467,21 @@ def cmd_export(args, ws: Workspace) -> int:
         if not isinstance(doc, dict):
             raise MalformedFile(args.colors, "(root)", "expected a map of node -> color")
         colors = {str(k): str(v) for k, v in doc.items()}
-    dot_path = ws.guard(ws.path("reports", f"{args.name}.dot"), args.force)
     reports.write_text(dot_path, export_dot(net.dag, colors))
-    _write_manifest(
-        ws.path("reports", f"{args.name}_export.manifest.yaml"),
-        "export", args, None,
-        [args.model] + ([args.colors] if args.colors else []), [dot_path], started,
-    )
     print(f"wrote {dot_path}")
-    return EXIT_OK
 
 
 def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -563,17 +517,17 @@ def build_parser() -> _Parser:
     p.add_argument("--split", action=argparse.BooleanOptionalAction, default=True,
                    help="emit risk/opportunity subpopulation tables")
     _add_common(p, "survey")
-    p.set_defaults(func=cmd_prep)
+    p.set_defaults(func=cmd_prep, inputs=("raw", "recode", "themes"))
 
     p = commands.add_parser("learn", help="bootstrapped structure learning + fit")
     p.add_argument("--data", required=True, help="encoded table CSV")
     p.add_argument("--dict", required=True, help="variable dictionary YAML")
     p.add_argument("--tiers", default=None, help="beliefnet-tiers config")
     p.add_argument("--config", default=None, help="beliefnet-learn config")
-    p.add_argument("--bootstrap", type=int, default=None,
+    p.add_argument("--bootstrap", type=_nonnegative_int, default=None,
                    help="replicates (0 = single search; overrides config)")
     _add_common(p, "model")
-    p.set_defaults(func=cmd_learn)
+    p.set_defaults(func=cmd_learn, inputs=("data", "dict", "tiers", "config"))
 
     p = commands.add_parser("fit", help="refit CPTs on an existing structure")
     p.add_argument("--model", required=True)
@@ -582,31 +536,31 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--method", choices=("bayes", "mle"), default="bayes")
     _add_common(p, "refit")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, inputs=("model", "data", "dict"))
 
     p = commands.add_parser("query", help="conditional probability tables")
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True, help="beliefnet-query config")
     _add_common(p, "report")
-    p.set_defaults(func=cmd_query)
+    p.set_defaults(func=cmd_query, inputs=("model", "config"))
 
     p = commands.add_parser("sobol", help="first-order Sobol index matrix")
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True, help="beliefnet-sobol config")
     _add_common(p, "report")
-    p.set_defaults(func=cmd_sobol)
+    p.set_defaults(func=cmd_sobol, inputs=("model", "config"))
 
     p = commands.add_parser("scenario", help="multi-evidence scenario posteriors")
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True, help="beliefnet-scenarios config")
     _add_common(p, "report")
-    p.set_defaults(func=cmd_scenario)
+    p.set_defaults(func=cmd_scenario, inputs=("model", "config"))
 
     p = commands.add_parser("sensitivity", help="CPT perturbation tornado + influence")
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True, help="beliefnet-sensitivity config")
     _add_common(p, "report")
-    p.set_defaults(func=cmd_sensitivity)
+    p.set_defaults(func=cmd_sensitivity, inputs=("model", "config"))
 
     p = commands.add_parser("export", help="Graphviz DOT export")
     p.add_argument("--model", required=True)
@@ -615,7 +569,7 @@ def build_parser() -> _Parser:
     shading.add_argument("--influence", default=None, metavar="VARIABLE=STATE",
                          help="shade nodes by sensitivity to this event")
     _add_common(p, "graph")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_export, inputs=("model", "colors"))
     return parser
 
 
@@ -627,10 +581,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         with Workspace(args.workspace) as ws:
-            return args.func(args, ws)
+            run = _Run(args, ws)
+            args.func(args, run)
+            run.finish()
     except (BeliefnetError, OSError, ValueError) as exc:
         sys.stderr.write(f"beliefnet: error: {exc}\n")
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

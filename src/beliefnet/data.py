@@ -73,7 +73,9 @@ def load_csv(path, required_columns=None) -> RawTable:
     """Read a UTF-8 CSV with a header row, preserving cell text verbatim.
 
     Text that is not UTF-8 or not CSV raises MalformedFile with the line of
-    the bad byte or of the record the reader could not finish.
+    the bad byte or of the record the reader could not finish; a record with
+    more or fewer cells than the header raises RaggedRow with the line it
+    starts on.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -86,6 +88,8 @@ def load_csv(path, required_columns=None) -> RawTable:
     rows, start = [], 1
     try:
         for row in reader:
+            if rows and len(row) != len(rows[0]):
+                raise RaggedRow(len(rows), len(rows[0]), len(row), path, start)
             rows.append(row)
             start = reader.line_num + 1
     except csv.Error as exc:

@@ -63,13 +63,17 @@ class VersionMismatch(BeliefnetError):
 
 
 class RaggedRow(BeliefnetError):
-    """A CSV row with the wrong number of cells; ``row`` is 1-based over data rows."""
+    """A CSV row with the wrong number of cells; ``row`` is 1-based over data
+    rows, ``line`` the file line its record starts on when ``path`` is known."""
 
-    def __init__(self, row, expected, got):
+    def __init__(self, row, expected, got, path=None, line=None):
         self.row = row
         self.expected = expected
         self.got = got
-        super().__init__(f"row {row}: expected {expected} cells, got {got}")
+        self.path = None if path is None else str(path)
+        self.line = line
+        where = "" if path is None else f"{self.path}: line {line}: "
+        super().__init__(f"{where}row {row}: expected {expected} cells, got {got}")
 
 
 class MissingColumn(BeliefnetError):

@@ -103,6 +103,21 @@ class TestPrep:
         assert code == 2
         assert "does_not_exist" in capsys.readouterr().err
 
+    def test_unknown_model_variable_writes_nothing(self, tmp_path, capsys):
+        with open(PREP, encoding="utf-8") as fh:
+            text = fh.read()
+        cut = text.index("  risk:\n")
+        bad = tmp_path / "prep.yaml"
+        bad.write_text(text[:cut] + text[cut:].replace("[Sex,", "[Nope, Sex,", 1),
+                       encoding="utf-8")
+        code = run(
+            "prep", "--raw", RAW, "--recode", bad, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "x",
+        )
+        assert code == 2
+        assert "models.risk: unknown variables ['Nope']" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
 
 class TestLearn:
     def test_model_and_strengths_written(self, ws):
@@ -343,6 +358,7 @@ class TestCliContract:
     def test_usage_error_exit_1(self):
         assert run("learn") == 1          # missing required args
         assert run("not-a-command") == 1  # unknown command
+        assert run("learn", "--data", "d.csv", "--dict", "d.yaml", "--bootstrap", -1) == 1
 
     def test_data_error_exit_2(self, tmp_path, capsys):
         code = run(
@@ -401,6 +417,65 @@ class TestCliContract:
         )
         assert code == 2
         assert "--force" in capsys.readouterr().err
+
+    def test_prep_refuses_before_first_write(self, tmp_path, capsys):
+        data = tmp_path / "ws" / "data"
+        data.mkdir(parents=True)
+        (data / "survey_risk.csv").touch()
+        code = run(
+            "prep", "--raw", RAW, "--recode", PREP, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "survey",
+        )
+        assert code == 2
+        assert "survey_risk.csv" in capsys.readouterr().err
+        assert [p.name for p in data.iterdir()] == ["survey_risk.csv"]
+
+    def test_manifest_lists_inputs_and_outputs(self, tmp_path):
+        root = tmp_path / "ws"
+        table = root / "data" / "survey_full"
+        model = root / "models" / "full.bn.yaml"
+        colors = tmp_path / "colors.yaml"
+        colors.write_text("Sex: '#fff2ae'\n", encoding="utf-8")
+        file_flags = {"--raw", "--recode", "--themes", "--data", "--dict", "--tiers",
+                      "--config", "--model", "--colors"}
+        commands = [
+            ("data/survey.manifest.yaml",
+             ["prep", "--raw", RAW, "--recode", PREP, "--themes", THEMES, "--name", "survey"]),
+            ("models/full.manifest.yaml",
+             ["learn", "--data", f"{table}.csv", "--dict", f"{table}.dict.yaml",
+              "--tiers", TIERS, "--config", LEARN, "--bootstrap", 4, "--seed", 3,
+              "--name", "full"]),
+            ("models/refit.manifest.yaml",
+             ["fit", "--model", model, "--data", f"{table}.csv", "--dict",
+              f"{table}.dict.yaml", "--name", "refit"]),
+            ("reports/rep_query.manifest.yaml",
+             ["query", "--model", model, "--config", "fixtures/query.yaml", "--name", "rep"]),
+            ("reports/rep_sobol.manifest.yaml",
+             ["sobol", "--model", model, "--config", "fixtures/sobol.yaml", "--name", "rep"]),
+            ("reports/rep_scenario.manifest.yaml",
+             ["scenario", "--model", model, "--config", "fixtures/scenarios.yaml",
+              "--name", "rep"]),
+            ("reports/rep_sensitivity.manifest.yaml",
+             ["sensitivity", "--model", model, "--config", "fixtures/sensitivity.yaml",
+              "--name", "rep"]),
+            ("reports/graph_export.manifest.yaml",
+             ["export", "--model", model, "--colors", colors, "--name", "graph"]),
+        ]
+
+        def files():
+            return {str(p) for p in root.rglob("*") if p.is_file()}
+
+        for manifest_name, argv in commands:
+            before = files()
+            assert run(*argv, "--workspace", root) == 0
+            created = files() - before
+            manifest_path = root / manifest_name
+            assert str(manifest_path) in created
+            manifest = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
+            assert manifest["command"] == argv[0]
+            assert sorted(manifest["outputs"]) == sorted(created - {str(manifest_path)})
+            given = [str(v) for flag, v in zip(argv, argv[1:]) if flag in file_flags]
+            assert list(manifest["inputs"]) == given
 
     def test_workspace_lock(self, ws, tmp_path, capsys):
         lock = ws / ".beliefnet.lock"

@@ -66,6 +66,7 @@ class TestLoadCsv:
         with pytest.raises(RaggedRow) as exc:
             load_csv(p)
         assert exc.value.row == 2
+        assert f"{p}: line 3:" in str(exc.value)
 
     def test_missing_declared_column(self, tmp_path):
         p = tmp_path / "t.csv"

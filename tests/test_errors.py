@@ -16,7 +16,7 @@ EXAMPLES = {
     "IncompleteAssignment": (["A", "B"],),
     "MalformedFile": ("model.yaml", "line 3, column 1", "bad indent"),
     "VersionMismatch": ("model.yaml", 7, 1),
-    "RaggedRow": (4, 10, 9),
+    "RaggedRow": (4, 10, 9, "survey.csv", 5),
     "MissingColumn": ("Age",),
     "UnmappedToken": ("Age", "??"),
     "NonBinaryMember": ("Fairness", "Q12", ("yes", "no", "maybe")),
