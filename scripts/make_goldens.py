@@ -5,12 +5,16 @@ With no option it writes the hand-built model files. With ``--search`` it
 writes ``fixtures/search_goldens.json``: bootstrap arc tallies and one
 faithful-settings tabu search on the fixture's full and risk tables. Those
 goldens pin the search's exact move sequence, so regenerate them only when a
-change to the search is meant to change its results.
+change to the search is meant to change its results. With ``--pipeline`` it
+writes ``fixtures/pipeline_goldens.json``: the sha256 of every artifact but
+the manifests of one CLI run over the fixture (prep, learn, query, sobol,
+scenario, sensitivity, export), which pins the bytes the file writers emit.
 """
 
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -37,6 +41,9 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SEARCH_GOLDENS = os.path.join(FIXTURES, "search_goldens.json")
 SEARCH_SEED = 42
 SEARCH_B = 16  # replicates per table: small enough for the tier-1 suite
+PIPELINE_GOLDENS = os.path.join(FIXTURES, "pipeline_goldens.json")
+PIPELINE_SEED = 20230626
+PIPELINE_B = 6
 
 
 def mini_net():
@@ -143,22 +150,79 @@ def search_goldens(workdir):
     return doc
 
 
+def _quiet_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"beliefnet {argv[0]} failed with exit code {code}")
+
+
+def pipeline_goldens(workdir):
+    """{artifact path: sha256} for one fixture run of every CLI stage into
+    ``workdir``/ws.
+
+    Manifests hold timings and are left out; SVGs are written with
+    ``--no-timestamp`` so every listed file is deterministic. Sensitivity and
+    export shade InterestAI=Strongly, which has few ancestors, so the run
+    stays a few seconds long.
+    """
+    fixture = lambda name: os.path.join(FIXTURES, name)  # noqa: E731
+    workspace = os.path.join(workdir, "ws")
+    ws = ["--workspace", workspace]
+    data = os.path.join(workspace, "data", "survey_full")
+    model = os.path.join(workspace, "models", "full.bn.yaml")
+    configs = {cmd: fixture(f"{cmd}.yaml") for cmd in ("query", "sobol", "scenarios")}
+    configs["sensitivity"] = os.path.join(workdir, "sensitivity.yaml")
+    with open(configs["sensitivity"], "w", encoding="utf-8") as fh:
+        fh.write("format: beliefnet-sensitivity\nversion: 1\n"
+                 "target: {variable: InterestAI, state: Strongly}\nnodes: auto\ndelta: 0.1\n")
+    _quiet_cli(["prep", "--raw", fixture("synthetic_survey.csv"), "--recode",
+                fixture("prep.yaml"), "--themes", fixture("themes.yaml"),
+                "--name", "survey"] + ws)
+    _quiet_cli(["learn", "--data", data + ".csv", "--dict", data + ".dict.yaml",
+                "--tiers", fixture("tiers_full.yaml"), "--config", fixture("learn_fast.yaml"),
+                "--bootstrap", str(PIPELINE_B), "--seed", str(PIPELINE_SEED),
+                "--name", "full"] + ws)
+    for cmd, config in (("query", configs["query"]), ("sobol", configs["sobol"]),
+                        ("scenario", configs["scenarios"]),
+                        ("sensitivity", configs["sensitivity"])):
+        _quiet_cli([cmd, "--model", model, "--config", config, "--name", "rep",
+                    "--no-timestamp"] + ws)
+    _quiet_cli(["export", "--model", model, "--influence", "InterestAI=Strongly",
+                "--name", "shaded"] + ws)
+    digests = {}
+    for base, _, files in os.walk(workspace):
+        for name in files:
+            if "manifest" in name:
+                continue
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                rel = os.path.relpath(path, workspace).replace(os.sep, "/")
+                digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def dump_goldens(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--search", action="store_true",
-                        help="write fixtures/search_goldens.json instead of the model files")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--search", action="store_true",
+                       help="write fixtures/search_goldens.json instead of the model files")
+    which.add_argument("--pipeline", action="store_true",
+                       help="write fixtures/pipeline_goldens.json instead of the model files")
     args = parser.parse_args(argv)
     os.makedirs(FIXTURES, exist_ok=True)
-    if args.search:
+    if args.search or args.pipeline:
+        make, path = (search_goldens, SEARCH_GOLDENS) if args.search else (
+            pipeline_goldens, PIPELINE_GOLDENS)
         with tempfile.TemporaryDirectory() as work:
-            text = dump_goldens(search_goldens(work))
-        with open(SEARCH_GOLDENS, "w", encoding="utf-8", newline="\n") as fh:
+            text = dump_goldens(make(work))
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print("wrote fixtures/search_goldens.json")
+        print(f"wrote fixtures/{os.path.basename(path)}")
         return
     save(mini_net(), os.path.join(FIXTURES, "mini.bn.yaml"))
     save(chain6_net(), os.path.join(FIXTURES, "chain6.bn.yaml"))

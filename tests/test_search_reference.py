@@ -1,4 +1,5 @@
-"""The tabu search against its goldens and against the slow reference search."""
+"""The tabu search against its goldens and against the slow reference search;
+the CLI pipeline's artifacts against theirs."""
 
 import importlib.util
 import os
@@ -30,6 +31,14 @@ def test_search_goldens_byte_identical(tmp_path):
         want = fh.read()
     got = goldens.dump_goldens(goldens.search_goldens(str(tmp_path / "ws")))
     assert got == want, "search results moved; rerun scripts/make_goldens.py --search only if intended"
+
+
+def test_pipeline_goldens_byte_identical(tmp_path):
+    goldens = _make_goldens()
+    with open(goldens.PIPELINE_GOLDENS, encoding="utf-8") as fh:
+        want = fh.read()
+    got = goldens.dump_goldens(goldens.pipeline_goldens(str(tmp_path)))
+    assert got == want, "artifact bytes moved; rerun scripts/make_goldens.py --pipeline only if intended"
 
 
 def _random_table(rng):
