@@ -11,10 +11,31 @@ import yaml
 
 from .errors import MalformedFile
 
+
+class _FloatRows:
+    """Loader mixin: a sequence of float scalars (a CPT row) is built by
+    ``float()``, not by PyYAML's per-node dispatch; any other sequence, or a
+    scalar ``float()`` refuses (``.inf``, ``1:30.0``), takes the constructor."""
+
+    def construct_sequence(self, node, deep=False):
+        floats = "tag:yaml.org,2002:float"
+        if isinstance(node, yaml.SequenceNode) and all(c.tag == floats for c in node.value):
+            try:
+                return [float(c.value) for c in node.value]
+            except (TypeError, ValueError):
+                pass
+        return super().construct_sequence(node, deep)
+
+
+def loader(base):
+    """``base``, a PyYAML safe loader class, with the ``_FloatRows`` shortcut."""
+    return type(base.__name__, (_FloatRows, base), {})
+
+
 if yaml.__with_libyaml__:
-    Loader, Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+    Loader, Dumper = loader(yaml.CSafeLoader), yaml.CSafeDumper
 else:
-    Loader, Dumper = yaml.SafeLoader, yaml.SafeDumper
+    Loader, Dumper = loader(yaml.SafeLoader), yaml.SafeDumper
 
 
 def load(stream, source):

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data/model error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import os
@@ -263,13 +264,7 @@ def cmd_learn(args, run: _Run):
         constraints = tiers_to_blacklist(
             tiers, [v.name for v in data.variables]
         ).merge(constraints)
-    tabu_cfg = configio.TabuConfig(
-        tenure=cfg.tabu.tenure,
-        max_iterations=cfg.tabu.max_iterations,
-        stall_limit=cfg.tabu.stall_limit,
-        restarts=cfg.tabu.restarts,
-        seed=seed,
-    )
+    tabu_cfg = dataclasses.replace(cfg.tabu, seed=seed)
 
     skipped = []
     if b == 0:

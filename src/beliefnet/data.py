@@ -43,19 +43,13 @@ class RawTable:
 
     def __init__(self, columns, rows):
         self.columns = tuple(columns)
+        self.rows = list(map(tuple, rows))
         width = len(self.columns)
-        self.rows = []
-        for i, row in enumerate(rows, start=1):
-            row = tuple(row)
-            if len(row) != width:
-                raise RaggedRow(i, width, len(row))
-            self.rows.append(row)
-        digest = hashlib.sha256()
-        digest.update("\x1f".join(self.columns).encode("utf-8"))
-        for row in self.rows:
-            digest.update(b"\x1e")
-            digest.update("\x1f".join(row).encode("utf-8"))
-        self.fingerprint = digest.hexdigest()
+        if not set(map(len, self.rows)) <= {width}:
+            i = next(i for i, row in enumerate(self.rows) if len(row) != width)
+            raise RaggedRow(i + 1, width, len(self.rows[i]))
+        text = "\x1e".join(["\x1f".join(self.columns), *map("\x1f".join, self.rows)])
+        self.fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @property
     def n_rows(self):
@@ -124,6 +118,8 @@ class VariableRecode:
         object.__setattr__(self, "source", self.source or self.name)
         if self.unmapped not in ("strict", "missing"):
             raise ValueError(f"unmapped policy {self.unmapped!r}")
+        if "" in self.levels:
+            raise ValueError(f"variable {self.name!r} has an empty level label")
         level_set = set(self.levels)
         for token, label in self.mapping.items():
             if label is not None and label not in level_set:
@@ -284,28 +280,17 @@ def counts(table: DataTable, variable, parents=()) -> CountTable:
 def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
     """Map raw tokens to level indices; unmapped tokens error or become missing."""
     columns = []
-    variables = []
     for vr in spec.variables:
+        lookup = {t: MISSING if x is None else vr.levels.index(x) for t, x in vr.mapping.items()}
         tokens = raw.column(vr.source)
-        lookup = {}
-        for token, label in vr.mapping.items():
-            lookup[token] = MISSING if label is None else vr.levels.index(label)
-        col = np.empty(len(tokens), dtype=np.int32)
-        for i, token in enumerate(tokens):
-            if token in lookup:
-                col[i] = lookup[token]
-            elif vr.unmapped == "missing":
-                col[i] = MISSING
-            else:
-                raise UnmappedToken(vr.name, token)
-        columns.append(col)
-        variables.append(vr.variable())
-    codes = (
-        np.stack(columns, axis=1)
-        if columns
-        else np.empty((raw.n_rows, 0), dtype=np.int32)
-    )
-    return DataTable(variables, codes, source=raw.fingerprint)
+        if vr.unmapped == "missing":
+            lookup = {**dict.fromkeys(tokens, MISSING), **lookup}
+        try:
+            columns.append([lookup[t] for t in tokens])
+        except KeyError as exc:
+            raise UnmappedToken(vr.name, exc.args[0]) from None
+    codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
+    return DataTable([vr.variable() for vr in spec.variables], codes, source=raw.fingerprint)
 
 
 def collapse_rare(
@@ -415,16 +400,14 @@ def split_population(table: DataTable, framing="DevelopAI"):
 
 def save_datatable(table: DataTable, csv_path, dict_path) -> None:
     """Write the table as a label CSV plus a YAML variable dictionary."""
+    _check_levels(table.variables, csv_path)
+    # code -1 picks the trailing "", so a missing cell is written empty
+    labels = [np.array(v.levels + ("",), dtype=object)[table.codes[:, i]]
+              for i, v in enumerate(table.variables)]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([v.name for v in table.variables])
-        for row in table.codes:
-            writer.writerow(
-                [
-                    "" if code == MISSING else var.levels[code]
-                    for var, code in zip(table.variables, row)
-                ]
-            )
+        writer.writerows(zip(*labels))
     doc = {
         "format": "beliefnet-dict",
         "version": 1,
@@ -440,6 +423,7 @@ def save_datatable(table: DataTable, csv_path, dict_path) -> None:
 
 
 def load_datatable(csv_path, dict_path) -> DataTable:
+    """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts."""
     with open(dict_path, "r", encoding="utf-8") as fh:
         doc = _yamlio.load(fh, dict_path)
     if not isinstance(doc, dict) or doc.get("format") != "beliefnet-dict":
@@ -461,18 +445,24 @@ def load_datatable(csv_path, dict_path) -> DataTable:
         raise MalformedFile(dict_path, "variables", f"missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedFile(dict_path, "variables", str(exc)) from exc
+    _check_levels(variables, dict_path)
     raw = load_csv(csv_path, required_columns=[v.name for v in variables])
-    order = [raw.columns.index(v.name) for v in variables]
-    codes = np.empty((raw.n_rows, len(variables)), dtype=np.int32)
-    for out_col, (var, src_col) in enumerate(zip(variables, order)):
-        lookup = {label: i for i, label in enumerate(var.levels)}
-        for i, row in enumerate(raw.rows):
-            cell = row[src_col]
-            if cell == "":
-                codes[i, out_col] = MISSING
-            else:
-                try:
-                    codes[i, out_col] = lookup[cell]
-                except KeyError:
-                    raise UnknownLevel(var.name, cell) from None
+    if raw.n_rows != doc.get("n_rows"):
+        reason = f"{raw.n_rows} rows, but {dict_path} declares {doc.get('n_rows')!r}"
+        raise MalformedFile(csv_path, "n_rows", reason)
+    columns = []
+    for var in variables:
+        lookup = {label: i for i, label in enumerate(("",) + var.levels, MISSING)}
+        try:
+            columns.append([lookup[cell] for cell in raw.column(var.name)])
+        except KeyError as exc:
+            raise UnknownLevel(var.name, exc.args[0]) from None
+    codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
     return DataTable(variables, codes, source=doc.get("source", ""))
+
+
+def _check_levels(variables, path):
+    """MalformedFile for a level labelled "", which a table CSV reads as missing."""
+    for v in variables:
+        if "" in v.levels:
+            raise MalformedFile(path, "variables", f"variable {v.name!r} has an empty level label")

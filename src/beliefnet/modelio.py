@@ -14,9 +14,11 @@ from .model import CategoricalVariable, Cpt, Dag, FittedNetwork
 
 FORMAT_NAME = "beliefnet-model"
 FORMAT_VERSION = 1
+WIDTH = 100000  # the emitter's line width, so a CPT row stays on one line
 
 
 def serialize(net: FittedNetwork) -> str:
+    """The model file, as ``_yamlio.dump`` writes the document at WIDTH."""
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -26,16 +28,33 @@ def serialize(net: FittedNetwork) -> str:
         ],
         "arcs": [[p, c] for (p, c) in net.dag.arcs()],
         "cpts": [
-            {
-                "variable": v.name,
-                "parents": list(net.cpts[v.name].parent_order),
-                "rows": [[float(x) for x in row] for row in net.cpts[v.name].table],
-            }
+            {"variable": v.name, "parents": list(net.cpts[v.name].parent_order)}
             for v in net.variables
         ],
         "metadata": dict(net.metadata),
     }
-    return _yamlio.dump(doc, width=100000)
+    # only top-level keys and items start a line unindented, and only CPT
+    # entries start "- variable: "; each entry's rows go after its parents
+    body, metadata = _yamlio.dump(doc, width=WIDTH).split("\nmetadata:", 1)
+    first, *entries = body.split("\n- variable: ")
+    parts = [first, "\n"]
+    for v, entry in zip(net.variables, entries):
+        parts += ["- variable: ", entry, "\n  rows:\n"]
+        for row in net.cpts[v.name].table.tolist():
+            line = f"  - [{', '.join(map(_yaml_float, row))}]\n"
+            if len(line) > WIDTH:  # the emitter breaks a long flow sequence
+                line = _yamlio.dump([{"rows": [row]}], width=WIDTH)[len("- rows:\n"):]
+            parts.append(line)
+    parts += ["metadata:", metadata]
+    return "".join(parts)
+
+
+def _yaml_float(x: float) -> str:
+    """``x`` as PyYAML's SafeRepresenter writes a float."""
+    text = repr(x).lower()
+    if "." not in text and "e" in text:
+        return text.replace("e", ".0e", 1)
+    return {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(text, text)
 
 
 def save(net: FittedNetwork, path) -> None:
@@ -61,7 +80,12 @@ def deserialize(text, source="<string>") -> FittedNetwork:
             )
             for entry in _req(doc, "variables", source)
         )
-        cpt_entries = {str(e["variable"]): e for e in _req(doc, "cpts", source)}
+        cpt_entries = {}
+        for e in _req(doc, "cpts", source):
+            name = str(e["variable"])
+            if name in cpt_entries:
+                raise MalformedFile(source, "cpts", f"duplicate entry for {name!r}")
+            cpt_entries[name] = e
         parents = {name: tuple(str(p) for p in e["parents"]) for name, e in cpt_entries.items()}
         dag = Dag(tuple(v.name for v in variables), parents)
         arcs = {(str(a), str(b)) for a, b in _req(doc, "arcs", source)}

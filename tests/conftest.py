@@ -11,8 +11,9 @@ ACCEPTANCE_LINES = []
 # (loader, dumper) of each YAML path; the libyaml one exists only when PyYAML
 # was built with it
 YAML_CLASSES = {
-    "libyaml": (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None)),
-    "pure": (yaml.SafeLoader, yaml.SafeDumper),
+    "libyaml": (_yamlio.loader(yaml.CSafeLoader) if yaml.__with_libyaml__ else None,
+                getattr(yaml, "CSafeDumper", None)),
+    "pure": (_yamlio.loader(yaml.SafeLoader), yaml.SafeDumper),
 }
 NEEDS_LIBYAML = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML built without libyaml"

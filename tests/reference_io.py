@@ -1,0 +1,115 @@
+"""Per-cell and whole-document reference versions of beliefnet's file I/O.
+
+These are the straightforward implementations the column-wise and row-text
+code in ``beliefnet.data`` and ``beliefnet.modelio`` replaced. The tests
+require equal bytes, equal codes and equal errors from both.
+"""
+
+import csv
+import hashlib
+
+import numpy as np
+
+from beliefnet import _yamlio
+from beliefnet.data import MISSING, DataTable, load_csv
+from beliefnet.errors import UnknownLevel, UnmappedToken
+from beliefnet.modelio import FORMAT_NAME, FORMAT_VERSION
+
+
+def serialize(net, width=100000):
+    """The model file as one ``_yamlio.dump`` of the whole document."""
+    doc = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "variables": [
+            {"name": v.name, "levels": list(v.levels), "ordinal": v.ordinal}
+            for v in net.variables
+        ],
+        "arcs": [[p, c] for (p, c) in net.dag.arcs()],
+        "cpts": [
+            {
+                "variable": v.name,
+                "parents": list(net.cpts[v.name].parent_order),
+                "rows": [[float(x) for x in row] for row in net.cpts[v.name].table],
+            }
+            for v in net.variables
+        ],
+        "metadata": dict(net.metadata),
+    }
+    return _yamlio.dump(doc, width=width)
+
+
+def fingerprint(columns, rows):
+    """The RawTable content digest, one update per row."""
+    digest = hashlib.sha256()
+    digest.update("\x1f".join(columns).encode("utf-8"))
+    for row in rows:
+        digest.update(b"\x1e")
+        digest.update("\x1f".join(row).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def recode(raw, spec):
+    """Token by token, writing each code into a numpy column."""
+    columns = []
+    for vr in spec.variables:
+        tokens = raw.column(vr.source)
+        lookup = {}
+        for token, label in vr.mapping.items():
+            lookup[token] = MISSING if label is None else vr.levels.index(label)
+        col = np.empty(len(tokens), dtype=np.int32)
+        for i, token in enumerate(tokens):
+            if token in lookup:
+                col[i] = lookup[token]
+            elif vr.unmapped == "missing":
+                col[i] = MISSING
+            else:
+                raise UnmappedToken(vr.name, token)
+        columns.append(col)
+    codes = (
+        np.stack(columns, axis=1) if columns else np.empty((raw.n_rows, 0), dtype=np.int32)
+    )
+    return DataTable([vr.variable() for vr in spec.variables], codes, source=raw.fingerprint)
+
+
+def save_datatable(table, csv_path, dict_path):
+    """One ``writerow`` per row, one label lookup per cell."""
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([v.name for v in table.variables])
+        for row in table.codes:
+            writer.writerow(
+                ["" if code == MISSING else var.levels[code]
+                 for var, code in zip(table.variables, row)]
+            )
+    doc = {
+        "format": "beliefnet-dict",
+        "version": 1,
+        "n_rows": int(table.n_rows),
+        "source": table.source,
+        "variables": [
+            {"name": v.name, "levels": list(v.levels), "ordinal": v.ordinal}
+            for v in table.variables
+        ],
+    }
+    with open(dict_path, "w", encoding="utf-8", newline="\n") as fh:
+        _yamlio.dump(doc, fh)
+
+
+def load_codes(csv_path, variables):
+    """The CSV's cells as codes, cell by cell, column by column."""
+    raw = load_csv(csv_path, required_columns=[v.name for v in variables])
+    order = [raw.columns.index(v.name) for v in variables]
+    codes = np.empty((raw.n_rows, len(variables)), dtype=np.int32)
+    for out_col, (var, src_col) in enumerate(zip(variables, order)):
+        lookup = {label: i for i, label in enumerate(var.levels)}
+        for i, row in enumerate(raw.rows):
+            cell = row[src_col]
+            if cell == "":
+                codes[i, out_col] = MISSING
+            else:
+                try:
+                    codes[i, out_col] = lookup[cell]
+                except KeyError:
+                    raise UnknownLevel(var.name, cell) from None
+    return codes

@@ -1,5 +1,6 @@
 """Survey pipeline: loading, recoding, missing handling, themes, splits, counts."""
 
+import csv
 import os
 import tempfile
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_io
 from beliefnet.cli import main
 
 from beliefnet.data import (
@@ -367,6 +369,138 @@ class TestPersistence:
         save_datatable(t, tmp_path / "b.csv", tmp_path / "b.yaml")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.yaml").read_bytes() == (tmp_path / "b.yaml").read_bytes()
+
+    def test_empty_level_label_refused_on_save(self, tmp_path):
+        # an empty cell reads back as missing, so level "" would not round-trip
+        var = CategoricalVariable("A", ("", "x"))
+        t = DataTable([var, CategoricalVariable("B", ("b0", "b1"))],
+                      [[0, 0], [1, 1], [-1, 0]])
+        with pytest.raises(MalformedFile) as err:
+            save_datatable(t, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
+        assert err.value.position == "variables" and "'A'" in err.value.reason
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_empty_level_label_refused_in_dictionary(self, tmp_path):
+        t = table_from(["Q"], [("1",), ("2",)], RecodeSpec([yn_spec("Q")]))
+        save_datatable(t, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
+        text = (tmp_path / "t.dict.yaml").read_text(encoding="utf-8")
+        (tmp_path / "t.dict.yaml").write_text(text.replace("'No'", "''"), encoding="utf-8")
+        with pytest.raises(MalformedFile) as err:
+            load_datatable(tmp_path / "t.csv", tmp_path / "t.dict.yaml")
+        assert err.value.position == "variables" and "empty level" in err.value.reason
+
+    def test_empty_level_label_refused_in_recode_spec(self):
+        with pytest.raises(ValueError, match="empty level"):
+            VariableRecode("Q", ("", "No"), {"1": "No"})
+
+    def test_truncated_csv_refused(self, tmp_path):
+        spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
+        t = table_from(["Q", "R"], [("1", "2"), ("2", "1"), ("99", "1"), ("1", "1")], spec)
+        csv_path = tmp_path / "t.csv"
+        save_datatable(t, csv_path, tmp_path / "t.dict.yaml")
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:3]), encoding="utf-8")  # header + 2 rows
+        with pytest.raises(MalformedFile) as err:
+            load_datatable(csv_path, tmp_path / "t.dict.yaml")
+        assert err.value.path == str(csv_path)
+        assert err.value.position == "n_rows"
+        assert "2 rows" in err.value.reason and "4" in err.value.reason
+
+
+# labels the CSV writer must quote or escape, next to plain ones
+LABELS = ["a", "b c", "x,y", 'say "hi"', "two\nlines", "cr\r\nlf", " pad ", "Männlich",
+          "'q'", ",", '"', "No"]
+
+
+@st.composite
+def _tables(draw):
+    """(variables, codes) with 1-4 columns and 0-12 rows; codes include -1."""
+    n_vars = draw(st.integers(1, 4))
+    variables = [
+        CategoricalVariable(
+            f"V{i}" if draw(st.booleans()) else f"V,{i}",
+            draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=5, unique=True)),
+        )
+        for i in range(n_vars)
+    ]
+    n_rows = draw(st.integers(0, 12))
+    codes = np.array(
+        [[draw(st.integers(MISSING, v.r - 1)) for v in variables] for _ in range(n_rows)],
+        dtype=np.int32,
+    ).reshape(n_rows, n_vars)
+    return variables, codes
+
+
+class TestColumnWiseParity:
+    """Column-wise recode, save and load against per-cell references."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_tables(), st.data())
+    def test_save_and_load_match_reference(self, table, data):
+        variables, codes = table
+        t = DataTable(variables, codes, source="src")
+        with tempfile.TemporaryDirectory() as tmp:
+            a = [os.path.join(tmp, n) for n in ("a.csv", "a.yaml")]
+            b = [os.path.join(tmp, n) for n in ("b.csv", "b.yaml")]
+            save_datatable(t, *a)
+            reference_io.save_datatable(t, *b)
+            for x, y in zip(a, b):
+                with open(x, "rb") as fx, open(y, "rb") as fy:
+                    assert fx.read() == fy.read()
+            back = load_datatable(*a)
+            assert back == t and back.source == "src"
+            assert np.array_equal(reference_io.load_codes(a[0], variables), back.codes)
+            if t.n_rows:  # one cell set to a label no variable declares
+                i = data.draw(st.integers(0, t.n_rows - 1), label="row")
+                j = data.draw(st.integers(0, len(variables) - 1), label="column")
+                labels = [["" if c == MISSING else v.levels[c] for v, c in zip(variables, row)]
+                          for row in codes]
+                labels[i][j] = "unknown"
+                with open(a[0], "w", encoding="utf-8", newline="") as fh:
+                    writer = csv.writer(fh, lineterminator="\n")
+                    writer.writerow([v.name for v in variables])
+                    writer.writerows(labels)
+                with pytest.raises(UnknownLevel) as want:
+                    reference_io.load_codes(a[0], variables)
+                with pytest.raises(UnknownLevel) as got:
+                    load_datatable(*a)
+                assert str(got.value) == str(want.value)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_recode_and_fingerprint_match_reference(self, data):
+        tokens = ["1", "2", "3", "x,y", 'q"', "a\nb", "", " 9 "]
+        n_rows = data.draw(st.integers(0, 10), label="rows")
+        specs, columns = [], []
+        for i in range(data.draw(st.integers(1, 3), label="variables")):
+            levels = data.draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=4,
+                                        unique=True), label="levels")
+            mapping = data.draw(st.dictionaries(
+                st.sampled_from(tokens), st.sampled_from(levels + [None]), max_size=6),
+                label="mapping")
+            specs.append(VariableRecode(
+                f"V{i}", levels, mapping, source=f"S{i}",
+                unmapped=data.draw(st.sampled_from(["strict", "missing"]), label="policy")))
+            columns.append(f"S{i}")
+        rows = [tuple(data.draw(st.sampled_from(tokens)) for _ in columns)
+                for _ in range(n_rows)]
+        raw = RawTable(columns, rows)
+        assert raw.fingerprint == reference_io.fingerprint(columns, rows)
+        spec = RecodeSpec(specs)
+        try:
+            want = reference_io.recode(raw, spec)
+        except UnmappedToken as exc:
+            with pytest.raises(UnmappedToken) as got:
+                recode(raw, spec)
+            assert str(got.value) == str(exc)
+        else:
+            got = recode(raw, spec)
+            assert got == want and got.source == want.source
+
+    def test_ragged_row_names_first_bad_row(self):
+        with pytest.raises(RaggedRow) as err:
+            RawTable(["a", "b"], [("1", "2"), ("1",), ("1", "2", "3")])
+        assert str(err.value) == "row 2: expected 2 cells, got 1"
 
 
 RAW_SURVEY = os.path.join("fixtures", "synthetic_survey.csv")

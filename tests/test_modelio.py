@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import random_net
+import reference_io
+from conftest import YAML_CLASSES, use_yaml
+from netgen import random_dag, random_net
+from beliefnet import modelio
 from beliefnet.errors import MalformedFile, VersionMismatch
 from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
 from beliefnet.modelio import deserialize, export_dot, load, serialize
@@ -50,6 +54,71 @@ class TestRoundTrip:
         rng = np.random.default_rng(seed)
         net = random_net(rng, 5)
         assert deserialize(serialize(net)) == net
+
+
+# names and levels YAML must quote, escape or keep as written
+NAMES = ["A", "Yes", "No", "on", "null", "~", "'q'", '"dq"', "a: b", "x:y", "- dash", "#h",
+         "Männlich", "日本語", " lead", "trail ", " both ", "1e3", "012", "true", "[b]",
+         "{c}", "a,b", "with space", "? q", "*star", "&amp", "!bang", "%p", "@at", "`t`",
+         "variable: v", "metadata: m", "- variable: x", "ü" * 20 + " long name here"]
+SPECIAL_FLOATS = [5e-324, 1e-300, 0.0, 1.0, 1e-05, 2.5e-10, 3.0000000000000004e-07]
+
+
+@st.composite
+def _odd_nets(draw):
+    """A random network named from NAMES, with CPT rows holding subnormal,
+    zero, one and exponent-form entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(1, 6), label="nodes")
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n, unique=True))
+    dag = random_dag(rng, n, p_arc=0.5)
+    rename = dict(zip(dag.nodes, names))
+    dag = Dag(tuple(names), {rename[c]: tuple(rename[p] for p in dag.parent_tuple(c))
+                             for c in dag.nodes})
+    variables = [CategoricalVariable(
+        name, draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=3, unique=True)),
+        ordinal=draw(st.booleans())) for name in names]
+    cards = {v.name: v.r for v in variables}
+    cpts = {}
+    for v in variables:
+        parents = dag.parent_tuple(v.name)
+        table = rng.dirichlet([0.5] * v.r, size=int(np.prod([cards[p] for p in parents])))
+        for row in table:
+            for k in range(v.r - 1):
+                if rng.random() < 0.4:
+                    row[k] = SPECIAL_FLOATS[int(rng.integers(len(SPECIAL_FLOATS)))]
+            row[-1] = 0.0
+            row[-1] = max(0.0, 1.0 - row.sum())
+            row /= row.sum()
+        cpts[v.name] = Cpt(v.name, parents, table)
+    metadata = draw(st.dictionaries(
+        st.sampled_from(NAMES), st.one_of(st.sampled_from(NAMES), st.integers(), st.floats(allow_nan=False)),
+        max_size=3), label="metadata")
+    return FittedNetwork(variables, dag, cpts, metadata)
+
+
+class TestSerializeParity:
+    """The row-text serializer against one ``_yamlio.dump`` of the whole
+    document, on both emitters and at a narrow width that wraps rows."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_odd_nets(), st.sampled_from([modelio.WIDTH, 40]))
+    def test_matches_whole_document_dump(self, net, width):
+        for path in YAML_CLASSES:
+            if YAML_CLASSES[path][0] is None:
+                continue
+            with pytest.MonkeyPatch.context() as m:
+                use_yaml(m, path)
+                m.setattr(modelio, "WIDTH", width)
+                assert serialize(net) == reference_io.serialize(net, width), (path, width)
+        back = deserialize(serialize(net))
+        assert back == net and repr(back.metadata) == repr(net.metadata)
+
+    def test_floats_as_the_dumper_writes_them(self):
+        values = SPECIAL_FLOATS + [-0.0, 1e16, 1e-16, 1.5e300, float("inf"), float("-inf"),
+                                   float("nan"), 123456789.0, 0.1]
+        for x in values:
+            assert modelio._yaml_float(x) + "\n" == yaml.safe_dump([x])[2:], x
 
 
 class TestGoldens:
@@ -98,6 +167,15 @@ class TestErrors:
         text = serialize(net).replace("- [A, B]\n", "")
         with pytest.raises(MalformedFile):
             deserialize(text)
+
+    def test_duplicate_cpt_entry(self):
+        with open(f"{GOLDEN_DIR}/mini.bn.yaml", encoding="utf-8") as fh:
+            text = fh.read()
+        text = text.replace("metadata:", "- variable: Rain\n  parents: []\n  rows:\n"
+                            "  - [0.5, 0.5]\nmetadata:")
+        with pytest.raises(MalformedFile) as exc:
+            deserialize(text, source="mini.bn.yaml")
+        assert str(exc.value) == "mini.bn.yaml: cpts: duplicate entry for 'Rain'"
 
     def test_missing_field(self):
         with pytest.raises(MalformedFile) as exc:

@@ -1,14 +1,16 @@
 """The libyaml and pure-Python YAML paths read and write every beliefnet file
-alike: equal documents on load, identical bytes on dump."""
+alike: equal documents on load, identical bytes on dump. The loaders' float
+shortcut gives what PyYAML's own constructor gives."""
 
 import glob
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NEEDS_LIBYAML, use_yaml
+from conftest import NEEDS_LIBYAML, YAML_CLASSES, use_yaml
 from netgen import random_net
 from beliefnet import _yamlio
 from beliefnet.cli import main
@@ -118,7 +120,70 @@ class TestParity:
         assert repr(_yamlio.load(text, "<doc>")) == repr(yaml.safe_load(text))
 
 
-class _CountingLoader(yaml.SafeLoader):
+# scalars a float-tagged node can hold, or that sit next to one
+SCALARS = [
+    "1.5", "-2.25", "1.0e-05", "5e-324", "!!float 5e-324", "!!float 1", "!!float -0", ".inf",
+    "-.inf", ".NaN", "!!float .inf", "!!float -nan", "!!float nan", "1_000.5",
+    "!!float 1_000.5", "!!float 1__0.5", "!!float _1.5", "1:30.0", "-1:30.0",
+    "!!float 1:30.0", "!!float x", "!!float ''", "&a 2.5", "*a", "!!float &b 1.5", "*b",
+    "!!float [1, 2]", "!!float {a: 1}", "!!int 3", "!!int x", "abc", "'1.5'", "~",
+    "!!float +.5", "!!float 1e500", "!!float ' 2.5 '", "0.0", "-0.0", "1.0",
+    "!!float 0x1p3", "!!float \u0661\u0662", "!!float 1E5", "[1.5, .inf]", "{k: 1.5}",
+]
+
+
+@st.composite
+def _documents(draw):
+    """YAML text: flow and block sequences (nested, or under a key) of SCALARS."""
+    items = draw(st.lists(st.sampled_from(SCALARS), min_size=1, max_size=6))
+    form = draw(st.sampled_from(["flow", "block", "nested", "keyed"]))
+    flow = "[" + ", ".join(items) + "]"
+    if form == "flow":
+        return flow + "\n"
+    if form == "block":
+        return "".join(f"- {x}\n" for x in items)
+    if form == "nested":
+        return f"- {flow}\n- {items[0]}\n"
+    return f"rows:\n- {flow}\nrow: {flow}\n"
+
+
+def _outcome(text):
+    try:
+        return "value", repr(_yamlio.load(text, "<doc>"))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_documents())
+def test_float_shortcut_matches_constructor(text):
+    """Each loader gives the value, or the error, its PyYAML base class gives."""
+    for base in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader):
+        if base is None:
+            continue
+        outcomes = []
+        for cls in (_yamlio.loader(base), base):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(_yamlio, "Loader", cls)
+                outcomes.append(_outcome(text))
+        assert outcomes[0] == outcomes[1], (base.__name__, text)
+
+
+def test_row_floats_skip_the_constructor(monkeypatch):
+    tags = []
+    construct = _yamlio.Loader.construct_object
+
+    def spy(self, node, deep=False):
+        tags.append(node.tag)
+        return construct(self, node, deep)
+
+    monkeypatch.setattr(_yamlio.Loader, "construct_object", spy)
+    with open("fixtures/mini.bn.yaml", encoding="utf-8") as fh:
+        assert deserialize(fh.read()).cpts["WetGrass"].table[3, 1] == 0.99
+    assert tags and "tag:yaml.org,2002:float" not in tags
+
+
+class _CountingLoader(YAML_CLASSES["pure"][0]):
     made = 0
 
     def __init__(self, stream):
