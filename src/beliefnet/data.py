@@ -284,9 +284,9 @@ def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
         lookup = {t: MISSING if x is None else vr.levels.index(x) for t, x in vr.mapping.items()}
         tokens = raw.column(vr.source)
         if vr.unmapped == "missing":
-            lookup = {**dict.fromkeys(tokens, MISSING), **lookup}
+            lookup = {**dict.fromkeys(tokens, MISSING), **lookup}  # unmapped: missing
         try:
-            columns.append([lookup[t] for t in tokens])
+            columns.append(np.array([lookup[t] for t in tokens], dtype=np.int32))
         except KeyError as exc:
             raise UnmappedToken(vr.name, exc.args[0]) from None
     codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
@@ -454,7 +454,7 @@ def load_datatable(csv_path, dict_path) -> DataTable:
     for var in variables:
         lookup = {label: i for i, label in enumerate(("",) + var.levels, MISSING)}
         try:
-            columns.append([lookup[cell] for cell in raw.column(var.name)])
+            columns.append(np.array([lookup[c] for c in raw.column(var.name)], dtype=np.int32))
         except KeyError as exc:
             raise UnknownLevel(var.name, exc.args[0]) from None
     codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T

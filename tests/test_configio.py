@@ -78,6 +78,18 @@ class TestPrep:
         with pytest.raises(MalformedFile):
             load_prep_config(p)
 
+    def test_empty_level_label(self, tmp_path):
+        # an empty CSV cell means missing, so level "" could not round-trip
+        p = write(
+            tmp_path,
+            "format: beliefnet-prep\nversion: 1\nvariables:\n"
+            "  - name: Q\n    levels: [a, '']\n    map: {'1': a}\n",
+        )
+        with pytest.raises(MalformedFile) as exc:
+            load_prep_config(p)
+        assert exc.value.position == "variables[0]"
+        assert exc.value.reason == "variable 'Q' has an empty level label"
+
 
 class TestThemes:
     def test_fixture_parses(self):

@@ -60,7 +60,8 @@ class TestRoundTrip:
 NAMES = ["A", "Yes", "No", "on", "null", "~", "'q'", '"dq"', "a: b", "x:y", "- dash", "#h",
          "Männlich", "日本語", " lead", "trail ", " both ", "1e3", "012", "true", "[b]",
          "{c}", "a,b", "with space", "? q", "*star", "&amp", "!bang", "%p", "@at", "`t`",
-         "variable: v", "metadata: m", "- variable: x", "ü" * 20 + " long name here"]
+         "variable: v", "metadata: m", "- variable: x", "ü" * 20 + " long name here",
+         "two\nlines", "a\n- variable: b", "x\nmetadata: y", "p\n\n  rows: q"]
 SPECIAL_FLOATS = [5e-324, 1e-300, 0.0, 1.0, 1e-05, 2.5e-10, 3.0000000000000004e-07]
 
 

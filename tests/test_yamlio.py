@@ -129,6 +129,7 @@ SCALARS = [
     "!!float [1, 2]", "!!float {a: 1}", "!!int 3", "!!int x", "abc", "'1.5'", "~",
     "!!float +.5", "!!float 1e500", "!!float ' 2.5 '", "0.0", "-0.0", "1.0",
     "!!float 0x1p3", "!!float \u0661\u0662", "!!float 1E5", "[1.5, .inf]", "{k: 1.5}",
+    "!!seq abc", "!!seq {a: 1.5}", "!!seq [1.5, 2.5]",
 ]
 
 
