@@ -389,10 +389,6 @@ class TestPersistence:
             load_datatable(tmp_path / "t.csv", tmp_path / "t.dict.yaml")
         assert err.value.position == "variables" and "empty level" in err.value.reason
 
-    def test_empty_level_label_refused_in_recode_spec(self):
-        with pytest.raises(ValueError, match="empty level"):
-            VariableRecode("Q", ("", "No"), {"1": "No"})
-
     def test_truncated_csv_refused(self, tmp_path):
         spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
         t = table_from(["Q", "R"], [("1", "2"), ("2", "1"), ("99", "1"), ("1", "1")], spec)
