@@ -47,8 +47,16 @@ def load(stream, source):
         mark = getattr(exc, "problem_mark", None)
         position = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "(unknown)"
         raise MalformedFile(source, position, getattr(exc, "problem", str(exc))) from exc
-    except ValueError as exc:  # undecodable bytes, or a bad value under a tag like !!int
+    except (ValueError, IndexError, KeyError, AttributeError) as exc:
+        # undecodable bytes, or what PyYAML's constructors raise on a bad
+        # tagged value: !!int x, !!int '', !!bool x, !!timestamp x
         raise MalformedFile(source, "(document)", str(exc)) from exc
+
+
+def read(path):
+    """The document in the UTF-8 file ``path``, as ``load`` parses it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return load(fh, path)
 
 
 def dump(doc, stream=None, width=None):

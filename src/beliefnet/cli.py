@@ -341,7 +341,7 @@ def cmd_query(args, run: _Run):
                      for level in net.variable(sweep).levels])
             for sweep in sweeps
         ]
-        reports.write_query_csv(path, target, net.variable(target).levels, baseline, blocks)
+        reports.write_query_csv(path, net.variable(target).levels, baseline, blocks)
     print(f"wrote {len(paths)} conditional table(s)")
 
 
@@ -457,8 +457,7 @@ def cmd_export(args, run: _Run):
             analysis.node_influence(net, (variable, state))
         )
     elif args.colors:
-        with open(args.colors, "r", encoding="utf-8") as fh:
-            doc = _yamlio.load(fh, args.colors) or {}
+        doc = _yamlio.read(args.colors) or {}
         if not isinstance(doc, dict):
             raise MalformedFile(args.colors, "(root)", "expected a map of node -> color")
         colors = {str(k): str(v) for k, v in doc.items()}

@@ -19,8 +19,7 @@ SUPPORTED_VERSION = 1
 
 
 def _load_doc(path, expected_format):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _yamlio.load(fh, path)
+    doc = _yamlio.read(path)
     if not isinstance(doc, dict):
         raise MalformedFile(path, "(root)", "expected a mapping")
     if doc.get("format") != expected_format:

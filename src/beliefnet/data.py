@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _yamlio
+from . import _yamlio, reports
 from .errors import (
     MalformedFile,
     MissingColumn,
@@ -118,8 +118,8 @@ class VariableRecode:
         object.__setattr__(self, "source", self.source or self.name)
         if self.unmapped not in ("strict", "missing"):
             raise ValueError(f"unmapped policy {self.unmapped!r}")
-        if "" in self.levels:
-            raise ValueError(f"variable {self.name!r} has an empty level label")
+        if problem := _label_problem(self.name, self.levels):
+            raise ValueError(problem)
         level_set = set(self.levels)
         for token, label in self.mapping.items():
             if label is not None and label not in level_set:
@@ -404,10 +404,7 @@ def save_datatable(table: DataTable, csv_path, dict_path) -> None:
     # code -1 picks the trailing "", so a missing cell is written empty
     labels = [np.array(v.levels + ("",), dtype=object)[table.codes[:, i]]
               for i, v in enumerate(table.variables)]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([v.name for v in table.variables])
-        writer.writerows(zip(*labels))
+    reports.write_csv(csv_path, [v.name for v in table.variables], zip(*labels))
     doc = {
         "format": "beliefnet-dict",
         "version": 1,
@@ -418,14 +415,12 @@ def save_datatable(table: DataTable, csv_path, dict_path) -> None:
             for v in table.variables
         ],
     }
-    with open(dict_path, "w", encoding="utf-8", newline="\n") as fh:
-        _yamlio.dump(doc, fh)
+    reports.write_text(dict_path, _yamlio.dump(doc))
 
 
 def load_datatable(csv_path, dict_path) -> DataTable:
     """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts."""
-    with open(dict_path, "r", encoding="utf-8") as fh:
-        doc = _yamlio.load(fh, dict_path)
+    doc = _yamlio.read(dict_path)
     if not isinstance(doc, dict) or doc.get("format") != "beliefnet-dict":
         raise MalformedFile(dict_path, "format", "expected beliefnet-dict")
     if doc.get("version") != 1:
@@ -462,7 +457,18 @@ def load_datatable(csv_path, dict_path) -> DataTable:
 
 
 def _check_levels(variables, path):
-    """MalformedFile for a level labelled "", which a table CSV reads as missing."""
+    """MalformedFile for a variable ``_label_problem`` refuses."""
     for v in variables:
-        if "" in v.levels:
-            raise MalformedFile(path, "variables", f"variable {v.name!r} has an empty level label")
+        if problem := _label_problem(v.name, v.levels):
+            raise MalformedFile(path, "variables", problem)
+
+
+def _label_problem(name, levels):
+    """Why a table CSV cannot round-trip this variable, or None: an empty
+    label reads back as missing, and the writer quotes a cell only for a
+    comma, a double quote or a newline, so a bare carriage return splits it."""
+    if "" in levels:
+        return f"variable {name!r} has an empty level label"
+    for label in (name, *levels):
+        if "\r" in label and not {",", '"', "\n"} & set(label):
+            return f"variable {name!r}: {label!r} has a carriage return the CSV leaves unquoted"

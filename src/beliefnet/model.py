@@ -336,9 +336,6 @@ class Cpt:
     def r(self) -> int:
         return self.table.shape[1]
 
-    def row(self, j) -> np.ndarray:
-        return self.table[j]
-
     def __eq__(self, other):
         return (
             isinstance(other, Cpt)

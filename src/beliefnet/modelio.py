@@ -8,7 +8,7 @@ field, bit for bit.
 
 from __future__ import annotations
 
-from . import _yamlio
+from . import _yamlio, reports
 from .errors import MalformedFile, VersionMismatch
 from .model import CategoricalVariable, Cpt, Dag, FittedNetwork
 
@@ -58,13 +58,19 @@ def _yaml_float(x: float) -> str:
 
 
 def save(net: FittedNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(net))
+    reports.write_text(path, serialize(net))
 
 
 def deserialize(text, source="<string>") -> FittedNetwork:
     """The network in ``text``, YAML text or a text file."""
-    doc = _yamlio.load(text, source)
+    return _network(_yamlio.load(text, source), source)
+
+
+def load(path) -> FittedNetwork:
+    return _network(_yamlio.read(path), str(path))
+
+
+def _network(doc, source) -> FittedNetwork:
     if not isinstance(doc, dict):
         raise MalformedFile(source, "(root)", "expected a mapping")
     if doc.get("format") != FORMAT_NAME:
@@ -102,11 +108,6 @@ def deserialize(text, source="<string>") -> FittedNetwork:
         raise MalformedFile(source, str(exc.args[0]), "missing field") from exc
     except Exception as exc:
         raise MalformedFile(source, "(document)", str(exc)) from exc
-
-
-def load(path) -> FittedNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh, source=str(path))
 
 
 def _req(doc, key, source):

@@ -106,9 +106,6 @@ class DecomposableScore:
             self.cache.store[key] = value
         return value
 
-    def total(self, parents_map) -> float:
-        return sum(self.local(v.name, parents_map.get(v.name, ())) for v in self.data.variables)
-
 
 def local_score(data: DataTable, variable: str, parents=(), kind: str = "AIC",
                 cache: ScoreCache | None = None) -> float:

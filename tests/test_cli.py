@@ -48,7 +48,8 @@ class TestPrep:
         with open(RAW, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
-        cfg = yaml.safe_load(open(PREP, encoding="utf-8"))
+        with open(PREP, encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
         by_name = {v["name"]: v for v in cfg["variables"]}
         full_vars = cfg["models"]["full"]
 
@@ -379,6 +380,16 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err.startswith("beliefnet: error:")
         assert f"{bad}: line 2, column 1:" in err
+
+    def test_bad_tagged_value_exit_2(self, tmp_path, capsys):
+        # PyYAML's int constructor raises IndexError on an empty !!int
+        with open("fixtures/mini.bn.yaml", encoding="utf-8") as fh:
+            text = fh.read().replace("seed: '0'", "seed: !!int ''")
+        model = tmp_path / "m.bn.yaml"
+        model.write_text(text, encoding="utf-8")
+        assert run("export", "--model", model, "--workspace", tmp_path / "ws") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beliefnet: error:") and "(document)" in err
 
     @pytest.mark.parametrize("fault, line", [(b'"', 4), (b"\xff", 7)])
     def test_malformed_csv_exit_2(self, tmp_path, capsys, fault, line):

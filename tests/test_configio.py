@@ -90,6 +90,16 @@ class TestPrep:
         assert exc.value.position == "variables[0]"
         assert exc.value.reason == "variable 'Q' has an empty level label"
 
+    def test_unquoted_carriage_return_in_label(self, tmp_path):
+        # the CSV writer quotes "\r\n" but not a bare "\r", which would split a row
+        body = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
+                "  - name: Q\n    levels: [{}]\n    map: {{'1': a}}\n")
+        assert load_prep_config(write(tmp_path, body.format('a, "c\\r\\nd"')))
+        with pytest.raises(MalformedFile) as exc:
+            load_prep_config(write(tmp_path, body.format('a, "c\\rd"')))
+        assert exc.value.position == "variables[0]"
+        assert "'c\\rd' has a carriage return" in exc.value.reason
+
 
 class TestThemes:
     def test_fixture_parses(self):

@@ -389,6 +389,16 @@ class TestPersistence:
             load_datatable(tmp_path / "t.csv", tmp_path / "t.dict.yaml")
         assert err.value.position == "variables" and "empty level" in err.value.reason
 
+    def test_unquoted_carriage_return_refused_in_dictionary(self, tmp_path):
+        t = table_from(["Q"], [("1",), ("2",)], RecodeSpec([yn_spec("Q")]))
+        save_datatable(t, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
+        text = (tmp_path / "t.dict.yaml").read_text(encoding="utf-8")
+        (tmp_path / "t.dict.yaml").write_text(text.replace("'No'", '"N\\ro"'), encoding="utf-8")
+        with pytest.raises(MalformedFile) as err:
+            load_datatable(tmp_path / "t.csv", tmp_path / "t.dict.yaml")
+        assert err.value.path == str(tmp_path / "t.dict.yaml")
+        assert err.value.position == "variables" and "carriage return" in err.value.reason
+
     def test_truncated_csv_refused(self, tmp_path):
         spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
         t = table_from(["Q", "R"], [("1", "2"), ("2", "1"), ("99", "1"), ("1", "1")], spec)

@@ -1,12 +1,17 @@
-"""Report writers and SVG charts."""
+"""Report writers, the one file writer, and SVG charts."""
 
+import ast
+import os
+import stat
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from beliefnet.analysis import CptParameterId, DirectedShift, TornadoBar
 from beliefnet.charts import scenario_bars_svg, tornado_svg
 from beliefnet.inference import conditional_table, posterior
 from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
-from beliefnet.reports import fmt, read_query_csv, text_table, write_query_csv
+from beliefnet.reports import fmt, read_query_csv, text_table, write_query_csv, write_text
 
 
 def simple_net():
@@ -40,7 +45,7 @@ class TestQueryCsv:
         baseline = posterior(net, "B")
         rows = conditional_table(net, "B", "A")[1:]
         path = tmp_path / "q.csv"
-        write_query_csv(path, "B", net.variable("B").levels, baseline, [("A", rows)])
+        write_query_csv(path, net.variable("B").levels, baseline, [("A", rows)])
         levels, parsed = read_query_csv(path)
         assert levels == ("b0", "b1", "b2")
         assert parsed[0][0] == "Baseline"
@@ -54,9 +59,72 @@ class TestQueryCsv:
         baseline = posterior(net, "B")
         rows = conditional_table(net, "B", "A")[1:]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_query_csv(a, "B", net.variable("B").levels, baseline, [("A", rows)])
-        write_query_csv(b, "B", net.variable("B").levels, baseline, [("A", rows)])
+        write_query_csv(a, net.variable("B").levels, baseline, [("A", rows)])
+        write_query_csv(b, net.variable("B").levels, baseline, [("A", rows)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWriteText:
+    def test_overwrite_leaves_only_the_target(self, tmp_path):
+        path = tmp_path / "r.txt"
+        write_text(path, "old\n")
+        write_text(path, "a\nb\r\n")
+        assert path.read_bytes() == b"a\nb\r\n"
+        assert os.listdir(tmp_path) == ["r.txt"]
+
+    def test_failed_replace_keeps_old_bytes_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.txt"
+        write_text(path, "old\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write_text(path, "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["r.txt"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate has no UTF-8 encoding, so the write itself raises
+        with pytest.raises(UnicodeEncodeError):
+            write_text(tmp_path / "r.txt", "bad \ud800")
+        assert os.listdir(tmp_path) == []
+
+    def test_new_file_mode_is_what_open_gives(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text(tmp_path / "a.txt", "x")
+            with open(tmp_path / "b.txt", "w", encoding="utf-8") as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("a.txt", "b.txt")]
+        assert modes == [0o640, 0o640]
+
+
+def test_every_open_in_src_is_a_known_one():
+    """Only reports.write_text opens a file for writing and only _yamlio.read
+    opens a YAML file; the other opens read CSV text, the lock and raw bytes."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "beliefnet")
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "open":
+                    mode = call.args[1].value if len(call.args) > 1 else "r"
+                    found.add((name[:-3], fn.name, mode))
+    assert found == {
+        ("reports", "write_text", "x"), ("_yamlio", "read", "r"),
+        ("reports", "read_query_csv", "r"), ("data", "load_csv", "rb"),
+        ("cli", "_lock_holder", "r"), ("cli", "_fingerprint", "rb"),
+    }
 
 
 class TestTextTable:

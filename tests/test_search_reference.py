@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference_search
+from beliefnet import reports
 from beliefnet.data import DataTable
 from beliefnet.inference import sample
 from beliefnet.learn import Constraints, TabuConfig, TabuLog, tabu_search, tiers_to_blacklist
@@ -39,6 +40,21 @@ def test_pipeline_goldens_byte_identical(tmp_path):
         want = fh.read()
     got = goldens.dump_goldens(goldens.pipeline_goldens(str(tmp_path)))
     assert got == want, "artifact bytes moved; rerun scripts/make_goldens.py --pipeline only if intended"
+
+
+def test_pipeline_writes_every_file_once_through_write_text(tmp_path, monkeypatch):
+    written, write_text = [], reports.write_text
+
+    def record(path, content):
+        written.append(os.path.realpath(path))
+        write_text(path, content)
+
+    monkeypatch.setattr(reports, "write_text", record)
+    _make_goldens().pipeline_goldens(str(tmp_path))
+    left = [os.path.realpath(os.path.join(base, name))
+            for base, _, files in os.walk(tmp_path / "ws") for name in files]
+    assert sum("manifest" in path for path in left) == 7
+    assert sorted(written) == sorted(left)
 
 
 def _random_table(rng):

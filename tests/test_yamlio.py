@@ -16,6 +16,7 @@ from beliefnet import _yamlio
 from beliefnet.cli import main
 from beliefnet.configio import load_learn_config
 from beliefnet.data import load_datatable, save_datatable
+from beliefnet.errors import MalformedFile
 from beliefnet.inference import sample
 from beliefnet.modelio import deserialize, serialize
 
@@ -213,3 +214,11 @@ def test_pure_fallback_serves_model_config_and_dictionary(monkeypatch, tmp_path)
     back = load_datatable(tmp_path / "t.csv", tmp_path / "t.dict.yaml")
     assert np.array_equal(back.codes, data.codes)
     assert (_CountingLoader.made, _CountingDumper.made) == (3, 2)
+
+
+@pytest.mark.parametrize("text", ["- !!float ''", "- !!int ''", "- !!bool x", "- !!timestamp x"])
+def test_constructor_crash_is_malformed_file(text):
+    # PyYAML's constructors raise IndexError, KeyError or AttributeError here
+    with pytest.raises(MalformedFile) as err:
+        _yamlio.load(text, "t.yaml")
+    assert (err.value.path, err.value.position) == ("t.yaml", "(document)")
