@@ -15,19 +15,19 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from .data import MISSING, CountTable, DataTable, _tally
+from .data import MISSING, CountTable, DataTable
 
 SCORE_KINDS = ("AIC", "BIC", "LOGLIK")
-
-
-def _loglik(n) -> float:
-    n_ij = n.sum(axis=1)
-    return float(xlogy(n, n).sum() - xlogy(n_ij, n_ij).sum())
+_sum = np.add.reduce  # what ndarray.sum runs, without its Python frame
+_CELL_MAX = int(np.iinfo(np.int32).max)  # largest family cell code
+_PARENT_CODE_BYTES = 4 << 20  # bound on one scorer's memo of parent codes
 
 
 def local_loglik(count_table: CountTable) -> float:
     """Maximized multinomial log-likelihood contribution of one family."""
-    return _loglik(count_table.counts)
+    n = count_table.counts
+    n_ij = n.sum(axis=1)
+    return float(xlogy(n, n).sum() - xlogy(n_ij, n_ij).sum())
 
 
 class ScoreCache:
@@ -48,11 +48,17 @@ class ScoreCache:
 class DecomposableScore:
     """Local-score evaluator bound to one data table and score kind.
 
-    ``weights`` are nonnegative row multiplicities: with
+    ``weights`` are nonnegative integer row multiplicities: with
     ``np.bincount(idx, minlength=n_rows)`` every score equals the one on
-    ``data.take(idx)`` exactly. Zero-weight rows are dropped, N is the
-    weight total, and a cache miss tallies the cached int64 code columns
-    with one ``bincount``, in the cell order of ``counts``.
+    ``data.take(idx)`` exactly. Zero-weight rows are dropped and N is the
+    weight total. A cache miss tallies the family with one ``bincount``
+    over int32 cell codes, in the cell order of ``counts``: the parents'
+    mixed-radix configuration code times the child's arity plus the
+    child's level. A parent mask's code is built once per scorer, from its
+    longest already built prefix, and kept for every child that shares the
+    mask, up to ``_PARENT_CODE_BYTES``. Counts are exact integers, so the
+    log-likelihood reads each k*log(k) from a table over k = 0..N and
+    equals the ``xlogy`` sums of ``local_loglik`` bit for bit.
     """
 
     def __init__(self, data: DataTable, kind: str = "AIC", cache: ScoreCache | None = None,
@@ -63,10 +69,12 @@ class DecomposableScore:
         codes, n = data.codes, data.n_rows
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (n,) or not np.all(weights >= 0):
-                raise ValueError(f"weights must be {n} nonnegative row multiplicities")
+            if weights.shape != (n,) or not np.all(
+                np.isfinite(weights) & (weights >= 0) & (np.floor(weights) == weights)
+            ):
+                raise ValueError(f"weights must be {n} nonnegative integer row multiplicities")
             codes, weights = codes[weights > 0], weights[weights > 0]
-            n = float(weights.sum())
+            n = int(weights.sum())
         if (codes == MISSING).any():
             raise ValueError("scores require complete-case data")
         self.data = data
@@ -74,8 +82,13 @@ class DecomposableScore:
         self.cache = cache
         self._log_n = math.log(n) if n else 0.0
         self._r = tuple(v.r for v in data.variables)
-        self._cols = np.array(codes.T, dtype=np.int64)
+        self._cols = tuple(np.array(codes.T, dtype=np.int32))
         self._weights = weights
+        k = np.arange(n + 1, dtype=np.float64)
+        self._xlogx = xlogy(k, k)
+        self._ones = tuple(np.ones(r, dtype=np.intp) for r in self._r)
+        self._parent_codes = {0: (1, None)}  # parent mask -> (q, code; None for no parents)
+        self._parent_code_bytes = 0
 
     def local(self, variable, parents) -> float:
         """Penalized local score of one family.
@@ -95,16 +108,53 @@ class DecomposableScore:
                 self.cache.hits += 1
                 return cached
             self.cache.misses += 1
-        cols, r = self._cols, self._r
-        family = [(cols[i], r[i]) for i in range(len(r)) if parents >> i & 1]
-        n = _tally(cols[child], family, r[child], self._weights)
-        value = _loglik(n)
+        rc = self._r[child]
+        memo = self._parent_codes.get(parents)
+        if memo is None:
+            bits, rest = [], parents
+            while rest:
+                low = rest & -rest
+                bits.append(low.bit_length() - 1)
+                rest ^= low
+            q = math.prod([self._r[i] for i in bits])
+        else:
+            q, code = memo
+        if q * rc > _CELL_MAX:
+            names = [v.name for i, v in enumerate(self.data.variables) if parents >> i & 1]
+            raise ValueError(f"the family of {self.data.variables[child].name!r} with parents "
+                             f"{names} has {q * rc} cells, more than int32 codes hold")
+        if memo is None:
+            code = self._parent_code(parents, bits, q)
+        cell = self._cols[child] if code is None else code * rc + self._cols[child]
+        n = np.bincount(cell, weights=self._weights, minlength=q * rc)
+        if self._weights is not None:
+            n = n.astype(np.intp)
+        n = n.reshape(q, rc)
+        table = self._xlogx
+        # N_ij as a dot product: integer sums are exact in any order
+        value = float(_sum(table[n], None) - _sum(table[n.dot(self._ones[child])], None))
         if self.kind != "LOGLIK":
-            d = n.shape[0] * (r[child] - 1)
+            d = q * (rc - 1)
             value -= d if self.kind == "AIC" else 0.5 * d * self._log_n
         if self.cache is not None:
             self.cache.store[key] = value
         return value
+
+    def _parent_code(self, parents, bits, q):
+        """Configuration code of a parent mask over the kept rows (``bits``
+        ascending, first most significant), extended from the longest prefix
+        already built and kept while the memo stays within its bound."""
+        j, prefix = len(bits), parents
+        while prefix not in self._parent_codes:
+            j -= 1
+            prefix ^= 1 << bits[j]
+        code = self._parent_codes[prefix][1]
+        for i in bits[j:]:
+            code = self._cols[i] if code is None else code * self._r[i] + self._cols[i]
+        if self._parent_code_bytes + code.nbytes <= _PARENT_CODE_BYTES:
+            self._parent_codes[parents] = (q, code)
+            self._parent_code_bytes += code.nbytes
+        return code
 
 
 def local_score(data: DataTable, variable: str, parents=(), kind: str = "AIC",

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+from beliefnet import scores
 from beliefnet.data import CountTable, DataTable
+from beliefnet.inference import sample
+from beliefnet.learn import TabuConfig, TabuLog, tabu_search
 from beliefnet.model import CategoricalVariable, Dag, parameter_count
 from beliefnet.scores import DecomposableScore, ScoreCache, local_loglik, local_score, score
+from netgen import random_net
 
 
 def table(cols):
@@ -268,8 +272,9 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("weights", [
         np.ones(9), np.ones(11), np.ones((10, 1)), -np.ones(10),
-        np.array([1.0] * 9 + [np.nan]),
-    ], ids=["short", "long", "2d", "negative", "nan"])
+        np.array([1.0] * 9 + [np.nan]), np.array([np.inf] + [1.0] * 9),
+        np.array([0.5] + [1.0] * 9),
+    ], ids=["short", "long", "2d", "negative", "nan", "inf", "fractional"])
     def test_bad_weights_rejected(self, weights):
         t = table({"A": [0, 1] * 5, "B": [1, 0] * 5})
         with pytest.raises(ValueError):
@@ -283,3 +288,65 @@ class TestKernelOracle:
         assert DecomposableScore(t, "AIC", weights=[2, 0, 1]).local("A", ()) == reference_local(
             t.take([0, 0, 2]), "A", (), "AIC"
         )
+
+
+class TestCellCodeRange:
+    @pytest.mark.parametrize("n_parents", [30, 31])
+    def test_family_beyond_int32_codes_rejected_before_tallying(self, n_parents):
+        # 2**30 * 2 cells is one more than int32 codes hold; nothing is built
+        rng = np.random.default_rng(131)
+        t = table({f"V{i}": rng.integers(0, 2, 20) for i in range(32)})
+        ev = DecomposableScore(t, "AIC", ScoreCache())
+        parents = [f"V{i}" for i in range(1, n_parents + 1)]
+        with pytest.raises(ValueError, match=r"'V0'.*'V1'.*'V%d'" % n_parents):
+            ev.local("V0", parents)
+        assert ev._parent_codes == {0: (1, None)}
+        assert ev._parent_code_bytes == 0
+
+
+class TestParentCodeMemo:
+    """Parent configuration codes are memoized per scorer, over its kept rows."""
+
+    def test_scorers_with_different_weights_keep_their_own_codes(self):
+        rng = np.random.default_rng(137)
+        for _ in range(10):
+            t = random_table(rng)
+            k = len(t.variables)
+            draws = [rng.integers(0, t.n_rows, t.n_rows) for _ in range(2)]
+            evs = [DecomposableScore(t, "BIC", weights=np.bincount(idx, minlength=t.n_rows))
+                   for idx in draws]
+            takes = [t.take(idx) for idx in draws]
+            for _ in range(12):
+                child = int(rng.integers(k))
+                mask = int(rng.integers(1 << k)) & ~(1 << child)
+                names = [t.variables[i].name for i in range(k) if mask >> i & 1]
+                for ev, taken in zip(evs, takes):  # interleaved on one parent mask
+                    want = reference_local(taken, t.variables[child].name, names, "BIC")
+                    assert ev.local(child, mask) == want
+
+    def test_tiny_budget_leaves_a_faithful_search_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(139)
+        net = random_net(rng, 9, p_arc=0.5, concentration=0.5)
+        data = sample(net, 600, seed=139)
+        w = np.bincount(rng.integers(0, data.n_rows, data.n_rows), minlength=data.n_rows)
+        config = TabuConfig(tenure=10, max_iterations=1000, stall_limit=100, seed=139)
+
+        def run():
+            log = TabuLog()
+            dag = tabu_search(data, "AIC", config=config, log=log, weights=w)
+            return dag.parents, log.best_scores, log.iterations, log.cache_misses
+
+        want = run()
+        budget = 3 * 4 * int((w > 0).sum())  # three int32 codes over the kept rows
+        monkeypatch.setattr(scores, "_PARENT_CODE_BYTES", budget)
+        seen, local = [], DecomposableScore.local
+
+        def checked(self, variable, parents):
+            value = local(self, variable, parents)
+            assert self._parent_code_bytes <= budget
+            seen.append(parents not in self._parent_codes)
+            return value
+
+        monkeypatch.setattr(DecomposableScore, "local", checked)
+        assert run() == want
+        assert any(seen)  # the budget bound: some parent mask was not kept
