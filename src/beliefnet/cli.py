@@ -35,6 +35,7 @@ from .inference import fit_bayes, fit_mle, posterior
 from .learn import (
     averaged_network,
     bootstrap_strengths,
+    bootstrap_workers,
     optimal_threshold,
     tabu_search,
     tiers_to_blacklist,
@@ -293,6 +294,7 @@ def cmd_learn(args, run: _Run):
         reports.write_strengths_csv(strengths_path, strengths)
     run.extra = {
         "bootstrap": b,
+        "bootstrap_workers": bootstrap_workers(b, args.workers) if b else None,
         "score": cfg.score,
         "alpha": cfg.alpha,
         "threshold": threshold,
@@ -492,7 +494,8 @@ def _add_common(sub, name_default):
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker processes for the learn bootstrap; other commands run serially",
+        help="most worker processes for the learn bootstrap, which runs in-process "
+        "when it has too few replicates to pay for a pool; other commands run serially",
     )
     sub.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp comment in SVGs"

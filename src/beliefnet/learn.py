@@ -35,6 +35,11 @@ from .scores import DecomposableScore, ScoreCache
 
 # score deltas below this are treated as ties, not improvements
 SCORE_EPS = 1e-9
+# a bootstrap starts a worker pool only when each worker gets at least this
+# many replicates: below it, forking the workers saves a few tens of ms at
+# best and often costs as much (serial vs 2-worker `learn` at B = 4..64,
+# measured in CHANGES.md)
+POOL_MIN_REPLICATES = 4
 
 
 @dataclass(frozen=True)
@@ -491,6 +496,12 @@ def _boot_one(data, score, constraints, config, seed, replicate):
     return tuple(dag.arcs())
 
 
+def bootstrap_workers(b: int, n_jobs: int) -> int:
+    """Processes a bootstrap of ``b`` replicates runs in when allowed ``n_jobs``:
+    ``n_jobs`` if each worker gets at least POOL_MIN_REPLICATES, else 1."""
+    return n_jobs if b >= POOL_MIN_REPLICATES * n_jobs else 1
+
+
 def bootstrap_strengths(
     data: DataTable,
     b: int = 2000,
@@ -506,23 +517,28 @@ def bootstrap_strengths(
     derived from (seed, replicate index), learns a DAG, and the arc tallies
     are merged; a replicate reweights the rows by their draw counts instead
     of copying them. Replicates are independent, so the result is identical
-    for any n_jobs and any execution order. A failing replicate raises
-    BootstrapError naming its index; a worker process that dies instead
-    names the first replicate without a result.
+    for any n_jobs and any execution order. n_jobs is an upper bound: the
+    replicates run in this process unless ``bootstrap_workers`` gives more
+    than one. A failing replicate raises BootstrapError naming its index; a
+    worker process that dies instead names the first replicate without a
+    result.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     constraints = constraints or Constraints()
     config = config or TabuConfig()
     one = functools.partial(_boot_one, data, score, constraints, config, seed)
-    pool = None if n_jobs == 1 else concurrent.futures.ProcessPoolExecutor(n_jobs)
+    workers = bootstrap_workers(b, n_jobs)
+    pool = None if workers == 1 else concurrent.futures.ProcessPoolExecutor(workers)
     tally = {}
     received = 0
     with pool or contextlib.nullcontext():
         if pool is None:
             results = map(one, range(b))
         else:
-            results = pool.map(one, range(b), chunksize=max(1, b // (4 * n_jobs)))
+            results = pool.map(one, range(b), chunksize=max(1, b // (4 * workers)))
         try:
             for arcs in results:
                 received += 1

@@ -105,9 +105,16 @@ def write_csv(path, header, rows) -> None:
 def write_text(path, content) -> None:
     """``content`` as UTF-8 with LF newlines, written to ``<path>.<pid>.tmp``
     and moved over ``path`` once on disk: a failed write leaves the old file
-    or none (a killed one may also leave the tmp)."""
+    or none (a killed one may also leave the tmp, which the next write of
+    ``path`` under the same pid removes)."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # mode follows the umask
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")  # mode follows the umask
+    except FileExistsError:
+        # only this process can own the name and it writes one file at a
+        # time, so the tmp is left by a killed process that had this pid
+        os.unlink(tmp)
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
             fh.write(content)

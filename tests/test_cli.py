@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from beliefnet.cli import main
+from beliefnet.learn import POOL_MIN_REPLICATES
 from beliefnet.reports import read_query_csv
 
 RAW = "fixtures/synthetic_survey.csv"
@@ -127,7 +128,23 @@ class TestLearn:
         manifest = yaml.safe_load((ws / "models" / "full.manifest.yaml").read_text())
         assert manifest["seed"] == 7
         assert manifest["extra"]["bootstrap"] == 15
+        assert manifest["extra"]["bootstrap_workers"] == 1
         assert 0 < manifest["extra"]["threshold"] <= 1
+
+    @pytest.mark.parametrize("b, used", [
+        (2 * POOL_MIN_REPLICATES - 1, 1), (2 * POOL_MIN_REPLICATES, 2),
+    ])
+    def test_manifest_records_the_processes_the_bootstrap_used(self, ws, tmp_path, b, used):
+        code = run(
+            "learn", "--data", ws / "data" / "survey_full.csv",
+            "--dict", ws / "data" / "survey_full.dict.yaml",
+            "--tiers", TIERS, "--config", LEARN, "--bootstrap", b, "--workers", 2,
+            "--seed", 7, "--workspace", tmp_path / "w", "--name", "full",
+        )
+        assert code == 0
+        manifest = yaml.safe_load((tmp_path / "w" / "models" / "full.manifest.yaml").read_text())
+        assert manifest["workers"] == 2
+        assert manifest["extra"]["bootstrap_workers"] == used
 
     def test_byte_identical_across_runs(self, ws, tmp_path):
         code = run(
@@ -162,6 +179,8 @@ class TestLearn:
         assert code == 0
         assert (tmp_path / "ws0" / "models" / "single.bn.yaml").exists()
         assert not (tmp_path / "ws0" / "strengths" / "single_strengths.csv").exists()
+        manifest = yaml.safe_load((tmp_path / "ws0" / "models" / "single.manifest.yaml").read_text())
+        assert manifest["extra"]["bootstrap_workers"] is None
 
     def test_whitelist_vs_tier_conflict(self, ws, tmp_path, capsys):
         cfg = tmp_path / "learn.yaml"

@@ -1,5 +1,6 @@
 """Structure learning: tabu search, bootstrap strengths, threshold, consensus."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -18,12 +19,14 @@ from beliefnet.errors import (
 )
 from beliefnet.inference import sample
 from beliefnet.learn import (
+    POOL_MIN_REPLICATES,
     ArcStrengthTable,
     Constraints,
     TabuConfig,
     TabuLog,
     averaged_network,
     bootstrap_strengths,
+    bootstrap_workers,
     l1_threshold,
     optimal_threshold,
     tabu_search,
@@ -63,6 +66,22 @@ START_METHOD = (
     or multiprocessing.get_all_start_methods()[0]
 )
 needs_fork = pytest.mark.skipif(START_METHOD != "fork", reason="needs fork-started workers")
+# the fewest replicates that 2 workers get a pool for
+POOL_B = 2 * POOL_MIN_REPLICATES
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools bootstrap_strengths starts."""
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return started
 
 
 class TestConstraints:
@@ -215,11 +234,30 @@ class TestBootstrap:
         assert t1.dir_counts == t2.dir_counts
         assert t1.dir_counts != t3.dir_counts
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, pools):
         data = dependent_pair(n=200, flip=0.3, seed=31)
         serial = bootstrap_strengths(data, b=12, config=FAST, seed=5, n_jobs=1)
         parallel = bootstrap_strengths(data, b=12, config=FAST, seed=5, n_jobs=2)
         assert serial.dir_counts == parallel.dir_counts
+        assert pools == [2]
+
+    def test_small_bootstrap_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        data = dependent_pair(n=200, flip=0.3, seed=31)
+        serial = bootstrap_strengths(data, b=POOL_B - 1, config=FAST, seed=5, n_jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        small = bootstrap_strengths(data, b=POOL_B - 1, config=FAST, seed=5, n_jobs=2)
+        assert small.dir_counts == serial.dir_counts
+
+    @pytest.mark.parametrize("b, n_jobs, workers", [
+        (1, 1, 1), (10_000, 1, 1),
+        (POOL_B - 1, 2, 1), (POOL_B, 2, 2),
+        (3 * POOL_MIN_REPLICATES - 1, 3, 1), (3 * POOL_MIN_REPLICATES, 3, 3),
+    ])
+    def test_pool_only_when_every_worker_gets_enough_replicates(self, b, n_jobs, workers):
+        assert bootstrap_workers(b, n_jobs) == workers
 
     def test_symmetry_and_direction_sum(self):
         data = sample(load("fixtures/chain6.bn.yaml"), 400, seed=37)
@@ -242,6 +280,12 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_strengths(data, b=0, config=FAST, seed=8)
 
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_invalid_worker_count(self, n_jobs):
+        data = dependent_pair(n=50, seed=43)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            bootstrap_strengths(data, b=POOL_B, config=FAST, seed=8, n_jobs=n_jobs)
+
     def test_failing_replicate_reports_index(self, monkeypatch):
         import beliefnet.learn as learn_mod
 
@@ -262,7 +306,7 @@ class TestBootstrap:
         assert "blew up" in str(exc.value)
 
     @needs_fork
-    def test_failing_replicate_mid_chunk_reports_index_with_workers(self, monkeypatch):
+    def test_failing_replicate_mid_chunk_reports_index_with_workers(self, monkeypatch, pools):
         import beliefnet.learn as learn_mod
 
         data = dependent_pair(n=60, seed=53)
@@ -279,9 +323,10 @@ class TestBootstrap:
             bootstrap_strengths(data, b=200, config=FAST, seed=seed, n_jobs=2)
         assert exc.value.replicate == failing
         assert "blew up" in str(exc.value)
+        assert pools == [2]
 
     @needs_fork
-    def test_crashed_worker_raises_bootstrap_error(self, monkeypatch):
+    def test_crashed_worker_raises_bootstrap_error(self, monkeypatch, pools):
         import beliefnet.learn as learn_mod
 
         data = dependent_pair(n=60, seed=59)
@@ -297,9 +342,10 @@ class TestBootstrap:
         with pytest.raises(BootstrapError) as exc:
             bootstrap_strengths(data, b=40, config=FAST, seed=seed, n_jobs=2)
         assert exc.value.replicate <= failing
+        assert pools == [2]
 
     @needs_fork
-    def test_worker_error_arrives_with_its_cause(self, monkeypatch):
+    def test_worker_error_arrives_with_its_cause(self, monkeypatch, pools):
         import beliefnet.learn as learn_mod
 
         data = dependent_pair(n=60, seed=61)
@@ -319,6 +365,7 @@ class TestBootstrap:
         assert isinstance(cause, UnknownLevel)
         assert (cause.variable, cause.level) == ("A", "v9")
         assert "has no level 'v9'" in str(exc.value)
+        assert pools == [2]
 
     def test_bootstrap_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(BootstrapError(3, RuntimeError("x"))))

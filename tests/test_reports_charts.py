@@ -85,6 +85,14 @@ class TestWriteText:
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["r.txt"]
 
+    def test_stale_temp_of_this_pid_is_replaced(self, tmp_path):
+        # a killed writer that had this pid left its temp file behind
+        path = tmp_path / "r.txt"
+        (tmp_path / f"r.txt.{os.getpid()}.tmp").write_text("partial", encoding="utf-8")
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["r.txt"]
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         # a lone surrogate has no UTF-8 encoding, so the write itself raises
         with pytest.raises(UnicodeEncodeError):
