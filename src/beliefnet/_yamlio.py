@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import yaml
 
-from .errors import MalformedFile
+from .errors import MalformedFile, VersionMismatch
 
 
 class _FloatRows:
@@ -57,6 +57,19 @@ def read(path):
     """The document in the UTF-8 file ``path``, as ``load`` parses it."""
     with open(path, "r", encoding="utf-8") as fh:
         return load(fh, path)
+
+
+def header(doc, source, name, version):
+    """``doc`` once it is a mapping whose ``format`` is ``name`` and whose
+    ``version`` is ``version``: else MalformedFile at "(root)" or "format",
+    or VersionMismatch."""
+    if not isinstance(doc, dict):
+        raise MalformedFile(source, "(root)", "expected a mapping")
+    if doc.get("format") != name:
+        raise MalformedFile(source, "format", f"expected {name!r}, got {doc.get('format')!r}")
+    if doc.get("version") != version:
+        raise VersionMismatch(source, doc.get("version"), version)
+    return doc
 
 
 def dump(doc, stream=None, width=None):

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data/model error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import hashlib
 import os
@@ -265,11 +264,10 @@ def cmd_learn(args, run: _Run):
         constraints = tiers_to_blacklist(
             tiers, [v.name for v in data.variables]
         ).merge(constraints)
-    tabu_cfg = dataclasses.replace(cfg.tabu, seed=seed)
 
     skipped = []
     if b == 0:
-        dag = tabu_search(data, score=cfg.score, constraints=constraints, config=tabu_cfg)
+        dag = tabu_search(data, score=cfg.score, constraints=constraints, config=cfg.tabu)
         threshold = None
     else:
         strengths = bootstrap_strengths(
@@ -277,7 +275,7 @@ def cmd_learn(args, run: _Run):
             b=b,
             score=cfg.score,
             constraints=constraints,
-            config=tabu_cfg,
+            config=cfg.tabu,
             seed=seed,
             n_jobs=args.workers,
         )

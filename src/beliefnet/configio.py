@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import _yamlio
 from .data import RecodeSpec, ThemeSpec, VariableRecode
-from .errors import MalformedFile, VersionMismatch
+from .errors import MalformedFile
 from .learn import Constraints, TabuConfig
 from .model import Evidence, TierSpec
 from .analysis import ScenarioDef
@@ -19,22 +19,14 @@ SUPPORTED_VERSION = 1
 
 
 def _load_doc(path, expected_format):
-    doc = _yamlio.read(path)
-    if not isinstance(doc, dict):
-        raise MalformedFile(path, "(root)", "expected a mapping")
-    if doc.get("format") != expected_format:
-        raise MalformedFile(
-            path, "format", f"expected {expected_format!r}, got {doc.get('format')!r}"
-        )
-    if doc.get("version") != SUPPORTED_VERSION:
-        raise VersionMismatch(path, doc.get("version"), SUPPORTED_VERSION)
-    return doc
+    return _yamlio.header(_yamlio.read(path), path, expected_format, SUPPORTED_VERSION)
 
 
 _REQUIRED = object()
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1] or 'auto'")
+_NO_RESTARTS = (lambda v: v == 1, "random restarts are not supported; must be 1 or absent")
 
 
 def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
@@ -184,10 +176,11 @@ def load_learn_config(path) -> LearnConfig:
     tabu_doc = _field(doc, "tabu", dict, {}, path=path)
     tabu = {
         key: _field(tabu_doc, key, int, default, _POSITIVE, path=path, where="tabu.")
-        for key, default in (
-            ("tenure", 10), ("max_iterations", 1000), ("stall_limit", 100), ("restarts", 1)
-        )
+        for key, default in (("tenure", 10), ("max_iterations", 1000), ("stall_limit", 100))
     }
+    # the search makes one tabu walk; a config asking for more must not
+    # quietly get one
+    _field(tabu_doc, "restarts", int, 1, _NO_RESTARTS, path=path, where="tabu.")
     threshold = None
     if doc.get("threshold") not in ("auto", None):
         threshold = _field(doc, "threshold", float, check=_UNIT_INTERVAL, path=path)

@@ -24,7 +24,6 @@ from .errors import (
     UnknownLevel,
     UnknownVariable,
     UnmappedToken,
-    VersionMismatch,
 )
 from .model import CategoricalVariable
 
@@ -420,11 +419,7 @@ def save_datatable(table: DataTable, csv_path, dict_path) -> None:
 
 def load_datatable(csv_path, dict_path) -> DataTable:
     """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts."""
-    doc = _yamlio.read(dict_path)
-    if not isinstance(doc, dict) or doc.get("format") != "beliefnet-dict":
-        raise MalformedFile(dict_path, "format", "expected beliefnet-dict")
-    if doc.get("version") != 1:
-        raise VersionMismatch(dict_path, doc.get("version"), 1)
+    doc = _yamlio.header(_yamlio.read(dict_path), dict_path, "beliefnet-dict", 1)
     try:
         variables = [
             CategoricalVariable(

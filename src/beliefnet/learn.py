@@ -1,14 +1,16 @@
 """Structure learning: tabu search, bootstrap arc strengths, consensus network.
 
-The search walks the space of DAGs with add/delete/reverse moves under a
-decomposable score, keeping a tabu list of the inverses of recent moves so it
-can cross score plateaus and shallow optima. The search works on column
-indices: parent sets and ancestor sets are int bitmasks, so a cycle test is
-one bit test, and a per-pair table of move deltas is kept across iterations,
-so a move rescores only the candidates that read the one or two families it
-changed. Robustness comes from a nonparametric bootstrap: each replicate
-resamples the rows with replacement, learns a DAG, and the per-edge inclusion
-frequencies ("strengths") are averaged into a consensus network at a
+The search is one tabu walk over the space of DAGs with add/delete/reverse
+moves under a decomposable score, keeping a tabu list of the inverses of
+recent moves so it can cross score plateaus and shallow optima, followed by a
+greedy polish of the best DAG the walk saw. As in bnlearn's ``tabu()``
+(Scutari 2010), the walk starts once, from the required arcs alone. The search
+works on column indices: parent sets and ancestor sets are int bitmasks, so a
+cycle test is one bit test, and a per-pair table of move deltas is kept across
+iterations, so a move rescores only the candidates that read the one or two
+families it changed. Robustness comes from a nonparametric bootstrap: each
+replicate resamples the rows with replacement, learns a DAG, and the per-edge
+inclusion frequencies ("strengths") are averaged into a consensus network at a
 threshold estimated from the strength distribution itself.
 """
 
@@ -44,14 +46,16 @@ POOL_MIN_REPLICATES = 4
 
 @dataclass(frozen=True)
 class TabuConfig:
+    """Tabu search settings. ``seed`` is kept for callers that set it; the
+    search is deterministic and no longer reads it."""
+
     tenure: int = 10
     max_iterations: int = 1000
     stall_limit: int = 100
-    restarts: int = 1
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("tenure", "max_iterations", "stall_limit", "restarts"):
+        for name in ("tenure", "max_iterations", "stall_limit"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -62,7 +66,6 @@ class TabuLog:
     def __init__(self):
         self.best_scores = []  # best-seen score after each accepted move
         self.iterations = 0
-        self.restarts = 0
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -250,11 +253,10 @@ def tabu_search(
 ) -> Dag:
     """Learn a DAG by tabu search over add/delete/reverse moves.
 
-    Returns the best-seen DAG, which is also locally optimal: after the tabu
-    phase a plain greedy pass runs from the best snapshot until no legal
-    single move improves the score. Deterministic given the config seed; with
-    restarts > 1 the extra starts perturb the incumbent with seeded random
-    moves.
+    One tabu walk runs from the graph of the required arcs alone, then a
+    plain greedy pass runs from the best DAG the walk saw until no legal
+    single move improves the score. So the result is the best-seen DAG and is
+    locally optimal. The search is deterministic: it draws no random numbers.
 
     Each iteration scans the ordered node pairs in column order. Parent sets
     are bitmasks, ancestor bitmasks make each cycle test O(1), and a per-pair
@@ -280,21 +282,9 @@ def tabu_search(
 
     scorer = DecomposableScore(data, score, cache=ScoreCache(), weights=weights)
     state = _SearchState(scorer, forbidden, required)
-    best_snap = state.snapshot()
-    best_total = sum(state.cur)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-
-    for restart in range(config.restarts):
-        if restart > 0:
-            state.restore(_perturb(best_snap, state.forbidden, state.required, rng))
-        snap, s_total = _tabu_phase(state, config, sum(state.cur), log)
-        if s_total > best_total + SCORE_EPS:
-            best_total, best_snap = s_total, snap
-        if log is not None:
-            log.restarts += 1
+    state.restore(_tabu_phase(state, config, sum(state.cur), log))
 
     # greedy polish: guarantee no legal single move improves the best DAG
-    state.restore(best_snap)
     total = sum(state.cur)
     while True:
         move, delta = _best_move(state, tabu=None, it=0, aspiration=None)
@@ -347,7 +337,7 @@ def _tabu_phase(state, config, total, log):
             log.best_scores.append(best_total)
         if stall > config.stall_limit:
             break
-    return best_snap, best_total
+    return best_snap
 
 
 def _best_move(state, tabu, it, aspiration):
@@ -407,28 +397,6 @@ def _best_move(state, tabu, it, aspiration):
                 best, bar = (kind, a, b), d + SCORE_EPS
                 best_delta = d
     return best, best_delta
-
-
-def _perturb(masks, forbidden, required, rng):
-    """Parent masks after random legal add/delete moves (diversifies restarts)."""
-    pmask = list(masks)
-    n = len(pmask)
-    anc, _ = _ancestry(pmask)
-    for _ in range(n):
-        a, b = (int(i) for i in rng.integers(0, n, 2))
-        if a == b:
-            continue
-        abit = 1 << a
-        if pmask[b] & abit:
-            if required[b] & abit:
-                continue
-            pmask[b] &= ~abit
-        elif forbidden[b] & abit or anc[a] >> b & 1:
-            continue
-        else:
-            pmask[b] |= abit
-        anc, _ = _ancestry(pmask)
-    return tuple(pmask)
 
 
 class ArcStrengthTable:

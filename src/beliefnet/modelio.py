@@ -9,7 +9,7 @@ field, bit for bit.
 from __future__ import annotations
 
 from . import _yamlio, reports
-from .errors import MalformedFile, VersionMismatch
+from .errors import MalformedFile
 from .model import CategoricalVariable, Cpt, Dag, FittedNetwork
 
 FORMAT_NAME = "beliefnet-model"
@@ -71,12 +71,7 @@ def load(path) -> FittedNetwork:
 
 
 def _network(doc, source) -> FittedNetwork:
-    if not isinstance(doc, dict):
-        raise MalformedFile(source, "(root)", "expected a mapping")
-    if doc.get("format") != FORMAT_NAME:
-        raise MalformedFile(source, "format", f"expected {FORMAT_NAME!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise VersionMismatch(source, doc.get("version"), FORMAT_VERSION)
+    _yamlio.header(doc, source, FORMAT_NAME, FORMAT_VERSION)
     try:
         variables = tuple(
             CategoricalVariable(
@@ -102,7 +97,7 @@ def _network(doc, source) -> FittedNetwork:
         }
         metadata = doc.get("metadata") or {}
         return FittedNetwork(variables, dag, cpts, metadata)
-    except (MalformedFile, VersionMismatch):
+    except MalformedFile:
         raise
     except KeyError as exc:
         raise MalformedFile(source, str(exc.args[0]), "missing field") from exc

@@ -9,8 +9,6 @@ compare the two on DAG, TabuLog.best_scores, iterations and cache misses.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from beliefnet.learn import SCORE_EPS, Constraints, TabuConfig
 from beliefnet.model import Dag
 from beliefnet.scores import DecomposableScore, ScoreCache
@@ -100,23 +98,7 @@ def tabu_search(data, score="AIC", constraints=None, config=None, log=None):
     local = {n: scorer.local(n, state.parents[n]) for n in nodes}
     total = sum(local.values())
 
-    best_snap = state.snapshot()
-    best_total = total
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-
-    for restart in range(config.restarts):
-        if restart > 0:
-            state.restore(best_snap)
-            perturb(state, constraints, rng, len(nodes))
-            local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-            total = sum(local.values())
-        snap, s_total = tabu_phase(state, scorer, constraints, config, local, total, log)
-        if s_total > best_total + SCORE_EPS:
-            best_total, best_snap = s_total, snap
-        if log is not None:
-            log.restarts += 1
-
-    state.restore(best_snap)
+    state.restore(tabu_phase(state, scorer, constraints, config, local, total, log))
     local = {n: scorer.local(n, state.parents[n]) for n in nodes}
     total = sum(local.values())
     while True:
@@ -164,7 +146,7 @@ def tabu_phase(state, scorer, constraints, config, local, total, log):
             log.best_scores.append(best_total)
         if stall > config.stall_limit:
             break
-    return best_snap, best_total
+    return best_snap
 
 
 def apply_scored(state, move, scorer, local):
@@ -217,17 +199,3 @@ def best_move(state, scorer, constraints, tabu, it, aspiration):
                 if delta > best_delta + SCORE_EPS:
                     best, best_delta = move, delta
     return best, best_delta
-
-
-def perturb(state, constraints, rng, n_moves):
-    """Random legal add/delete moves used to diversify restarts."""
-    nodes = state.nodes
-    for _ in range(n_moves):
-        a, b = (nodes[i] for i in rng.integers(0, len(nodes), 2))
-        if a == b:
-            continue
-        if state.has_arc(a, b):
-            if (a, b) not in constraints.required:
-                state.apply(Move(Move.DELETE, (a, b)))
-        elif (a, b) not in constraints.forbidden and not state.reaches(b, a):
-            state.apply(Move(Move.ADD, (a, b)))

@@ -49,7 +49,7 @@ from beliefnet.model import (
 from beliefnet.modelio import load as load_model
 from beliefnet.scores import score
 
-FAST = TabuConfig(tenure=5, max_iterations=300, stall_limit=10, restarts=1)
+FAST = TabuConfig(tenure=5, max_iterations=300, stall_limit=10)
 
 
 def _report(num, desc, ok, detail=""):

@@ -28,16 +28,57 @@ def write(tmp_path, text, name="cfg.yaml"):
     return p
 
 
-class TestHeaders:
-    def test_wrong_format(self, tmp_path):
-        p = write(tmp_path, "format: nope\nversion: 1\n")
-        with pytest.raises(MalformedFile):
-            load_tier_config(p)
+DICT_TEXT = """\
+format: beliefnet-dict
+version: 1
+n_rows: 2
+source: abc
+variables:
+- {name: A, levels: [a0, a1], ordinal: false}
+- name: B
+  levels: [b0, b1, b2]
+  ordinal: true
+"""
 
-    def test_version_mismatch(self, tmp_path):
-        p = write(tmp_path, "format: beliefnet-tiers\nversion: 7\ntiers: []\n")
-        with pytest.raises(VersionMismatch):
-            load_tier_config(p)
+
+def _load_dictionary(path):
+    csv_path = os.path.join(os.path.dirname(path), "table.csv")
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("A,B\na0,b2\na1,\n")
+    return load_datatable(csv_path, path)
+
+
+# (loader, format) for a config, the table dictionary and the model file,
+# which share one format/version check
+HEADERS = {
+    "tiers": (load_tier_config, "beliefnet-tiers"),
+    "dictionary": (_load_dictionary, "beliefnet-dict"),
+    "model": (load_model, "beliefnet-model"),
+}
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("kind", HEADERS)
+    def test_wrong_format(self, tmp_path, kind):
+        p = write(tmp_path, "format: nope\nversion: 1\n")
+        with pytest.raises(MalformedFile) as exc:
+            HEADERS[kind][0](p)
+        assert exc.value.position == "format"
+
+    @pytest.mark.parametrize("kind", HEADERS)
+    def test_version_mismatch(self, tmp_path, kind):
+        loader, name = HEADERS[kind]
+        p = write(tmp_path, f"format: {name}\nversion: 7\n")
+        with pytest.raises(VersionMismatch) as exc:
+            loader(p)
+        assert (exc.value.found, exc.value.supported) == (7, 1)
+
+    @pytest.mark.parametrize("kind", HEADERS)
+    def test_not_a_mapping(self, tmp_path, kind):
+        p = write(tmp_path, "- format\n- version\n")
+        with pytest.raises(MalformedFile) as exc:
+            HEADERS[kind][0](p)
+        assert exc.value.position == "(root)"
 
     def test_syntax_error_position(self, tmp_path, yaml_path):
         p = write(tmp_path, "format: beliefnet-tiers\nversion: 1\ntiers: [:::\n")
@@ -185,12 +226,20 @@ class TestLearn:
         ("alpha: 1" + "0" * 400, "alpha"),
         ("threshold: x", "threshold"),
         ("whitelist: [[A]]", "whitelist"),
+        ("tabu: {restarts: 2}", "tabu.restarts"),
+        ("tabu: {restarts: true}", "tabu.restarts"),
     ])
     def test_mistyped_field_is_named(self, tmp_path, line, position):
         p = write(tmp_path, f"format: beliefnet-learn\nversion: 1\n{line}\n")
         with pytest.raises(MalformedFile) as exc:
             load_learn_config(p)
         assert exc.value.position == position
+
+    def test_restarts_one_still_loads(self, tmp_path):
+        head = "format: beliefnet-learn\nversion: 1\n"
+        with_key = write(tmp_path, head + "tabu: {tenure: 5, restarts: 1}\n", "a.yaml")
+        without = write(tmp_path, head + "tabu: {tenure: 5}\n", "b.yaml")
+        assert load_learn_config(with_key) == load_learn_config(without)
 
     def test_constraints_built(self, tmp_path):
         p = write(
@@ -201,6 +250,20 @@ class TestLearn:
         cons = load_learn_config(p).constraints()
         assert ("A", "B") in cons.required
         assert ("B", "A") in cons.forbidden
+
+
+@pytest.mark.parametrize("name, loader", [
+    ("prep.yaml", load_prep_config),
+    ("tiers.yaml", load_tier_config),
+    ("learn.yaml", load_learn_config),
+    ("query.yaml", load_query_config),
+    ("sobol.yaml", load_sobol_config),
+    ("scenarios.yaml", load_scenario_config),
+    ("sensitivity.yaml", load_sensitivity_config),
+])
+def test_gesis_config_loads(name, loader):
+    """The paper's configs, which only the GESIS reproduction reads."""
+    loader(os.path.join("configs", "gesis", name))
 
 
 class TestAnalysisConfigs:
@@ -236,26 +299,6 @@ class TestAnalysisConfigs:
         )
         with pytest.raises(MalformedFile):
             load_sensitivity_config(p)
-
-
-DICT_TEXT = """\
-format: beliefnet-dict
-version: 1
-n_rows: 2
-source: abc
-variables:
-- {name: A, levels: [a0, a1], ordinal: false}
-- name: B
-  levels: [b0, b1, b2]
-  ordinal: true
-"""
-
-
-def _load_dictionary(path):
-    csv_path = os.path.join(os.path.dirname(path), "table.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("A,B\na0,b2\na1,\n")
-    return load_datatable(csv_path, path)
 
 
 def _fixture(name):

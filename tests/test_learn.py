@@ -36,7 +36,7 @@ from beliefnet.model import CategoricalVariable, Dag, TierSpec
 from beliefnet.modelio import load
 from beliefnet.scores import score
 
-FAST = TabuConfig(tenure=5, max_iterations=200, stall_limit=10, restarts=1)
+FAST = TabuConfig(tenure=5, max_iterations=200, stall_limit=10)
 
 
 def binary_table(cols):
@@ -163,12 +163,17 @@ class TestTabuSearch:
         dag = tabu_search(data, constraints=cons, config=FAST)
         assert ("A", "B") in dag.arcs()
 
-    def test_deterministic_given_seed(self):
+    def test_search_ignores_seed(self):
         rng = np.random.default_rng(11)
         cols = {f"V{i}": rng.integers(0, 2, 400) for i in range(5)}
         data = binary_table(cols)
-        cfg = TabuConfig(tenure=5, max_iterations=100, stall_limit=10, restarts=2, seed=9)
-        assert tabu_search(data, config=cfg).parents == tabu_search(data, config=cfg).parents
+        runs = []
+        for seed in (9, 10):
+            log = TabuLog()
+            cfg = TabuConfig(tenure=5, max_iterations=100, stall_limit=10, seed=seed)
+            dag = tabu_search(data, config=cfg, log=log)
+            runs.append((dag.parents, vars(log)))
+        assert runs[0] == runs[1]
 
     def test_best_seen_monotone(self):
         data = sample(load("fixtures/chain6.bn.yaml"), 2000, seed=13)
