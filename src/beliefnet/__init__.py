@@ -75,6 +75,6 @@ from .model import (
     topological_order,
 )
 from .modelio import deserialize, export_dot, load, save, serialize
-from .scores import ScoreCache, local_loglik, local_score, score
+from .scores import ScoreCache, score
 
 __version__ = "0.1.0"

@@ -208,10 +208,6 @@ class DataTable:
     def filter_rows(self, mask) -> "DataTable":
         return DataTable(self.variables, self.codes[np.asarray(mask, bool)], self.source)
 
-    def take(self, indices) -> "DataTable":
-        """Row subset/resample by integer index (used by the bootstrap)."""
-        return DataTable(self.variables, self.codes[np.asarray(indices)], self.source)
-
     def __eq__(self, other):
         return (
             isinstance(other, DataTable)

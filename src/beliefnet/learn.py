@@ -268,7 +268,8 @@ def tabu_search(
     exactly the moves, of a full rescan that rescores every candidate.
 
     ``weights`` are row multiplicities: ``np.bincount(idx, minlength=n_rows)``
-    learns exactly the DAG of ``data.take(idx)`` (see ``DecomposableScore``).
+    learns exactly the DAG of the table of rows ``data.codes[idx]`` (see
+    ``DecomposableScore``).
     """
     config = config or TabuConfig()
     constraints = constraints or Constraints()

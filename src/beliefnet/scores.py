@@ -13,21 +13,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
-from .data import MISSING, CountTable, DataTable
+from .data import MISSING, DataTable
 
 SCORE_KINDS = ("AIC", "BIC", "LOGLIK")
 _sum = np.add.reduce  # what ndarray.sum runs, without its Python frame
 _CELL_MAX = int(np.iinfo(np.int32).max)  # largest family cell code
 _PARENT_CODE_BYTES = 4 << 20  # bound on one scorer's memo of parent codes
+_xlogx = np.zeros(1)  # k*log(k) for k = 0..len-1, shared read-only by every scorer
+_xlogx.flags.writeable = False
 
 
-def local_loglik(count_table: CountTable) -> float:
-    """Maximized multinomial log-likelihood contribution of one family."""
-    n = count_table.counts
-    n_ij = n.sum(axis=1)
-    return float(xlogy(n, n).sum() - xlogy(n_ij, n_ij).sum())
+def _xlogx_upto(n: int) -> np.ndarray:
+    """k*log(k) for k = 0..n, read from the process-wide table and grown on demand;
+    each entry is libm's ``k * log(k)`` (numpy's vectorized ``log`` differs in
+    the last bit for some k)."""
+    global _xlogx
+    if n >= len(_xlogx):
+        grown = np.concatenate([_xlogx, [k * math.log(k) for k in range(len(_xlogx), n + 1)]])
+        grown.flags.writeable = False
+        _xlogx = grown
+    return _xlogx[:n + 1]
 
 
 class ScoreCache:
@@ -49,16 +55,15 @@ class DecomposableScore:
     """Local-score evaluator bound to one data table and score kind.
 
     ``weights`` are nonnegative integer row multiplicities: with
-    ``np.bincount(idx, minlength=n_rows)`` every score equals the one on
-    ``data.take(idx)`` exactly. Zero-weight rows are dropped and N is the
-    weight total. A cache miss tallies the family with one ``bincount``
-    over int32 cell codes, in the cell order of ``counts``: the parents'
-    mixed-radix configuration code times the child's arity plus the
+    ``np.bincount(idx, minlength=n_rows)`` every score equals the one on the
+    table of rows ``data.codes[idx]`` exactly. Zero-weight rows are dropped
+    and N is the weight total. A cache miss tallies the family with one
+    ``bincount`` over int32 cell codes, in the cell order of ``counts``: the
+    parents' mixed-radix configuration code times the child's arity plus the
     child's level. A parent mask's code is built once per scorer, from its
     longest already built prefix, and kept for every child that shares the
     mask, up to ``_PARENT_CODE_BYTES``. Counts are exact integers, so the
-    log-likelihood reads each k*log(k) from a table over k = 0..N and
-    equals the ``xlogy`` sums of ``local_loglik`` bit for bit.
+    log-likelihood reads each k*log(k) from the shared table over k = 0..N.
     """
 
     def __init__(self, data: DataTable, kind: str = "AIC", cache: ScoreCache | None = None,
@@ -84,8 +89,7 @@ class DecomposableScore:
         self._r = tuple(v.r for v in data.variables)
         self._cols = tuple(np.array(codes.T, dtype=np.int32))
         self._weights = weights
-        k = np.arange(n + 1, dtype=np.float64)
-        self._xlogx = xlogy(k, k)
+        self._xlogx = _xlogx_upto(n)
         self._ones = tuple(np.ones(r, dtype=np.intp) for r in self._r)
         self._parent_codes = {0: (1, None)}  # parent mask -> (q, code; None for no parents)
         self._parent_code_bytes = 0
@@ -155,11 +159,6 @@ class DecomposableScore:
             self._parent_codes[parents] = (q, code)
             self._parent_code_bytes += code.nbytes
         return code
-
-
-def local_score(data: DataTable, variable: str, parents=(), kind: str = "AIC",
-                cache: ScoreCache | None = None) -> float:
-    return DecomposableScore(data, kind, cache).local(variable, parents)
 
 
 def score(dag, data: DataTable, kind: str = "AIC", cache: ScoreCache | None = None) -> float:

@@ -7,11 +7,11 @@ import pytest
 from scipy.special import xlogy
 
 from beliefnet import scores
-from beliefnet.data import CountTable, DataTable
+from beliefnet.data import DataTable
 from beliefnet.inference import sample
 from beliefnet.learn import TabuConfig, TabuLog, tabu_search
 from beliefnet.model import CategoricalVariable, Dag, parameter_count
-from beliefnet.scores import DecomposableScore, ScoreCache, local_loglik, local_score, score
+from beliefnet.scores import DecomposableScore, ScoreCache, score
 from netgen import random_net
 
 
@@ -29,37 +29,46 @@ def table(cols):
     return DataTable(variables, np.stack(arrays, axis=1))
 
 
+def loglik(t, variable, parents=()):
+    return DecomposableScore(t, "LOGLIK").local(variable, parents)
+
+
+def rows(t, idx):
+    """The table of rows ``t.codes[idx]``: what a bootstrap replicate resamples."""
+    return DataTable(t.variables, t.codes[np.asarray(idx)])
+
+
 class TestLocalLoglik:
     def test_even_split(self):
-        v = CategoricalVariable("X", ("a", "b"))
-        ct = CountTable(v, (), np.array([[5, 5]]))
-        assert local_loglik(ct) == pytest.approx(10 * math.log(0.5), abs=1e-12)
+        t = table({"X": [0] * 5 + [1] * 5})
+        assert loglik(t, "X") == pytest.approx(10 * math.log(0.5), abs=1e-12)
 
     def test_deterministic_column_is_zero(self):
-        v = CategoricalVariable("X", ("a", "b"))
-        ct = CountTable(v, (), np.array([[10, 0]]))
-        assert local_loglik(ct) == 0.0
+        t = table({"X": [0] * 10})
+        assert loglik(t, "X") == 0.0
 
     def test_empty_parent_rows_contribute_zero(self):
-        v = CategoricalVariable("X", ("a", "b"))
+        # P's second level is never observed, so its row of N_ijk is all zero
+        x = CategoricalVariable("X", ("a", "b"))
         p = CategoricalVariable("P", ("u", "v"))
-        ct = CountTable(v, (p,), np.array([[3, 1], [0, 0]]))
+        t = DataTable([x, p], np.array([[0, 0], [0, 0], [0, 0], [1, 0]], dtype=np.int32))
         expected = 3 * math.log(3 / 4) + 1 * math.log(1 / 4)
-        assert local_loglik(ct) == pytest.approx(expected, abs=1e-12)
+        assert loglik(t, "X", ("P",)) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_on_random_table(self):
         rng = np.random.default_rng(17)
-        v = CategoricalVariable("X", ("a", "b", "c", "d"))
+        x = CategoricalVariable("X", ("a", "b", "c", "d"))
         p = CategoricalVariable("P", ("u", "v", "w"))
         raw = rng.integers(0, 30, size=(3, 4))
-        ct = CountTable(v, (p,), raw)
+        cells = [(k, j) for j in range(3) for k in range(4) for _ in range(raw[j, k])]
+        t = DataTable([x, p], np.array(cells, dtype=np.int32))
         expected = 0.0
         for j in range(3):
             nij = raw[j].sum()
             for k in range(4):
                 if raw[j, k] > 0:
                     expected += raw[j, k] * math.log(raw[j, k] / nij)
-        assert local_loglik(ct) == pytest.approx(expected, rel=1e-12)
+        assert loglik(t, "X", ("P",)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestScore:
@@ -86,7 +95,7 @@ class TestScore:
         dag = Dag(("A", "B", "C", "D"), {"B": ("A",), "C": ("A", "B"), "D": ("C",)})
         total = score(dag, t, "AIC")
         parts = sum(
-            local_score(t, n, dag.parent_tuple(n), "AIC") for n in dag.nodes
+            DecomposableScore(t, "AIC").local(n, dag.parent_tuple(n)) for n in dag.nodes
         )
         assert total == pytest.approx(parts, abs=1e-9)
 
@@ -131,7 +140,8 @@ class TestScore:
         before = Dag(("A", "B", "C"), {"C": ("A",)})
         after = Dag(("A", "B", "C"), {"C": ("A", "B")})
         delta_total = score(after, t) - score(before, t)
-        delta_local = local_score(t, "C", ("A", "B")) - local_score(t, "C", ("A",))
+        delta_local = (DecomposableScore(t, "AIC").local("C", ("A", "B"))
+                       - DecomposableScore(t, "AIC").local("C", ("A",)))
         assert delta_total == delta_local  # exact, not approximate
 
     def test_missing_data_rejected(self):
@@ -207,7 +217,7 @@ def reference_counts(table, variable, parents=()):
 
 
 def reference_local(table, variable, parents, kind):
-    """Penalized local score by the counts + local_loglik path the kernel replaced."""
+    """Penalized local score by the counts + ``xlogy`` sums the kernel replaced."""
     n = reference_counts(table, variable, parents)
     n_ij = n.sum(axis=1)
     value = float(xlogy(n, n).sum() - xlogy(n_ij, n_ij).sum())
@@ -259,7 +269,7 @@ class TestKernelOracle:
             idx = rng.integers(0, t.n_rows, t.n_rows)
             w = np.bincount(idx, minlength=t.n_rows)
             weighted = DecomposableScore(t, kind, weights=w)
-            resampled = t.take(idx)
+            resampled = rows(t, idx)
             plain = DecomposableScore(resampled, kind)
             for child in range(k):
                 for mask in range(1 << k):
@@ -280,13 +290,41 @@ class TestKernelOracle:
         with pytest.raises(ValueError):
             DecomposableScore(t, "AIC", weights=weights)
 
+    def test_xlogx_table_equals_xlogy_bit_for_bit(self):
+        k = np.arange(200_001, dtype=np.float64)
+        got = scores._xlogx_upto(200_000)
+        assert np.array_equal(got.view(np.int64), xlogy(k, k).view(np.int64))
+
+    def test_xlogx_table_grown_in_steps_equals_one_build(self, monkeypatch):
+        def fresh():
+            empty = np.zeros(1)
+            empty.flags.writeable = False
+            monkeypatch.setattr(scores, "_xlogx", empty)
+
+        fresh()
+        once = scores._xlogx_upto(2042)
+        fresh()
+        for n in (10, 1303, 2042):
+            stepped = scores._xlogx_upto(n)
+        assert np.array_equal(stepped.view(np.int64), once.view(np.int64))
+        assert np.array_equal(scores._xlogx_upto(10).view(np.int64), once[:11].view(np.int64))
+        # scorers share the one table instead of building their own
+        t = table({"A": [0, 1] * 5})
+        assert np.shares_memory(DecomposableScore(t)._xlogx, scores._xlogx)
+
+    def test_xlogx_table_is_read_only(self):
+        t = table({"A": [0, 1] * 5})
+        for view in (scores._xlogx_upto(20), scores._xlogx, DecomposableScore(t)._xlogx):
+            with pytest.raises(ValueError):
+                view[1] = 0.0
+
     def test_missing_value_in_a_weighted_row_rejected(self):
         v = CategoricalVariable("A", ("a", "b"))
         t = DataTable([v], np.array([[0], [-1], [1]], dtype=np.int32))
         with pytest.raises(ValueError):
             DecomposableScore(t, "AIC", weights=[1, 1, 1])
         assert DecomposableScore(t, "AIC", weights=[2, 0, 1]).local("A", ()) == reference_local(
-            t.take([0, 0, 2]), "A", (), "AIC"
+            rows(t, [0, 0, 2]), "A", (), "AIC"
         )
 
 
@@ -315,7 +353,7 @@ class TestParentCodeMemo:
             draws = [rng.integers(0, t.n_rows, t.n_rows) for _ in range(2)]
             evs = [DecomposableScore(t, "BIC", weights=np.bincount(idx, minlength=t.n_rows))
                    for idx in draws]
-            takes = [t.take(idx) for idx in draws]
+            takes = [rows(t, idx) for idx in draws]
             for _ in range(12):
                 child = int(rng.integers(k))
                 mask = int(rng.integers(1 << k)) & ~(1 << child)

@@ -113,7 +113,8 @@ def test_matches_full_rescan_reference(case):
             idx = rng.integers(0, data.n_rows, data.n_rows)
             weights = np.bincount(idx, minlength=data.n_rows)
             fast = _run(tabu_search, data, constraints, config, weights=weights)
-            slow = _run(reference_search.tabu_search, data.take(idx), constraints, config)
+            slow = _run(reference_search.tabu_search, DataTable(data.variables, data.codes[idx]),
+                        constraints, config)
         else:
             fast = _run(tabu_search, data, constraints, config)
             slow = _run(reference_search.tabu_search, data, constraints, config)
