@@ -24,14 +24,12 @@ from .analysis import (
     tornado,
 )
 from .data import (
-    CountTable,
     DataTable,
     RawTable,
     RecodeSpec,
     ThemeSpec,
     VariableRecode,
     collapse_rare,
-    counts,
     drop_incomplete,
     group_themes,
     load_csv,
@@ -44,7 +42,6 @@ from .errors import BeliefnetError
 from .inference import (
     Factor,
     QueryResult,
-    conditional_table,
     fit_bayes,
     fit_mle,
     posterior,
@@ -71,10 +68,25 @@ from .model import (
     TierSpec,
     d_separated,
     joint_probability,
-    parameter_count,
     topological_order,
 )
 from .modelio import deserialize, export_dot, load, save, serialize
 from .scores import ScoreCache, score
+
+__all__ = [
+    "ArcStrengthTable", "BeliefnetError", "CategoricalVariable", "Constraints",
+    "Cpt", "CptParameterId", "Dag", "DataTable", "DirectedShift", "Evidence",
+    "Factor", "FittedNetwork", "QueryResult", "RawTable", "RecodeSpec",
+    "ScenarioDef", "ScenarioResult", "ScoreCache", "SobolMatrix", "SobolResult",
+    "TabuConfig", "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar",
+    "VariableRecode", "averaged_network", "bootstrap_strengths", "collapse_rare",
+    "d_separated", "deserialize", "drop_incomplete", "export_dot", "fit_bayes",
+    "fit_mle", "group_themes", "influence_colors", "joint_probability",
+    "l1_threshold", "load", "load_csv", "load_datatable", "node_influence",
+    "optimal_threshold", "perturb_parameter", "posterior", "recode", "sample",
+    "save", "save_datatable", "scenario_posteriors", "score", "sensitivity_slope",
+    "serialize", "sobol_first_order", "sobol_matrix", "split_population",
+    "tabu_search", "tiers_to_blacklist", "topological_order", "tornado",
+]
 
 __version__ = "0.1.0"

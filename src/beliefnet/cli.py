@@ -334,14 +334,18 @@ def cmd_query(args, run: _Run):
     net = load_model(args.model)
     cfg = configio.load_query_config(args.config)
     paths = [run.claim("reports", f"{args.name}_query_{target}.csv") for target, _ in cfg.tables]
-    for path, (target, sweeps) in zip(paths, cfg.tables):
-        baseline = posterior(net, target)
-        blocks = [
+    # every table is computed before the first is written, so a bad table
+    # leaves no report behind
+    tables = [
+        (net.variable(target).levels, posterior(net, target), [
             (sweep, [posterior(net, target, {sweep: level})
                      for level in net.variable(sweep).levels])
             for sweep in sweeps
-        ]
-        reports.write_query_csv(path, net.variable(target).levels, baseline, blocks)
+        ])
+        for target, sweeps in cfg.tables
+    ]
+    for path, table in zip(paths, tables):
+        reports.write_query_csv(path, *table)
     print(f"wrote {len(paths)} conditional table(s)")
 
 

@@ -1,9 +1,7 @@
-"""Survey data pipeline: recoding, missing-data handling, themes, splits, counts.
+"""Survey data pipeline: recoding, missing-data handling, themes and splits.
 
 All stages are pure: the same input table and spec produce identical output.
-Encoded tables store level indices (int32, -1 for missing); sufficient
-statistics index parent configurations mixed-radix over the parent order, as
-documented in :mod:`beliefnet.model`.
+Encoded tables store level indices (int32, -1 for missing).
 """
 
 from __future__ import annotations
@@ -215,61 +213,6 @@ class DataTable:
             and self.codes.shape == other.codes.shape
             and bool(np.all(self.codes == other.codes))
         )
-
-
-class CountTable:
-    """Sufficient statistics N_ijk for one variable given an ordered parent set."""
-
-    __slots__ = ("variable", "parents", "counts")
-
-    def __init__(self, variable, parents, counts):
-        self.variable = variable
-        self.parents = tuple(parents)
-        counts = np.asarray(counts, dtype=np.int64)
-        q = 1
-        for p in self.parents:
-            q *= p.r
-        if counts.shape != (q, variable.r):
-            raise ValueError(f"counts must be {(q, variable.r)}, got {counts.shape}")
-        if counts.min(initial=0) < 0:
-            raise ValueError("negative counts")
-        counts.flags.writeable = False
-        self.counts = counts
-
-    @property
-    def n_ij(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-
-def _tally(child, parents, r, weights=None) -> np.ndarray:
-    """(q, r) table of N_ijk, j mixed-radix over ``parents`` ((int64 column,
-    arity) pairs, first most significant); each row adds its weight, or 1."""
-    q = 1
-    code = None
-    for col, arity in parents:
-        code = col if code is None else code * arity + col
-        q *= arity
-    cell = child if code is None else code * r + child
-    return np.bincount(cell, weights=weights, minlength=q * r).reshape(q, r)
-
-
-def counts(table: DataTable, variable, parents=()) -> CountTable:
-    """Tally N_ijk over the rows complete in the variable and its parents.
-
-    Rows missing any involved variable are skipped; configurations never
-    observed keep an explicit zero row.
-    """
-    var = table.variable(variable)
-    parent_vars = tuple(table.variable(p) for p in parents)
-    cols = [table.column(v.name) for v in (var,) + parent_vars]
-    complete = np.logical_and.reduce([col >= 0 for col in cols])
-    child, *parent_cols = [col[complete].astype(np.int64) for col in cols]
-    tallied = _tally(child, [(col, p.r) for col, p in zip(parent_cols, parent_vars)], var.r)
-    return CountTable(var, parent_vars, tallied)
 
 
 def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:

@@ -1,5 +1,9 @@
 """Parameter fitting and exact queries via factor-based variable elimination.
 
+Fitting refuses missing cells and tallies each family with one ``bincount``
+over the rows' mixed-radix cell codes (parents in CPT order, first most
+significant, the child last), so N_ijk and N_ij are exact int64 counts.
+
 Posterior queries prune barren nodes (everything outside the ancestral
 closure of the target and the evidence), reduce the remaining CPT factors by
 the evidence, and eliminate hidden variables along a min-fill ordering. The
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataTable, counts
+from .data import DataTable
 from .errors import InvalidQuery, UnknownVariable, ZeroProbabilityEvidence
 from .model import (
     Cpt,
@@ -240,17 +244,9 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
     )
 
 
-def conditional_table(net: FittedNetwork, target: str, sweep: str) -> list:
-    """Baseline marginal followed by one posterior per level of ``sweep``."""
-    if target == sweep:
-        raise InvalidQuery("sweep variable must differ from the target")
-    rows = [posterior(net, target)]
-    for level in net.variable(sweep).levels:
-        rows.append(posterior(net, target, {sweep: level}))
-    return rows
-
-
 def _family_tables(dag: Dag, data: DataTable):
+    """Yield (node, N_ijk as a (q, r) int64 table) for every node; a parent
+    configuration never observed keeps a zero row."""
     names = {v.name for v in data.variables}
     for node in dag.nodes:
         if node not in names:
@@ -259,22 +255,26 @@ def _family_tables(dag: Dag, data: DataTable):
     if sub.missing_mask().any():
         raise ValueError("parameter fitting requires complete-case data")
     for node in dag.nodes:
-        yield node, counts(data, node, dag.parent_tuple(node))
+        cell, size = np.zeros(data.n_rows, dtype=np.int64), 1
+        for name in dag.parent_tuple(node) + (node,):
+            r = data.variable(name).r
+            cell, size = cell * r + data.column(name), size * r
+        yield node, np.bincount(cell, minlength=size).reshape(-1, data.variable(node).r)
 
 
 def fit_bayes(dag: Dag, data: DataTable, alpha: float = 1.0) -> FittedNetwork:
     """Dirichlet-smoothed estimates (N_ijk + alpha) / (N_ij + r_i * alpha).
 
+    N_ijk comes from one ``bincount`` per family over every row, and N_ij is
+    its row sum; a table with a missing cell in the DAG's columns is refused.
     alpha = 1 is the uniform prior; every entry is strictly positive, and a
     never-observed parent configuration falls back to the uniform row.
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     cpts = {}
-    for node, ct in _family_tables(dag, data):
-        table = (ct.counts + alpha) / (
-            ct.n_ij[:, None] + ct.variable.r * alpha
-        )
+    for node, n in _family_tables(dag, data):
+        table = (n + alpha) / (n.sum(axis=1)[:, None] + n.shape[1] * alpha)
         cpts[node] = Cpt(node, dag.parent_tuple(node), table)
     variables = tuple(data.variable(n) for n in dag.nodes)
     metadata = {
@@ -294,9 +294,9 @@ def fit_mle(dag: Dag, data: DataTable) -> FittedNetwork:
     fit_bayes.
     """
     cpts = {}
-    for node, ct in _family_tables(dag, data):
-        n_ij = ct.n_ij[:, None].astype(float)
-        empty = ct.n_ij == 0
+    for node, n in _family_tables(dag, data):
+        n_ij = n.sum(axis=1)[:, None].astype(float)
+        empty = n_ij == 0
         if empty.any():
             warnings.warn(
                 f"{node!r}: {int(empty.sum())} unseen parent configuration(s) "
@@ -304,7 +304,7 @@ def fit_mle(dag: Dag, data: DataTable) -> FittedNetwork:
                 stacklevel=2,
             )
         with np.errstate(invalid="ignore"):
-            table = np.where(n_ij > 0, ct.counts / np.maximum(n_ij, 1), 1.0 / ct.variable.r)
+            table = np.where(n_ij > 0, n / np.maximum(n_ij, 1), 1.0 / n.shape[1])
         cpts[node] = Cpt(node, dag.parent_tuple(node), table)
     variables = tuple(data.variable(n) for n in dag.nodes)
     metadata = {"method": "mle", "n_rows": int(data.n_rows), "data_fingerprint": data.source}

@@ -414,18 +414,6 @@ class FittedNetwork:
         )
 
 
-def parameter_count(dag: Dag, variables) -> int:
-    """Number of free parameters d = sum over nodes of q_i * (r_i - 1)."""
-    cards = {v.name: v.r for v in variables}
-    d = 0
-    for node in dag.nodes:
-        q = 1
-        for p in dag.parent_tuple(node):
-            q *= cards[p]
-        d += q * (cards[node] - 1)
-    return d
-
-
 def joint_probability(net: FittedNetwork, assignment) -> float:
     """Probability of one complete assignment, read off the CPT product."""
     assignment = Evidence(assignment)

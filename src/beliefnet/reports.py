@@ -37,13 +37,6 @@ def write_query_csv(path, levels, baseline, blocks) -> None:
     ])
 
 
-def read_query_csv(path):
-    """Reload a query CSV: (levels, [(evidence_variable, evidence_value, probs)])."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header, *rows = csv.reader(fh)
-    return tuple(header[2:]), [(r[0], r[1], [float(x) for x in r[2:]]) for r in rows]
-
-
 def write_sobol_csv(path, matrix) -> None:
     write_csv(path, ["input", *matrix.targets], (
         [name, *(DASH if (v := matrix.value(name, t)) is None else fmt(v) for t in matrix.targets)]

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
-Everything here works on the full joint tensor built by plain broadcasting of
-CPT tables: no factor algebra, no elimination, no shared code with
-beliefnet.inference.
+The probability oracles work on the full joint tensor built by plain
+broadcasting of CPT tables: no factor algebra, no elimination, no shared code
+with beliefnet.inference. The tally and parameter-count oracles read the table
+and the DAG directly.
 """
 
 import numpy as np
@@ -144,3 +145,34 @@ def sobol_first_order(net, target, input_var):
     active = var_k > 0
     aggregate = float(cond_var_k[active].sum() / var_k[active].sum())
     return per_state, aggregate
+
+
+def counts(table, variable, parents=()):
+    """N_ijk as a (q, r) table over the rows complete in the family, j
+    mixed-radix over ``parents`` (first most significant)."""
+    var = table.variable(variable)
+    parent_vars = tuple(table.variable(p) for p in parents)
+    child = table.column(variable)
+    complete = child >= 0
+    j = np.zeros(table.n_rows, dtype=np.int64)
+    for p in parent_vars:
+        col = table.column(p.name)
+        complete &= col >= 0
+        j = j * p.r + col
+    q = 1
+    for p in parent_vars:
+        q *= p.r
+    flat = (j[complete] * var.r + child[complete]).astype(np.int64)
+    return np.bincount(flat, minlength=q * var.r).reshape(q, var.r)
+
+
+def parameter_count(dag, variables):
+    """Number of free parameters d = sum over nodes of q_i * (r_i - 1)."""
+    cards = {v.name: v.r for v in variables}
+    d = 0
+    for node in dag.nodes:
+        q = 1
+        for p in dag.parent_tuple(node):
+            q *= cards[p]
+        d += q * (cards[node] - 1)
+    return d

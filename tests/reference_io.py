@@ -2,7 +2,8 @@
 
 These are the straightforward implementations the column-wise and row-text
 code in ``beliefnet.data`` and ``beliefnet.modelio`` replaced. The tests
-require equal bytes, equal codes and equal errors from both.
+require equal bytes, equal codes and equal errors from both. ``read_query_csv``
+reloads a query report for the tests that check its numbers.
 """
 
 import csv
@@ -113,3 +114,10 @@ def load_codes(csv_path, variables):
                 except KeyError:
                     raise UnknownLevel(var.name, cell) from None
     return codes
+
+
+def read_query_csv(path):
+    """Reload a query CSV: (levels, [(evidence_variable, evidence_value, probs)])."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return tuple(header[2:]), [(r[0], r[1], [float(x) for x in r[2:]]) for r in rows]

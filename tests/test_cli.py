@@ -8,7 +8,7 @@ import yaml
 
 from beliefnet.cli import main
 from beliefnet.learn import POOL_MIN_REPLICATES
-from beliefnet.reports import read_query_csv
+from reference_io import read_query_csv
 
 RAW = "fixtures/synthetic_survey.csv"
 PREP = "fixtures/prep.yaml"
@@ -246,6 +246,33 @@ class TestQuery:
         assert sweeps == ["AIEasierLife"] * 4 + ["InterestAI"] * 4
         for _, _, probs in rows:
             assert abs(sum(probs) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("bad_sweep, error", [
+        ("AIRegulations", "target 'AIRegulations' appears in the evidence"),
+        ("NoSuchVariable", "NoSuchVariable"),
+    ], ids=["sweep-is-target", "unknown-sweep"])
+    def test_bad_table_writes_no_report(self, ws, tmp_path, capsys, bad_sweep, error):
+        cfg = tmp_path / "query.yaml"
+
+        def tables(second_sweep):
+            cfg.write_text(
+                "format: beliefnet-query\nversion: 1\ntables:\n"
+                "  - target: DevelopAI\n    evidence_variables: [InterestAI]\n"
+                f"  - target: AIRegulations\n    evidence_variables: [{second_sweep}]\n",
+                encoding="utf-8",
+            )
+
+        argv = ["query", "--model", ws / "models" / "full.bn.yaml", "--config", cfg,
+                "--workspace", tmp_path / "wq", "--name", "rep"]
+        tables(bad_sweep)
+        assert run(*argv) == 2
+        assert error in capsys.readouterr().err
+        assert not list(tmp_path.glob("wq/reports/rep_query_*.csv"))
+        # nothing was left to overwrite, so the fixed config needs no --force
+        tables("VoteIntent")
+        assert run(*argv) == 0
+        written = sorted(p.name for p in tmp_path.glob("wq/reports/rep_query_*.csv"))
+        assert written == ["rep_query_AIRegulations.csv", "rep_query_DevelopAI.csv"]
 
 
 class TestSobol:

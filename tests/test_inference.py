@@ -7,12 +7,11 @@ import oracles
 from netgen import random_evidence, random_net, window_dag
 from reference_inference import reference_min_fill_order, reference_posterior
 from beliefnet import inference
-from beliefnet.data import DataTable, counts
+from beliefnet.data import DataTable
 from beliefnet.errors import InvalidQuery, ZeroProbabilityEvidence
 from beliefnet.inference import (
     Factor,
     _min_fill_order,
-    conditional_table,
     fit_bayes,
     fit_mle,
     posterior,
@@ -91,6 +90,21 @@ class TestPosterior:
         net = chain_ab()
         with pytest.raises(InvalidQuery):
             posterior(net, "A", {"A": "a0"})
+
+    def test_evidence_on_independent_node_keeps_marginal(self):
+        variables = (
+            CategoricalVariable("A", ("a0", "a1")),
+            CategoricalVariable("B", ("b0", "b1")),
+        )
+        net = FittedNetwork(
+            variables,
+            Dag(("A", "B")),
+            {"A": Cpt("A", (), [[0.6, 0.4]]), "B": Cpt("B", (), [[0.3, 0.7]])},
+        )
+        baseline = posterior(net, "B").distribution
+        for level in ("a0", "a1"):
+            got = posterior(net, "B", {"A": level}).distribution
+            assert np.abs(got - baseline).max() < 1e-9
 
     def test_zero_probability_evidence(self):
         net = chain_ab(p_b_given=((1.0, 0.0), (1.0, 0.0)))
@@ -367,46 +381,6 @@ class TestReferencePosterior:
         assert zero >= 10 and equal >= 10
 
 
-class TestConditionalTable:
-    def test_baseline_first_then_levels(self):
-        net = chain_ab()
-        rows = conditional_table(net, "B", "A")
-        assert len(rows) == 3
-        assert len(rows[0].evidence) == 0
-        assert rows[1].evidence["A"] == "a0"
-        assert rows[2].evidence["A"] == "a1"
-
-    def test_sweep_independent_of_target(self):
-        variables = (
-            CategoricalVariable("A", ("a0", "a1")),
-            CategoricalVariable("B", ("b0", "b1")),
-        )
-        net = FittedNetwork(
-            variables,
-            Dag(("A", "B")),
-            {"A": Cpt("A", (), [[0.6, 0.4]]), "B": Cpt("B", (), [[0.3, 0.7]])},
-        )
-        rows = conditional_table(net, "B", "A")
-        for row in rows[1:]:
-            assert np.abs(row.distribution - rows[0].distribution).max() < 1e-9
-
-    def test_same_variable_rejected(self):
-        net = chain_ab()
-        with pytest.raises(InvalidQuery):
-            conditional_table(net, "A", "A")
-
-    def test_matches_oracle(self):
-        rng = np.random.default_rng(109)
-        net = random_net(rng, 4)
-        target, sweep = net.variables[0].name, net.variables[-1].name
-        rows = conditional_table(net, target, sweep)
-        base, _ = oracles.posterior(net, target)
-        assert np.abs(rows[0].distribution - base).max() < 1e-9
-        for row, level in zip(rows[1:], net.variables[-1].levels):
-            want, _ = oracles.posterior(net, target, {sweep: level})
-            assert np.abs(row.distribution - want).max() < 1e-9
-
-
 class TestFitBayes:
     def test_prior_only_row(self):
         data = DataTable(
@@ -442,9 +416,9 @@ class TestFitBayes:
             data = DataTable((x, p), codes)
             alpha = float(rng.uniform(0.2, 3.0))
             net = fit_bayes(Dag(("X", "P"), {"X": ("P",)}), data, alpha=alpha)
-            ct = counts(data, "X", ["P"])
-            expected = (ct.counts + alpha) / (
-                ct.n_ij[:, None] + n_levels * alpha
+            n_ijk = oracles.counts(data, "X", ["P"])
+            expected = (n_ijk + alpha) / (
+                n_ijk.sum(axis=1)[:, None] + n_levels * alpha
             )
             assert np.abs(net.cpts["X"].table - expected).max() <= 1e-15
 

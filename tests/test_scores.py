@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+import oracles
 from beliefnet import scores
 from beliefnet.data import DataTable
 from beliefnet.inference import sample
 from beliefnet.learn import TabuConfig, TabuLog, tabu_search
-from beliefnet.model import CategoricalVariable, Dag, parameter_count
+from beliefnet.model import CategoricalVariable, Dag
 from beliefnet.scores import DecomposableScore, ScoreCache, score
 from netgen import random_net
 
@@ -103,7 +104,7 @@ class TestScore:
         rng = np.random.default_rng(29)
         t = table({"A": rng.integers(0, 2, 200), "B": rng.integers(0, 3, 200)})
         dag = Dag(("A", "B"), {"B": ("A",)})
-        d = parameter_count(dag, t.variables)
+        d = oracles.parameter_count(dag, t.variables)
         assert score(dag, t, "AIC") == pytest.approx(
             score(dag, t, "LOGLIK") - d, abs=1e-9
         )
@@ -198,27 +199,9 @@ class TestScoreCache:
         assert ev.local("C", ("A", "B")) == ev.local("C", ("B", "A"))
 
 
-def reference_counts(table, variable, parents=()):
-    """N_ijk by the tally ``data.counts`` made before it shared the scorer's kernel."""
-    var = table.variable(variable)
-    parent_vars = tuple(table.variable(p) for p in parents)
-    child = table.column(variable)
-    complete = child >= 0
-    j = np.zeros(table.n_rows, dtype=np.int64)
-    for p in parent_vars:
-        col = table.column(p.name)
-        complete &= col >= 0
-        j = j * p.r + col
-    q = 1
-    for p in parent_vars:
-        q *= p.r
-    flat = (j[complete] * var.r + child[complete]).astype(np.int64)
-    return np.bincount(flat, minlength=q * var.r).reshape(q, var.r)
-
-
 def reference_local(table, variable, parents, kind):
     """Penalized local score by the counts + ``xlogy`` sums the kernel replaced."""
-    n = reference_counts(table, variable, parents)
+    n = oracles.counts(table, variable, parents)
     n_ij = n.sum(axis=1)
     value = float(xlogy(n, n).sum() - xlogy(n_ij, n_ij).sum())
     if kind != "LOGLIK":
