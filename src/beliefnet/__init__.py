@@ -43,7 +43,6 @@ from .inference import (
     Factor,
     QueryResult,
     fit_bayes,
-    fit_mle,
     posterior,
     sample,
 )
@@ -81,10 +80,10 @@ __all__ = [
     "TabuConfig", "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar",
     "VariableRecode", "averaged_network", "bootstrap_strengths", "collapse_rare",
     "d_separated", "deserialize", "drop_incomplete", "export_dot", "fit_bayes",
-    "fit_mle", "group_themes", "influence_colors", "joint_probability",
-    "l1_threshold", "load", "load_csv", "load_datatable", "node_influence",
-    "optimal_threshold", "perturb_parameter", "posterior", "recode", "sample",
-    "save", "save_datatable", "scenario_posteriors", "score", "sensitivity_slope",
+    "group_themes", "influence_colors", "joint_probability", "l1_threshold",
+    "load", "load_csv", "load_datatable", "node_influence", "optimal_threshold",
+    "perturb_parameter", "posterior", "recode", "sample", "save",
+    "save_datatable", "scenario_posteriors", "score", "sensitivity_slope",
     "serialize", "sobol_first_order", "sobol_matrix", "split_population",
     "tabu_search", "tiers_to_blacklist", "topological_order", "tornado",
 ]

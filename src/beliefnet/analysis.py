@@ -108,6 +108,8 @@ def sobol_matrix(net: FittedNetwork, targets, inputs) -> SobolMatrix:
     """
     targets = tuple(targets)
     inputs = tuple(inputs)
+    if not targets:
+        raise InvalidQuery("a Sobol matrix needs at least one target")
     for name in targets + inputs:
         net.variable(name)
     cells = {
@@ -116,10 +118,8 @@ def sobol_matrix(net: FittedNetwork, targets, inputs) -> SobolMatrix:
         for t in targets
     }
 
-    first = targets[0]
-
     def sort_key(name):
-        v = cells[(name, first)]
+        v = cells[(name, targets[0])]
         return -(v if v is not None else -np.inf), name
 
     ordered = tuple(sorted(inputs, key=sort_key))
@@ -363,6 +363,8 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
     net.variable(variable).level_index(level)
     if nodes is None:
         nodes = [n for n in net.dag.nodes if n in net.dag.ancestors(variable)]
+    for name in nodes:
+        net.variable(name)
     p0 = _event_probability(net, event)
     bars = [
         _make_bar(net, event, p, delta, p0)

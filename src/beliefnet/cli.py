@@ -1,4 +1,4 @@
-"""beliefnet command line: prep, learn, fit, query, sobol, scenario, sensitivity, export.
+"""beliefnet command line: prep, learn, query, sobol, scenario, sensitivity, export.
 
 Every artifact-producing command runs inside a workspace (data/, models/,
 strengths/, reports/) and takes an exclusive lock file. Before its first
@@ -30,7 +30,7 @@ from .data import (
     split_population,
 )
 from .errors import BeliefnetError, MalformedFile, WorkspaceError
-from .inference import fit_bayes, fit_mle, posterior
+from .inference import fit_bayes, posterior
 from .learn import (
     averaged_network,
     bootstrap_strengths,
@@ -119,7 +119,6 @@ def _fingerprint(path) -> str:
 _MANIFESTS = {
     "prep": ("data", ".manifest.yaml"),
     "learn": ("models", ".manifest.yaml"),
-    "fit": ("models", ".manifest.yaml"),
     "query": ("reports", "_query.manifest.yaml"),
     "sobol": ("reports", "_sobol.manifest.yaml"),
     "scenario": ("reports", "_scenario.manifest.yaml"),
@@ -313,21 +312,6 @@ def cmd_learn(args, run: _Run):
     net = FittedNetwork(net.variables, net.dag, net.cpts, metadata)
     save_model(net, model_path)
     print(f"learned {len(dag.arcs())} arcs (B={b}, threshold={threshold})")
-
-
-def cmd_fit(args, run: _Run):
-    model_path = run.claim("models", f"{args.name}.bn.yaml")
-    base = load_model(args.model)
-    data = load_datatable(args.data, args.dict)
-    if args.method == "mle":
-        net = fit_mle(base.dag, data)
-    else:
-        net = fit_bayes(base.dag, data, alpha=args.alpha)
-    metadata = dict(net.metadata)
-    metadata["tool_version"] = __version__
-    net = FittedNetwork(net.variables, net.dag, net.cpts, metadata)
-    save_model(net, model_path)
-    print(f"refitted parameters onto {len(base.dag.arcs())} arcs")
 
 
 def cmd_query(args, run: _Run):
@@ -527,15 +511,6 @@ def build_parser() -> _Parser:
                    help="replicates (0 = single search; overrides config)")
     _add_common(p, "model")
     p.set_defaults(func=cmd_learn, inputs=("data", "dict", "tiers", "config"))
-
-    p = commands.add_parser("fit", help="refit CPTs on an existing structure")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--dict", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--method", choices=("bayes", "mle"), default="bayes")
-    _add_common(p, "refit")
-    p.set_defaults(func=cmd_fit, inputs=("model", "data", "dict"))
 
     p = commands.add_parser("query", help="conditional probability tables")
     p.add_argument("--model", required=True)

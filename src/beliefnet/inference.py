@@ -25,7 +25,6 @@ the tests, so results are bit-identical to it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,31 +282,6 @@ def fit_bayes(dag: Dag, data: DataTable, alpha: float = 1.0) -> FittedNetwork:
         "n_rows": int(data.n_rows),
         "data_fingerprint": data.source,
     }
-    return FittedNetwork(variables, dag, cpts, metadata)
-
-
-def fit_mle(dag: Dag, data: DataTable) -> FittedNetwork:
-    """Maximum-likelihood estimates N_ijk / N_ij.
-
-    Parent configurations never observed get a uniform row and a warning;
-    they carry no data either way. Kept for diagnostics; fitted pipelines use
-    fit_bayes.
-    """
-    cpts = {}
-    for node, n in _family_tables(dag, data):
-        n_ij = n.sum(axis=1)[:, None].astype(float)
-        empty = n_ij == 0
-        if empty.any():
-            warnings.warn(
-                f"{node!r}: {int(empty.sum())} unseen parent configuration(s) "
-                "set to uniform",
-                stacklevel=2,
-            )
-        with np.errstate(invalid="ignore"):
-            table = np.where(n_ij > 0, n / np.maximum(n_ij, 1), 1.0 / n.shape[1])
-        cpts[node] = Cpt(node, dag.parent_tuple(node), table)
-    variables = tuple(data.variable(n) for n in dag.nodes)
-    metadata = {"method": "mle", "n_rows": int(data.n_rows), "data_fingerprint": data.source}
     return FittedNetwork(variables, dag, cpts, metadata)
 
 

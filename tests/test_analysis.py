@@ -22,6 +22,7 @@ from beliefnet.errors import (
     DegenerateTarget,
     InvalidQuery,
     SaturatedParameter,
+    UnknownVariable,
     ZeroProbabilityEvidence,
 )
 from beliefnet.inference import posterior
@@ -130,6 +131,10 @@ class TestSobolMatrix:
         net = chain_xmy()
         m = sobol_matrix(net, ["Y"], ["X", "M", "Y"])
         assert m.inputs[-1] == "Y"
+
+    def test_no_targets_rejected(self):
+        with pytest.raises(InvalidQuery, match="at least one target"):
+            sobol_matrix(chain_xmy(), [], ["X", "M"])
 
     def test_disconnected_inputs_zero_column(self):
         variables = (binary("A"), binary("B"), binary("Y"))
@@ -435,6 +440,10 @@ class TestTornado:
         bars = tornado(net, ("Y", "y1"))
         names = {b.param.variable for b in bars}
         assert names == {"X", "M"}
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(UnknownVariable, match="Bogus"):
+            tornado(chain_xmy(), ("Y", "y1"), nodes=["X", "Bogus"])
 
     def test_d_separated_nodes_zero_bars_sorted_last(self):
         net = independent_net()

@@ -10,7 +10,7 @@ import beliefnet
 ROOT = Path(__file__).resolve().parents[1]
 DELETED = {
     "data": ("counts", "CountTable"),
-    "inference": ("conditional_table",),
+    "inference": ("conditional_table", "fit_mle"),
     "reports": ("read_query_csv",),
     "model": ("parameter_count",),
 }

@@ -1,12 +1,15 @@
 """End-to-end CLI behavior on the bundled synthetic fixture."""
 
+import argparse
 import csv
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 import yaml
 
-from beliefnet.cli import main
+from beliefnet.cli import build_parser, main
 from beliefnet.learn import POOL_MIN_REPLICATES
 from reference_io import read_query_csv
 
@@ -199,40 +202,6 @@ class TestLearn:
         assert "forbidden" in capsys.readouterr().err
 
 
-class TestFit:
-    def test_refit_keeps_structure(self, ws, tmp_path):
-        from beliefnet.modelio import load as load_model
-
-        code = run(
-            "fit", "--model", ws / "models" / "full.bn.yaml",
-            "--data", ws / "data" / "survey_full.csv",
-            "--dict", ws / "data" / "survey_full.dict.yaml",
-            "--alpha", 2.5, "--workspace", tmp_path / "wsf", "--name", "refit",
-        )
-        assert code == 0
-        refit = load_model(tmp_path / "wsf" / "models" / "refit.bn.yaml")
-        base = load_model(ws / "models" / "full.bn.yaml")
-        assert refit.dag.parents == base.dag.parents
-        assert refit.metadata["alpha"] == 2.5
-
-    def test_mle_method(self, ws, tmp_path):
-        import warnings
-
-        from beliefnet.modelio import load as load_model
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # unseen parent configs warn
-            code = run(
-                "fit", "--model", ws / "models" / "full.bn.yaml",
-                "--data", ws / "data" / "survey_full.csv",
-                "--dict", ws / "data" / "survey_full.dict.yaml",
-                "--method", "mle", "--workspace", tmp_path / "wsm", "--name", "mle",
-            )
-        assert code == 0
-        net = load_model(tmp_path / "wsm" / "models" / "mle.bn.yaml")
-        assert net.metadata["method"] == "mle"
-
-
 class TestQuery:
     def test_layout(self, ws):
         assert run(
@@ -291,6 +260,20 @@ class TestSobol:
         # values sorted by first target column descending (dashes last)
         vals = [float(r[1]) for r in rows[1:] if r[1] != "--"]
         assert vals == sorted(vals, reverse=True)
+
+    def test_no_targets_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "sobol.yaml"
+        cfg.write_text(
+            "format: beliefnet-sobol\nversion: 1\ntargets: []\ninputs: [Sex, Age]\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "sobol", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wsn", "--name", "none",
+        )
+        assert code == 2
+        assert "at least one target" in capsys.readouterr().err
+        assert not list((tmp_path / "wsn" / "reports").iterdir())
 
 
 class TestScenario:
@@ -380,6 +363,22 @@ class TestSensitivity:
         assert rows
         assert all(float(r["magnitude"]) == 0.0 for r in rows)
 
+    def test_unknown_node_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "sens.yaml"
+        cfg.write_text(
+            "format: beliefnet-sensitivity\nversion: 1\n"
+            "target: {variable: Sex, state: Female}\n"
+            "nodes: [Bogus]\ndelta: 0.1\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "sensitivity", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wsb", "--name", "bogus",
+        )
+        assert code == 2
+        assert "unknown variable: 'Bogus'" in capsys.readouterr().err
+        assert not list((tmp_path / "wsb" / "reports").iterdir())
+
 
 class TestExport:
     def test_dot_with_colors_file(self, ws, tmp_path):
@@ -406,6 +405,18 @@ class TestCliContract:
         assert run("learn") == 1          # missing required args
         assert run("not-a-command") == 1  # unknown command
         assert run("learn", "--data", "d.csv", "--dict", "d.yaml", "--bootstrap", -1) == 1
+
+    def test_readme_shows_exactly_the_subcommands(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        # even pieces are prose, odd pieces the bodies of fenced code blocks
+        pieces = re.split(r"^```.*$", readme, flags=re.M)
+        shown = set()
+        for i, piece in enumerate(pieces):
+            pattern = r"^\s*beliefnet +(\S+)" if i % 2 else r"`beliefnet +([^\s`]+)"
+            shown.update(re.findall(pattern, piece, re.M))
+        assert {c for c in shown if not c.startswith("-")} == set(commands.choices)
 
     def test_data_error_exit_2(self, tmp_path, capsys):
         code = run(
@@ -502,9 +513,6 @@ class TestCliContract:
              ["learn", "--data", f"{table}.csv", "--dict", f"{table}.dict.yaml",
               "--tiers", TIERS, "--config", LEARN, "--bootstrap", 4, "--seed", 3,
               "--name", "full"]),
-            ("models/refit.manifest.yaml",
-             ["fit", "--model", model, "--data", f"{table}.csv", "--dict",
-              f"{table}.dict.yaml", "--name", "refit"]),
             ("reports/rep_query.manifest.yaml",
              ["query", "--model", model, "--config", "fixtures/query.yaml", "--name", "rep"]),
             ("reports/rep_sobol.manifest.yaml",
