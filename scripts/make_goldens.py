@@ -101,10 +101,11 @@ def chain6_net():
 
 
 def fixture_tables(workdir):
-    """{kind: (DataTable, Constraints)} for the fixture's full and risk tables.
+    """{kind: (DataTable, forbidden arcs)} for the fixture's full and risk tables.
 
     The tables come from the CLI ``prep`` stage run into ``workdir``; the
-    constraints are the blacklists of the matching tier files.
+    forbidden arcs are the frozensets ``tiers_to_blacklist`` builds from the
+    matching tier files.
     """
     fixture = lambda name: os.path.join(FIXTURES, name)  # noqa: E731
     with contextlib.redirect_stdout(io.StringIO()):

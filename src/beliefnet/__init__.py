@@ -48,7 +48,6 @@ from .inference import (
 )
 from .learn import (
     ArcStrengthTable,
-    Constraints,
     TabuConfig,
     TabuLog,
     averaged_network,
@@ -73,8 +72,8 @@ from .modelio import deserialize, export_dot, load, save, serialize
 from .scores import ScoreCache, score
 
 __all__ = [
-    "ArcStrengthTable", "BeliefnetError", "CategoricalVariable", "Constraints",
-    "Cpt", "CptParameterId", "Dag", "DataTable", "DirectedShift", "Evidence",
+    "ArcStrengthTable", "BeliefnetError", "CategoricalVariable", "Cpt",
+    "CptParameterId", "Dag", "DataTable", "DirectedShift", "Evidence",
     "Factor", "FittedNetwork", "QueryResult", "RawTable", "RecodeSpec",
     "ScenarioDef", "ScenarioResult", "ScoreCache", "SobolMatrix", "SobolResult",
     "TabuConfig", "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar",

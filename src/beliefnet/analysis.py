@@ -41,6 +41,16 @@ from .model import Cpt, Evidence, FittedNetwork, config_levels, d_separated
 from .inference import _eliminate, posterior
 
 
+def _distinct_variables(net, names, role):
+    """Check that each of ``names`` is a variable of ``net``, listed once."""
+    seen = set()
+    for name in names:
+        net.variable(name)
+        if name in seen:
+            raise InvalidQuery(f"{role} {name!r} is listed twice")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class SobolResult:
     target: str
@@ -104,14 +114,15 @@ def sobol_matrix(net: FittedNetwork, targets, inputs) -> SobolMatrix:
     """Aggregate Sobol indices for every input/target pair, in percent.
 
     Inputs are sorted by the first target's column, descending, with each
-    target excluded from its own inputs (None cell).
+    target excluded from its own inputs (None cell). A name repeated among
+    the targets or among the inputs raises InvalidQuery.
     """
     targets = tuple(targets)
     inputs = tuple(inputs)
     if not targets:
         raise InvalidQuery("a Sobol matrix needs at least one target")
-    for name in targets + inputs:
-        net.variable(name)
+    _distinct_variables(net, targets, "target")
+    _distinct_variables(net, inputs, "input")
     cells = {
         (i, t): None if i == t else sobol_first_order(net, t, i).aggregate * 100.0
         for i in inputs
@@ -355,7 +366,7 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
     ``nodes`` defaults to the ancestors of the event variable. Each bar holds
     the P(event) shift at theta + delta and theta - delta (deltas clipped so
     the entry stays in [0, 1]); bars sort by max absolute shift, descending,
-    ties by parameter id.
+    ties by parameter id. A node listed twice raises InvalidQuery.
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
@@ -363,8 +374,7 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
     net.variable(variable).level_index(level)
     if nodes is None:
         nodes = [n for n in net.dag.nodes if n in net.dag.ancestors(variable)]
-    for name in nodes:
-        net.variable(name)
+    _distinct_variables(net, nodes, "node")
     p0 = _event_probability(net, event)
     bars = [
         _make_bar(net, event, p, delta, p0)

@@ -144,8 +144,11 @@ class _Run:
 
     def claim(self, directory, name) -> str:
         """The workspace path ``directory/name``, recorded as an output; an
-        existing file is refused unless --force."""
+        existing file is refused unless --force, and one claimed before in
+        this run always is."""
         path = self.ws.path(directory, name)
+        if path in self.outputs:
+            raise WorkspaceError(f"refusing to write {path} twice in one run")
         if os.path.exists(path) and not self.args.force:
             raise WorkspaceError(f"refusing to overwrite {path} (pass --force to allow)")
         self.outputs.append(path)
@@ -257,12 +260,10 @@ def cmd_learn(args, run: _Run):
     model_path = run.claim("models", f"{args.name}.bn.yaml")
     if b > 0:
         strengths_path = run.claim("strengths", f"{args.name}_strengths.csv")
-    constraints = cfg.constraints()
+    constraints = None
     if args.tiers:
         tiers = configio.load_tier_config(args.tiers)
-        constraints = tiers_to_blacklist(
-            tiers, [v.name for v in data.variables]
-        ).merge(constraints)
+        constraints = tiers_to_blacklist(tiers, [v.name for v in data.variables])
 
     skipped = []
     if b == 0:

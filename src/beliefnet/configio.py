@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from . import _yamlio
 from .data import RecodeSpec, ThemeSpec, VariableRecode
 from .errors import MalformedFile
-from .learn import Constraints, TabuConfig
+from .learn import TabuConfig
 from .model import Evidence, TierSpec
 from .analysis import ScenarioDef
 
@@ -27,6 +27,7 @@ _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1] or 'auto'")
 _NO_RESTARTS = (lambda v: v == 1, "random restarts are not supported; must be 1 or absent")
+_NO_ARCS = (lambda v: not v, "arc lists are not supported; use a tier file (--tiers)")
 
 
 def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
@@ -60,13 +61,6 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
     if check is not None and not check[0](value):
         raise MalformedFile(path, position, check[1])
     return value
-
-
-def _pairs(doc, key, path):
-    pairs = _field(doc, key, list, [], path=path)
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise MalformedFile(path, key, "expected a list of [parent, child] pairs")
-    return tuple((str(a), str(b)) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -164,11 +158,6 @@ class LearnConfig:
     bootstrap: int = 2000
     threshold: float | None = None  # None = estimate from strengths
     tabu: TabuConfig = field(default_factory=TabuConfig)
-    whitelist: tuple = ()
-    blacklist: tuple = ()
-
-    def constraints(self) -> Constraints:
-        return Constraints(forbidden=self.blacklist, required=self.whitelist)
 
 
 def load_learn_config(path) -> LearnConfig:
@@ -181,6 +170,10 @@ def load_learn_config(path) -> LearnConfig:
     # the search makes one tabu walk; a config asking for more must not
     # quietly get one
     _field(tabu_doc, "restarts", int, 1, _NO_RESTARTS, path=path, where="tabu.")
+    # the tier file is the search's only constraint; a config's own arc list
+    # must not be quietly dropped
+    for key in ("whitelist", "blacklist"):
+        _field(doc, key, list, [], _NO_ARCS, path=path)
     threshold = None
     if doc.get("threshold") not in ("auto", None):
         threshold = _field(doc, "threshold", float, check=_UNIT_INTERVAL, path=path)
@@ -193,8 +186,6 @@ def load_learn_config(path) -> LearnConfig:
         bootstrap=_field(doc, "bootstrap", int, 2000, _NONNEGATIVE, path=path),
         threshold=threshold,
         tabu=TabuConfig(**tabu),
-        whitelist=_pairs(doc, "whitelist", path),
-        blacklist=_pairs(doc, "blacklist", path),
     )
 
 

@@ -105,10 +105,6 @@ class UnassignedVariable(BeliefnetError):
         super().__init__(f"variable {name!r} is not assigned to any tier")
 
 
-class UnsatisfiableConstraints(BeliefnetError):
-    pass
-
-
 class EmptyStrengths(BeliefnetError):
     def __init__(self):
         super().__init__("strength table has no arc with positive strength")

@@ -4,7 +4,7 @@ The search is one tabu walk over the space of DAGs with add/delete/reverse
 moves under a decomposable score, keeping a tabu list of the inverses of
 recent moves so it can cross score plateaus and shallow optima, followed by a
 greedy polish of the best DAG the walk saw. As in bnlearn's ``tabu()``
-(Scutari 2010), the walk starts once, from the required arcs alone. The search
+(Scutari 2010), the walk starts once, from the empty graph. The search
 works on column indices: parent sets and ancestor sets are int bitmasks, so a
 cycle test is one bit test, and a per-pair table of move deltas is kept across
 iterations, so a move rescores only the candidates that read the one or two
@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataTable
-from .errors import (
-    BootstrapError,
-    EmptyStrengths,
-    UnassignedVariable,
-    UnknownVariable,
-    UnsatisfiableConstraints,
-)
+from .errors import BootstrapError, EmptyStrengths, UnassignedVariable, UnknownVariable
 from .model import Dag, TierSpec
 from .scores import DecomposableScore, ScoreCache
 
@@ -70,50 +64,8 @@ class TabuLog:
         self.cache_misses = 0
 
 
-class Constraints:
-    """Forbidden and required directed arcs.
-
-    The two sets must be disjoint and the required arcs acyclic; both are
-    verified at construction.
-    """
-
-    __slots__ = ("forbidden", "required")
-
-    def __init__(self, forbidden=(), required=()):
-        self.forbidden = frozenset((str(a), str(b)) for a, b in forbidden)
-        self.required = frozenset((str(a), str(b)) for a, b in required)
-        clash = self.forbidden & self.required
-        if clash:
-            raise UnsatisfiableConstraints(
-                f"arcs both required and forbidden: {sorted(clash)}"
-            )
-        if any(a == b for a, b in self.forbidden | self.required):
-            raise ValueError("self-loop in constraints")
-        _check_acyclic_arcs(self.required)
-
-    def merge(self, other: "Constraints") -> "Constraints":
-        return Constraints(
-            self.forbidden | other.forbidden, self.required | other.required
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Constraints)
-            and self.forbidden == other.forbidden
-            and self.required == other.required
-        )
-
-
-def _check_acyclic_arcs(arcs):
-    nodes = sorted({n for arc in arcs for n in arc})
-    try:
-        Dag(nodes, {n: [a for a, b in arcs if b == n] for n in nodes})
-    except Exception as exc:
-        raise UnsatisfiableConstraints(f"required arcs contain a cycle: {exc}") from exc
-
-
-def tiers_to_blacklist(tiers: TierSpec, variables) -> Constraints:
-    """Forbid arcs from later tiers into earlier tiers.
+def tiers_to_blacklist(tiers: TierSpec, variables) -> frozenset:
+    """The (from, to) arcs the search may not add: later tiers into earlier ones.
 
     Tiers with within_tier_edges=False additionally forbid arcs among their
     own members. Every variable must belong to exactly one tier.
@@ -133,7 +85,7 @@ def tiers_to_blacklist(tiers: TierSpec, variables) -> Constraints:
             forbidden.update((a, b) for a in tier for b in earlier)
         if not tiers.within_tier_edges[i]:
             forbidden.update((a, b) for a in tier for b in tier if a != b)
-    return Constraints(forbidden=forbidden)
+    return frozenset(forbidden)
 
 
 # move kinds of the search, in the order the scan tries them for a pair
@@ -179,13 +131,11 @@ def _ancestry(pmask):
 
 
 def _arc_masks(arcs, col):
-    """(into, out) bitmasks: into[b] holds a and out[a] holds b per arc a->b."""
-    into = [0] * len(col)
+    """Bitmasks of ``arcs`` by tail: out[a] holds b per arc a->b."""
     out = [0] * len(col)
     for a, b in arcs:
-        into[col[b]] |= 1 << col[a]
         out[col[a]] |= 1 << col[b]
-    return into, out
+    return out
 
 
 class _SearchState:
@@ -201,14 +151,13 @@ class _SearchState:
     an entry when its scan next reaches it as a legal candidate.
     """
 
-    def __init__(self, scorer, forbidden, required):
-        self.forbidden, self.forbidden_out = forbidden
-        self.required, self.required_out = required
-        n = len(self.required)
+    def __init__(self, scorer, forbidden):
+        self.forbidden = forbidden
+        n = len(forbidden)
         self.n = n
         self.scorer = scorer
-        self.pmask = list(self.required)
-        self.children = list(self.required_out)
+        self.pmask = [0] * n
+        self.children = [0] * n
         self.cur = [scorer.local(x, m) for x, m in enumerate(self.pmask)]
         self.single = [None] * (n * n)
         self.reverse = [None] * (n * n)
@@ -246,17 +195,19 @@ class _SearchState:
 def tabu_search(
     data: DataTable,
     score: str = "AIC",
-    constraints: Constraints | None = None,
+    constraints=None,
     config: TabuConfig | None = None,
     log: TabuLog | None = None,
     weights=None,
 ) -> Dag:
     """Learn a DAG by tabu search over add/delete/reverse moves.
 
-    One tabu walk runs from the graph of the required arcs alone, then a
-    plain greedy pass runs from the best DAG the walk saw until no legal
-    single move improves the score. So the result is the best-seen DAG and is
-    locally optimal. The search is deterministic: it draws no random numbers.
+    One tabu walk runs from the empty graph, then a plain greedy pass runs
+    from the best DAG the walk saw until no legal single move improves the
+    score. So the result is the best-seen DAG and is locally optimal. The
+    search is deterministic: it draws no random numbers. ``constraints`` is
+    an iterable of forbidden (from, to) arcs, as ``tiers_to_blacklist``
+    returns; no move adds one.
 
     Each iteration scans the ordered node pairs in column order. Parent sets
     are bitmasks, ancestor bitmasks make each cycle test O(1), and a per-pair
@@ -272,17 +223,15 @@ def tabu_search(
     ``DecomposableScore``).
     """
     config = config or TabuConfig()
-    constraints = constraints or Constraints()
+    constraints = frozenset(constraints or ())
     nodes = [v.name for v in data.variables]
     col = {n: i for i, n in enumerate(nodes)}
-    for a, b in constraints.forbidden | constraints.required:
+    for a, b in constraints:
         if a not in col or b not in col:
             raise UnknownVariable(a if a not in col else b)
-    forbidden = _arc_masks(constraints.forbidden, col)
-    required = _arc_masks(constraints.required, col)
 
     scorer = DecomposableScore(data, score, cache=ScoreCache(), weights=weights)
-    state = _SearchState(scorer, forbidden, required)
+    state = _SearchState(scorer, _arc_masks(constraints, col))
     state.restore(_tabu_phase(state, config, sum(state.cur), log))
 
     # greedy polish: guarantee no legal single move improves the best DAG
@@ -355,7 +304,6 @@ def _best_move(state, tabu, it, aspiration):
     nn = n * n
     pmask, anc, via, cur = state.pmask, state.anc, state.via, state.cur
     forbidden, children = state.forbidden, state.children
-    forbidden_out, required_out = state.forbidden_out, state.required_out
     full = (1 << n) - 1
     single, reverse = state.single, state.reverse
     local = state.scorer.local
@@ -368,9 +316,10 @@ def _best_move(state, tabu, it, aspiration):
         abit = 1 << a
         kids = children[a]
         row = a * n
-        # deletable arcs out of a, then addable ones: no self-loop, no
-        # existing or forbidden arc, no arc into an ancestor of a
-        cand = (kids & ~required_out[a]) | (full & ~(kids | abit | forbidden_out[a] | anc[a]))
+        # every arc out of a to delete or add: no self-loop, no forbidden arc
+        # (the graph holds none), no arc into an ancestor of a (so no child
+        # of a is excluded)
+        cand = full & ~(abit | forbidden[a] | anc[a])
         while cand:
             low = cand & -cand
             cand ^= low
@@ -383,7 +332,8 @@ def _best_move(state, tabu, it, aspiration):
                 if d > bar and (tabu is None or tabu[nn + i] <= it or total + d > limit):
                     best, bar = (_DELETE, a, b), d + SCORE_EPS
                     best_delta = d
-                if forbidden[a] & low or via[b] & abit:
+                # no reversal when b->a is forbidden or a reaches b another way
+                if (forbidden[b] | via[b]) & abit:
                     continue
                 d = reverse[i]
                 if d is None:
@@ -475,7 +425,7 @@ def bootstrap_strengths(
     data: DataTable,
     b: int = 2000,
     score: str = "AIC",
-    constraints: Constraints | None = None,
+    constraints=None,
     config: TabuConfig | None = None,
     seed: int = 0,
     n_jobs: int = 1,
@@ -496,7 +446,7 @@ def bootstrap_strengths(
         raise ValueError("b must be >= 1")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
-    constraints = constraints or Constraints()
+    constraints = frozenset(constraints or ())
     config = config or TabuConfig()
     one = functools.partial(_boot_one, data, score, constraints, config, seed)
     workers = bootstrap_workers(b, n_jobs)
@@ -571,7 +521,7 @@ def averaged_network(
     strengths: ArcStrengthTable,
     threshold: float,
     variables=None,
-    constraints: Constraints | None = None,
+    constraints=None,
     skipped: list | None = None,
 ) -> Dag:
     """Consensus DAG: edges with strength >= threshold, majority orientation.
@@ -583,7 +533,7 @@ def averaged_network(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    constraints = constraints or Constraints()
+    constraints = frozenset(constraints or ())
     variables = tuple(variables if variables is not None else strengths.variables)
 
     edges = []
@@ -602,7 +552,7 @@ def averaged_network(
             frm, to = a, b
         else:
             frm, to = b, a
-        if (frm, to) in constraints.forbidden:
+        if (frm, to) in constraints:
             if skipped is not None:
                 skipped.append((frm, to, s, "forbidden"))
             continue

@@ -9,7 +9,7 @@ compare the two on DAG, TabuLog.best_scores, iterations and cache misses.
 import math
 from dataclasses import dataclass
 
-from beliefnet.learn import SCORE_EPS, Constraints, TabuConfig
+from beliefnet.learn import SCORE_EPS, TabuConfig
 from beliefnet.model import Dag
 from beliefnet.scores import DecomposableScore, ScoreCache
 
@@ -34,13 +34,10 @@ class Move:
 class SearchState:
     """Mutable DAG state with DFS ancestry queries for move legality."""
 
-    def __init__(self, nodes, required_arcs=()):
+    def __init__(self, nodes):
         self.nodes = list(nodes)
         self.parents = {n: set() for n in self.nodes}
         self.children = {n: set() for n in self.nodes}
-        for a, b in required_arcs:
-            self.parents[b].add(a)
-            self.children[a].add(b)
 
     def has_arc(self, a, b):
         return a in self.parents[b]
@@ -91,10 +88,10 @@ class SearchState:
 def tabu_search(data, score="AIC", constraints=None, config=None, log=None):
     """Same contract as beliefnet.learn.tabu_search, by full rescans."""
     config = config or TabuConfig()
-    constraints = constraints or Constraints()
+    constraints = frozenset(constraints or ())
     nodes = [v.name for v in data.variables]
     scorer = DecomposableScore(data, score, cache=ScoreCache())
-    state = SearchState(nodes, constraints.required)
+    state = SearchState(nodes)
     local = {n: scorer.local(n, state.parents[n]) for n in nodes}
     total = sum(local.values())
 
@@ -171,27 +168,24 @@ def best_move(state, scorer, constraints, tabu, it, aspiration):
             has = state.has_arc(a, b)
             candidates = []
             if not has:
-                if (a, b) not in constraints.forbidden and not state.reaches(b, a):
+                if (a, b) not in constraints and not state.reaches(b, a):
                     delta = (
                         scorer.local(b, state.parents[b] | {a}) - cur_local[b]
                     )
                     candidates.append((Move(Move.ADD, (a, b)), delta))
             else:
-                if (a, b) not in constraints.required:
-                    delta = (
-                        scorer.local(b, state.parents[b] - {a}) - cur_local[b]
+                delta = scorer.local(b, state.parents[b] - {a}) - cur_local[b]
+                candidates.append((Move(Move.DELETE, (a, b)), delta))
+                if (b, a) not in constraints and not state.reaches(
+                    a, b, skip_arc=(a, b)
+                ):
+                    d = (
+                        scorer.local(b, state.parents[b] - {a})
+                        - cur_local[b]
+                        + scorer.local(a, state.parents[a] | {b})
+                        - cur_local[a]
                     )
-                    candidates.append((Move(Move.DELETE, (a, b)), delta))
-                    if (b, a) not in constraints.forbidden and not state.reaches(
-                        a, b, skip_arc=(a, b)
-                    ):
-                        d = (
-                            scorer.local(b, state.parents[b] - {a})
-                            - cur_local[b]
-                            + scorer.local(a, state.parents[a] | {b})
-                            - cur_local[a]
-                        )
-                        candidates.append((Move(Move.REVERSE, (a, b)), d))
+                    candidates.append((Move(Move.REVERSE, (a, b)), d))
             for move, delta in candidates:
                 if tabu is not None and tabu.get(move, -1) > it:
                     if aspiration is None or total + delta <= aspiration + SCORE_EPS:

@@ -272,7 +272,7 @@ def test_criterion_6_bootstrap_consensus():
         except Exception:
             violations += 1
             continue
-        if set(dag.arcs()) & cons.forbidden:
+        if set(dag.arcs()) & cons:
             violations += 1
     _report(
         6,

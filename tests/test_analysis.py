@@ -136,6 +136,14 @@ class TestSobolMatrix:
         with pytest.raises(InvalidQuery, match="at least one target"):
             sobol_matrix(chain_xmy(), [], ["X", "M"])
 
+    @pytest.mark.parametrize("targets, inputs, message", [
+        (["Y", "Y"], ["X", "M"], "target 'Y' is listed twice"),
+        (["Y"], ["X", "M", "X"], "input 'X' is listed twice"),
+    ])
+    def test_repeated_name_rejected(self, targets, inputs, message):
+        with pytest.raises(InvalidQuery, match=message):
+            sobol_matrix(chain_xmy(), targets, inputs)
+
     def test_disconnected_inputs_zero_column(self):
         variables = (binary("A"), binary("B"), binary("Y"))
         net = FittedNetwork(
@@ -444,6 +452,10 @@ class TestTornado:
     def test_unknown_node_rejected(self):
         with pytest.raises(UnknownVariable, match="Bogus"):
             tornado(chain_xmy(), ("Y", "y1"), nodes=["X", "Bogus"])
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(InvalidQuery, match="node 'X' is listed twice"):
+            tornado(chain_xmy(), ("Y", "y1"), nodes=["X", "M", "X"])
 
     def test_d_separated_nodes_zero_bars_sorted_last(self):
         net = independent_net()

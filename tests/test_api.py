@@ -10,8 +10,10 @@ import beliefnet
 ROOT = Path(__file__).resolve().parents[1]
 DELETED = {
     "data": ("counts", "CountTable"),
+    "errors": ("UnsatisfiableConstraints",),
     "inference": ("conditional_table", "fit_mle"),
     "reports": ("read_query_csv",),
+    "learn": ("Constraints",),
     "model": ("parameter_count",),
 }
 

@@ -170,7 +170,7 @@ class TestLearn:
         cons = tiers_to_blacklist(
             load_tier_config(TIERS), [v.name for v in net.variables]
         )
-        assert not (set(net.dag.arcs()) & cons.forbidden)
+        assert not (set(net.dag.arcs()) & cons)
 
     def test_bootstrap_zero_single_run(self, ws, tmp_path):
         code = run(
@@ -185,11 +185,11 @@ class TestLearn:
         manifest = yaml.safe_load((tmp_path / "ws0" / "models" / "single.manifest.yaml").read_text())
         assert manifest["extra"]["bootstrap_workers"] is None
 
-    def test_whitelist_vs_tier_conflict(self, ws, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
+    def test_arc_list_config_refused_without_output(self, ws, tmp_path, capsys, key):
         cfg = tmp_path / "learn.yaml"
         cfg.write_text(
-            "format: beliefnet-learn\nversion: 1\nbootstrap: 0\n"
-            "whitelist: [[AIRegulations, Sex]]\n",
+            f"format: beliefnet-learn\nversion: 1\nbootstrap: 4\n{key}: [[Sex, Age]]\n",
             encoding="utf-8",
         )
         code = run(
@@ -199,7 +199,9 @@ class TestLearn:
             "--workspace", tmp_path / "wsx", "--name", "bad",
         )
         assert code == 2
-        assert "forbidden" in capsys.readouterr().err
+        assert f"{cfg}: {key}: arc lists are not supported" in capsys.readouterr().err
+        for directory in ("models", "strengths"):
+            assert not list((tmp_path / "wsx" / directory).iterdir())
 
 
 class TestQuery:
@@ -243,6 +245,22 @@ class TestQuery:
         written = sorted(p.name for p in tmp_path.glob("wq/reports/rep_query_*.csv"))
         assert written == ["rep_query_AIRegulations.csv", "rep_query_DevelopAI.csv"]
 
+    def test_repeated_target_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "query.yaml"
+        cfg.write_text(
+            "format: beliefnet-query\nversion: 1\ntables:\n"
+            "  - target: DevelopAI\n    evidence_variables: [AIEasierLife]\n"
+            "  - target: DevelopAI\n    evidence_variables: [InterestAI]\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "query", "--model", ws / "models" / "full.bn.yaml", "--config", cfg,
+            "--workspace", tmp_path / "wd", "--name", "rep",
+        )
+        assert code == 2
+        assert "rep_query_DevelopAI.csv twice" in capsys.readouterr().err
+        assert not list((tmp_path / "wd" / "reports").iterdir())
+
 
 class TestSobol:
     def test_matrix_written(self, ws):
@@ -274,6 +292,21 @@ class TestSobol:
         assert code == 2
         assert "at least one target" in capsys.readouterr().err
         assert not list((tmp_path / "wsn" / "reports").iterdir())
+
+    def test_repeated_input_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "sobol.yaml"
+        cfg.write_text(
+            "format: beliefnet-sobol\nversion: 1\ntargets: [DevelopAI]\n"
+            "inputs: [Sex, Sex, Age]\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "sobol", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
+        )
+        assert code == 2
+        assert "input 'Sex' is listed twice" in capsys.readouterr().err
+        assert not list((tmp_path / "wsd" / "reports").iterdir())
 
 
 class TestScenario:
@@ -378,6 +411,22 @@ class TestSensitivity:
         assert code == 2
         assert "unknown variable: 'Bogus'" in capsys.readouterr().err
         assert not list((tmp_path / "wsb" / "reports").iterdir())
+
+    def test_repeated_node_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "sens.yaml"
+        cfg.write_text(
+            "format: beliefnet-sensitivity\nversion: 1\n"
+            "target: {variable: HeardEURegulation, state: \"No\"}\n"
+            "nodes: [InterestAI, InterestAI]\ndelta: 0.1\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "sensitivity", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
+        )
+        assert code == 2
+        assert "node 'InterestAI' is listed twice" in capsys.readouterr().err
+        assert not list((tmp_path / "wsd" / "reports").iterdir())
 
 
 class TestExport:

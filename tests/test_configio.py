@@ -241,15 +241,16 @@ class TestLearn:
         without = write(tmp_path, head + "tabu: {tenure: 5}\n", "b.yaml")
         assert load_learn_config(with_key) == load_learn_config(without)
 
-    def test_constraints_built(self, tmp_path):
-        p = write(
-            tmp_path,
-            "format: beliefnet-learn\nversion: 1\n"
-            "whitelist: [[A, B]]\nblacklist: [[B, A]]\n",
-        )
-        cons = load_learn_config(p).constraints()
-        assert ("A", "B") in cons.required
-        assert ("B", "A") in cons.forbidden
+    @pytest.mark.parametrize("key, arcs", [("whitelist", "[[A, B]]"), ("blacklist", "[[B, A]]")])
+    def test_arc_list_refused_unless_empty(self, tmp_path, key, arcs):
+        head = "format: beliefnet-learn\nversion: 1\n"
+        listed = write(tmp_path, head + f"{key}: {arcs}\n", "a.yaml")
+        with pytest.raises(MalformedFile) as exc:
+            load_learn_config(listed)
+        assert exc.value.position == key
+        empty = write(tmp_path, head + f"{key}: []\n", "b.yaml")
+        without = write(tmp_path, head, "c.yaml")
+        assert load_learn_config(empty) == load_learn_config(without)
 
 
 @pytest.mark.parametrize("name, loader", [

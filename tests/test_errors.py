@@ -21,7 +21,6 @@ EXAMPLES = {
     "UnmappedToken": ("Age", "??"),
     "NonBinaryMember": ("Fairness", "Q12", ("yes", "no", "maybe")),
     "UnassignedVariable": ("Age",),
-    "UnsatisfiableConstraints": ("arcs both required and forbidden",),
     "EmptyStrengths": (),
     "ZeroProbabilityEvidence": ({"A": "a0"}, 0.0, "lockdown"),
     "DegenerateTarget": ("Age",),
