@@ -162,10 +162,9 @@ def pipeline_goldens(workdir):
     """{artifact path: sha256} for one fixture run of every CLI stage into
     ``workdir``/ws.
 
-    Manifests hold timings and are left out; SVGs are written with
-    ``--no-timestamp`` so every listed file is deterministic. Sensitivity and
-    export shade InterestAI=Strongly, which has few ancestors, so the run
-    stays a few seconds long.
+    Manifests hold timings and are left out; every listed file is
+    deterministic. Sensitivity and export shade InterestAI=Strongly, which
+    has few ancestors, so the run stays a few seconds long.
     """
     fixture = lambda name: os.path.join(FIXTURES, name)  # noqa: E731
     workspace = os.path.join(workdir, "ws")
@@ -187,8 +186,7 @@ def pipeline_goldens(workdir):
     for cmd, config in (("query", configs["query"]), ("sobol", configs["sobol"]),
                         ("scenario", configs["scenarios"]),
                         ("sensitivity", configs["sensitivity"])):
-        _quiet_cli([cmd, "--model", model, "--config", config, "--name", "rep",
-                    "--no-timestamp"] + ws)
+        _quiet_cli([cmd, "--model", model, "--config", config, "--name", "rep"] + ws)
     _quiet_cli(["export", "--model", model, "--influence", "InterestAI=Strongly",
                 "--name", "shaded"] + ws)
     digests = {}

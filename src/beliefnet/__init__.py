@@ -61,7 +61,6 @@ from .model import (
     CategoricalVariable,
     Cpt,
     Dag,
-    Evidence,
     FittedNetwork,
     TierSpec,
     d_separated,
@@ -73,11 +72,10 @@ from .scores import ScoreCache, score
 
 __all__ = [
     "ArcStrengthTable", "BeliefnetError", "CategoricalVariable", "Cpt",
-    "CptParameterId", "Dag", "DataTable", "DirectedShift", "Evidence",
-    "Factor", "FittedNetwork", "QueryResult", "RawTable", "RecodeSpec",
-    "ScenarioDef", "ScenarioResult", "ScoreCache", "SobolMatrix", "SobolResult",
-    "TabuConfig", "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar",
-    "VariableRecode", "averaged_network", "bootstrap_strengths", "collapse_rare",
+    "CptParameterId", "Dag", "DataTable", "DirectedShift", "Factor",
+    "FittedNetwork", "QueryResult", "RawTable", "RecodeSpec", "ScenarioDef",
+    "ScenarioResult", "ScoreCache", "SobolMatrix", "SobolResult", "TabuConfig",
+    "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar", "VariableRecode", "averaged_network", "bootstrap_strengths", "collapse_rare",
     "d_separated", "deserialize", "drop_incomplete", "export_dot", "fit_bayes",
     "group_themes", "influence_colors", "joint_probability", "l1_threshold",
     "load", "load_csv", "load_datatable", "node_influence", "optimal_threshold",

@@ -37,8 +37,8 @@ from .errors import (
     SaturatedParameter,
     ZeroProbabilityEvidence,
 )
-from .model import Cpt, Evidence, FittedNetwork, config_levels, d_separated
-from .inference import _eliminate, posterior
+from .model import Cpt, FittedNetwork, config_levels, d_separated
+from .inference import _eliminate, _evidence_levels, posterior
 
 
 def _distinct_variables(net, names, role):
@@ -139,44 +139,48 @@ def sobol_matrix(net: FittedNetwork, targets, inputs) -> SobolMatrix:
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    """A named multi-variable evidence profile."""
+    """A named multi-variable evidence profile, ``{variable: level}``."""
 
     name: str
-    evidence: Evidence
-
-    def __post_init__(self):
-        object.__setattr__(self, "evidence", Evidence(self.evidence))
+    evidence: dict
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
     name: str
-    evidence: Evidence
+    evidence: dict
     evidence_probability: float
     posteriors: dict  # target -> QueryResult
 
 
 def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
-    """One posterior per (scenario, target), preserving scenario order."""
+    """One posterior per (scenario, target), preserving scenario order.
+
+    A scenario name used twice raises InvalidQuery.
+    """
     targets = tuple(targets)
-    results = []
+    results, seen = [], set()
     for scen in scenarios:
-        scen.evidence.validate(net)
+        if scen.name in seen:
+            raise InvalidQuery(f"scenario {scen.name!r} is listed twice")
+        seen.add(scen.name)
+        evidence = dict(scen.evidence)
+        _evidence_levels(net, evidence)
         for t in targets:
-            if t in scen.evidence:
+            if t in evidence:
                 raise InvalidQuery(
                     f"scenario {scen.name!r} fixes the target {t!r}"
                 )
         queries = {}
         for t in targets:
             try:
-                queries[t] = posterior(net, t, scen.evidence)
+                queries[t] = posterior(net, t, evidence)
             except ZeroProbabilityEvidence as exc:
                 raise ZeroProbabilityEvidence(
-                    scen.evidence, exc.probability, scenario=scen.name
+                    evidence, exc.probability, scenario=scen.name
                 ) from exc
         p_ev = queries[targets[0]].evidence_probability if targets else 1.0
-        results.append(ScenarioResult(scen.name, scen.evidence, p_ev, queries))
+        results.append(ScenarioResult(scen.name, evidence, p_ev, queries))
     return results
 
 
@@ -266,10 +270,7 @@ def sensitivity_slope(
     theta = float(cpt.table[param.config, param.state])
     if 1.0 - theta == 0.0:
         raise SaturatedParameter(param)
-    evidence = Evidence(evidence).validate(net)
-    if variable in evidence:
-        raise InvalidQuery(f"target {variable!r} appears in the evidence")
-    ev = {name: net.variable(name).level_index(lvl) for name, lvl in evidence.items()}
+    ev = _evidence_levels(net, evidence, variable)
     both = {**ev, variable: target}
     if param.variable not in net.dag.ancestral_closure(both):
         return 0.0

@@ -1,8 +1,7 @@
 """Hand-emitted SVG charts: scenario bar groups and tornado diagrams.
 
 No plotting stack: the files are deterministic, self-contained XML with no
-external references. An optional timestamp comment is the only run-varying
-field and can be omitted entirely.
+external references and no run-varying field.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ RED = "#c44e52"
 FONT = "font-family:Helvetica,Arial,sans-serif"
 
 
-def _svg_root(width, height, timestamp=None):
-    root = ET.Element(
+def _svg_root(width, height):
+    return ET.Element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
@@ -29,9 +28,6 @@ def _svg_root(width, height, timestamp=None):
             "viewBox": f"0 0 {width} {height}",
         },
     )
-    if timestamp:
-        root.append(ET.Comment(f" generated {timestamp} "))
-    return root
 
 
 def _text(parent, x, y, content, size=11, anchor="start", extra=""):
@@ -82,7 +78,7 @@ def _render(root) -> str:
     return ET.tostring(root, encoding="unicode") + "\n"
 
 
-def scenario_bars_svg(target, levels, scenario_names, probabilities, timestamp=None) -> str:
+def scenario_bars_svg(target, levels, scenario_names, probabilities) -> str:
     """Grouped bars: one group per target level, one bar per scenario.
 
     ``probabilities[s][k]`` is P(level k | scenario s).
@@ -98,7 +94,7 @@ def scenario_bars_svg(target, levels, scenario_names, probabilities, timestamp=N
     legend_w = 16 + 10 * max((len(s) for s in scenario_names), default=4)
     width = margin_l + n_groups * group_w + 30 + legend_w
     height = margin_t + plot_h + margin_b
-    root = _svg_root(width, height, timestamp)
+    root = _svg_root(width, height)
     _text(root, margin_l, 20, f"Posterior of {target} by scenario", size=14)
 
     def y_of(p):
@@ -134,7 +130,7 @@ def scenario_bars_svg(target, levels, scenario_names, probabilities, timestamp=N
     return _render(root)
 
 
-def tornado_svg(bars, event_label, delta, timestamp=None, max_bars=40) -> str:
+def tornado_svg(bars, event_label, delta, max_bars=40) -> str:
     """Horizontal tornado: per bar, green = increase shift, red = decrease.
 
     ``bars`` come pre-sorted by magnitude (the tornado() contract); shifts
@@ -150,7 +146,7 @@ def tornado_svg(bars, event_label, delta, timestamp=None, max_bars=40) -> str:
     plot_w = 360
     width = label_w + plot_w + 40
     height = margin_t + row_h * len(bars) + margin_b
-    root = _svg_root(width, height, timestamp)
+    root = _svg_root(width, height)
     title = f"Tornado for {event_label} (delta={delta:g})"
     if len(bars) < total:
         title += f" - top {len(bars)} of {total}"

@@ -137,7 +137,6 @@ class _Run:
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         )
-        self.timestamp = None if args.no_timestamp else self.started
         self.outputs = []
         self.seed = None
         self.extra = {}
@@ -392,7 +391,6 @@ def cmd_scenario(args, run: _Run):
             net.variable(target).levels,
             [r.name for r in results],
             [r.posteriors[target].distribution for r in results],
-            timestamp=run.timestamp,
         )
         reports.write_text(path, svg)
     print(f"wrote {len(cfg.scenarios)} scenarios x {len(cfg.targets)} targets")
@@ -424,12 +422,7 @@ def cmd_sensitivity(args, run: _Run):
     reports.write_text(
         dot_path, export_dot(net.dag, analysis.influence_colors(influence))
     )
-    svg = charts.tornado_svg(
-        bars,
-        f"{cfg.target_variable}={cfg.target_state}",
-        cfg.delta,
-        timestamp=run.timestamp,
-    )
+    svg = charts.tornado_svg(bars, f"{cfg.target_variable}={cfg.target_state}", cfg.delta)
     reports.write_text(svg_path, svg)
     print(f"wrote {len(bars)} tornado bars")
 
@@ -476,16 +469,12 @@ def _add_common(sub, name_default):
     )
     sub.add_argument("--name", default=name_default, help="output name stem")
     sub.add_argument("--force", action="store_true", help="allow overwriting outputs")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
         help="most worker processes for the learn bootstrap, which runs in-process "
         "when it has too few replicates to pay for a pool; other commands run serially",
-    )
-    sub.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp comment in SVGs"
     )
 
 
@@ -510,6 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="beliefnet-learn config")
     p.add_argument("--bootstrap", type=_nonnegative_int, default=None,
                    help="replicates (0 = single search; overrides config)")
+    p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default: random)")
     _add_common(p, "model")
     p.set_defaults(func=cmd_learn, inputs=("data", "dict", "tiers", "config"))
 

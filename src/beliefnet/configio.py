@@ -12,7 +12,7 @@ from . import _yamlio
 from .data import RecodeSpec, ThemeSpec, VariableRecode
 from .errors import MalformedFile
 from .learn import TabuConfig
-from .model import Evidence, TierSpec
+from .model import TierSpec
 from .analysis import ScenarioDef
 
 SUPPORTED_VERSION = 1
@@ -203,6 +203,11 @@ def load_query_config(path) -> QueryConfig:
         sweeps = tuple(
             str(v) for v in _field(entry, "evidence_variables", list, path=path, where=where)
         )
+        repeated = [v for k, v in enumerate(sweeps) if v in sweeps[:k]]
+        if repeated:
+            raise MalformedFile(
+                path, f"{where}evidence_variables", f"{repeated[0]!r} is listed twice"
+            )
         tables.append((target, sweeps))
     return QueryConfig(tuple(tables))
 
@@ -237,7 +242,7 @@ def load_scenario_config(path) -> ScenarioConfig:
             str(k): str(v)
             for k, v in _field(entry, "evidence", dict, {}, path=path, where=where).items()
         }
-        scenarios.append(ScenarioDef(name, Evidence(ev)))
+        scenarios.append(ScenarioDef(name, ev))
     return ScenarioConfig(
         targets=tuple(str(t) for t in _field(doc, "targets", list, path=path)),
         scenarios=tuple(scenarios),

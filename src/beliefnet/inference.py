@@ -34,7 +34,6 @@ from .errors import InvalidQuery, UnknownVariable, ZeroProbabilityEvidence
 from .model import (
     Cpt,
     Dag,
-    Evidence,
     FittedNetwork,
     topological_order,
 )
@@ -154,7 +153,7 @@ class QueryResult:
     target: str
     levels: tuple
     distribution: np.ndarray
-    evidence: Evidence
+    evidence: dict
     evidence_probability: float
     log_evidence_probability: float
     elimination_order: tuple = ()
@@ -217,20 +216,25 @@ def _eliminate(net, keep, ev_levels, order=None, without=None):
     return final._aligned(keep, cards), log_scale, tuple(order)
 
 
+def _evidence_levels(net, evidence, target=None) -> dict:
+    """``{name: level index}`` of the ``{variable: level}`` map ``evidence``
+    (None for none); an unknown variable or level raises, and so does
+    evidence on ``target``."""
+    levels = {name: net.variable(name).level_index(v) for name, v in (evidence or {}).items()}
+    if target in levels:
+        raise InvalidQuery(f"target {target!r} appears in the evidence")
+    return levels
+
+
 def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> QueryResult:
     """Exact P(target | evidence) by variable elimination.
 
     ``order`` overrides the min-fill elimination order; it must be a
     permutation of the hidden variables that the default would eliminate.
     """
-    evidence = Evidence(evidence).validate(net)
+    evidence = dict(evidence or {})
+    ev_levels = _evidence_levels(net, evidence, target)
     var = net.variable(target)
-    if target in evidence:
-        raise InvalidQuery(f"target {target!r} appears in the evidence")
-
-    ev_levels = {
-        name: net.variable(name).level_index(lvl) for name, lvl in evidence.items()
-    }
     final, log_scale, order = _eliminate(net, (target,), ev_levels, order)
     z = float(final.sum())
     if z == 0.0:

@@ -253,42 +253,6 @@ class TierSpec:
         return {v for t in self.tiers for v in t}
 
 
-class Evidence:
-    """An assignment of observed levels to a subset of variables."""
-
-    __slots__ = ("assignments",)
-
-    def __init__(self, assignments=None):
-        if isinstance(assignments, Evidence):
-            assignments = assignments.assignments
-        self.assignments = dict(assignments or {})
-
-    def __contains__(self, variable):
-        return variable in self.assignments
-
-    def __getitem__(self, variable):
-        return self.assignments[variable]
-
-    def __len__(self):
-        return len(self.assignments)
-
-    def __eq__(self, other):
-        return isinstance(other, Evidence) and self.assignments == other.assignments
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.assignments.items())
-        return f"Evidence({inner})"
-
-    def items(self):
-        return self.assignments.items()
-
-    def validate(self, net: "FittedNetwork"):
-        """Check every variable exists and every level is in its domain."""
-        for name, level in self.assignments.items():
-            net.variable(name).level_index(level)
-        return self
-
-
 class Cpt:
     """Conditional probability table of one variable.
 
@@ -416,8 +380,8 @@ class FittedNetwork:
 
 def joint_probability(net: FittedNetwork, assignment) -> float:
     """Probability of one complete assignment, read off the CPT product."""
-    assignment = Evidence(assignment)
-    extra = set(assignment.assignments) - {v.name for v in net.variables}
+    assignment = dict(assignment)
+    extra = set(assignment) - {v.name for v in net.variables}
     if extra:
         raise UnknownVariable(sorted(extra)[0])
     missing = [v.name for v in net.variables if v.name not in assignment]

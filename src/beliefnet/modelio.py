@@ -79,17 +79,17 @@ def _network(doc, source) -> FittedNetwork:
                 levels=tuple(str(x) for x in entry["levels"]),
                 ordinal=bool(entry.get("ordinal", False)),
             )
-            for entry in _req(doc, "variables", source)
+            for entry in doc["variables"]
         )
         cpt_entries = {}
-        for e in _req(doc, "cpts", source):
+        for e in doc["cpts"]:
             name = str(e["variable"])
             if name in cpt_entries:
                 raise MalformedFile(source, "cpts", f"duplicate entry for {name!r}")
             cpt_entries[name] = e
         parents = {name: tuple(str(p) for p in e["parents"]) for name, e in cpt_entries.items()}
         dag = Dag(tuple(v.name for v in variables), parents)
-        arcs = {(str(a), str(b)) for a, b in _req(doc, "arcs", source)}
+        arcs = {(str(a), str(b)) for a, b in doc["arcs"]}
         if arcs != set(dag.arcs()):
             raise MalformedFile(source, "arcs", "arc list disagrees with CPT parents")
         cpts = {
@@ -103,12 +103,6 @@ def _network(doc, source) -> FittedNetwork:
         raise MalformedFile(source, str(exc.args[0]), "missing field") from exc
     except Exception as exc:
         raise MalformedFile(source, "(document)", str(exc)) from exc
-
-
-def _req(doc, key, source):
-    if key not in doc:
-        raise MalformedFile(source, key, "missing field")
-    return doc[key]
 
 
 def _dot_quote(name: str) -> str:

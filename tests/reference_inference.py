@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from beliefnet.errors import InvalidQuery, ZeroProbabilityEvidence
-from beliefnet.model import Evidence
 
 
 class ReferenceFactor:
@@ -99,12 +98,12 @@ def reference_min_fill_order(scopes, hidden):
 
 def reference_posterior(net, target, evidence=None):
     """(distribution, log P(evidence), elimination order) of P(target | evidence)."""
-    evidence = Evidence(evidence).validate(net)
-    if target in evidence:
-        raise InvalidQuery(f"target {target!r} appears in the evidence")
+    evidence = dict(evidence or {})
     ev_levels = {
         name: net.variable(name).level_index(lvl) for name, lvl in evidence.items()
     }
+    if target in ev_levels:
+        raise InvalidQuery(f"target {target!r} appears in the evidence")
     relevant = set()
     stack = [target, *ev_levels]
     while stack:

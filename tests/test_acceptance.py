@@ -421,7 +421,7 @@ def _run_pipeline(root, workers):
         assert cli_main(
             [
                 cmd, "--model", model, "--config", cfg, "--workspace", str(root),
-                "--name", "rep", "--workers", str(workers), "--no-timestamp",
+                "--name", "rep", "--workers", str(workers),
             ]
         ) == 0
 

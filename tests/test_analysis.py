@@ -26,7 +26,7 @@ from beliefnet.errors import (
     ZeroProbabilityEvidence,
 )
 from beliefnet.inference import posterior
-from beliefnet.model import CategoricalVariable, Cpt, Dag, Evidence, FittedNetwork
+from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
 
 
 def binary(name):
@@ -163,34 +163,48 @@ class TestSobolMatrix:
 class TestScenarios:
     def test_baseline_equals_marginals(self):
         net = chain_xmy()
-        res = scenario_posteriors(net, [ScenarioDef("Baseline", Evidence())], ["Y"])
+        res = scenario_posteriors(net, [ScenarioDef("Baseline", {})], ["Y"])
         want = posterior(net, "Y").distribution
         assert np.abs(res[0].posteriors["Y"].distribution - want).max() < 1e-12
         assert res[0].evidence_probability == pytest.approx(1.0)
 
     def test_scenario_fixing_target_rejected(self):
         net = chain_xmy()
-        scen = ScenarioDef("bad", Evidence({"Y": "y0"}))
+        scen = ScenarioDef("bad", {"Y": "y0"})
         with pytest.raises(InvalidQuery):
             scenario_posteriors(net, [scen], ["Y"])
+
+    def test_repeated_name_rejected(self):
+        net = chain_xmy()
+        scens = [ScenarioDef("Baseline", {}), ScenarioDef("Baseline", {"X": "x1"})]
+        with pytest.raises(InvalidQuery, match="scenario 'Baseline' is listed twice"):
+            scenario_posteriors(net, scens, ["Y"])
+
+    def test_results_keep_their_own_evidence(self):
+        net = chain_xmy()
+        evidence = {"X": "x1"}
+        res = scenario_posteriors(net, [ScenarioDef("s", evidence)], ["Y"])
+        evidence["X"] = "x0"
+        assert res[0].evidence == {"X": "x1"}
+        assert res[0].posteriors["Y"].evidence == {"X": "x1"}
 
     def test_matches_oracle(self):
         net = chain_xmy()
         scens = [
-            ScenarioDef("s1", Evidence({"X": "x1"})),
-            ScenarioDef("s2", Evidence({"X": "x0", "M": "m2"})),
+            ScenarioDef("s1", {"X": "x1"}),
+            ScenarioDef("s2", {"X": "x0", "M": "m2"}),
         ]
         res = scenario_posteriors(net, scens, ["Y"])
         for r, scen in zip(res, scens):
-            want, p_ev = oracles.posterior(net, "Y", dict(scen.evidence.items()))
+            want, p_ev = oracles.posterior(net, "Y", scen.evidence)
             assert np.abs(r.posteriors["Y"].distribution - want).max() < 1e-9
             assert r.evidence_probability == pytest.approx(p_ev, abs=1e-9)
 
     def test_order_preserved_and_equal_to_single_calls(self):
         net = chain_xmy()
         scens = [
-            ScenarioDef("b", Evidence({"M": "m1"})),
-            ScenarioDef("a", Evidence({"M": "m0"})),
+            ScenarioDef("b", {"M": "m1"}),
+            ScenarioDef("a", {"M": "m0"}),
         ]
         res = scenario_posteriors(net, scens, ["Y", "X"])
         assert [r.name for r in res] == ["b", "a"]
@@ -209,7 +223,7 @@ class TestScenarios:
                 "Y": Cpt("Y", ("X",), [[0.5, 0.5], [0.5, 0.5]]),
             },
         )
-        scen = ScenarioDef("impossible", Evidence({"X": "x1"}))
+        scen = ScenarioDef("impossible", {"X": "x1"})
         with pytest.raises(ZeroProbabilityEvidence) as exc:
             scenario_posteriors(net, [scen], ["Y"])
         assert exc.value.scenario == "impossible"

@@ -245,6 +245,22 @@ class TestQuery:
         written = sorted(p.name for p in tmp_path.glob("wq/reports/rep_query_*.csv"))
         assert written == ["rep_query_AIRegulations.csv", "rep_query_DevelopAI.csv"]
 
+    def test_repeated_sweep_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "query.yaml"
+        cfg.write_text(
+            "format: beliefnet-query\nversion: 1\ntables:\n"
+            "  - target: DevelopAI\n    evidence_variables: [InterestAI, InterestAI]\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "query", "--model", ws / "models" / "full.bn.yaml", "--config", cfg,
+            "--workspace", tmp_path / "wr", "--name", "rep",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: tables[0].evidence_variables: 'InterestAI' is listed twice" in err
+        assert not list(tmp_path.glob("wr/reports/rep_query_*.csv"))
+
     def test_repeated_target_exit_2_without_report(self, ws, tmp_path, capsys):
         cfg = tmp_path / "query.yaml"
         cfg.write_text(
@@ -314,7 +330,7 @@ class TestScenario:
         assert run(
             "scenario", "--model", ws / "models" / "full.bn.yaml",
             "--config", "fixtures/scenarios.yaml", "--workspace", ws,
-            "--name", "rep", "--no-timestamp",
+            "--name", "rep",
         ) == 0
         with open(
             ws / "reports" / "rep_scenario_DevelopAI.csv", newline="", encoding="utf-8"
@@ -336,7 +352,7 @@ class TestScenario:
         )
         assert run(
             "scenario", "--model", ws / "models" / "full.bn.yaml",
-            "--config", cfg, "--workspace", ws, "--name", "solo", "--no-timestamp",
+            "--config", cfg, "--workspace", ws, "--name", "solo",
         ) == 0
         svg = (ws / "reports" / "solo_scenario_DevelopAI.svg").read_text()
         root = ET.fromstring(svg)
@@ -344,6 +360,22 @@ class TestScenario:
         texts = [t.text for t in root.iter(f"{ns}text")]
         for level in ("Risk", "Opportunity", "Both"):
             assert level in texts
+
+    def test_repeated_name_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "format: beliefnet-scenarios\nversion: 1\ntargets: [DevelopAI]\nscenarios:\n"
+            "  - name: Baseline\n    evidence: {}\n"
+            "  - name: Baseline\n    evidence: {InterestAI: Strongly}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "scenario", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
+        )
+        assert code == 2
+        assert "scenario 'Baseline' is listed twice" in capsys.readouterr().err
+        assert not list((tmp_path / "wsd" / "reports").iterdir())
 
     def test_csv_survives_svg_failure(self, ws, tmp_path, monkeypatch):
         import beliefnet.charts as charts
@@ -356,7 +388,7 @@ class TestScenario:
             run(
                 "scenario", "--model", ws / "models" / "full.bn.yaml",
                 "--config", "fixtures/scenarios.yaml",
-                "--workspace", tmp_path / "wss", "--name", "crash", "--no-timestamp",
+                "--workspace", tmp_path / "wss", "--name", "crash",
             )
         # CSVs were all written before the SVG stage ran, and none is corrupt
         for target in ("DevelopAI", "AIRegulations", "HeardEURegulation"):
@@ -371,7 +403,7 @@ class TestSensitivity:
         assert run(
             "sensitivity", "--model", ws / "models" / "full.bn.yaml",
             "--config", "fixtures/sensitivity.yaml", "--workspace", ws,
-            "--name", "rep", "--no-timestamp",
+            "--name", "rep",
         ) == 0
         assert (ws / "reports" / "rep_tornado.csv").exists()
         svg = (ws / "reports" / "rep_tornado.svg").read_text()
@@ -389,7 +421,7 @@ class TestSensitivity:
         )
         assert run(
             "sensitivity", "--model", ws / "models" / "full.bn.yaml",
-            "--config", cfg, "--workspace", ws, "--name", "zero", "--no-timestamp",
+            "--config", cfg, "--workspace", ws, "--name", "zero",
         ) == 0
         with open(ws / "reports" / "zero_tornado.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -454,6 +486,29 @@ class TestCliContract:
         assert run("learn") == 1          # missing required args
         assert run("not-a-command") == 1  # unknown command
         assert run("learn", "--data", "d.csv", "--dict", "d.yaml", "--bootstrap", -1) == 1
+
+    def test_seed_belongs_to_learn_only(self, ws, tmp_path, capsys):
+        code = run(
+            "query", "--seed", 1, "--model", ws / "models" / "full.bn.yaml",
+            "--config", "fixtures/query.yaml", "--workspace", tmp_path / "ws",
+        )
+        assert code == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
+
+    def test_svgs_byte_identical_without_comment(self, ws, tmp_path):
+        model = ws / "models" / "full.bn.yaml"
+        svgs = []
+        for k in (0, 1):
+            root = tmp_path / f"ws{k}"
+            assert run("scenario", "--model", model, "--config", "fixtures/scenarios.yaml",
+                       "--workspace", root, "--name", "rep") == 0
+            assert run("sensitivity", "--model", model, "--config", "fixtures/sensitivity.yaml",
+                       "--workspace", root, "--name", "rep") == 0
+            svgs.append({p.name: p.read_bytes() for p in (root / "reports").glob("*.svg")})
+        assert len(svgs[0]) == 4  # three scenario targets and the tornado
+        assert svgs[0] == svgs[1]
+        assert not [name for name, body in svgs[0].items() if b"<!--" in body]
 
     def test_readme_shows_exactly_the_subcommands(self):
         (commands,) = [a for a in build_parser()._actions

@@ -12,14 +12,15 @@ from netgen import random_dag, random_net
 from beliefnet.errors import (
     CycleDetected,
     IncompleteAssignment,
+    InvalidQuery,
     UnknownLevel,
     UnknownVariable,
 )
+from beliefnet.inference import posterior
 from beliefnet.model import (
     CategoricalVariable,
     Cpt,
     Dag,
-    Evidence,
     FittedNetwork,
     TierSpec,
     config_index,
@@ -308,12 +309,20 @@ class TestFittedNetwork:
 
 class TestEvidence:
     def test_validate(self):
-        net = make_net([binary("A")], {}, {"A": [[0.5, 0.5]]})
-        Evidence({"A": "yes"}).validate(net)
+        """Evidence is a plain {variable: level} dict, checked by the query."""
+        net = make_net([binary("A"), binary("B")], {"B": ("A",)},
+                       {"A": [[0.5, 0.5]], "B": [[0.9, 0.1], [0.2, 0.8]]})
+        evidence = {"A": "yes"}
+        result = posterior(net, "B", evidence)
+        evidence["A"] = "no"
+        assert result.evidence == {"A": "yes"}
+        assert result["yes"] == pytest.approx(0.8)
         with pytest.raises(UnknownLevel):
-            Evidence({"A": "maybe"}).validate(net)
+            posterior(net, "B", {"A": "maybe"})
         with pytest.raises(UnknownVariable):
-            Evidence({"Z": "yes"}).validate(net)
+            posterior(net, "B", {"Z": "yes"})
+        with pytest.raises(InvalidQuery):
+            posterior(net, "B", {"B": "yes"})
 
 
 class TestTierSpec:

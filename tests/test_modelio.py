@@ -178,10 +178,13 @@ class TestErrors:
             deserialize(text, source="mini.bn.yaml")
         assert str(exc.value) == "mini.bn.yaml: cpts: duplicate entry for 'Rain'"
 
-    def test_missing_field(self):
+    @pytest.mark.parametrize("field", ["variables", "cpts", "arcs"])
+    def test_missing_field(self, field):
+        doc = yaml.safe_load(serialize(small_net()))
+        del doc[field]
         with pytest.raises(MalformedFile) as exc:
-            deserialize("format: beliefnet-model\nversion: 1\n")
-        assert exc.value.position == "variables"
+            deserialize(yaml.safe_dump(doc), source="m.bn.yaml")
+        assert str(exc.value) == f"m.bn.yaml: {field}: missing field"
 
 
 class TestDotExport:

@@ -177,13 +177,6 @@ class TestSvg:
         ]
         assert len(bars) >= 3  # one per level plus legend swatch
 
-    def test_timestamp_optional(self):
-        with_ts = scenario_bars_svg("B", ("b0",  "b1"), ["s"], [[0.5, 0.5]], timestamp="2026-01-01")
-        without = scenario_bars_svg("B", ("b0", "b1"), ["s"], [[0.5, 0.5]])
-        assert "generated 2026-01-01" in with_ts
-        assert "generated" not in without
-        assert with_ts.replace("<!-- generated 2026-01-01 -->", "") == without
-
     def test_tornado_svg_well_formed_and_capped(self):
         bars = fake_bars(60)
         svg = tornado_svg(bars, "X=s0", 0.1, max_bars=40)
