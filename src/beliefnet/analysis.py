@@ -156,9 +156,11 @@ class ScenarioResult:
 def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
     """One posterior per (scenario, target), preserving scenario order.
 
-    A scenario name used twice raises InvalidQuery.
+    No targets, or a scenario name used twice, raises InvalidQuery.
     """
     targets = tuple(targets)
+    if not targets:
+        raise InvalidQuery("scenario posteriors need at least one target")
     results, seen = [], set()
     for scen in scenarios:
         if scen.name in seen:
@@ -179,7 +181,7 @@ def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
                 raise ZeroProbabilityEvidence(
                     evidence, exc.probability, scenario=scen.name
                 ) from exc
-        p_ev = queries[targets[0]].evidence_probability if targets else 1.0
+        p_ev = queries[targets[0]].evidence_probability
         results.append(ScenarioResult(scen.name, evidence, p_ev, queries))
     return results
 

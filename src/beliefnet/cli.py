@@ -128,8 +128,8 @@ _MANIFESTS = {
 
 
 class _Run:
-    """One command's run: its start time, the outputs it claimed, the seed and
-    extras it recorded, and the manifest that lists them."""
+    """One command's run: its start time, the outputs it claimed, the extras
+    it recorded, and the manifest that lists them."""
 
     def __init__(self, args, ws):
         self.args, self.ws = args, ws
@@ -138,7 +138,6 @@ class _Run:
             timespec="seconds"
         )
         self.outputs = []
-        self.seed = None
         self.extra = {}
 
     def claim(self, directory, name) -> str:
@@ -161,8 +160,6 @@ class _Run:
             "version": 1,
             "command": args.command,
             "tool_version": __version__,
-            "seed": self.seed,
-            "workers": args.workers,
             "config": {
                 k: v
                 for k, v in sorted(vars(args).items())
@@ -254,7 +251,7 @@ def cmd_prep(args, run: _Run):
 def cmd_learn(args, run: _Run):
     data = load_datatable(args.data, args.dict)
     cfg = configio.load_learn_config(args.config) if args.config else configio.LearnConfig()
-    seed = run.seed = secrets.randbits(31) if args.seed is None else args.seed
+    seed = secrets.randbits(31) if args.seed is None else args.seed
     b = cfg.bootstrap if args.bootstrap is None else args.bootstrap
     model_path = run.claim("models", f"{args.name}.bn.yaml")
     if b > 0:
@@ -278,9 +275,7 @@ def cmd_learn(args, run: _Run):
             seed=seed,
             n_jobs=args.workers,
         )
-        threshold = cfg.threshold
-        if threshold is None:
-            threshold = optimal_threshold(strengths)
+        threshold = optimal_threshold(strengths)
         dag = averaged_network(
             strengths,
             threshold,
@@ -290,6 +285,7 @@ def cmd_learn(args, run: _Run):
         )
         reports.write_strengths_csv(strengths_path, strengths)
     run.extra = {
+        "seed": seed,
         "bootstrap": b,
         "bootstrap_workers": bootstrap_workers(b, args.workers) if b else None,
         "score": cfg.score,
@@ -405,7 +401,7 @@ def cmd_sensitivity(args, run: _Run):
     cfg = configio.load_sensitivity_config(args.config)
     run.extra = {"delta": cfg.delta}
     event = (cfg.target_variable, cfg.target_state)
-    bars = analysis.tornado(net, event, nodes=cfg.nodes, delta=cfg.delta)
+    bars = analysis.tornado(net, event, delta=cfg.delta)
     reports.write_tornado_csv(csv_path, bars, event, cfg.delta)
     reports.write_text(
         txt_path,
@@ -438,11 +434,6 @@ def cmd_export(args, run: _Run):
         colors = analysis.influence_colors(
             analysis.node_influence(net, (variable, state))
         )
-    elif args.colors:
-        doc = _yamlio.read(args.colors) or {}
-        if not isinstance(doc, dict):
-            raise MalformedFile(args.colors, "(root)", "expected a map of node -> color")
-        colors = {str(k): str(v) for k, v in doc.items()}
     reports.write_text(dot_path, export_dot(net.dag, colors))
     print(f"wrote {dot_path}")
 
@@ -529,12 +520,10 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("export", help="Graphviz DOT export")
     p.add_argument("--model", required=True)
-    shading = p.add_mutually_exclusive_group()
-    shading.add_argument("--colors", default=None, help="YAML map node -> fill color")
-    shading.add_argument("--influence", default=None, metavar="VARIABLE=STATE",
-                         help="shade nodes by sensitivity to this event")
+    p.add_argument("--influence", default=None, metavar="VARIABLE=STATE",
+                   help="shade nodes by sensitivity to this event")
     _add_common(p, "graph")
-    p.set_defaults(func=cmd_export, inputs=("model", "colors"))
+    p.set_defaults(func=cmd_export, inputs=("model",))
     return parser
 
 

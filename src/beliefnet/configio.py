@@ -25,7 +25,9 @@ def _load_doc(path, expected_format):
 _REQUIRED = object()
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
-_UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1] or 'auto'")
+_AUTO_THRESHOLD = (lambda v: v == "auto", "the threshold is L1-optimal; must be 'auto' or absent")
+_AUTO_NODES = (lambda v: v == "auto", "the tornado covers the ancestors; must be 'auto' or absent")
+_WITHIN_TIER = (lambda v: v, "tiers forbid only arcs into earlier tiers; must be true or absent")
 _NO_RESTARTS = (lambda v: v == 1, "random restarts are not supported; must be 1 or absent")
 _NO_ARCS = (lambda v: not v, "arc lists are not supported; use a tier file (--tiers)")
 
@@ -139,14 +141,13 @@ def load_theme_config(path) -> list:
 def load_tier_config(path) -> TierSpec:
     doc = _load_doc(path, "beliefnet-tiers")
     tiers = []
-    flags = []
     for i, entry in enumerate(_field(doc, "tiers", list, path=path)):
         where = f"tiers[{i}]."
         names = _field(entry, "variables", list, path=path, where=where)
         tiers.append(tuple(str(v) for v in names))
-        flags.append(_field(entry, "within_tier_edges", bool, True, path=path, where=where))
+        _field(entry, "within_tier_edges", bool, True, _WITHIN_TIER, path=path, where=where)
     try:
-        return TierSpec(tuple(tiers), tuple(flags))
+        return TierSpec(tuple(tiers))
     except ValueError as exc:
         raise MalformedFile(path, "tiers", str(exc)) from exc
 
@@ -156,7 +157,6 @@ class LearnConfig:
     score: str = "AIC"
     alpha: float = 1.0
     bootstrap: int = 2000
-    threshold: float | None = None  # None = estimate from strengths
     tabu: TabuConfig = field(default_factory=TabuConfig)
 
 
@@ -174,9 +174,7 @@ def load_learn_config(path) -> LearnConfig:
     # must not be quietly dropped
     for key in ("whitelist", "blacklist"):
         _field(doc, key, list, [], _NO_ARCS, path=path)
-    threshold = None
-    if doc.get("threshold") not in ("auto", None):
-        threshold = _field(doc, "threshold", float, check=_UNIT_INTERVAL, path=path)
+    _field(doc, "threshold", str, "auto", _AUTO_THRESHOLD, path=path)
     score = _field(doc, "score", str, "AIC", path=path).upper()
     if score not in ("AIC", "BIC", "LOGLIK"):
         raise MalformedFile(path, "score", f"unknown score {score!r}")
@@ -184,7 +182,6 @@ def load_learn_config(path) -> LearnConfig:
         score=score,
         alpha=_field(doc, "alpha", float, 1.0, _POSITIVE, path=path),
         bootstrap=_field(doc, "bootstrap", int, 2000, _NONNEGATIVE, path=path),
-        threshold=threshold,
         tabu=TabuConfig(**tabu),
     )
 
@@ -253,7 +250,6 @@ def load_scenario_config(path) -> ScenarioConfig:
 class SensitivityConfig:
     target_variable: str
     target_state: str
-    nodes: tuple | None  # None = ancestors of the target
     delta: float
 
 
@@ -262,8 +258,6 @@ def load_sensitivity_config(path) -> SensitivityConfig:
     target = _field(doc, "target", dict, path=path)
     variable = _field(target, "variable", str, path=path, where="target.")
     state = _field(target, "state", str, path=path, where="target.")
-    nodes = None
-    if doc.get("nodes") not in ("auto", None):
-        nodes = tuple(str(n) for n in _field(doc, "nodes", list, path=path))
+    _field(doc, "nodes", str, "auto", _AUTO_NODES, path=path)
     delta = _field(doc, "delta", float, 0.1, _POSITIVE, path=path)
-    return SensitivityConfig(variable, state, nodes, delta)
+    return SensitivityConfig(variable, state, delta)

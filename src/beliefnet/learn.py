@@ -67,8 +67,7 @@ class TabuLog:
 def tiers_to_blacklist(tiers: TierSpec, variables) -> frozenset:
     """The (from, to) arcs the search may not add: later tiers into earlier ones.
 
-    Tiers with within_tier_edges=False additionally forbid arcs among their
-    own members. Every variable must belong to exactly one tier.
+    Every variable must belong to exactly one tier.
     """
     variables = list(variables)
     members = tiers.members()
@@ -83,8 +82,6 @@ def tiers_to_blacklist(tiers: TierSpec, variables) -> frozenset:
     for i, tier in enumerate(tiers.tiers):
         for earlier in tiers.tiers[:i]:
             forbidden.update((a, b) for a in tier for b in earlier)
-        if not tiers.within_tier_edges[i]:
-            forbidden.update((a, b) for a in tier for b in tier if a != b)
     return frozenset(forbidden)
 
 

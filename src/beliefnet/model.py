@@ -227,14 +227,10 @@ def d_separated(dag: Dag, x: str, y: str, given=()) -> bool:
 
 @dataclass(frozen=True)
 class TierSpec:
-    """Ordered variable groups used to blacklist arcs into earlier tiers.
-
-    ``within_tier_edges[i]`` permits arcs among the members of tier i
-    (default True for every tier).
-    """
+    """Ordered variable groups used to blacklist arcs into earlier tiers;
+    arcs within a tier stay allowed."""
 
     tiers: tuple
-    within_tier_edges: tuple = ()
 
     def __post_init__(self):
         tiers = tuple(tuple(t) for t in self.tiers)
@@ -243,11 +239,7 @@ class TierSpec:
         flat = [v for t in tiers for v in t]
         if len(set(flat)) != len(flat):
             raise ValueError("a variable appears in more than one tier")
-        within = tuple(self.within_tier_edges) or (True,) * len(tiers)
-        if len(within) != len(tiers):
-            raise ValueError("within_tier_edges length must match tiers")
         object.__setattr__(self, "tiers", tiers)
-        object.__setattr__(self, "within_tier_edges", within)
 
     def members(self) -> set:
         return {v for t in self.tiers for v in t}

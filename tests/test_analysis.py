@@ -174,6 +174,11 @@ class TestScenarios:
         with pytest.raises(InvalidQuery):
             scenario_posteriors(net, [scen], ["Y"])
 
+    def test_no_targets_rejected(self):
+        # with no target there is no query to report P(evidence) from
+        with pytest.raises(InvalidQuery, match="at least one target"):
+            scenario_posteriors(chain_xmy(), [ScenarioDef("s", {"X": "x1"})], [])
+
     def test_repeated_name_rejected(self):
         net = chain_xmy()
         scens = [ScenarioDef("Baseline", {}), ScenarioDef("Baseline", {"X": "x1"})]

@@ -129,7 +129,8 @@ class TestLearn:
         assert (ws / "models" / "full.bn.yaml").exists()
         assert (ws / "strengths" / "full_strengths.csv").exists()
         manifest = yaml.safe_load((ws / "models" / "full.manifest.yaml").read_text())
-        assert manifest["seed"] == 7
+        assert manifest["extra"]["seed"] == 7
+        assert "seed" not in manifest and "workers" not in manifest
         assert manifest["extra"]["bootstrap"] == 15
         assert manifest["extra"]["bootstrap_workers"] == 1
         assert 0 < manifest["extra"]["threshold"] <= 1
@@ -146,7 +147,7 @@ class TestLearn:
         )
         assert code == 0
         manifest = yaml.safe_load((tmp_path / "w" / "models" / "full.manifest.yaml").read_text())
-        assert manifest["workers"] == 2
+        assert manifest["config"]["workers"] == 2
         assert manifest["extra"]["bootstrap_workers"] == used
 
     def test_byte_identical_across_runs(self, ws, tmp_path):
@@ -377,6 +378,21 @@ class TestScenario:
         assert "scenario 'Baseline' is listed twice" in capsys.readouterr().err
         assert not list((tmp_path / "wsd" / "reports").iterdir())
 
+    def test_no_targets_exit_2_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "format: beliefnet-scenarios\nversion: 1\ntargets: []\nscenarios:\n"
+            "  - name: Women\n    evidence: {Sex: Female}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "scenario", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wse", "--name", "none",
+        )
+        assert code == 2
+        assert "at least one target" in capsys.readouterr().err
+        assert not list((tmp_path / "wse" / "reports").iterdir())
+
     def test_csv_survives_svg_failure(self, ws, tmp_path, monkeypatch):
         import beliefnet.charts as charts
 
@@ -411,29 +427,11 @@ class TestSensitivity:
         dot = (ws / "reports" / "rep_influence.dot").read_text()
         assert "fillcolor" in dot
 
-    def test_d_separated_node_set_all_zero_bars(self, ws, tmp_path):
-        cfg = tmp_path / "sens.yaml"
-        cfg.write_text(
-            "format: beliefnet-sensitivity\nversion: 1\n"
-            "target: {variable: Sex, state: Female}\n"
-            "nodes: [AIRegulations]\ndelta: 0.1\n",
-            encoding="utf-8",
-        )
-        assert run(
-            "sensitivity", "--model", ws / "models" / "full.bn.yaml",
-            "--config", cfg, "--workspace", ws, "--name", "zero",
-        ) == 0
-        with open(ws / "reports" / "zero_tornado.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows
-        assert all(float(r["magnitude"]) == 0.0 for r in rows)
-
     def test_unknown_node_exit_2_without_report(self, ws, tmp_path, capsys):
         cfg = tmp_path / "sens.yaml"
         cfg.write_text(
             "format: beliefnet-sensitivity\nversion: 1\n"
-            "target: {variable: Sex, state: Female}\n"
-            "nodes: [Bogus]\ndelta: 0.1\n",
+            "target: {variable: Bogus, state: Female}\ndelta: 0.1\n",
             encoding="utf-8",
         )
         code = run(
@@ -444,33 +442,17 @@ class TestSensitivity:
         assert "unknown variable: 'Bogus'" in capsys.readouterr().err
         assert not list((tmp_path / "wsb" / "reports").iterdir())
 
-    def test_repeated_node_exit_2_without_report(self, ws, tmp_path, capsys):
-        cfg = tmp_path / "sens.yaml"
-        cfg.write_text(
-            "format: beliefnet-sensitivity\nversion: 1\n"
-            "target: {variable: HeardEURegulation, state: \"No\"}\n"
-            "nodes: [InterestAI, InterestAI]\ndelta: 0.1\n",
-            encoding="utf-8",
-        )
-        code = run(
-            "sensitivity", "--model", ws / "models" / "full.bn.yaml",
-            "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
-        )
-        assert code == 2
-        assert "node 'InterestAI' is listed twice" in capsys.readouterr().err
-        assert not list((tmp_path / "wsd" / "reports").iterdir())
-
 
 class TestExport:
-    def test_dot_with_colors_file(self, ws, tmp_path):
-        colors = tmp_path / "colors.yaml"
-        colors.write_text("Sex: '#fff2ae'\nAge: '#fff2ae'\n", encoding="utf-8")
-        assert run(
-            "export", "--model", ws / "models" / "full.bn.yaml",
-            "--colors", colors, "--workspace", ws, "--name", "grouped",
-        ) == 0
-        dot = (ws / "reports" / "grouped.dot").read_text()
-        assert dot.count("#fff2ae") == 2
+    def test_colors_file_refused(self, ws, tmp_path, capsys):
+        # nodes are shaded only by --influence; a hand-made color map is not read
+        code = run(
+            "export", "--model", ws / "models" / "full.bn.yaml", "--colors", "x.yaml",
+            "--workspace", tmp_path / "ws",
+        )
+        assert code == 1
+        assert "unrecognized arguments: --colors" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
 
     def test_influence_export(self, ws):
         assert run(
@@ -529,12 +511,12 @@ class TestCliContract:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["export --colors", "learn --dict"])
+    @pytest.mark.parametrize("command", ["export --model", "learn --dict"])
     def test_malformed_yaml_exit_2_with_position(self, ws, tmp_path, capsys, command):
         bad = tmp_path / "bad.yaml"
         bad.write_text("a: [1, 2\n", encoding="utf-8")
-        if command == "export --colors":
-            argv = ["export", "--model", ws / "models" / "full.bn.yaml", "--colors", bad]
+        if command == "export --model":
+            argv = ["export", "--model", bad]
         else:
             argv = ["learn", "--data", ws / "data" / "survey_full.csv", "--dict", bad]
         assert run(*argv, "--workspace", tmp_path / "ws") == 2
@@ -582,13 +564,13 @@ class TestCliContract:
         assert code == 2
         assert f"beliefnet: error: {cfg}: delta: expected float" in capsys.readouterr().err
 
-    def test_overwrite_requires_force(self, ws, capsys):
-        code = run(
-            "export", "--model", ws / "models" / "full.bn.yaml",
-            "--workspace", ws, "--name", "grouped",
-        )
-        assert code == 2
+    def test_overwrite_requires_force(self, ws, tmp_path, capsys):
+        argv = ["export", "--model", ws / "models" / "full.bn.yaml",
+                "--influence", "HeardEURegulation=No", "--workspace", tmp_path / "ws"]
+        assert run(*argv) == 0
+        assert run(*argv) == 2
         assert "--force" in capsys.readouterr().err
+        assert run(*argv, "--force") == 0
 
     def test_prep_refuses_before_first_write(self, tmp_path, capsys):
         data = tmp_path / "ws" / "data"
@@ -606,10 +588,8 @@ class TestCliContract:
         root = tmp_path / "ws"
         table = root / "data" / "survey_full"
         model = root / "models" / "full.bn.yaml"
-        colors = tmp_path / "colors.yaml"
-        colors.write_text("Sex: '#fff2ae'\n", encoding="utf-8")
         file_flags = {"--raw", "--recode", "--themes", "--data", "--dict", "--tiers",
-                      "--config", "--model", "--colors"}
+                      "--config", "--model"}
         commands = [
             ("data/survey.manifest.yaml",
              ["prep", "--raw", RAW, "--recode", PREP, "--themes", THEMES, "--name", "survey"]),
@@ -628,7 +608,8 @@ class TestCliContract:
              ["sensitivity", "--model", model, "--config", "fixtures/sensitivity.yaml",
               "--name", "rep"]),
             ("reports/graph_export.manifest.yaml",
-             ["export", "--model", model, "--colors", colors, "--name", "graph"]),
+             ["export", "--model", model, "--influence", "HeardEURegulation=No",
+              "--name", "graph"]),
         ]
 
         def files():
@@ -672,7 +653,7 @@ class TestCliContract:
         manifest = yaml.safe_load(
             (tmp_path / "wse" / "models" / "noseed.manifest.yaml").read_text()
         )
-        assert isinstance(manifest["seed"], int)
+        assert isinstance(manifest["extra"]["seed"], int)
 
     def test_workspace_env_default(self, ws, tmp_path, monkeypatch):
         monkeypatch.setenv("BELIEFNET_WORKSPACE", str(tmp_path / "envws"))

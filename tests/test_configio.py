@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefnet.configio import (
+    SensitivityConfig,
     load_learn_config,
     load_prep_config,
     load_query_config,
@@ -166,7 +167,6 @@ class TestTiers:
         spec = load_tier_config("fixtures/tiers_full.yaml")
         assert len(spec.tiers) == 3
         assert spec.tiers[0] == ("Sex", "Age", "Education", "VoteIntent")
-        assert spec.within_tier_edges == (True, True, True)
 
     def test_quoted_flag_rejected(self, tmp_path):
         p = write(
@@ -193,15 +193,16 @@ class TestLearn:
         cfg = load_learn_config("fixtures/learn_fast.yaml")
         assert cfg.score == "AIC"
         assert cfg.bootstrap == 200
-        assert cfg.threshold is None  # auto
         assert cfg.tabu.stall_limit == 15
 
     def test_numeric_threshold(self, tmp_path):
-        p = write(
-            tmp_path,
-            "format: beliefnet-learn\nversion: 1\nthreshold: 0.7\n",
-        )
-        assert load_learn_config(p).threshold == 0.7
+        # the consensus threshold is always the L1-optimal one; 'auto' still loads
+        head = "format: beliefnet-learn\nversion: 1\n"
+        with pytest.raises(MalformedFile) as exc:
+            load_learn_config(write(tmp_path, head + "threshold: 0.7\n", "a.yaml"))
+        assert exc.value.position == "threshold"
+        auto = write(tmp_path, head + "threshold: auto\n", "b.yaml")
+        assert load_learn_config(auto) == load_learn_config(write(tmp_path, head, "c.yaml"))
 
     def test_bad_threshold(self, tmp_path):
         p = write(tmp_path, "format: beliefnet-learn\nversion: 1\nthreshold: 1.5\n")
@@ -253,6 +254,23 @@ class TestLearn:
         assert load_learn_config(empty) == load_learn_config(without)
 
 
+@pytest.mark.parametrize("loader, template, old, kept, position", [
+    (load_sensitivity_config,
+     "format: beliefnet-sensitivity\nversion: 1\ntarget: {variable: A, state: x}\n@\n",
+     "nodes: [Age]", "nodes: auto", "nodes"),
+    (load_tier_config, "format: beliefnet-tiers\nversion: 1\ntiers:\n  - variables: [A]\n    @\n",
+     "within_tier_edges: false", "within_tier_edges: true", "tiers[0].within_tier_edges"),
+], ids=["nodes", "within_tier_edges"])
+def test_removed_option_refused_at_its_key(tmp_path, loader, template, old, kept, position):
+    """A node list and a closed tier are refused, while the one value each
+    key still has loads as if the key were absent."""
+    with pytest.raises(MalformedFile) as exc:
+        loader(write(tmp_path, template.replace("@", old), "old.yaml"))
+    assert exc.value.position == position
+    without = loader(write(tmp_path, template.replace("@", ""), "without.yaml"))
+    assert loader(write(tmp_path, template.replace("@", kept), "kept.yaml")) == without
+
+
 @pytest.mark.parametrize("name, loader", [
     ("prep.yaml", load_prep_config),
     ("tiers.yaml", load_tier_config),
@@ -288,9 +306,7 @@ class TestAnalysisConfigs:
 
     def test_sensitivity(self):
         cfg = load_sensitivity_config("fixtures/sensitivity.yaml")
-        assert (cfg.target_variable, cfg.target_state) == ("HeardEURegulation", "No")
-        assert cfg.nodes is None
-        assert cfg.delta == 0.1
+        assert cfg == SensitivityConfig("HeardEURegulation", "No", 0.1)
 
     def test_sensitivity_bad_delta(self, tmp_path):
         p = write(

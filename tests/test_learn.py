@@ -101,11 +101,6 @@ class TestTiersToBlacklist:
         with pytest.raises(UnassignedVariable):
             tiers_to_blacklist(spec, ["A", "B"])
 
-    def test_within_tier_disabled(self):
-        spec = TierSpec((("A", "B"),), within_tier_edges=(False,))
-        cons = tiers_to_blacklist(spec, ["A", "B"])
-        assert cons == {("A", "B"), ("B", "A")}
-
 
 class TestTabuSearch:
     def test_strong_dependence_learns_single_arc(self):

@@ -78,8 +78,11 @@ def _random_tiers(rng, names):
         tuple(n for n, t in zip(names, assign) if t == k) for k in range(n_tiers)
     )
     tiers = tuple(t for t in tiers if t)
+    # a tier drawn closed also bans the arcs among its own members, which
+    # tiers_to_blacklist never does
     within = tuple(bool(rng.random() < 0.8) for _ in tiers)
-    return tiers_to_blacklist(TierSpec(tiers, within_tier_edges=within), names)
+    inner = {(a, b) for t, w in zip(tiers, within) if not w for a in t for b in t if a != b}
+    return tiers_to_blacklist(TierSpec(tiers), names) | inner
 
 
 def _run(search, data, constraints, config, **kwargs):
