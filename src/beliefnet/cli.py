@@ -36,7 +36,6 @@ from .learn import (
     bootstrap_strengths,
     bootstrap_workers,
     optimal_threshold,
-    tabu_search,
     tiers_to_blacklist,
 )
 from .model import FittedNetwork
@@ -177,25 +176,9 @@ class _Run:
         reports.write_text(path, _yamlio.dump(doc))
 
 
-def _default_models(table, groups):
-    member_cols = {m for g in groups for m in g.spec.members}
-    theme_pop = {g.spec.name: g.population for g in groups}
-    plain = [
-        v.name
-        for v in table.variables
-        if v.name not in member_cols and v.name not in theme_pop
-    ]
-    models = {"full": plain}
-    for pop in ("risk", "opportunity"):
-        models[pop] = plain + [
-            n for n, p in theme_pop.items() if p in (pop, "all")
-        ]
-    return models
-
-
 def cmd_prep(args, run: _Run):
     cfg = configio.load_prep_config(args.recode)
-    groups = configio.load_theme_config(args.themes) if args.themes else []
+    themes = configio.load_theme_config(args.themes) if args.themes else []
     raw = load_csv(args.raw, required_columns=[v.source for v in cfg.recode.variables])
     table = recode(raw, cfg.recode)
     audit = {"raw_rows": raw.n_rows, "recoded_rows": table.n_rows}
@@ -210,10 +193,9 @@ def cmd_prep(args, run: _Run):
             collapsed[var.name] = gone
     audit["collapsed_levels"] = collapsed
 
-    if groups:
-        table = group_themes(table, [g.spec for g in groups])
+    if themes:
+        table = group_themes(table, themes)
 
-    models = dict(cfg.models) if cfg.models else _default_models(table, groups)
     tables = {"full": table}
     if args.split:
         risk, opportunity = split_population(table, cfg.framing)
@@ -221,7 +203,7 @@ def cmd_prep(args, run: _Run):
         tables["opportunity"] = opportunity
     finals, paths = {}, {}
     for kind, t in tables.items():
-        wanted = models.get(kind)
+        wanted = cfg.models.get(kind)
         if wanted is None:
             continue
         missing = [n for n in wanted if n not in {v.name for v in t.variables}]
@@ -250,44 +232,39 @@ def cmd_prep(args, run: _Run):
 
 def cmd_learn(args, run: _Run):
     data = load_datatable(args.data, args.dict)
-    cfg = configio.load_learn_config(args.config) if args.config else configio.LearnConfig()
+    cfg = configio.load_learn_config(args.config)
     seed = secrets.randbits(31) if args.seed is None else args.seed
     b = cfg.bootstrap if args.bootstrap is None else args.bootstrap
     model_path = run.claim("models", f"{args.name}.bn.yaml")
-    if b > 0:
-        strengths_path = run.claim("strengths", f"{args.name}_strengths.csv")
+    strengths_path = run.claim("strengths", f"{args.name}_strengths.csv")
     constraints = None
     if args.tiers:
         tiers = configio.load_tier_config(args.tiers)
         constraints = tiers_to_blacklist(tiers, [v.name for v in data.variables])
 
+    strengths = bootstrap_strengths(
+        data,
+        b=b,
+        score=cfg.score,
+        constraints=constraints,
+        config=cfg.tabu,
+        seed=seed,
+        n_jobs=args.workers,
+    )
+    threshold = optimal_threshold(strengths)
     skipped = []
-    if b == 0:
-        dag = tabu_search(data, score=cfg.score, constraints=constraints, config=cfg.tabu)
-        threshold = None
-    else:
-        strengths = bootstrap_strengths(
-            data,
-            b=b,
-            score=cfg.score,
-            constraints=constraints,
-            config=cfg.tabu,
-            seed=seed,
-            n_jobs=args.workers,
-        )
-        threshold = optimal_threshold(strengths)
-        dag = averaged_network(
-            strengths,
-            threshold,
-            [v.name for v in data.variables],
-            constraints,
-            skipped=skipped,
-        )
-        reports.write_strengths_csv(strengths_path, strengths)
+    dag = averaged_network(
+        strengths,
+        threshold,
+        [v.name for v in data.variables],
+        constraints,
+        skipped=skipped,
+    )
+    reports.write_strengths_csv(strengths_path, strengths)
     run.extra = {
         "seed": seed,
         "bootstrap": b,
-        "bootstrap_workers": bootstrap_workers(b, args.workers) if b else None,
+        "bootstrap_workers": bootstrap_workers(b, args.workers),
         "score": cfg.score,
         "alpha": cfg.alpha,
         "threshold": threshold,
@@ -301,7 +278,7 @@ def cmd_learn(args, run: _Run):
             "seed": seed,
             "score": cfg.score,
             "bootstrap": b,
-            "threshold": "none" if threshold is None else float(threshold),
+            "threshold": float(threshold),
             "tool_version": __version__,
         }
     )
@@ -445,13 +422,6 @@ def _positive_int(text):
     return value
 
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
 def _add_common(sub, name_default):
     sub.add_argument(
         "--workspace",
@@ -488,8 +458,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dict", required=True, help="variable dictionary YAML")
     p.add_argument("--tiers", default=None, help="beliefnet-tiers config")
     p.add_argument("--config", default=None, help="beliefnet-learn config")
-    p.add_argument("--bootstrap", type=_nonnegative_int, default=None,
-                   help="replicates (0 = single search; overrides config)")
+    p.add_argument("--bootstrap", type=_positive_int, default=None,
+                   help="replicates (overrides config)")
     p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default: random)")
     _add_common(p, "model")
     p.set_defaults(func=cmd_learn, inputs=("data", "dict", "tiers", "config"))

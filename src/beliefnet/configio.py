@@ -6,7 +6,7 @@ raise MalformedFile with the file path and a dotted key position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _yamlio
 from .data import RecodeSpec, ThemeSpec, VariableRecode
@@ -65,12 +65,20 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
     return value
 
 
+def _known(doc, keys, *, path, where=""):
+    """Refuse the first key of the mapping ``doc`` that is not in ``keys``,
+    so a misspelled key is not read as absent."""
+    for key in doc:
+        if key not in keys:
+            raise MalformedFile(path, f"{where}{key}", f"unknown key; known: {', '.join(keys)}")
+
+
 @dataclass(frozen=True)
 class PrepConfig:
     recode: RecodeSpec
     missing_threshold: int
     framing: str
-    models: dict  # table name -> variable list; may be empty
+    models: dict  # table name ("full", "risk" or "opportunity") -> variable list
 
 
 def load_prep_config(path) -> PrepConfig:
@@ -96,9 +104,10 @@ def load_prep_config(path) -> PrepConfig:
             )
         except ValueError as exc:
             raise MalformedFile(path, f"variables[{i}]", str(exc)) from exc
-    models_doc = _field(doc, "models", dict, {}, path=path)
+    models_doc = _field(doc, "models", dict, path=path)
+    _known(models_doc, ("full", "risk", "opportunity"), path=path, where="models.")
     models = {
-        str(t): [str(n) for n in _field(models_doc, t, list, path=path, where="models.")]
+        t: [str(n) for n in _field(models_doc, t, list, path=path, where="models.")]
         for t in models_doc
     }
     try:
@@ -113,29 +122,18 @@ def load_prep_config(path) -> PrepConfig:
     )
 
 
-@dataclass(frozen=True)
-class ThemeGroup:
-    spec: ThemeSpec
-    population: str  # "risk" | "opportunity" | "all"
-
-
 def load_theme_config(path) -> list:
     doc = _load_doc(path, "beliefnet-themes")
-    groups = []
+    specs = []
     for i, entry in enumerate(_field(doc, "themes", list, path=path)):
         where = f"themes[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
         members = tuple(str(m) for m in _field(entry, "members", list, path=path, where=where))
-        population = _field(entry, "population", str, "all", path=path, where=where)
-        if population not in ("risk", "opportunity", "all"):
-            raise MalformedFile(
-                path, f"{where}population", f"unknown population {population!r}"
-            )
         try:
-            groups.append(ThemeGroup(ThemeSpec(name, members), population))
+            specs.append(ThemeSpec(name, members))
         except ValueError as exc:
             raise MalformedFile(path, f"themes[{i}]", str(exc)) from exc
-    return groups
+    return specs
 
 
 def load_tier_config(path) -> TierSpec:
@@ -154,15 +152,20 @@ def load_tier_config(path) -> TierSpec:
 
 @dataclass(frozen=True)
 class LearnConfig:
-    score: str = "AIC"
-    alpha: float = 1.0
-    bootstrap: int = 2000
-    tabu: TabuConfig = field(default_factory=TabuConfig)
+    score: str
+    alpha: float
+    bootstrap: int
+    tabu: TabuConfig
 
 
 def load_learn_config(path) -> LearnConfig:
-    doc = _load_doc(path, "beliefnet-learn")
+    """The learn config at ``path``; every default when ``path`` is None."""
+    doc = {} if path is None else _load_doc(path, "beliefnet-learn")
+    _known(doc, ("format", "version", "score", "alpha", "bootstrap", "tabu", "threshold",
+                 "whitelist", "blacklist"), path=path)
     tabu_doc = _field(doc, "tabu", dict, {}, path=path)
+    _known(tabu_doc, ("tenure", "max_iterations", "stall_limit", "restarts"),
+           path=path, where="tabu.")
     tabu = {
         key: _field(tabu_doc, key, int, default, _POSITIVE, path=path, where="tabu.")
         for key, default in (("tenure", 10), ("max_iterations", 1000), ("stall_limit", 100))
@@ -181,7 +184,7 @@ def load_learn_config(path) -> LearnConfig:
     return LearnConfig(
         score=score,
         alpha=_field(doc, "alpha", float, 1.0, _POSITIVE, path=path),
-        bootstrap=_field(doc, "bootstrap", int, 2000, _NONNEGATIVE, path=path),
+        bootstrap=_field(doc, "bootstrap", int, 2000, _POSITIVE, path=path),
         tabu=TabuConfig(**tabu),
     )
 
@@ -255,7 +258,9 @@ class SensitivityConfig:
 
 def load_sensitivity_config(path) -> SensitivityConfig:
     doc = _load_doc(path, "beliefnet-sensitivity")
+    _known(doc, ("format", "version", "target", "nodes", "delta"), path=path)
     target = _field(doc, "target", dict, path=path)
+    _known(target, ("variable", "state"), path=path, where="target.")
     variable = _field(target, "variable", str, path=path, where="target.")
     state = _field(target, "state", str, path=path, where="target.")
     _field(doc, "nodes", str, "auto", _AUTO_NODES, path=path)

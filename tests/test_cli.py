@@ -124,6 +124,20 @@ class TestPrep:
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
 
+    def test_misspelled_table_writes_nothing(self, tmp_path, capsys):
+        with open(PREP, encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / "prep.yaml"
+        bad.write_text(text.replace("\n  risk:", "\n  riks:", 1), encoding="utf-8")
+        code = run(
+            "prep", "--raw", RAW, "--recode", bad, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "x",
+        )
+        assert code == 2
+        assert f"{bad}: models.riks: unknown key" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
+
 class TestLearn:
     def test_model_and_strengths_written(self, ws):
         assert (ws / "models" / "full.bn.yaml").exists()
@@ -173,18 +187,16 @@ class TestLearn:
         )
         assert not (set(net.dag.arcs()) & cons)
 
-    def test_bootstrap_zero_single_run(self, ws, tmp_path):
+    def test_bootstrap_zero_is_a_usage_error(self, ws, tmp_path, capsys):
         code = run(
             "learn", "--data", ws / "data" / "survey_full.csv",
             "--dict", ws / "data" / "survey_full.dict.yaml",
             "--tiers", TIERS, "--config", LEARN, "--bootstrap", 0,
-            "--seed", 3, "--workspace", tmp_path / "ws0", "--name", "single",
+            "--workspace", tmp_path / "ws0", "--name", "single",
         )
-        assert code == 0
-        assert (tmp_path / "ws0" / "models" / "single.bn.yaml").exists()
-        assert not (tmp_path / "ws0" / "strengths" / "single_strengths.csv").exists()
-        manifest = yaml.safe_load((tmp_path / "ws0" / "models" / "single.manifest.yaml").read_text())
-        assert manifest["extra"]["bootstrap_workers"] is None
+        assert code == 1
+        assert "--bootstrap: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ws0").exists()
 
     @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
     def test_arc_list_config_refused_without_output(self, ws, tmp_path, capsys, key):
@@ -646,7 +658,7 @@ class TestCliContract:
         code = run(
             "learn", "--data", ws / "data" / "survey_full.csv",
             "--dict", ws / "data" / "survey_full.dict.yaml",
-            "--tiers", TIERS, "--bootstrap", 0,
+            "--tiers", TIERS, "--bootstrap", 1,
             "--workspace", tmp_path / "wse", "--name", "noseed",
         )
         assert code == 0

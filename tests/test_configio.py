@@ -18,7 +18,7 @@ from beliefnet.configio import (
     load_theme_config,
     load_tier_config,
 )
-from beliefnet.data import load_datatable
+from beliefnet.data import ThemeSpec, load_datatable
 from beliefnet.errors import BeliefnetError, MalformedFile, VersionMismatch
 from beliefnet.modelio import load as load_model
 
@@ -135,31 +135,33 @@ class TestPrep:
     def test_unquoted_carriage_return_in_label(self, tmp_path):
         # the CSV writer quotes "\r\n" but not a bare "\r", which would split a row
         body = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
-                "  - name: Q\n    levels: [{}]\n    map: {{'1': a}}\n")
+                "  - name: Q\n    levels: [{}]\n    map: {{'1': a}}\n"
+                "models: {{full: [Q]}}\n")
         assert load_prep_config(write(tmp_path, body.format('a, "c\\r\\nd"')))
         with pytest.raises(MalformedFile) as exc:
             load_prep_config(write(tmp_path, body.format('a, "c\\rd"')))
         assert exc.value.position == "variables[0]"
         assert "'c\\rd' has a carriage return" in exc.value.reason
 
+    @pytest.mark.parametrize("models, position", [
+        ("", "models"),
+        ("models: {full: [Q], riks: [Q]}\n", "models.riks"),
+    ])
+    def test_models_name_the_known_tables(self, tmp_path, models, position):
+        # a table is named only here; a misspelled one must not be skipped
+        body = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
+                "  - name: Q\n    levels: [a]\n    map: {'1': a}\n" + models)
+        with pytest.raises(MalformedFile) as exc:
+            load_prep_config(write(tmp_path, body))
+        assert exc.value.position == position
+
 
 class TestThemes:
     def test_fixture_parses(self):
-        groups = load_theme_config("fixtures/themes.yaml")
-        assert len(groups) == 10
-        ops = [g for g in groups if g.population == "opportunity"]
-        rks = [g for g in groups if g.population == "risk"]
-        assert sum(len(g.spec.members) for g in ops) == 24
-        assert sum(len(g.spec.members) for g in rks) == 18
-
-    def test_bad_population(self, tmp_path):
-        p = write(
-            tmp_path,
-            "format: beliefnet-themes\nversion: 1\nthemes:\n"
-            "  - name: T\n    population: nope\n    members: [a]\n",
-        )
-        with pytest.raises(MalformedFile):
-            load_theme_config(p)
+        specs = load_theme_config("fixtures/themes.yaml")
+        assert len(specs) == 10
+        assert all(isinstance(s, ThemeSpec) for s in specs)
+        assert sum(len(s.members) for s in specs) == 42
 
 
 class TestTiers:
@@ -220,6 +222,9 @@ class TestLearn:
         ("tabu: [1]", "tabu"),
         ("alpha: [1]", "alpha"),
         ("bootstrap: -1", "bootstrap"),
+        ("bootstrap: 0", "bootstrap"),
+        ("bootstrp: 10", "bootstrp"),
+        ("tabu: {tenur: 3}", "tabu.tenur"),
         ("bootstrap: .inf", "bootstrap"),
         ("bootstrap: 2.5", "bootstrap"),
         ("tabu: {tenure: true}", "tabu.tenure"),
@@ -235,6 +240,11 @@ class TestLearn:
         with pytest.raises(MalformedFile) as exc:
             load_learn_config(p)
         assert exc.value.position == position
+
+    def test_no_file_gives_the_defaults(self, tmp_path):
+        head = write(tmp_path, "format: beliefnet-learn\nversion: 1\n")
+        assert load_learn_config(None) == load_learn_config(head)
+        assert load_learn_config(None).bootstrap == 2000
 
     def test_restarts_one_still_loads(self, tmp_path):
         head = "format: beliefnet-learn\nversion: 1\n"
@@ -307,6 +317,16 @@ class TestAnalysisConfigs:
     def test_sensitivity(self):
         cfg = load_sensitivity_config("fixtures/sensitivity.yaml")
         assert cfg == SensitivityConfig("HeardEURegulation", "No", 0.1)
+
+    @pytest.mark.parametrize("body, position", [
+        ("target: {variable: A, state: x}\ndelat: 0.5\n", "delat"),
+        ("target: {variable: A, state: x, sate: y}\n", "target.sate"),
+    ])
+    def test_sensitivity_unknown_key(self, tmp_path, body, position):
+        p = write(tmp_path, "format: beliefnet-sensitivity\nversion: 1\n" + body)
+        with pytest.raises(MalformedFile) as exc:
+            load_sensitivity_config(p)
+        assert exc.value.position == position
 
     def test_sensitivity_bad_delta(self, tmp_path):
         p = write(
