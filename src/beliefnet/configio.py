@@ -18,8 +18,12 @@ from .analysis import ScenarioDef
 SUPPORTED_VERSION = 1
 
 
-def _load_doc(path, expected_format):
-    return _yamlio.header(_yamlio.read(path), path, expected_format, SUPPORTED_VERSION)
+def _load_doc(path, expected_format, keys):
+    """The config at ``path``; a root key other than the headers and ``keys``
+    is refused (see ``_known``)."""
+    doc = _yamlio.header(_yamlio.read(path), path, expected_format, SUPPORTED_VERSION)
+    _known(doc, ("format", "version", *keys), path=path)
+    return doc
 
 
 _REQUIRED = object()
@@ -82,11 +86,14 @@ class PrepConfig:
 
 
 def load_prep_config(path) -> PrepConfig:
-    doc = _load_doc(path, "beliefnet-prep")
+    doc = _load_doc(path, "beliefnet-prep",
+                    ("missing_threshold", "framing", "variables", "models"))
     entries = []
     for i, entry in enumerate(_field(doc, "variables", list, path=path)):
         where = f"variables[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
+        _known(entry, ("name", "source", "levels", "ordinal", "unmapped", "map"),
+               path=path, where=where)
         levels = tuple(str(x) for x in _field(entry, "levels", list, path=path, where=where))
         mapping = {}
         for token, label in _field(entry, "map", dict, path=path, where=where).items():
@@ -123,11 +130,13 @@ def load_prep_config(path) -> PrepConfig:
 
 
 def load_theme_config(path) -> list:
-    doc = _load_doc(path, "beliefnet-themes")
+    doc = _load_doc(path, "beliefnet-themes", ("themes",))
     specs = []
     for i, entry in enumerate(_field(doc, "themes", list, path=path)):
         where = f"themes[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
+        # ``population`` is read by no step; files that still set it load
+        _known(entry, ("name", "members", "population"), path=path, where=where)
         members = tuple(str(m) for m in _field(entry, "members", list, path=path, where=where))
         try:
             specs.append(ThemeSpec(name, members))
@@ -137,11 +146,13 @@ def load_theme_config(path) -> list:
 
 
 def load_tier_config(path) -> TierSpec:
-    doc = _load_doc(path, "beliefnet-tiers")
+    doc = _load_doc(path, "beliefnet-tiers", ("tiers",))
     tiers = []
     for i, entry in enumerate(_field(doc, "tiers", list, path=path)):
         where = f"tiers[{i}]."
         names = _field(entry, "variables", list, path=path, where=where)
+        # a tier's ``name`` only labels it for the reader
+        _known(entry, ("name", "variables", "within_tier_edges"), path=path, where=where)
         tiers.append(tuple(str(v) for v in names))
         _field(entry, "within_tier_edges", bool, True, _WITHIN_TIER, path=path, where=where)
     try:
@@ -160,9 +171,8 @@ class LearnConfig:
 
 def load_learn_config(path) -> LearnConfig:
     """The learn config at ``path``; every default when ``path`` is None."""
-    doc = {} if path is None else _load_doc(path, "beliefnet-learn")
-    _known(doc, ("format", "version", "score", "alpha", "bootstrap", "tabu", "threshold",
-                 "whitelist", "blacklist"), path=path)
+    doc = {} if path is None else _load_doc(path, "beliefnet-learn", (
+        "score", "alpha", "bootstrap", "tabu", "threshold", "whitelist", "blacklist"))
     tabu_doc = _field(doc, "tabu", dict, {}, path=path)
     _known(tabu_doc, ("tenure", "max_iterations", "stall_limit", "restarts"),
            path=path, where="tabu.")
@@ -195,11 +205,12 @@ class QueryConfig:
 
 
 def load_query_config(path) -> QueryConfig:
-    doc = _load_doc(path, "beliefnet-query")
+    doc = _load_doc(path, "beliefnet-query", ("tables",))
     tables = []
     for i, entry in enumerate(_field(doc, "tables", list, path=path)):
         where = f"tables[{i}]."
         target = _field(entry, "target", str, path=path, where=where)
+        _known(entry, ("target", "evidence_variables"), path=path, where=where)
         sweeps = tuple(
             str(v) for v in _field(entry, "evidence_variables", list, path=path, where=where)
         )
@@ -219,7 +230,7 @@ class SobolConfig:
 
 
 def load_sobol_config(path) -> SobolConfig:
-    doc = _load_doc(path, "beliefnet-sobol")
+    doc = _load_doc(path, "beliefnet-sobol", ("targets", "inputs"))
     return SobolConfig(
         targets=tuple(str(t) for t in _field(doc, "targets", list, path=path)),
         inputs=tuple(str(i) for i in _field(doc, "inputs", list, path=path)),
@@ -233,11 +244,12 @@ class ScenarioConfig:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    doc = _load_doc(path, "beliefnet-scenarios")
+    doc = _load_doc(path, "beliefnet-scenarios", ("targets", "scenarios"))
     scenarios = []
     for i, entry in enumerate(_field(doc, "scenarios", list, path=path)):
         where = f"scenarios[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
+        _known(entry, ("name", "evidence"), path=path, where=where)
         ev = {
             str(k): str(v)
             for k, v in _field(entry, "evidence", dict, {}, path=path, where=where).items()
@@ -257,8 +269,7 @@ class SensitivityConfig:
 
 
 def load_sensitivity_config(path) -> SensitivityConfig:
-    doc = _load_doc(path, "beliefnet-sensitivity")
-    _known(doc, ("format", "version", "target", "nodes", "delta"), path=path)
+    doc = _load_doc(path, "beliefnet-sensitivity", ("target", "nodes", "delta"))
     target = _field(doc, "target", dict, path=path)
     _known(target, ("variable", "state"), path=path, where="target.")
     variable = _field(target, "variable", str, path=path, where="target.")

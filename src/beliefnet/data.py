@@ -29,9 +29,6 @@ MISSING = -1
 MENTIONED = "Mentioned"
 NOT_MENTIONED = "Not mentioned"
 
-# retain a level when it occurs at least this often; rarer levels become missing
-DEFAULT_MIN_LEVEL_COUNT = 50
-
 
 class RawTable:
     """A rectangular table of verbatim string cells with a content fingerprint."""
@@ -231,9 +228,7 @@ def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
     return DataTable([vr.variable() for vr in spec.variables], codes, source=raw.fingerprint)
 
 
-def collapse_rare(
-    table: DataTable, variable, min_count: int = DEFAULT_MIN_LEVEL_COUNT
-) -> DataTable:
+def collapse_rare(table: DataTable, variable, min_count: int) -> DataTable:
     """Drop levels observed fewer than ``min_count`` times, marking cells missing.
 
     Counts are taken on the table as given, i.e. before any row filtering. An
@@ -316,7 +311,7 @@ def group_themes(table: DataTable, specs) -> DataTable:
     return DataTable(list(kept) + theme_vars, all_cols, table.source)
 
 
-def split_population(table: DataTable, framing="DevelopAI"):
+def split_population(table: DataTable, framing: str):
     """Split rows by AI framing; "Both" respondents appear in both outputs.
 
     Returns (risk_table, opportunity_table): rows whose framing level is in

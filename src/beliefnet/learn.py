@@ -2,16 +2,16 @@
 
 The search is one tabu walk over the space of DAGs with add/delete/reverse
 moves under a decomposable score, keeping a tabu list of the inverses of
-recent moves so it can cross score plateaus and shallow optima, followed by a
-greedy polish of the best DAG the walk saw. As in bnlearn's ``tabu()``
-(Scutari 2010), the walk starts once, from the empty graph. The search
-works on column indices: parent sets and ancestor sets are int bitmasks, so a
-cycle test is one bit test, and a per-pair table of move deltas is kept across
-iterations, so a move rescores only the candidates that read the one or two
-families it changed. Robustness comes from a nonparametric bootstrap: each
-replicate resamples the rows with replacement, learns a DAG, and the per-edge
-inclusion frequencies ("strengths") are averaged into a consensus network at a
-threshold estimated from the strength distribution itself.
+recent moves so it can cross score plateaus and shallow optima. As in
+bnlearn's ``tabu()`` (Scutari 2010), the walk starts once, from the empty
+graph, and returns the best DAG it saw. The search works on column indices:
+parent sets and ancestor sets are int bitmasks, so a cycle test is one bit
+test, and a per-pair table of move deltas is kept across iterations, so a move
+rescores only the candidates that read the one or two families it changed.
+Robustness comes from a nonparametric bootstrap: each replicate resamples the
+rows with replacement, learns a DAG, and the per-edge inclusion frequencies
+("strengths") are averaged into a consensus network at a threshold estimated
+from the strength distribution itself.
 """
 
 from __future__ import annotations
@@ -160,12 +160,6 @@ class _SearchState:
         self.reverse = [None] * (n * n)
         self.anc, self.via = _ancestry(self.pmask)
 
-    def snapshot(self):
-        return tuple(self.pmask)
-
-    def restore(self, masks):
-        self._set_families([(x, m) for x, m in enumerate(masks) if m != self.pmask[x]])
-
     def apply(self, kind, a, b):
         pm = self.pmask
         if kind == _ADD:
@@ -199,10 +193,11 @@ def tabu_search(
 ) -> Dag:
     """Learn a DAG by tabu search over add/delete/reverse moves.
 
-    One tabu walk runs from the empty graph, then a plain greedy pass runs
-    from the best DAG the walk saw until no legal single move improves the
-    score. So the result is the best-seen DAG and is locally optimal. The
-    search is deterministic: it draws no random numbers. ``constraints`` is
+    One tabu walk runs from the empty graph and the result is the best DAG it
+    saw. That DAG is locally optimal, because at it aspiration admits every
+    improving move, tabu or not, and the walk would have taken one to a
+    better DAG; the exception is a walk that ``max_iterations`` stops on it.
+    The search is deterministic: it draws no random numbers. ``constraints`` is
     an iterable of forbidden (from, to) arcs, as ``tiers_to_blacklist``
     returns; no move adds one.
 
@@ -229,35 +224,11 @@ def tabu_search(
 
     scorer = DecomposableScore(data, score, cache=ScoreCache(), weights=weights)
     state = _SearchState(scorer, _arc_masks(constraints, col))
-    state.restore(_tabu_phase(state, config, sum(state.cur), log))
-
-    # greedy polish: guarantee no legal single move improves the best DAG
-    total = sum(state.cur)
-    while True:
-        move, delta = _best_move(state, tabu=None, it=0, aspiration=None)
-        if move is None or delta <= SCORE_EPS:
-            break
-        state.apply(*move)
-        total += delta
-        if log is not None:
-            log.best_scores.append(total)
-
-    if log is not None and scorer.cache is not None:
-        log.cache_hits = scorer.cache.hits
-        log.cache_misses = scorer.cache.misses
-
-    parents = {
-        nodes[x]: tuple(nodes[p] for p in _bits(mask)) for x, mask in enumerate(state.pmask)
-    }
-    return Dag(tuple(nodes), parents)
-
-
-def _tabu_phase(state, config, total, log):
     n = state.n
     # tabu[kind*n*n + a*n + b]: last iteration at which that move is tabu
     tabu = [-1] * (3 * n * n)
-    best_total = total
-    best_snap = state.snapshot()
+    total = best_total = sum(state.cur)
+    best_masks = tuple(state.pmask)
     stall = 0
     for it in range(config.max_iterations):
         move, delta = _best_move(state, tabu, it, aspiration=best_total)
@@ -275,7 +246,7 @@ def _tabu_phase(state, config, total, log):
         tabu[inverse] = it + config.tenure
         if total > best_total + SCORE_EPS:
             best_total = total
-            best_snap = state.snapshot()
+            best_masks = tuple(state.pmask)
             stall = 0
         else:
             stall += 1
@@ -284,7 +255,15 @@ def _tabu_phase(state, config, total, log):
             log.best_scores.append(best_total)
         if stall > config.stall_limit:
             break
-    return best_snap
+
+    if log is not None:
+        log.cache_hits = scorer.cache.hits
+        log.cache_misses = scorer.cache.misses
+
+    parents = {
+        nodes[x]: tuple(nodes[p] for p in _bits(mask)) for x, mask in enumerate(best_masks)
+    }
+    return Dag(tuple(nodes), parents)
 
 
 def _best_move(state, tabu, it, aspiration):
@@ -292,10 +271,8 @@ def _best_move(state, tabu, it, aspiration):
 
     Candidates are taken pair by pair (a-major, then b; delete before
     reverse), and a later one wins only if it beats the best so far by more
-    than SCORE_EPS. With ``tabu`` set, tabu moves are skipped unless they
-    would beat the best-seen score (aspiration), judged on the current total
-    summed afresh. With ``tabu=None`` only improving moves matter (greedy
-    polish); the caller filters on delta.
+    than SCORE_EPS. Tabu moves are skipped unless they would beat the
+    best-seen score ``aspiration``, judged on the current total summed afresh.
     """
     n = state.n
     nn = n * n
@@ -304,9 +281,8 @@ def _best_move(state, tabu, it, aspiration):
     full = (1 << n) - 1
     single, reverse = state.single, state.reverse
     local = state.scorer.local
-    if tabu is not None:
-        total = sum(cur)
-        limit = aspiration + SCORE_EPS
+    total = sum(cur)
+    limit = aspiration + SCORE_EPS
     best = None
     best_delta = bar = -math.inf  # bar: best delta so far + SCORE_EPS
     for a in range(n):
@@ -326,7 +302,7 @@ def _best_move(state, tabu, it, aspiration):
                 d = single[i]
                 if d is None:
                     d = single[i] = local(b, pmask[b] & ~abit) - cur[b]
-                if d > bar and (tabu is None or tabu[nn + i] <= it or total + d > limit):
+                if d > bar and (tabu[nn + i] <= it or total + d > limit):
                     best, bar = (_DELETE, a, b), d + SCORE_EPS
                     best_delta = d
                 # no reversal when b->a is forbidden or a reaches b another way
@@ -341,7 +317,7 @@ def _best_move(state, tabu, it, aspiration):
                 if d is None:
                     d = single[i] = local(b, pmask[b] | abit) - cur[b]
                 kind, key = _ADD, i
-            if d > bar and (tabu is None or tabu[key] <= it or total + d > limit):
+            if d > bar and (tabu[key] <= it or total + d > limit):
                 best, bar = (kind, a, b), d + SCORE_EPS
                 best_delta = d
     return best, best_delta

@@ -77,13 +77,6 @@ class SearchState:
     def snapshot(self):
         return {n: frozenset(ps) for n, ps in self.parents.items()}
 
-    def restore(self, snap):
-        self.parents = {n: set(ps) for n, ps in snap.items()}
-        self.children = {n: set() for n in self.nodes}
-        for n, ps in self.parents.items():
-            for p in ps:
-                self.children[p].add(n)
-
 
 def tabu_search(data, score="AIC", constraints=None, config=None, log=None):
     """Same contract as beliefnet.learn.tabu_search, by full rescans."""
@@ -92,36 +85,9 @@ def tabu_search(data, score="AIC", constraints=None, config=None, log=None):
     nodes = [v.name for v in data.variables]
     scorer = DecomposableScore(data, score, cache=ScoreCache())
     state = SearchState(nodes)
-    local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-    total = sum(local.values())
-
-    state.restore(tabu_phase(state, scorer, constraints, config, local, total, log))
-    local = {n: scorer.local(n, state.parents[n]) for n in nodes}
-    total = sum(local.values())
-    while True:
-        move, delta = best_move(state, scorer, constraints, tabu=None, it=0,
-                                aspiration=None)
-        if move is None or delta <= SCORE_EPS:
-            break
-        apply_scored(state, move, scorer, local)
-        total += delta
-        if log is not None:
-            log.best_scores.append(total)
+    total = best_total = sum(scorer.local(n, state.parents[n]) for n in nodes)
     best_snap = state.snapshot()
-
-    if log is not None:
-        log.cache_hits = scorer.cache.hits
-        log.cache_misses = scorer.cache.misses
-
-    col = {n: i for i, n in enumerate(nodes)}
-    parents = {n: tuple(sorted(best_snap[n], key=col.__getitem__)) for n in nodes}
-    return Dag(tuple(nodes), parents)
-
-
-def tabu_phase(state, scorer, constraints, config, local, total, log):
     tabu = {}
-    best_total = total
-    best_snap = state.snapshot()
     stall = 0
     for it in range(config.max_iterations):
         move, delta = best_move(
@@ -129,7 +95,7 @@ def tabu_phase(state, scorer, constraints, config, local, total, log):
         )
         if move is None:
             break
-        apply_scored(state, move, scorer, local)
+        state.apply(move)
         total += delta
         tabu[move.inverse()] = it + config.tenure
         if total > best_total + SCORE_EPS:
@@ -143,15 +109,14 @@ def tabu_phase(state, scorer, constraints, config, local, total, log):
             log.best_scores.append(best_total)
         if stall > config.stall_limit:
             break
-    return best_snap
 
+    if log is not None:
+        log.cache_hits = scorer.cache.hits
+        log.cache_misses = scorer.cache.misses
 
-def apply_scored(state, move, scorer, local):
-    state.apply(move)
-    a, b = move.arc
-    local[b] = scorer.local(b, state.parents[b])
-    if move.kind == Move.REVERSE:
-        local[a] = scorer.local(a, state.parents[a])
+    col = {n: i for i, n in enumerate(nodes)}
+    parents = {n: tuple(sorted(best_snap[n], key=col.__getitem__)) for n in nodes}
+    return Dag(tuple(nodes), parents)
 
 
 def best_move(state, scorer, constraints, tabu, it, aspiration):

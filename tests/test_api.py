@@ -9,7 +9,7 @@ import beliefnet
 
 ROOT = Path(__file__).resolve().parents[1]
 DELETED = {
-    "data": ("counts", "CountTable"),
+    "data": ("counts", "CountTable", "DEFAULT_MIN_LEVEL_COUNT"),
     "errors": ("UnsatisfiableConstraints",),
     "inference": ("conditional_table", "fit_mle"),
     "reports": ("read_query_csv",),

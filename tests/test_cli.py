@@ -137,6 +137,22 @@ class TestPrep:
         assert f"{bad}: models.riks: unknown key" in capsys.readouterr().err
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
+    def test_tables_not_listed_are_not_written(self, tmp_path):
+        # the paper's GESIS prep config lists `full` alone
+        with open(PREP, encoding="utf-8") as fh:
+            text = fh.read()
+        only_full = tmp_path / "prep.yaml"
+        only_full.write_text(text[:text.index("  risk:\n")], encoding="utf-8")
+        assert run(
+            "prep", "--raw", RAW, "--recode", only_full, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "x",
+        ) == 0
+        data = tmp_path / "ws" / "data"
+        assert sorted(p.name for p in data.iterdir()) == [
+            "x.audit.yaml", "x.manifest.yaml", "x_full.csv", "x_full.dict.yaml",
+        ]
+        assert list(yaml.safe_load((data / "x.audit.yaml").read_text())["tables"]) == ["full"]
+
 
 class TestLearn:
     def test_model_and_strengths_written(self, ws):
@@ -473,6 +489,15 @@ class TestExport:
             "--name", "shaded", "--force",
         ) == 0
         assert "fillcolor" in (ws / "reports" / "shaded.dot").read_text()
+
+    def test_influence_without_state_exit_2_without_dot(self, ws, tmp_path, capsys):
+        code = run(
+            "export", "--model", ws / "models" / "full.bn.yaml",
+            "--influence", "HeardEURegulation", "--workspace", tmp_path / "ws",
+        )
+        assert code == 2
+        assert "--influence: expected VARIABLE=STATE" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "reports").iterdir()) == []
 
 
 class TestCliContract:

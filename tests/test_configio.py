@@ -163,6 +163,12 @@ class TestThemes:
         assert all(isinstance(s, ThemeSpec) for s in specs)
         assert sum(len(s.members) for s in specs) == 42
 
+    def test_population_still_loads(self, tmp_path):
+        # earlier versions read it to derive the tables; it is now ignored
+        head = "format: beliefnet-themes\nversion: 1\nthemes:\n  - name: T\n    members: [a]\n"
+        with_key = write(tmp_path, head + "    population: risk\n", "a.yaml")
+        assert load_theme_config(with_key) == load_theme_config(write(tmp_path, head, "b.yaml"))
+
 
 class TestTiers:
     def test_fixture_parses(self):
@@ -279,6 +285,42 @@ def test_removed_option_refused_at_its_key(tmp_path, loader, template, old, kept
     assert exc.value.position == position
     without = loader(write(tmp_path, template.replace("@", ""), "without.yaml"))
     assert loader(write(tmp_path, template.replace("@", kept), "kept.yaml")) == without
+
+
+PREP_BODY = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
+             "  - name: Q\n    levels: [a]\n    map: {'1': a}\n@\nmodels: {full: [Q]}\n")
+THEMES_BODY = "format: beliefnet-themes\nversion: 1\nthemes:\n  - name: T\n    members: [a, b]\n@\n"
+TIERS_BODY = "format: beliefnet-tiers\nversion: 1\ntiers:\n  - name: t\n    variables: [A]\n@\n"
+QUERY_BODY = ("format: beliefnet-query\nversion: 1\ntables:\n"
+              "  - target: A\n    evidence_variables: [B]\n@\n")
+SOBOL_BODY = "format: beliefnet-sobol\nversion: 1\ntargets: [A]\ninputs: [B]\n@\n"
+SCENARIO_BODY = ("format: beliefnet-scenarios\nversion: 1\ntargets: [A]\nscenarios:\n"
+                 "  - name: Young\n    evidence: {Age: '14-29'}\n@\n")
+
+
+@pytest.mark.parametrize("loader, body, typo, position", [
+    (load_prep_config, PREP_BODY, "missing_treshold: 5", "missing_treshold"),
+    (load_prep_config, PREP_BODY, "    sorce: q", "variables[0].sorce"),
+    (load_theme_config, THEMES_BODY, "theme: []", "theme"),
+    (load_theme_config, THEMES_BODY, "    memebrs: [c]", "themes[0].memebrs"),
+    (load_tier_config, TIERS_BODY, "tier: []", "tier"),
+    (load_tier_config, TIERS_BODY, "    within_tier_edge: false", "tiers[0].within_tier_edge"),
+    (load_query_config, QUERY_BODY, "table: []", "table"),
+    (load_query_config, QUERY_BODY, "    evidence_variable: [C]",
+     "tables[0].evidence_variable"),
+    (load_sobol_config, SOBOL_BODY, "input: [C]", "input"),
+    (load_scenario_config, SCENARIO_BODY, "target: [B]", "target"),
+    (load_scenario_config, SCENARIO_BODY, "    evidnce: {Age: '30-44'}",
+     "scenarios[0].evidnce"),
+], ids=["prep", "prep.variables", "themes", "themes.entry", "tiers", "tiers.entry",
+        "query", "query.tables", "sobol", "scenarios", "scenarios.entry"])
+def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, position):
+    """Every mapping a loader reads refuses a key it does not know, instead
+    of reading the misspelled key as absent."""
+    loader(write(tmp_path, body.replace("@", ""), "without.yaml"))
+    with pytest.raises(MalformedFile) as exc:
+        loader(write(tmp_path, body.replace("@", typo), "typo.yaml"))
+    assert exc.value.position == position
 
 
 @pytest.mark.parametrize("name, loader", [

@@ -274,24 +274,24 @@ class TestSplitPopulation:
 
     def test_both_in_both_outputs(self):
         t = self.make(["R", "O", "B"])
-        risk, opp = split_population(t)
+        risk, opp = split_population(t, "DevelopAI")
         assert risk.n_rows == 2 and opp.n_rows == 2
 
     def test_all_opportunity(self):
         t = self.make(["O", "O"])
-        risk, opp = split_population(t)
+        risk, opp = split_population(t, "DevelopAI")
         assert risk.n_rows == 0 and opp.n_rows == 2
 
     def test_missing_level_is_error(self):
         var = CategoricalVariable("DevelopAI", ("Risk", "Opportunity"))
         t = DataTable([var], np.array([[0]], dtype=np.int32))
         with pytest.raises(UnknownLevel):
-            split_population(t)
+            split_population(t, "DevelopAI")
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         tokens = [str(rng.choice(["R", "O", "B"])) for _ in range(300)]
-        risk, opp = split_population(self.make(tokens))
+        risk, opp = split_population(self.make(tokens), "DevelopAI")
         assert risk.n_rows == sum(1 for t in tokens if t in "RB")
         assert opp.n_rows == sum(1 for t in tokens if t in "OB")
 

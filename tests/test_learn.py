@@ -171,6 +171,18 @@ class TestTabuSearch:
                     )
                     assert score(shrunk, data) <= base + 1e-6
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_capped_walk_returns_its_best_seen_dag(self, k):
+        # the first moves each add an arc and improve the score, so a walk
+        # stopped after k of them returns the k-arc DAG it ends on, which is
+        # not locally optimal (the chain has 5 arcs)
+        data = sample(load("fixtures/chain6.bn.yaml"), 1000, seed=17)
+        log = TabuLog()
+        cfg = TabuConfig(tenure=5, max_iterations=k, stall_limit=10)
+        dag = tabu_search(data, config=cfg, log=log)
+        assert len(dag.arcs()) == k
+        assert log.iterations == len(log.best_scores) == k
+
     def test_chain_recovery(self):
         truth = load("fixtures/chain6.bn.yaml")
         true_pattern = graphutil.cpdag(truth.dag)
