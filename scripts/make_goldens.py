@@ -175,7 +175,7 @@ def pipeline_goldens(workdir):
     configs["sensitivity"] = os.path.join(workdir, "sensitivity.yaml")
     with open(configs["sensitivity"], "w", encoding="utf-8") as fh:
         fh.write("format: beliefnet-sensitivity\nversion: 1\n"
-                 "target: {variable: InterestAI, state: Strongly}\nnodes: auto\ndelta: 0.1\n")
+                 "target: {variable: InterestAI, state: Strongly}\ndelta: 0.1\n")
     _quiet_cli(["prep", "--raw", fixture("synthetic_survey.csv"), "--recode",
                 fixture("prep.yaml"), "--themes", fixture("themes.yaml"),
                 "--name", "survey"] + ws)

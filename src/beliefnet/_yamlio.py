@@ -2,7 +2,9 @@
 PyYAML ships it. Both parsers give the same documents; the emitters differ
 only on strings outside printable ASCII (the pure one may split them across
 lines) and on empty keys, so such documents take the pure emitter and every
-file is written byte for byte as ``yaml.safe_dump`` writes it.
+file is written byte for byte as ``yaml.safe_dump`` writes it. Every loader
+reads its fields through ``_field`` and ``_known``, which name a wrong field
+by its position.
 """
 
 from __future__ import annotations
@@ -70,6 +72,50 @@ def header(doc, source, name, version):
     if doc.get("version") != version:
         raise VersionMismatch(source, doc.get("version"), version)
     return doc
+
+
+_REQUIRED = object()
+
+
+def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
+    """``doc[key]`` read as ``kind``, ``default`` when absent or empty.
+
+    ``kind`` is bool, int, list or dict (the value must be one), float (a
+    number, or a string such as "1e-3", which YAML 1.1 does not read as a
+    number) or str (any value, converted); ``check`` is a (predicate,
+    reason) pair on the result. Every failure raises MalformedFile naming
+    the field ``where`` + ``key``.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedFile(path, where.rstrip(".") or "(root)", "expected a mapping")
+    value = doc.get(key)
+    position = f"{where}{key}"
+    if value is None:
+        if default is _REQUIRED:
+            raise MalformedFile(path, position, "missing field")
+        value = default
+    if kind is float and not isinstance(value, bool):
+        try:
+            value, ok = float(value), True
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+    elif kind is str:
+        value, ok = str(value), True
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise MalformedFile(path, position, f"expected {kind.__name__}, got {value!r}")
+    if check is not None and not check[0](value):
+        raise MalformedFile(path, position, check[1])
+    return value
+
+
+def _known(doc, keys, *, path, where=""):
+    """Refuse the first key of the mapping ``doc`` that is not in ``keys``,
+    so a misspelled key is not read as absent."""
+    for key in doc:
+        if key not in keys:
+            raise MalformedFile(path, f"{where}{key}", f"unknown key; known: {', '.join(keys)}")
 
 
 def dump(doc, stream=None, width=None):

@@ -16,6 +16,7 @@ PALETTE = (
 GREEN = "#55a868"
 RED = "#c44e52"
 FONT = "font-family:Helvetica,Arial,sans-serif"
+MAX_BARS = 40  # tornado rows drawn; the CSV report carries the full set
 
 
 def _svg_root(width, height):
@@ -30,7 +31,7 @@ def _svg_root(width, height):
     )
 
 
-def _text(parent, x, y, content, size=11, anchor="start", extra=""):
+def _text(parent, x, y, content, size=11, anchor="start"):
     el = ET.SubElement(
         parent,
         "text",
@@ -38,7 +39,7 @@ def _text(parent, x, y, content, size=11, anchor="start", extra=""):
             "x": f"{x:.1f}",
             "y": f"{y:.1f}",
             "text-anchor": anchor,
-            "style": f"{FONT};font-size:{size}px{extra}",
+            "style": f"{FONT};font-size:{size}px",
         },
     )
     el.text = str(content)
@@ -130,16 +131,16 @@ def scenario_bars_svg(target, levels, scenario_names, probabilities) -> str:
     return _render(root)
 
 
-def tornado_svg(bars, event_label, delta, max_bars=40) -> str:
+def tornado_svg(bars, event_label, delta) -> str:
     """Horizontal tornado: per bar, green = increase shift, red = decrease.
 
     ``bars`` come pre-sorted by magnitude (the tornado() contract); shifts
     are signed P(event) changes drawn from a common zero axis. Only the top
-    ``max_bars`` rows are drawn; the CSV report carries the full set.
+    MAX_BARS rows are drawn; the CSV report carries the full set.
     """
     bars = list(bars)
     total = len(bars)
-    bars = bars[: max_bars if max_bars else None]
+    bars = bars[:MAX_BARS]
     row_h = 20
     margin_t, margin_b = 56, 30
     label_w = 16 + 7 * max((len(b.label) for b in bars), default=10)

@@ -38,7 +38,6 @@ from .learn import (
     optimal_threshold,
     tiers_to_blacklist,
 )
-from .model import FittedNetwork
 from .modelio import export_dot, load as load_model, save as save_model
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
@@ -272,8 +271,7 @@ def cmd_learn(args, run: _Run):
     }
 
     net = fit_bayes(dag, data, alpha=cfg.alpha)
-    metadata = dict(net.metadata)
-    metadata.update(
+    net.metadata.update(
         {
             "seed": seed,
             "score": cfg.score,
@@ -282,7 +280,6 @@ def cmd_learn(args, run: _Run):
             "tool_version": __version__,
         }
     )
-    net = FittedNetwork(net.variables, net.dag, net.cpts, metadata)
     save_model(net, model_path)
     print(f"learned {len(dag.arcs())} arcs (B={b}, threshold={threshold})")
 

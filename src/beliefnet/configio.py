@@ -9,11 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _yamlio
+from ._yamlio import _field, _known
 from .data import RecodeSpec, ThemeSpec, VariableRecode
 from .errors import MalformedFile
 from .learn import TabuConfig
 from .model import TierSpec
 from .analysis import ScenarioDef
+from .scores import SCORE_KINDS
 
 SUPPORTED_VERSION = 1
 
@@ -26,55 +28,9 @@ def _load_doc(path, expected_format, keys):
     return doc
 
 
-_REQUIRED = object()
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
-_AUTO_THRESHOLD = (lambda v: v == "auto", "the threshold is L1-optimal; must be 'auto' or absent")
 _AUTO_NODES = (lambda v: v == "auto", "the tornado covers the ancestors; must be 'auto' or absent")
-_WITHIN_TIER = (lambda v: v, "tiers forbid only arcs into earlier tiers; must be true or absent")
-_NO_RESTARTS = (lambda v: v == 1, "random restarts are not supported; must be 1 or absent")
-_NO_ARCS = (lambda v: not v, "arc lists are not supported; use a tier file (--tiers)")
-
-
-def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
-    """``doc[key]`` read as ``kind``, ``default`` when absent or empty.
-
-    ``kind`` is bool, int, list or dict (the value must be one), float (a
-    number, or a string such as "1e-3", which YAML 1.1 does not read as a
-    number) or str (any value, converted); ``check`` is a (predicate,
-    reason) pair on the result. Every failure raises MalformedFile naming
-    the field ``where`` + ``key``.
-    """
-    if not isinstance(doc, dict):
-        raise MalformedFile(path, where.rstrip(".") or "(root)", "expected a mapping")
-    value = doc.get(key)
-    position = f"{where}{key}"
-    if value is None:
-        if default is _REQUIRED:
-            raise MalformedFile(path, position, "missing field")
-        value = default
-    if kind is float and not isinstance(value, bool):
-        try:
-            value, ok = float(value), True
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-    elif kind is str:
-        value, ok = str(value), True
-    else:
-        ok = type(value) is kind
-    if not ok:
-        raise MalformedFile(path, position, f"expected {kind.__name__}, got {value!r}")
-    if check is not None and not check[0](value):
-        raise MalformedFile(path, position, check[1])
-    return value
-
-
-def _known(doc, keys, *, path, where=""):
-    """Refuse the first key of the mapping ``doc`` that is not in ``keys``,
-    so a misspelled key is not read as absent."""
-    for key in doc:
-        if key not in keys:
-            raise MalformedFile(path, f"{where}{key}", f"unknown key; known: {', '.join(keys)}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +91,7 @@ def load_theme_config(path) -> list:
     for i, entry in enumerate(_field(doc, "themes", list, path=path)):
         where = f"themes[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
-        # ``population`` is read by no step; files that still set it load
-        _known(entry, ("name", "members", "population"), path=path, where=where)
+        _known(entry, ("name", "members"), path=path, where=where)
         members = tuple(str(m) for m in _field(entry, "members", list, path=path, where=where))
         try:
             specs.append(ThemeSpec(name, members))
@@ -152,9 +107,8 @@ def load_tier_config(path) -> TierSpec:
         where = f"tiers[{i}]."
         names = _field(entry, "variables", list, path=path, where=where)
         # a tier's ``name`` only labels it for the reader
-        _known(entry, ("name", "variables", "within_tier_edges"), path=path, where=where)
+        _known(entry, ("name", "variables"), path=path, where=where)
         tiers.append(tuple(str(v) for v in names))
-        _field(entry, "within_tier_edges", bool, True, _WITHIN_TIER, path=path, where=where)
     try:
         return TierSpec(tuple(tiers))
     except ValueError as exc:
@@ -171,25 +125,16 @@ class LearnConfig:
 
 def load_learn_config(path) -> LearnConfig:
     """The learn config at ``path``; every default when ``path`` is None."""
-    doc = {} if path is None else _load_doc(path, "beliefnet-learn", (
-        "score", "alpha", "bootstrap", "tabu", "threshold", "whitelist", "blacklist"))
+    doc = {} if path is None else _load_doc(
+        path, "beliefnet-learn", ("score", "alpha", "bootstrap", "tabu"))
     tabu_doc = _field(doc, "tabu", dict, {}, path=path)
-    _known(tabu_doc, ("tenure", "max_iterations", "stall_limit", "restarts"),
-           path=path, where="tabu.")
+    _known(tabu_doc, ("tenure", "max_iterations", "stall_limit"), path=path, where="tabu.")
     tabu = {
         key: _field(tabu_doc, key, int, default, _POSITIVE, path=path, where="tabu.")
         for key, default in (("tenure", 10), ("max_iterations", 1000), ("stall_limit", 100))
     }
-    # the search makes one tabu walk; a config asking for more must not
-    # quietly get one
-    _field(tabu_doc, "restarts", int, 1, _NO_RESTARTS, path=path, where="tabu.")
-    # the tier file is the search's only constraint; a config's own arc list
-    # must not be quietly dropped
-    for key in ("whitelist", "blacklist"):
-        _field(doc, key, list, [], _NO_ARCS, path=path)
-    _field(doc, "threshold", str, "auto", _AUTO_THRESHOLD, path=path)
     score = _field(doc, "score", str, "AIC", path=path).upper()
-    if score not in ("AIC", "BIC", "LOGLIK"):
+    if score not in SCORE_KINDS:
         raise MalformedFile(path, "score", f"unknown score {score!r}")
     return LearnConfig(
         score=score,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _yamlio, reports
+from ._yamlio import _field, _known
 from .errors import (
     MalformedFile,
     MissingColumn,
@@ -343,36 +344,45 @@ def save_datatable(table: DataTable, csv_path, dict_path) -> None:
         "version": 1,
         "n_rows": int(table.n_rows),
         "source": table.source,
-        "variables": [
-            {"name": v.name, "levels": list(v.levels), "ordinal": v.ordinal}
-            for v in table.variables
-        ],
+        "variables": variable_entries(table.variables),
     }
     reports.write_text(dict_path, _yamlio.dump(doc))
+
+
+def variable_entries(variables) -> list:
+    """The ``variables:`` list of a dictionary or model file."""
+    return [{"name": v.name, "levels": list(v.levels), "ordinal": v.ordinal} for v in variables]
+
+
+def read_variables(doc, path) -> list:
+    """The variables in ``doc``'s ``variables:`` list, as ``variable_entries``
+    writes it; MalformedFile at the entry or field that is wrong."""
+    variables = []
+    for i, entry in enumerate(_field(doc, "variables", list, path=path)):
+        where = f"variables[{i}]."
+        name = _field(entry, "name", str, path=path, where=where)
+        _known(entry, ("name", "levels", "ordinal"), path=path, where=where)
+        levels = tuple(str(x) for x in _field(entry, "levels", list, path=path, where=where))
+        ordinal = _field(entry, "ordinal", bool, False, path=path, where=where)
+        try:
+            variables.append(CategoricalVariable(name, levels, ordinal))
+        except ValueError as exc:
+            raise MalformedFile(path, f"variables[{i}]", str(exc)) from exc
+    if len({v.name for v in variables}) != len(variables):
+        raise MalformedFile(path, "variables", "duplicate variable names")
+    return variables
 
 
 def load_datatable(csv_path, dict_path) -> DataTable:
     """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts."""
     doc = _yamlio.header(_yamlio.read(dict_path), dict_path, "beliefnet-dict", 1)
-    try:
-        variables = [
-            CategoricalVariable(
-                str(e["name"]),
-                tuple(str(x) for x in e["levels"]),
-                bool(e.get("ordinal", False)),
-            )
-            for e in doc["variables"]
-        ]
-        if len({v.name for v in variables}) != len(variables):
-            raise ValueError("duplicate variable names")
-    except KeyError as exc:
-        raise MalformedFile(dict_path, "variables", f"missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise MalformedFile(dict_path, "variables", str(exc)) from exc
+    _known(doc, ("format", "version", "n_rows", "source", "variables"), path=dict_path)
+    variables = read_variables(doc, dict_path)
     _check_levels(variables, dict_path)
+    n_rows = _field(doc, "n_rows", int, path=dict_path)
     raw = load_csv(csv_path, required_columns=[v.name for v in variables])
-    if raw.n_rows != doc.get("n_rows"):
-        reason = f"{raw.n_rows} rows, but {dict_path} declares {doc.get('n_rows')!r}"
+    if raw.n_rows != n_rows:
+        reason = f"{raw.n_rows} rows, but {dict_path} declares {n_rows}"
         raise MalformedFile(csv_path, "n_rows", reason)
     columns = []
     for var in variables:
@@ -382,7 +392,7 @@ def load_datatable(csv_path, dict_path) -> DataTable:
         except KeyError as exc:
             raise UnknownLevel(var.name, exc.args[0]) from None
     codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
-    return DataTable(variables, codes, source=doc.get("source", ""))
+    return DataTable(variables, codes, source=_field(doc, "source", str, "", path=dict_path))
 
 
 def _check_levels(variables, path):

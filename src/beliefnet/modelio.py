@@ -9,8 +9,10 @@ field, bit for bit.
 from __future__ import annotations
 
 from . import _yamlio, reports
+from ._yamlio import _field, _known
+from .data import read_variables, variable_entries
 from .errors import MalformedFile
-from .model import CategoricalVariable, Cpt, Dag, FittedNetwork
+from .model import Cpt, Dag, FittedNetwork
 
 FORMAT_NAME = "beliefnet-model"
 FORMAT_VERSION = 1
@@ -22,10 +24,7 @@ def serialize(net: FittedNetwork) -> str:
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "variables": [
-            {"name": v.name, "levels": list(v.levels), "ordinal": v.ordinal}
-            for v in net.variables
-        ],
+        "variables": variable_entries(net.variables),
         "arcs": [[p, c] for (p, c) in net.dag.arcs()],
         "cpts": [
             {"variable": v.name, "parents": list(net.cpts[v.name].parent_order)}
@@ -72,36 +71,31 @@ def load(path) -> FittedNetwork:
 
 def _network(doc, source) -> FittedNetwork:
     _yamlio.header(doc, source, FORMAT_NAME, FORMAT_VERSION)
+    _known(doc, ("format", "version", "variables", "arcs", "cpts", "metadata"), path=source)
+    variables = read_variables(doc, source)
+    parents, rows = {}, {}
+    for i, entry in enumerate(_field(doc, "cpts", list, path=source)):
+        where = f"cpts[{i}]."
+        name = _field(entry, "variable", str, path=source, where=where)
+        _known(entry, ("variable", "parents", "rows"), path=source, where=where)
+        if name in parents:
+            raise MalformedFile(source, "cpts", f"duplicate entry for {name!r}")
+        parents[name] = tuple(str(p) for p in _field(entry, "parents", list, path=source,
+                                                     where=where))
+        rows[name] = _field(entry, "rows", list, path=source, where=where)
+    arcs = _field(doc, "arcs", list, path=source)
+    metadata = _field(doc, "metadata", dict, {}, path=source)
     try:
-        variables = tuple(
-            CategoricalVariable(
-                name=str(entry["name"]),
-                levels=tuple(str(x) for x in entry["levels"]),
-                ordinal=bool(entry.get("ordinal", False)),
-            )
-            for entry in doc["variables"]
-        )
-        cpt_entries = {}
-        for e in doc["cpts"]:
-            name = str(e["variable"])
-            if name in cpt_entries:
-                raise MalformedFile(source, "cpts", f"duplicate entry for {name!r}")
-            cpt_entries[name] = e
-        parents = {name: tuple(str(p) for p in e["parents"]) for name, e in cpt_entries.items()}
         dag = Dag(tuple(v.name for v in variables), parents)
-        arcs = {(str(a), str(b)) for a, b in doc["arcs"]}
-        if arcs != set(dag.arcs()):
+        if {(str(a), str(b)) for a, b in arcs} != set(dag.arcs()):
             raise MalformedFile(source, "arcs", "arc list disagrees with CPT parents")
-        cpts = {
-            name: Cpt(name, parents[name], e["rows"]) for name, e in cpt_entries.items()
-        }
-        metadata = doc.get("metadata") or {}
+        cpts = {name: Cpt(name, parents[name], rows[name]) for name in parents}
         return FittedNetwork(variables, dag, cpts, metadata)
     except MalformedFile:
         raise
-    except KeyError as exc:
-        raise MalformedFile(source, str(exc.args[0]), "missing field") from exc
     except Exception as exc:
+        # a cycle, an unknown parent, a bad arc pair, or ragged or
+        # non-numeric rows, which numpy refuses with ValueError or TypeError
         raise MalformedFile(source, "(document)", str(exc)) from exc
 
 
@@ -109,14 +103,14 @@ def _dot_quote(name: str) -> str:
     return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(dag: Dag, node_colors=None, graph_name="beliefnet") -> str:
+def export_dot(dag: Dag, node_colors=None) -> str:
     """Graphviz DOT text listing every node and arc exactly once.
 
     ``node_colors`` maps node name -> fill color (any Graphviz color string);
     colored nodes are rendered with style=filled.
     """
     node_colors = node_colors or {}
-    lines = [f"digraph {_dot_quote(graph_name)} {{"]
+    lines = ['digraph "beliefnet" {']
     for node in dag.nodes:
         color = node_colors.get(node)
         if color is not None:

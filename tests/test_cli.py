@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import os
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -98,7 +99,7 @@ class TestPrep:
         bad = tmp_path / "themes.yaml"
         bad.write_text(
             "format: beliefnet-themes\nversion: 1\nthemes:\n"
-            "  - name: T\n    population: risk\n    members: [does_not_exist]\n",
+            "  - name: T\n    members: [does_not_exist]\n",
             encoding="utf-8",
         )
         code = run(
@@ -228,7 +229,7 @@ class TestLearn:
             "--workspace", tmp_path / "wsx", "--name", "bad",
         )
         assert code == 2
-        assert f"{cfg}: {key}: arc lists are not supported" in capsys.readouterr().err
+        assert f"{cfg}: {key}: unknown key" in capsys.readouterr().err
         for directory in ("models", "strengths"):
             assert not list((tmp_path / "wsx" / directory).iterdir())
 
@@ -676,6 +677,23 @@ class TestCliContract:
             err = capsys.readouterr().err
             assert "locked" in err
             assert "12345" in err
+        finally:
+            lock.unlink()
+
+    @pytest.mark.parametrize("holder, explained", [
+        ("", "another command"),  # the PID is written after the file is made
+        ("self", "still running"),
+    ])
+    def test_workspace_lock_explains_its_holder(self, ws, capsys, holder, explained):
+        lock = ws / ".beliefnet.lock"
+        lock.write_text(str(os.getpid()) if holder == "self" else holder, encoding="utf-8")
+        try:
+            code = run(
+                "export", "--model", ws / "models" / "full.bn.yaml",
+                "--workspace", ws, "--name", "locked",
+            )
+            assert code == 2
+            assert explained in capsys.readouterr().err
         finally:
             lock.unlink()
 

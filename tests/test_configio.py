@@ -1,11 +1,13 @@
 """Config file parsing and validation."""
 
+import glob
 import os
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import yaml
 
 from beliefnet.configio import (
     SensitivityConfig,
@@ -163,11 +165,13 @@ class TestThemes:
         assert all(isinstance(s, ThemeSpec) for s in specs)
         assert sum(len(s.members) for s in specs) == 42
 
-    def test_population_still_loads(self, tmp_path):
-        # earlier versions read it to derive the tables; it is now ignored
-        head = "format: beliefnet-themes\nversion: 1\nthemes:\n  - name: T\n    members: [a]\n"
-        with_key = write(tmp_path, head + "    population: risk\n", "a.yaml")
-        assert load_theme_config(with_key) == load_theme_config(write(tmp_path, head, "b.yaml"))
+    def test_population_refused(self, tmp_path):
+        # earlier versions read it to derive the tables; no step reads it now
+        p = write(tmp_path, "format: beliefnet-themes\nversion: 1\nthemes:\n"
+                  "  - name: T\n    members: [a]\n    population: risk\n")
+        with pytest.raises(MalformedFile) as exc:
+            load_theme_config(p)
+        assert exc.value.position == "themes[0].population"
 
 
 class TestTiers:
@@ -204,13 +208,14 @@ class TestLearn:
         assert cfg.tabu.stall_limit == 15
 
     def test_numeric_threshold(self, tmp_path):
-        # the consensus threshold is always the L1-optimal one; 'auto' still loads
-        head = "format: beliefnet-learn\nversion: 1\n"
-        with pytest.raises(MalformedFile) as exc:
-            load_learn_config(write(tmp_path, head + "threshold: 0.7\n", "a.yaml"))
-        assert exc.value.position == "threshold"
-        auto = write(tmp_path, head + "threshold: auto\n", "b.yaml")
-        assert load_learn_config(auto) == load_learn_config(write(tmp_path, head, "c.yaml"))
+        # the consensus threshold is always the L1-optimal one, so neither a
+        # number nor the 'auto' earlier versions accepted is read
+        for i, value in enumerate(("0.7", "auto")):
+            p = write(tmp_path, f"format: beliefnet-learn\nversion: 1\nthreshold: {value}\n",
+                      f"{i}.yaml")
+            with pytest.raises(MalformedFile) as exc:
+                load_learn_config(p)
+            assert exc.value.position == "threshold"
 
     def test_bad_threshold(self, tmp_path):
         p = write(tmp_path, "format: beliefnet-learn\nversion: 1\nthreshold: 1.5\n")
@@ -252,39 +257,44 @@ class TestLearn:
         assert load_learn_config(None) == load_learn_config(head)
         assert load_learn_config(None).bootstrap == 2000
 
-    def test_restarts_one_still_loads(self, tmp_path):
-        head = "format: beliefnet-learn\nversion: 1\n"
-        with_key = write(tmp_path, head + "tabu: {tenure: 5, restarts: 1}\n", "a.yaml")
-        without = write(tmp_path, head + "tabu: {tenure: 5}\n", "b.yaml")
-        assert load_learn_config(with_key) == load_learn_config(without)
+    def test_restarts_refused(self, tmp_path):
+        # the search makes one tabu walk, so even the one restart is refused
+        p = write(tmp_path, "format: beliefnet-learn\nversion: 1\n"
+                  "tabu: {tenure: 5, restarts: 1}\n")
+        with pytest.raises(MalformedFile) as exc:
+            load_learn_config(p)
+        assert exc.value.position == "tabu.restarts"
 
     @pytest.mark.parametrize("key, arcs", [("whitelist", "[[A, B]]"), ("blacklist", "[[B, A]]")])
-    def test_arc_list_refused_unless_empty(self, tmp_path, key, arcs):
+    def test_arc_list_refused(self, tmp_path, key, arcs):
+        # the tier file is the search's only constraint, so even an empty list
+        # is refused
         head = "format: beliefnet-learn\nversion: 1\n"
-        listed = write(tmp_path, head + f"{key}: {arcs}\n", "a.yaml")
-        with pytest.raises(MalformedFile) as exc:
-            load_learn_config(listed)
-        assert exc.value.position == key
-        empty = write(tmp_path, head + f"{key}: []\n", "b.yaml")
-        without = write(tmp_path, head, "c.yaml")
-        assert load_learn_config(empty) == load_learn_config(without)
+        for i, value in enumerate((arcs, "[]")):
+            with pytest.raises(MalformedFile) as exc:
+                load_learn_config(write(tmp_path, head + f"{key}: {value}\n", f"{i}.yaml"))
+            assert exc.value.position == key
 
 
-@pytest.mark.parametrize("loader, template, old, kept, position", [
+@pytest.mark.parametrize("loader, template, refused, kept, position", [
     (load_sensitivity_config,
      "format: beliefnet-sensitivity\nversion: 1\ntarget: {variable: A, state: x}\n@\n",
-     "nodes: [Age]", "nodes: auto", "nodes"),
+     ["nodes: [Age]"], "nodes: auto", "nodes"),
     (load_tier_config, "format: beliefnet-tiers\nversion: 1\ntiers:\n  - variables: [A]\n    @\n",
-     "within_tier_edges: false", "within_tier_edges: true", "tiers[0].within_tier_edges"),
+     ["within_tier_edges: false", "within_tier_edges: true"], None,
+     "tiers[0].within_tier_edges"),
 ], ids=["nodes", "within_tier_edges"])
-def test_removed_option_refused_at_its_key(tmp_path, loader, template, old, kept, position):
-    """A node list and a closed tier are refused, while the one value each
-    key still has loads as if the key were absent."""
-    with pytest.raises(MalformedFile) as exc:
-        loader(write(tmp_path, template.replace("@", old), "old.yaml"))
-    assert exc.value.position == position
-    without = loader(write(tmp_path, template.replace("@", ""), "without.yaml"))
-    assert loader(write(tmp_path, template.replace("@", kept), "kept.yaml")) == without
+def test_removed_option_refused_at_its_key(tmp_path, loader, template, refused, kept, position):
+    """A node list and either tier flag are refused at their key; ``nodes:
+    auto``, which the benchmark harness still writes, loads as if the key
+    were absent."""
+    for i, line in enumerate(refused):
+        with pytest.raises(MalformedFile) as exc:
+            loader(write(tmp_path, template.replace("@", line), f"old{i}.yaml"))
+        assert exc.value.position == position
+    if kept is not None:
+        without = loader(write(tmp_path, template.replace("@", ""), "without.yaml"))
+        assert loader(write(tmp_path, template.replace("@", kept), "kept.yaml")) == without
 
 
 PREP_BODY = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
@@ -296,6 +306,13 @@ QUERY_BODY = ("format: beliefnet-query\nversion: 1\ntables:\n"
 SOBOL_BODY = "format: beliefnet-sobol\nversion: 1\ntargets: [A]\ninputs: [B]\n@\n"
 SCENARIO_BODY = ("format: beliefnet-scenarios\nversion: 1\ntargets: [A]\nscenarios:\n"
                  "  - name: Young\n    evidence: {Age: '14-29'}\n@\n")
+# an entry put at "@" is variables[0]
+DICT_VARIABLES = DICT_TEXT.replace("variables:\n", "variables:\n@\n")
+MODEL_BODY = ("format: beliefnet-model\nversion: 1\nvariables:\n- {name: A, levels: [a0, a1]}\n"
+              "arcs: []\ncpts:\n- variable: A\n  parents: []\n  rows: [[0.5, 0.5]]\n@\n")
+MODEL_VARIABLES = ("format: beliefnet-model\nversion: 1\narcs: []\n"
+                   "cpts: [{variable: A, parents: [], rows: [[0.5, 0.5]]}]\n"
+                   "variables:\n@\n- {name: A, levels: [a0, a1]}\n")
 
 
 @pytest.mark.parametrize("loader, body, typo, position", [
@@ -312,29 +329,71 @@ SCENARIO_BODY = ("format: beliefnet-scenarios\nversion: 1\ntargets: [A]\nscenari
     (load_scenario_config, SCENARIO_BODY, "target: [B]", "target"),
     (load_scenario_config, SCENARIO_BODY, "    evidnce: {Age: '30-44'}",
      "scenarios[0].evidnce"),
+    (_load_dictionary, DICT_TEXT + "@\n", "sourc: x", "sourc"),
+    (_load_dictionary, DICT_VARIABLES, "- {name: C, levels: [c0, c1], ordnal: true}",
+     "variables[0].ordnal"),
+    (_load_dictionary, DICT_VARIABLES, "- {name: C, levels: ab}", "variables[0].levels"),
+    (_load_dictionary, DICT_VARIABLES, "- {name: C, levels: [c0, c1], ordinal: 'false'}",
+     "variables[0].ordinal"),
+    (load_model, MODEL_BODY, "metdata: {}", "metdata"),
+    (load_model, MODEL_BODY, "  prior: 1", "cpts[0].prior"),
+    (load_model, MODEL_VARIABLES, "- {name: C, levels: [c0, c1], ordnal: true}",
+     "variables[0].ordnal"),
+    (load_model, MODEL_VARIABLES, "- {name: C, levels: ab}", "variables[0].levels"),
+    (load_model, MODEL_VARIABLES, "- {name: C, levels: [c0, c1], ordinal: 'false'}",
+     "variables[0].ordinal"),
 ], ids=["prep", "prep.variables", "themes", "themes.entry", "tiers", "tiers.entry",
-        "query", "query.tables", "sobol", "scenarios", "scenarios.entry"])
+        "query", "query.tables", "sobol", "scenarios", "scenarios.entry",
+        "dict", "dict.variables", "dict.levels", "dict.ordinal",
+        "model", "model.cpts", "model.variables", "model.levels", "model.ordinal"])
 def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, position):
     """Every mapping a loader reads refuses a key it does not know, instead
-    of reading the misspelled key as absent."""
+    of reading the misspelled key as absent; a dictionary or model variable
+    whose levels are not a list, or whose ordinal flag is not a boolean, is
+    refused at that field, not read as its characters or its truth."""
     loader(write(tmp_path, body.replace("@", ""), "without.yaml"))
     with pytest.raises(MalformedFile) as exc:
         loader(write(tmp_path, body.replace("@", typo), "typo.yaml"))
     assert exc.value.position == position
 
 
+LOADER_OF_FORMAT = {
+    "beliefnet-prep": load_prep_config,
+    "beliefnet-themes": load_theme_config,
+    "beliefnet-tiers": load_tier_config,
+    "beliefnet-learn": load_learn_config,
+    "beliefnet-query": load_query_config,
+    "beliefnet-sobol": load_sobol_config,
+    "beliefnet-scenarios": load_scenario_config,
+    "beliefnet-sensitivity": load_sensitivity_config,
+    "beliefnet-model": load_model,
+}
+
+
+def _shipped(pattern):
+    """(path, loader its ``format`` header names) for each file ``pattern`` matches."""
+    found = []
+    for path in sorted(glob.glob(pattern)):
+        with open(path, encoding="utf-8") as fh:
+            found.append((path, LOADER_OF_FORMAT[yaml.safe_load(fh)["format"]]))
+    return found
+
+
 @pytest.mark.parametrize("name, loader", [
-    ("prep.yaml", load_prep_config),
-    ("tiers.yaml", load_tier_config),
-    ("learn.yaml", load_learn_config),
-    ("query.yaml", load_query_config),
-    ("sobol.yaml", load_sobol_config),
-    ("scenarios.yaml", load_scenario_config),
-    ("sensitivity.yaml", load_sensitivity_config),
+    (os.path.basename(path), loader) for path, loader in _shipped("configs/gesis/*.yaml")
 ])
 def test_gesis_config_loads(name, loader):
     """The paper's configs, which only the GESIS reproduction reads."""
     loader(os.path.join("configs", "gesis", name))
+
+
+@pytest.mark.parametrize(
+    "path, loader", _shipped("fixtures/*.yaml") + _shipped("perfbench/data/*.bn.yaml")
+)
+def test_shipped_file_loads(path, loader):
+    """Every fixture and benchmark file loads, so a retired key left in one
+    fails here and not first in a user's run."""
+    loader(path)
 
 
 class TestAnalysisConfigs:

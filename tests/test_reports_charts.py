@@ -179,7 +179,7 @@ class TestSvg:
 
     def test_tornado_svg_well_formed_and_capped(self):
         bars = fake_bars(60)
-        svg = tornado_svg(bars, "X=s0", 0.1, max_bars=40)
+        svg = tornado_svg(bars, "X=s0", 0.1)
         root = ET.fromstring(svg)
         assert "top 40 of 60" in svg
         assert root.tag.endswith("svg")
