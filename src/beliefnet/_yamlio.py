@@ -82,9 +82,9 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
 
     ``kind`` is bool, int, list or dict (the value must be one), float (a
     number, or a string such as "1e-3", which YAML 1.1 does not read as a
-    number) or str (any value, converted); ``check`` is a (predicate,
-    reason) pair on the result. Every failure raises MalformedFile naming
-    the field ``where`` + ``key``.
+    number) or str (a scalar, converted; a list or mapping is refused);
+    ``check`` is a (predicate, reason) pair on the result. Every failure
+    raises MalformedFile naming the field ``where`` + ``key``.
     """
     if not isinstance(doc, dict):
         raise MalformedFile(path, where.rstrip(".") or "(root)", "expected a mapping")
@@ -100,7 +100,8 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
         except (TypeError, ValueError, OverflowError):
             ok = False
     elif kind is str:
-        value, ok = str(value), True
+        ok = not isinstance(value, (list, dict))
+        value = str(value) if ok else value
     else:
         ok = type(value) is kind
     if not ok:
@@ -108,6 +109,16 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
     if check is not None and not check[0](value):
         raise MalformedFile(path, position, check[1])
     return value
+
+
+def _names(doc, key, *, path, where=""):
+    """``doc[key]``, a required list of scalars, as a tuple of strings; an
+    item that is a list or mapping raises MalformedFile at ``key[i]``."""
+    items = _field(doc, key, list, path=path, where=where)
+    for i, item in enumerate(items):
+        if isinstance(item, (list, dict)):
+            raise MalformedFile(path, f"{where}{key}[{i}]", f"expected a scalar, got {item!r}")
+    return tuple(map(str, items))
 
 
 def _known(doc, keys, *, path, where=""):

@@ -265,8 +265,6 @@ def sensitivity_slope(
     ancestral closure of the event and the evidence give exactly 0.0.
     """
     cpt = _check_param(net, param)
-    if cpt.r < 2:
-        raise InvalidQuery("parameter row needs at least 2 states")
     variable, level = event
     target = net.variable(variable).level_index(level)
     theta = float(cpt.table[param.config, param.state])
@@ -345,11 +343,7 @@ def _make_bar(net, event, param, delta, p0):
         return TornadoBar(param, _param_label(net, param), up, down)
     d_up = min(delta, 1.0 - theta)
     d_down = min(delta, theta)
-    shift_up = (
-        _event_probability(perturb_parameter(net, param, theta + d_up), event) - p0
-        if d_up > 0.0
-        else 0.0
-    )
+    shift_up = _event_probability(perturb_parameter(net, param, theta + d_up), event) - p0
     shift_down = (
         _event_probability(perturb_parameter(net, param, theta - d_down), event) - p0
         if d_down > 0.0

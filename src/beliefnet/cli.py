@@ -192,8 +192,7 @@ def cmd_prep(args, run: _Run):
             collapsed[var.name] = gone
     audit["collapsed_levels"] = collapsed
 
-    if themes:
-        table = group_themes(table, themes)
+    table = group_themes(table, themes)
 
     tables = {"full": table}
     if args.split:
@@ -419,13 +418,21 @@ def _positive_int(text):
     return value
 
 
+def _stem(text):
+    """A ``--name``: a file name, so every output stays in the workspace."""
+    if text in ("", ".", "..") or os.sep in text or (os.altsep and os.altsep in text):
+        raise argparse.ArgumentTypeError("must be a file name, without a directory part")
+    return text
+
+
 def _add_common(sub, name_default):
     sub.add_argument(
         "--workspace",
         default=os.environ.get(WORKSPACE_ENV, "workspace"),
         help=f"workspace directory (default: ${WORKSPACE_ENV} or ./workspace)",
     )
-    sub.add_argument("--name", default=name_default, help="output name stem")
+    sub.add_argument("--name", type=_stem, default=name_default,
+                     help="output name stem: a file name, without a directory part")
     sub.add_argument("--force", action="store_true", help="allow overwriting outputs")
     sub.add_argument(
         "--workers",

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _yamlio
-from ._yamlio import _field, _known
+from ._yamlio import _field, _known, _names
 from .data import RecodeSpec, ThemeSpec, VariableRecode
 from .errors import MalformedFile
 from .learn import TabuConfig
@@ -50,7 +50,7 @@ def load_prep_config(path) -> PrepConfig:
         name = _field(entry, "name", str, path=path, where=where)
         _known(entry, ("name", "source", "levels", "ordinal", "unmapped", "map"),
                path=path, where=where)
-        levels = tuple(str(x) for x in _field(entry, "levels", list, path=path, where=where))
+        levels = _names(entry, "levels", path=path, where=where)
         mapping = {}
         for token, label in _field(entry, "map", dict, path=path, where=where).items():
             mapping[str(token)] = None if label is None else str(label)
@@ -69,10 +69,7 @@ def load_prep_config(path) -> PrepConfig:
             raise MalformedFile(path, f"variables[{i}]", str(exc)) from exc
     models_doc = _field(doc, "models", dict, path=path)
     _known(models_doc, ("full", "risk", "opportunity"), path=path, where="models.")
-    models = {
-        t: [str(n) for n in _field(models_doc, t, list, path=path, where="models.")]
-        for t in models_doc
-    }
+    models = {t: _names(models_doc, t, path=path, where="models.") for t in models_doc}
     try:
         spec = RecodeSpec(entries)
     except ValueError as exc:
@@ -92,7 +89,7 @@ def load_theme_config(path) -> list:
         where = f"themes[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
         _known(entry, ("name", "members"), path=path, where=where)
-        members = tuple(str(m) for m in _field(entry, "members", list, path=path, where=where))
+        members = _names(entry, "members", path=path, where=where)
         try:
             specs.append(ThemeSpec(name, members))
         except ValueError as exc:
@@ -105,10 +102,10 @@ def load_tier_config(path) -> TierSpec:
     tiers = []
     for i, entry in enumerate(_field(doc, "tiers", list, path=path)):
         where = f"tiers[{i}]."
-        names = _field(entry, "variables", list, path=path, where=where)
+        names = _names(entry, "variables", path=path, where=where)
         # a tier's ``name`` only labels it for the reader
         _known(entry, ("name", "variables"), path=path, where=where)
-        tiers.append(tuple(str(v) for v in names))
+        tiers.append(names)
     try:
         return TierSpec(tuple(tiers))
     except ValueError as exc:
@@ -156,9 +153,7 @@ def load_query_config(path) -> QueryConfig:
         where = f"tables[{i}]."
         target = _field(entry, "target", str, path=path, where=where)
         _known(entry, ("target", "evidence_variables"), path=path, where=where)
-        sweeps = tuple(
-            str(v) for v in _field(entry, "evidence_variables", list, path=path, where=where)
-        )
+        sweeps = _names(entry, "evidence_variables", path=path, where=where)
         repeated = [v for k, v in enumerate(sweeps) if v in sweeps[:k]]
         if repeated:
             raise MalformedFile(
@@ -177,8 +172,8 @@ class SobolConfig:
 def load_sobol_config(path) -> SobolConfig:
     doc = _load_doc(path, "beliefnet-sobol", ("targets", "inputs"))
     return SobolConfig(
-        targets=tuple(str(t) for t in _field(doc, "targets", list, path=path)),
-        inputs=tuple(str(i) for i in _field(doc, "inputs", list, path=path)),
+        targets=_names(doc, "targets", path=path),
+        inputs=_names(doc, "inputs", path=path),
     )
 
 
@@ -195,13 +190,11 @@ def load_scenario_config(path) -> ScenarioConfig:
         where = f"scenarios[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
         _known(entry, ("name", "evidence"), path=path, where=where)
-        ev = {
-            str(k): str(v)
-            for k, v in _field(entry, "evidence", dict, {}, path=path, where=where).items()
-        }
+        ev_doc = _field(entry, "evidence", dict, {}, path=path, where=where)
+        ev = {str(k): _field(ev_doc, k, str, path=path, where=f"{where}evidence.") for k in ev_doc}
         scenarios.append(ScenarioDef(name, ev))
     return ScenarioConfig(
-        targets=tuple(str(t) for t in _field(doc, "targets", list, path=path)),
+        targets=_names(doc, "targets", path=path),
         scenarios=tuple(scenarios),
     )
 

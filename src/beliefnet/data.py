@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _yamlio, reports
-from ._yamlio import _field, _known
+from ._yamlio import _field, _known, _names
 from .errors import (
     MalformedFile,
     MissingColumn,
@@ -137,9 +137,6 @@ class RecodeSpec:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in recode spec")
 
-    def names(self):
-        return [v.name for v in self.variables]
-
 
 @dataclass(frozen=True)
 class ThemeSpec:
@@ -261,15 +258,9 @@ def collapse_rare(table: DataTable, variable, min_count: int) -> DataTable:
     return DataTable(variables, codes, table.source)
 
 
-def drop_incomplete(table: DataTable, variables=None) -> DataTable:
-    """Keep exactly the rows with no missing value among the listed variables."""
-    names = list(variables) if variables is not None else [v.name for v in table.variables]
-    if not names:
-        return table
-    mask = np.ones(table.n_rows, dtype=bool)
-    for name in names:
-        mask &= table.column(name) >= 0
-    return table.filter_rows(mask)
+def drop_incomplete(table: DataTable) -> DataTable:
+    """Keep exactly the rows with no missing value."""
+    return table.filter_rows(~table.missing_mask().any(axis=1))
 
 
 def group_themes(table: DataTable, specs) -> DataTable:
@@ -304,11 +295,7 @@ def group_themes(table: DataTable, specs) -> DataTable:
         theme_cols.append(col)
     kept = [v for v in table.variables if v.name not in member_names]
     kept_codes = table.codes[:, [table.var_index(v.name) for v in kept]]
-    all_cols = (
-        np.concatenate([kept_codes, np.stack(theme_cols, axis=1)], axis=1)
-        if theme_cols
-        else kept_codes
-    )
+    all_cols = np.column_stack([kept_codes, *theme_cols])
     return DataTable(list(kept) + theme_vars, all_cols, table.source)
 
 
@@ -362,7 +349,7 @@ def read_variables(doc, path) -> list:
         where = f"variables[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
         _known(entry, ("name", "levels", "ordinal"), path=path, where=where)
-        levels = tuple(str(x) for x in _field(entry, "levels", list, path=path, where=where))
+        levels = _names(entry, "levels", path=path, where=where)
         ordinal = _field(entry, "ordinal", bool, False, path=path, where=where)
         try:
             variables.append(CategoricalVariable(name, levels, ordinal))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataTable
-from .errors import InvalidQuery, UnknownVariable, ZeroProbabilityEvidence
+from .errors import InvalidQuery, ZeroProbabilityEvidence
 from .model import (
     Cpt,
     Dag,
@@ -250,10 +250,6 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
 def _family_tables(dag: Dag, data: DataTable):
     """Yield (node, N_ijk as a (q, r) int64 table) for every node; a parent
     configuration never observed keeps a zero row."""
-    names = {v.name for v in data.variables}
-    for node in dag.nodes:
-        if node not in names:
-            raise UnknownVariable(node)
     sub = data.select(dag.nodes)
     if sub.missing_mask().any():
         raise ValueError("parameter fitting requires complete-case data")

@@ -318,10 +318,7 @@ class FittedNetwork:
         if set(dag.nodes) != set(self._index):
             raise ValueError("DAG nodes and variable names differ")
         self.dag = dag
-        if isinstance(cpts, dict):
-            cpts = dict(cpts)
-        else:
-            cpts = {c.variable: c for c in cpts}
+        cpts = dict(cpts)
         if set(cpts) != set(self._index):
             raise ValueError("need exactly one CPT per node")
         # name -> (parent cards in CPT order..., own card): the CPT's shape

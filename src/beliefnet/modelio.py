@@ -9,7 +9,7 @@ field, bit for bit.
 from __future__ import annotations
 
 from . import _yamlio, reports
-from ._yamlio import _field, _known
+from ._yamlio import _field, _known, _names
 from .data import read_variables, variable_entries
 from .errors import MalformedFile
 from .model import Cpt, Dag, FittedNetwork
@@ -80,8 +80,7 @@ def _network(doc, source) -> FittedNetwork:
         _known(entry, ("variable", "parents", "rows"), path=source, where=where)
         if name in parents:
             raise MalformedFile(source, "cpts", f"duplicate entry for {name!r}")
-        parents[name] = tuple(str(p) for p in _field(entry, "parents", list, path=source,
-                                                     where=where))
+        parents[name] = _names(entry, "parents", path=source, where=where)
         rows[name] = _field(entry, "rows", list, path=source, where=where)
     arcs = _field(doc, "arcs", list, path=source)
     metadata = _field(doc, "metadata", dict, {}, path=source)

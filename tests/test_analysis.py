@@ -315,6 +315,15 @@ class TestSensitivitySlope:
         with pytest.raises(SaturatedParameter):
             sensitivity_slope(net, ("Y", "y1"), CptParameterId("Y", 0, 0))
 
+    @pytest.mark.parametrize("param, message", [
+        (CptParameterId("Z", 0, 0), "no CPT for 'Z'"),
+        (CptParameterId("Y", 2, 0), r"out of bounds for Cpt\('Y', parents=\['X'\], q=2, r=2\)"),
+        (CptParameterId("Y", 0, -1), "out of bounds"),
+    ])
+    def test_parameter_outside_the_network(self, param, message):
+        with pytest.raises(InvalidQuery, match=message):
+            sensitivity_slope(copy_net(), ("Y", "y1"), param)
+
     def test_evidence_uses_quotient_rule(self):
         net = chain_xmy()
         slope = sensitivity_slope(
@@ -322,6 +331,17 @@ class TestSensitivitySlope:
         )
         # X's prior is irrelevant once M is observed (Y ⟂ X | M)
         assert slope == pytest.approx(0.0, abs=1e-9)
+
+
+class TestPerturbParameter:
+    def test_saturated_parameter(self):
+        with pytest.raises(SaturatedParameter):
+            perturb_parameter(copy_net(), CptParameterId("Y", 0, 0), 0.5)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_value_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            perturb_parameter(copy_net(), CptParameterId("X", 0, 0), value)
 
 
 def zeroed_net(rng, n_nodes):
@@ -467,6 +487,11 @@ class TestTornado:
         bars = tornado(net, ("Y", "y1"))
         names = {b.param.variable for b in bars}
         assert names == {"X", "M"}
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_non_positive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            tornado(chain_xmy(), ("Y", "y1"), delta=delta)
 
     def test_unknown_node_rejected(self):
         with pytest.raises(UnknownVariable, match="Bogus"):

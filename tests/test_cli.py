@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from beliefnet import cli
 from beliefnet.cli import build_parser, main
 from beliefnet.learn import POOL_MIN_REPLICATES
 from reference_io import read_query_csv
@@ -214,6 +215,22 @@ class TestLearn:
         assert code == 1
         assert "--bootstrap: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ws0").exists()
+
+    def test_tier_naming_an_absent_variable_exit_2_without_output(self, ws, tmp_path, capsys):
+        tiers = tmp_path / "tiers.yaml"
+        text = Path(TIERS).read_text(encoding="utf-8")
+        tiers.write_text(text.replace("AIRegulations]", "AIRegulations, Bogus]"),
+                         encoding="utf-8")
+        code = run(
+            "learn", "--data", ws / "data" / "survey_full.csv",
+            "--dict", ws / "data" / "survey_full.dict.yaml",
+            "--tiers", tiers, "--config", LEARN, "--bootstrap", 1,
+            "--workspace", tmp_path / "wst", "--name", "bad",
+        )
+        assert code == 2
+        assert "unknown variable: 'Bogus'" in capsys.readouterr().err
+        for directory in ("models", "strengths"):
+            assert not list((tmp_path / "wst" / directory).iterdir())
 
     @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
     def test_arc_list_config_refused_without_output(self, ws, tmp_path, capsys, key):
@@ -683,10 +700,19 @@ class TestCliContract:
     @pytest.mark.parametrize("holder, explained", [
         ("", "another command"),  # the PID is written after the file is made
         ("self", "still running"),
+        ("0", "process 0 "),  # kill(0, 0) would probe this process group
+        ("-7", "process -7 "),
+        ("other user", "still running"),  # kill refuses: the process exists
     ])
-    def test_workspace_lock_explains_its_holder(self, ws, capsys, holder, explained):
+    def test_workspace_lock_explains_its_holder(self, ws, capsys, monkeypatch, holder,
+                                                explained):
         lock = ws / ".beliefnet.lock"
-        lock.write_text(str(os.getpid()) if holder == "self" else holder, encoding="utf-8")
+        if holder == "other user":
+            def refused(pid, signal):
+                raise PermissionError(1, "Operation not permitted")
+            monkeypatch.setattr(os, "kill", refused)
+        pid = {"self": str(os.getpid()), "other user": "4242"}.get(holder, holder)
+        lock.write_text(pid, encoding="utf-8")
         try:
             code = run(
                 "export", "--model", ws / "models" / "full.bn.yaml",
@@ -696,6 +722,34 @@ class TestCliContract:
             assert explained in capsys.readouterr().err
         finally:
             lock.unlink()
+
+    def test_lock_removed_mid_run(self, ws, tmp_path, monkeypatch):
+        # a user who deletes a lock they think stale must not fail the holder
+        root = tmp_path / "ws"
+        load = cli.load_model
+
+        def load_and_unlock(path):
+            (root / ".beliefnet.lock").unlink()
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_model", load_and_unlock)
+        assert run("export", "--model", ws / "models" / "full.bn.yaml", "--workspace", root) == 0
+        assert (root / "reports" / "graph.dot").exists()
+        assert not (root / ".beliefnet.lock").exists()
+
+    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", ""])
+    def test_name_with_a_directory_part_is_a_usage_error(self, ws, tmp_path, capsys,
+                                                         monkeypatch, name):
+        # the lock and the overwrite check cover the workspace alone
+        cwd = tmp_path / "deep" / "er"
+        cwd.mkdir(parents=True)
+        model = (ws / "models" / "full.bn.yaml").resolve()
+        monkeypatch.chdir(cwd)
+        code = run("export", "--model", model, "--workspace", "ws", "--name", name)
+        assert code == 1
+        assert "--name: must be a file name" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "deep", "deep/er"]
 
     def test_entropy_seed_recorded(self, ws, tmp_path):
         code = run(

@@ -95,7 +95,7 @@ class TestPrep:
         cfg = load_prep_config("fixtures/prep.yaml")
         assert cfg.missing_threshold == 50
         assert cfg.framing == "DevelopAI"
-        names = cfg.recode.names()
+        names = [v.name for v in cfg.recode.variables]
         assert "VoteIntent" in names and "op24" in names
         vi = next(v for v in cfg.recode.variables if v.name == "VoteIntent")
         assert vi.source == "party"
@@ -310,6 +310,10 @@ SCENARIO_BODY = ("format: beliefnet-scenarios\nversion: 1\ntargets: [A]\nscenari
 DICT_VARIABLES = DICT_TEXT.replace("variables:\n", "variables:\n@\n")
 MODEL_BODY = ("format: beliefnet-model\nversion: 1\nvariables:\n- {name: A, levels: [a0, a1]}\n"
               "arcs: []\ncpts:\n- variable: A\n  parents: []\n  rows: [[0.5, 0.5]]\n@\n")
+MODEL_CHAIN = ("format: beliefnet-model\nversion: 1\nvariables:\n"
+               "- {name: A, levels: [a0, a1]}\n- {name: B, levels: [b0, b1]}\n"
+               "arcs: [[A, B]]\ncpts:\n- {variable: A, parents: [], rows: [[0.5, 0.5]]}\n"
+               "- {variable: B, parents: [A], rows: [[0.5, 0.5], [0.1, 0.9]]}\n")
 MODEL_VARIABLES = ("format: beliefnet-model\nversion: 1\narcs: []\n"
                    "cpts: [{variable: A, parents: [], rows: [[0.5, 0.5]]}]\n"
                    "variables:\n@\n- {name: A, levels: [a0, a1]}\n")
@@ -354,6 +358,58 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
     loader(write(tmp_path, body.replace("@", ""), "without.yaml"))
     with pytest.raises(MalformedFile) as exc:
         loader(write(tmp_path, body.replace("@", typo), "typo.yaml"))
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("loader, body, old, new, position", [
+    (load_model, MODEL_BODY, "name: A", "name: [A]", "variables[0].name"),
+    (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [[a0], a1]", "variables[0].levels[0]"),
+    (load_model, MODEL_BODY, "parents: []", "parents: [{A: 1}]", "cpts[0].parents[0]"),
+    (_load_dictionary, DICT_TEXT, "levels: [b0, b1, b2]", "levels: [b0, b1, {b2: 1}]",
+     "variables[1].levels[2]"),
+    (load_prep_config, PREP_BODY, "levels: [a]", "levels: [[a]]", "variables[0].levels[0]"),
+    (load_prep_config, PREP_BODY, "full: [Q]", "full: [[Q]]", "models.full[0]"),
+    (load_prep_config, PREP_BODY + "framing: F\n", "framing: F", "framing: [F]", "framing"),
+    (load_theme_config, THEMES_BODY, "[a, b]", "[a, [b]]", "themes[0].members[1]"),
+    (load_tier_config, TIERS_BODY, "[A]", "[{A: 1}]", "tiers[0].variables[0]"),
+    (load_query_config, QUERY_BODY, "[B]", "[[B]]", "tables[0].evidence_variables[0]"),
+    (load_query_config, QUERY_BODY, "target: A", "target: {A: 1}", "tables[0].target"),
+    (load_sobol_config, SOBOL_BODY, "targets: [A]", "targets: [[A]]", "targets[0]"),
+    (load_sobol_config, SOBOL_BODY, "inputs: [B]", "inputs: [B, [C]]", "inputs[1]"),
+    (load_scenario_config, SCENARIO_BODY, "targets: [A]", "targets: [{A: 1}]", "targets[0]"),
+    (load_scenario_config, SCENARIO_BODY, "'14-29'", "['14-29']", "scenarios[0].evidence.Age"),
+    (load_scenario_config, SCENARIO_BODY, "name: Young", "name: [Young]", "scenarios[0].name"),
+    (load_sensitivity_config, "format: beliefnet-sensitivity\nversion: 1\n"
+     "target: {variable: A, state: x}\n", "state: x", "state: [x]", "target.state"),
+    (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': a}\n    unmapped: sometimes",
+     "variables[0]"),
+    (load_theme_config, THEMES_BODY, "[a, b]", "[]", "themes[0]"),
+    (load_tier_config, TIERS_BODY, "- name: t\n    variables: [A]", "- [A]", "tiers[0]"),
+    (_load_dictionary, DICT_TEXT, "levels: [a0, a1]", "levels: [a0]", "variables[0]"),
+    (_load_dictionary, DICT_TEXT, "name: B", "name: A", "variables"),
+    (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [a0]", "variables[0]"),
+    (load_model, MODEL_BODY, "variables:\n", "variables:\n- {name: A, levels: [x, y]}\n",
+     "variables"),
+    (load_model, MODEL_CHAIN, "parents: [A]", "parents: [A, A]", "(document)"),
+    (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [0.5, 0.5]", "(document)"),
+    (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [[1.0]]", "(document)"),
+], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
+        "prep.models", "prep.framing", "themes.members", "tiers.variables",
+        "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
+        "scenarios.targets", "scenarios.evidence", "scenarios.name", "sensitivity.state",
+        "prep.unmapped", "themes.no_members", "tiers.entry_not_mapping", "dict.one_level",
+        "dict.repeated_variable", "model.one_level", "model.repeated_variable",
+        "model.repeated_parent", "model.rows_1d", "model.rows_one_state"])
+def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
+    """A list or mapping where a name or label belongs is refused at its
+    position, not read as its Python repr (``name: [A]`` as "['A']"), and
+    so is an entry no constructor accepts: an unknown ``unmapped`` policy, a
+    theme without members, a variable with one level or listed twice, a
+    repeated parent, or CPT rows that are not a (q, r) table of r >= 2."""
+    body = body.replace("@", "")
+    loader(write(tmp_path, body, "scalar.yaml"))
+    with pytest.raises(MalformedFile) as exc:
+        loader(write(tmp_path, body.replace(old, new, 1), "nested.yaml"))
     assert exc.value.position == position
 
 

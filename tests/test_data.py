@@ -93,6 +93,12 @@ class TestLoadCsv:
         with pytest.raises(MalformedFile, match=r"t\.csv: line 3: field larger"):
             load_csv(p)
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"")
+        with pytest.raises(MissingColumn, match="no header row"):
+            load_csv(p)
+
     def test_not_utf8_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\n1,2\n3,\xff\n")
@@ -126,6 +132,10 @@ class TestRecode:
         with pytest.raises(ValueError):
             VariableRecode("Q", ("Yes",  "No"), {"1": "Maybe"})
 
+    def test_source_column_absent(self):
+        with pytest.raises(MissingColumn, match="'q17'"):
+            table_from(["Q"], [("1",)], RecodeSpec([yn_spec("Q", source="q17")]))
+
     def test_source_column(self):
         spec = RecodeSpec([yn_spec("Nice", source="q17")])
         t = table_from(["q17"], [("1",)], spec)
@@ -135,6 +145,19 @@ class TestRecode:
         spec = RecodeSpec([yn_spec("Q")])
         raw = RawTable(["Q"], [("1",), ("2",)])
         assert recode(raw, spec) == recode(raw, spec)
+
+
+class TestDataTable:
+    @pytest.mark.parametrize("names, codes, reason", [
+        ("QQ", [[0, 0]], "duplicate variable names"),
+        ("Q", [0, 1], "codes must be"),
+        ("Q", [[0], [2]], "'Q' has out-of-range codes"),
+        ("Q", [[-2]], "'Q' has out-of-range codes"),
+    ])
+    def test_codes_checked(self, names, codes, reason):
+        variables = [CategoricalVariable(n, ("Yes", "No")) for n in names]
+        with pytest.raises(ValueError, match=reason):
+            DataTable(variables, codes)
 
 
 class TestCollapseRare:
@@ -171,7 +194,7 @@ class TestCollapseRare:
         kept = collapse_rare(t, "X", min_count=50)
         assert kept.variable("X").levels == ("l0", "l1")
         # the reversed order would have dropped l1
-        dropped_first = drop_incomplete(t, ["Y"])
+        dropped_first = drop_incomplete(t)
         obs = np.bincount(dropped_first.column("X"), minlength=2)
         assert obs[1] < 50
 
@@ -185,19 +208,21 @@ class TestDropIncomplete:
     def test_identity_when_complete(self):
         spec = RecodeSpec([yn_spec("Q")])
         t = table_from(["Q"], [("1",), ("2",)], spec)
-        assert drop_incomplete(t, ["Q"]) == t
+        assert drop_incomplete(t) == t
 
     def test_all_rows_missing(self):
         spec = RecodeSpec([yn_spec("Q")])
         t = table_from(["Q"], [("99",), ("99",)], spec)
-        assert drop_incomplete(t, ["Q"]).n_rows == 0
+        assert drop_incomplete(t).n_rows == 0
 
     def test_only_listed_variables_matter(self):
+        # prep lists a table's variables by selecting them first
         spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
         t = table_from(["Q", "R"], [("1", "99"), ("99", "1")], spec)
-        out = drop_incomplete(t, ["Q"])
+        assert drop_incomplete(t).n_rows == 0
+        out = drop_incomplete(t.select(["Q"]))
         assert out.n_rows == 1
-        assert list(out.column("R")) == [MISSING]
+        assert out == t.select(["Q"]).filter_rows([True, False])
 
     def test_matches_brute_force_count(self):
         rng = np.random.default_rng(5)
@@ -207,7 +232,7 @@ class TestDropIncomplete:
         ]
         t = table_from(["Q", "R", "S"], rows, spec)
         expected = sum(1 for r in rows if r[0] != "99" and r[2] != "99")
-        assert drop_incomplete(t, ["Q", "S"]).n_rows == expected
+        assert drop_incomplete(t.select(["Q", "S"])).n_rows == expected
 
 
 def indicator(name):

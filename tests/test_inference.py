@@ -473,6 +473,10 @@ class TestSample:
         t = sample(net, 0, seed=1)
         assert t.n_rows == 0
 
+    def test_negative_rows_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample(chain_ab(), -1)
+
     def test_deterministic_cpts_identical_rows(self):
         net = chain_ab(p_a=0.0, p_b_given=((1.0, 0.0), (0.0, 1.0)))
         t = sample(net, 50, seed=2)

@@ -15,6 +15,7 @@ from beliefnet.errors import (
     EmptyStrengths,
     UnassignedVariable,
     UnknownLevel,
+    UnknownVariable,
 )
 from beliefnet.inference import sample
 from beliefnet.learn import (
@@ -102,7 +103,17 @@ class TestTiersToBlacklist:
             tiers_to_blacklist(spec, ["A", "B"])
 
 
+@pytest.mark.parametrize("field", ["tenure", "max_iterations", "stall_limit"])
+def test_tabu_config_refuses_a_non_positive_setting(field):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        TabuConfig(**{field: 0})
+
+
 class TestTabuSearch:
+    def test_constraint_on_an_unknown_variable(self):
+        with pytest.raises(UnknownVariable, match="Z"):
+            tabu_search(dependent_pair(n=50), constraints={("A", "Z")}, config=FAST)
+
     def test_strong_dependence_learns_single_arc(self):
         data = dependent_pair(seed=1)
         dag = tabu_search(data, config=FAST)
@@ -422,6 +433,19 @@ class TestThreshold:
         assert sorted(table.all_pair_strengths()) == [0.0, 0.0, 1.0]
         t = optimal_threshold(table)
         assert table.strength("A", "B") >= t
+
+
+class TestArcStrengthTable:
+    def test_unseen_pair_has_no_direction(self):
+        table = ArcStrengthTable(("A", "B", "C"), 10, {("A", "B"): 4})
+        assert table.strength("A", "C") == 0.0
+        assert table.direction("A", "C") == table.direction("C", "A") == 0.0
+
+    def test_refuses_no_replicates_or_an_unknown_arc(self):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            ArcStrengthTable(("A", "B"), 0, {})
+        with pytest.raises(UnknownVariable, match="Z"):
+            ArcStrengthTable(("A", "B"), 10, {("A", "Z"): 1})
 
 
 class TestAveragedNetwork:

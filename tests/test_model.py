@@ -94,6 +94,19 @@ class TestDag:
         with pytest.raises(ValueError):
             Dag(("A", "B"), {"A": ("A",)})
 
+    def test_repeated_node_or_parent(self):
+        with pytest.raises(ValueError, match="duplicate node names"):
+            Dag(("A", "B", "A"))
+        with pytest.raises(ValueError, match="duplicate parent for 'B'"):
+            Dag(("A", "B"), {"B": ("A", "A")})
+
+    def test_unknown_node(self):
+        dag = Dag(("A", "B"), {"B": ("A",)})
+        with pytest.raises(UnknownVariable):
+            dag.parent_tuple("Z")
+        with pytest.raises(UnknownVariable):
+            dag.ancestors("Z")
+
     def test_ancestors(self):
         dag = Dag(("A", "B", "C", "D"), {"B": ("A",), "C": ("B",), "D": ()})
         assert dag.ancestors("C") == {"A", "B"}
@@ -208,6 +221,11 @@ class TestJointProbability:
         with pytest.raises(UnknownLevel):
             joint_probability(net, {"A": "maybe"})
 
+    def test_unknown_variable(self):
+        net = make_net([binary("A")], {}, {"A": [[0.5, 0.5]]})
+        with pytest.raises(UnknownVariable):
+            joint_probability(net, {"A": "yes", "Z": "yes"})
+
 
 class TestParameterCount:
     def test_binary_arc(self):
@@ -274,6 +292,16 @@ class TestCpt:
         with pytest.raises(ValueError):
             Cpt("A", (), [[-0.1, 1.1]])
 
+    def test_shape_refused(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            Cpt("A", (), [0.5, 0.5])
+        with pytest.raises(ValueError, match="at least 2 states"):
+            Cpt("A", (), [[1.0]])
+
+    def test_repr(self):
+        cpt = Cpt("B", ("A",), [[0.5, 0.5], [0.1, 0.9]])
+        assert repr(cpt) == "Cpt('B', parents=['A'], q=2, r=2)"
+
 
 class TestFittedNetwork:
     def test_missing_cpt(self):
@@ -298,6 +326,19 @@ class TestFittedNetwork:
             "B": Cpt("B", ("A",), [[0.5, 0.5]]),  # needs q=2 rows
         }
         with pytest.raises(ValueError):
+            FittedNetwork([binary("A"), binary("B")], dag, cpts)
+
+    def test_variables_must_match_the_dag(self):
+        a = {"A": Cpt("A", (), [[0.5, 0.5]])}
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            FittedNetwork([binary("A"), binary("A")], Dag(("A",)), a)
+        with pytest.raises(ValueError, match="DAG nodes and variable names differ"):
+            FittedNetwork([binary("A")], Dag(("B",)), a)
+
+    def test_cpt_filed_under_another_name(self):
+        dag = Dag(("A", "B"))
+        cpts = {"A": Cpt("B", (), [[0.5, 0.5]]), "B": Cpt("B", (), [[0.5, 0.5]])}
+        with pytest.raises(ValueError, match="under key 'A' is for 'B'"):
             FittedNetwork([binary("A"), binary("B")], dag, cpts)
 
     def test_with_cpt_replaces(self):
