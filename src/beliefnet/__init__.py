@@ -63,7 +63,6 @@ from .model import (
     Dag,
     FittedNetwork,
     TierSpec,
-    d_separated,
     joint_probability,
     topological_order,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "FittedNetwork", "QueryResult", "RawTable", "RecodeSpec", "ScenarioDef",
     "ScenarioResult", "ScoreCache", "SobolMatrix", "SobolResult", "TabuConfig",
     "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar", "VariableRecode", "averaged_network", "bootstrap_strengths", "collapse_rare",
-    "d_separated", "deserialize", "drop_incomplete", "export_dot", "fit_bayes",
+    "deserialize", "drop_incomplete", "export_dot", "fit_bayes",
     "group_themes", "influence_colors", "joint_probability", "l1_threshold",
     "load", "load_csv", "load_datatable", "node_influence", "optimal_threshold",
     "perturb_parameter", "posterior", "recode", "sample", "save",

@@ -82,7 +82,8 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
 
     ``kind`` is bool, int, list or dict (the value must be one), float (a
     number, or a string such as "1e-3", which YAML 1.1 does not read as a
-    number) or str (a scalar, converted; a list or mapping is refused);
+    number) or str (a scalar, converted; a list, a mapping or a boolean, which
+    YAML 1.1 reads from an unquoted yes/no/on/off, is refused);
     ``check`` is a (predicate, reason) pair on the result. Every failure
     raises MalformedFile naming the field ``where`` + ``key``.
     """
@@ -100,7 +101,7 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
         except (TypeError, ValueError, OverflowError):
             ok = False
     elif kind is str:
-        ok = not isinstance(value, (list, dict))
+        ok = not isinstance(value, (list, dict, bool))
         value = str(value) if ok else value
     else:
         ok = type(value) is kind
@@ -113,11 +114,12 @@ def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
 
 def _names(doc, key, *, path, where=""):
     """``doc[key]``, a required list of scalars, as a tuple of strings; an
-    item that is a list or mapping raises MalformedFile at ``key[i]``."""
+    item that is a list, a mapping, a null or a boolean raises MalformedFile
+    at ``key[i]``, so ``~`` is not read as "None", nor ``yes`` as "True"."""
     items = _field(doc, key, list, path=path, where=where)
     for i, item in enumerate(items):
-        if isinstance(item, (list, dict)):
-            raise MalformedFile(path, f"{where}{key}[{i}]", f"expected a scalar, got {item!r}")
+        if item is None or isinstance(item, (list, dict, bool)):
+            raise MalformedFile(path, f"{where}{key}[{i}]", f"expected a name, got {item!r}")
     return tuple(map(str, items))
 
 

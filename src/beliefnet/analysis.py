@@ -8,7 +8,9 @@ Three instruments:
   variance-weighted combination sum_k Var_X(E[Y_k|X]) / sum_k Var(Y_k).
   Expectations condition observationally (evidence propagation), so the index
   captures both direct and mediated influence. Each index needs one joint
-  P(X, Y).
+  P(X, Y). With nothing observed only collider-free trails are active, so
+  an input whose ancestral closure shares no node with the target's has
+  S = 0 exactly, reported as 0.0 rather than float noise.
 * Scenario reasoning: posteriors of target variables under named
   multi-variable evidence profiles.
 * One-way CPT sensitivity under proportional co-variation: perturbing one
@@ -37,7 +39,7 @@ from .errors import (
     SaturatedParameter,
     ZeroProbabilityEvidence,
 )
-from .model import Cpt, FittedNetwork, config_levels, d_separated
+from .model import Cpt, FittedNetwork, config_levels
 from .inference import _eliminate, _evidence_levels, posterior
 
 
@@ -65,8 +67,8 @@ def sobol_first_order(net: FittedNetwork, target: str, input_var: str) -> SobolR
 
     Target states with zero marginal variance contribute to neither the
     numerator nor the denominator; input levels with zero marginal
-    probability carry no weight. Inputs d-separated from the target given
-    nothing yield exactly zero.
+    probability carry no weight. An input that shares no ancestor with the
+    target yields exactly zero.
     """
     if target == input_var:
         raise InvalidQuery("input must differ from the target")
@@ -80,7 +82,8 @@ def sobol_first_order(net: FittedNetwork, target: str, input_var: str) -> SobolR
     if not np.any(var_k > 0.0):
         raise DegenerateTarget(target)
 
-    if d_separated(net.dag, input_var, target, ()):
+    # no common ancestor leaves no active trail given nothing: S is exactly 0
+    if not net.dag.ancestral_closure([input_var]) & net.dag.ancestral_closure([target]):
         zeros = np.zeros(t_var.r)
         return SobolResult(target, input_var, t_var.levels, zeros, 0.0)
 
@@ -370,7 +373,8 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
     variable, level = event
     net.variable(variable).level_index(level)
     if nodes is None:
-        nodes = [n for n in net.dag.nodes if n in net.dag.ancestors(variable)]
+        ancestors = net.dag.ancestors(variable)
+        nodes = [n for n in net.dag.nodes if n in ancestors]
     _distinct_variables(net, nodes, "node")
     p0 = _event_probability(net, event)
     bars = [

@@ -5,7 +5,8 @@ strengths/, reports/) and takes an exclusive lock file. Before its first
 write it checks every output it will list, and refuses to run if any exists
 unless --force is given. It ends by writing one manifest next to its
 primary output.
-Exit codes: 0 success, 1 usage error, 2 data/model error.
+Exit codes: 0 success, 1 usage error, 2 data/model error (a BeliefnetError
+or an OSError). Any other exception is a bug and is not caught.
 """
 
 from __future__ import annotations
@@ -178,6 +179,13 @@ class _Run:
 def cmd_prep(args, run: _Run):
     cfg = configio.load_prep_config(args.recode)
     themes = configio.load_theme_config(args.themes) if args.themes else []
+    # a theme column joins the columns its members leave, under a new name
+    columns = {v.name for v in cfg.recode.variables} - {m for t in themes for m in t.members}
+    for i, theme in enumerate(themes):
+        if theme.name in columns:
+            raise MalformedFile(args.themes, f"themes[{i}].name",
+                                f"{theme.name!r} is already a column of the table")
+        columns.add(theme.name)
     raw = load_csv(args.raw, required_columns=[v.source for v in cfg.recode.variables])
     table = recode(raw, cfg.recode)
     audit = {"raw_rows": raw.n_rows, "recoded_rows": table.n_rows}
@@ -185,7 +193,10 @@ def cmd_prep(args, run: _Run):
     collapsed = {}
     for var in list(table.variables):
         before = table.variable(var.name).levels
-        table = collapse_rare(table, var.name, cfg.missing_threshold)
+        try:
+            table = collapse_rare(table, var.name, cfg.missing_threshold)
+        except ValueError as exc:  # fewer than 2 levels reach the threshold
+            raise MalformedFile(args.recode, "missing_threshold", str(exc)) from None
         after = table.variable(var.name).levels
         gone = [lvl for lvl in before if lvl not in after]
         if gone:
@@ -195,15 +206,11 @@ def cmd_prep(args, run: _Run):
     table = group_themes(table, themes)
 
     tables = {"full": table}
-    if args.split:
-        risk, opportunity = split_population(table, cfg.framing)
-        tables["risk"] = risk
-        tables["opportunity"] = opportunity
+    if {"risk", "opportunity"} & cfg.models.keys():
+        tables["risk"], tables["opportunity"] = split_population(table, cfg.framing)
     finals, paths = {}, {}
-    for kind, t in tables.items():
-        wanted = cfg.models.get(kind)
-        if wanted is None:
-            continue
+    for kind, wanted in cfg.models.items():
+        t = tables[kind]
         missing = [n for n in wanted if n not in {v.name for v in t.variables}]
         if missing:
             raise MalformedFile(args.recode, f"models.{kind}", f"unknown variables {missing}")
@@ -230,6 +237,12 @@ def cmd_prep(args, run: _Run):
 
 def cmd_learn(args, run: _Run):
     data = load_datatable(args.data, args.dict)
+    missing = data.missing_mask()
+    if missing.any():
+        row = int(missing.any(axis=1).argmax())
+        name = data.variables[int(missing[row].argmax())].name
+        raise MalformedFile(args.data, f"row {row + 1}",
+                            f"{name!r} is missing; learn needs complete rows")
     cfg = configio.load_learn_config(args.config)
     seed = secrets.randbits(31) if args.seed is None else args.seed
     b = cfg.bootstrap if args.bootstrap is None else args.bootstrap
@@ -448,12 +461,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"beliefnet {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("prep", help="recode and split a raw survey CSV")
+    p = commands.add_parser("prep", help="recode a raw survey CSV into the configured tables")
     p.add_argument("--raw", required=True)
     p.add_argument("--recode", required=True, help="beliefnet-prep config")
     p.add_argument("--themes", default=None, help="beliefnet-themes config")
-    p.add_argument("--split", action=argparse.BooleanOptionalAction, default=True,
-                   help="emit risk/opportunity subpopulation tables")
     _add_common(p, "survey")
     p.set_defaults(func=cmd_prep, inputs=("raw", "recode", "themes"))
 
@@ -512,7 +523,7 @@ def main(argv=None) -> int:
             run = _Run(args, ws)
             args.func(args, run)
             run.finish()
-    except (BeliefnetError, OSError, ValueError) as exc:
+    except (BeliefnetError, OSError) as exc:
         sys.stderr.write(f"beliefnet: error: {exc}\n")
         return EXIT_DATA
     return EXIT_OK

@@ -38,7 +38,7 @@ class PrepConfig:
     recode: RecodeSpec
     missing_threshold: int
     framing: str
-    models: dict  # table name ("full", "risk" or "opportunity") -> variable list
+    models: dict  # "full", "risk" and/or "opportunity", in that order -> variable list
 
 
 def load_prep_config(path) -> PrepConfig:
@@ -53,6 +53,11 @@ def load_prep_config(path) -> PrepConfig:
         levels = _names(entry, "levels", path=path, where=where)
         mapping = {}
         for token, label in _field(entry, "map", dict, path=path, where=where).items():
+            # YAML 1.1 reads an unquoted yes/no/on/off as a boolean (and True == 1)
+            if token is None or isinstance(token, bool) or isinstance(label, bool):
+                raise MalformedFile(path, f"{where}map",
+                                    f"{token!r}: {label!r}: quote a token or label YAML "
+                                    "reads as null or a boolean")
             mapping[str(token)] = None if label is None else str(label)
         try:
             entries.append(
@@ -68,8 +73,14 @@ def load_prep_config(path) -> PrepConfig:
         except ValueError as exc:
             raise MalformedFile(path, f"variables[{i}]", str(exc)) from exc
     models_doc = _field(doc, "models", dict, path=path)
-    _known(models_doc, ("full", "risk", "opportunity"), path=path, where="models.")
-    models = {t: _names(models_doc, t, path=path, where="models.") for t in models_doc}
+    tables = ("full", "risk", "opportunity")
+    _known(models_doc, tables, path=path, where="models.")
+    models = {t: _names(models_doc, t, path=path, where="models.")
+              for t in tables if t in models_doc}
+    for table, names in models.items():
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise MalformedFile(path, f"models.{table}[{i}]", f"{name!r} is listed twice")
     try:
         spec = RecodeSpec(entries)
     except ValueError as exc:
@@ -191,6 +202,9 @@ def load_scenario_config(path) -> ScenarioConfig:
         name = _field(entry, "name", str, path=path, where=where)
         _known(entry, ("name", "evidence"), path=path, where=where)
         ev_doc = _field(entry, "evidence", dict, {}, path=path, where=where)
+        for k in ev_doc:
+            if k is None or isinstance(k, bool):
+                raise MalformedFile(path, f"{where}evidence", f"expected a variable, got {k!r}")
         ev = {str(k): _field(ev_doc, k, str, path=path, where=f"{where}evidence.") for k in ev_doc}
         scenarios.append(ScenarioDef(name, ev))
     return ScenarioConfig(

@@ -125,12 +125,6 @@ class Dag:
         """All (parent, child) pairs, children in node order."""
         return [(p, c) for c in self.nodes for p in self.parents[c]]
 
-    def children_map(self):
-        ch = {n: [] for n in self.nodes}
-        for p, c in self.arcs():
-            ch[p].append(c)
-        return ch
-
     def ancestors(self, node: str) -> set:
         """Strict ancestors of ``node``."""
         return self.ancestral_closure(self.parent_tuple(node))
@@ -184,45 +178,6 @@ def _find_cycle(dag, candidates):
     cycle = trail[seen[cur]:]
     cycle.reverse()  # parent links walk backwards; report in arc direction
     return cycle
-
-
-def d_separated(dag: Dag, x: str, y: str, given=()) -> bool:
-    """Decide whether ``given`` blocks every path between ``x`` and ``y``.
-
-    Standard d-separation, computed by active-trail reachability (Bayes-ball):
-    a collider admits the trail only if it or one of its descendants is
-    observed; chains and forks are blocked by observed nodes.
-    """
-    node_set = set(dag.nodes)
-    given = set(given)
-    for name in {x, y} | given:
-        if name not in node_set:
-            raise UnknownVariable(name)
-    if x == y or x in given or y in given:
-        raise ValueError("x and y must be distinct and not part of the conditioning set")
-
-    children = dag.children_map()
-    # the set from which a collider can be opened
-    anc_given = dag.ancestral_closure(given)
-
-    visited = set()
-    frontier = [(x, "up")]
-    while frontier:
-        node, direction = frontier.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node == y:
-            return False
-        if direction == "up" and node not in given:
-            frontier.extend((p, "up") for p in dag.parents[node])
-            frontier.extend((c, "down") for c in children[node])
-        elif direction == "down":
-            if node not in given:
-                frontier.extend((c, "down") for c in children[node])
-            if node in anc_given:
-                frontier.extend((p, "up") for p in dag.parents[node])
-    return True
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,66 @@
-"""CPDAG conversion and structural Hamming distance for recovery checks.
+"""Graph references for the tests: d-separation, CPDAG conversion and
+structural Hamming distance.
 
-dag -> CPDAG: orient v-structures on the skeleton, then close under the Meek
-rules; everything else stays undirected. SHD between two patterns counts the
-unordered pairs whose edge type (absent / undirected / either direction)
+``d_separated`` is the general Bayes-ball test, any conditioning set; the
+library needs only the empty set, where the ancestral-closure rule decides
+it. dag -> CPDAG: orient v-structures on the skeleton, then close under the
+Meek rules; everything else stays undirected. SHD between two patterns counts
+the unordered pairs whose edge type (absent / undirected / either direction)
 differs.
 """
 
 import itertools
+
+from beliefnet.errors import UnknownVariable
+
+
+def d_separated(dag, x: str, y: str, given=()) -> bool:
+    """Decide whether ``given`` blocks every path between ``x`` and ``y``.
+
+    Standard d-separation, computed by active-trail reachability (Bayes-ball):
+    a collider admits the trail only if it or one of its descendants is
+    observed; chains and forks are blocked by observed nodes.
+    """
+    node_set = set(dag.nodes)
+    given = set(given)
+    for name in {x, y} | given:
+        if name not in node_set:
+            raise UnknownVariable(name)
+    if x == y or x in given or y in given:
+        raise ValueError("x and y must be distinct and not part of the conditioning set")
+
+    children = {n: [] for n in dag.nodes}
+    for c in dag.nodes:
+        for p in dag.parents[c]:
+            children[p].append(c)
+    # the set from which a collider can be opened: ``given`` and its
+    # ancestors, found here rather than by ``Dag.ancestral_closure``, so the
+    # reference shares no code with the rule it judges
+    anc_given, stack = set(), list(given)
+    while stack:
+        node = stack.pop()
+        if node not in anc_given:
+            anc_given.add(node)
+            stack.extend(dag.parents[node])
+
+    visited = set()
+    frontier = [(x, "up")]
+    while frontier:
+        node, direction = frontier.pop()
+        if (node, direction) in visited:
+            continue
+        visited.add((node, direction))
+        if node == y:
+            return False
+        if direction == "up" and node not in given:
+            frontier.extend((p, "up") for p in dag.parents[node])
+            frontier.extend((c, "down") for c in children[node])
+        elif direction == "down":
+            if node not in given:
+                frontier.extend((c, "down") for c in children[node])
+            if node in anc_given:
+                frontier.extend((p, "up") for p in dag.parents[node])
+    return True
 
 
 def _adjacent(skeleton, a, b):

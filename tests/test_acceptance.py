@@ -17,6 +17,7 @@ import pytest
 import graphutil
 import oracles
 from conftest import record_acceptance
+from graphutil import d_separated
 from netgen import random_evidence, random_net
 from beliefnet.analysis import (
     CptParameterId,
@@ -43,7 +44,6 @@ from beliefnet.model import (
     Dag,
     FittedNetwork,
     TierSpec,
-    d_separated,
     joint_probability,
 )
 from beliefnet.modelio import load as load_model
@@ -474,7 +474,7 @@ def test_criterion_10_conditional_paper_reproduction(tmp_path):
     root = tmp_path / "gesis"
     assert cli_main(
         [
-            "prep", "--raw", path, "--recode", prep_cfg, "--no-split",
+            "prep", "--raw", path, "--recode", prep_cfg,
             "--workspace", str(root), "--name", "gesis",
         ]
     ) == 0

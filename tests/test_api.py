@@ -14,7 +14,7 @@ DELETED = {
     "inference": ("conditional_table", "fit_mle"),
     "reports": ("read_query_csv",),
     "learn": ("Constraints",),
-    "model": ("Evidence", "parameter_count"),
+    "model": ("Evidence", "children_map", "d_separated", "parameter_count"),
 }
 
 

@@ -155,6 +155,47 @@ class TestPrep:
         ]
         assert list(yaml.safe_load((data / "x.audit.yaml").read_text())["tables"]) == ["full"]
 
+    def test_split_only_when_a_subpopulation_table_is_listed(self, tmp_path):
+        # a config that lists `full` alone never reads the framing levels
+        with open(PREP, encoding="utf-8") as fh:
+            text = fh.read()
+        only_full = tmp_path / "prep.yaml"
+        only_full.write_text(
+            text[:text.index("  risk:\n")].replace("framing: DevelopAI", "framing: Sex"),
+            encoding="utf-8",
+        )
+        assert run(
+            "prep", "--raw", RAW, "--recode", only_full, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "x",
+        ) == 0
+        assert (tmp_path / "ws" / "data" / "x_full.csv").exists()
+
+    @pytest.mark.parametrize("config, old, new, position, reason", [
+        ("recode", "[Sex, Age,", "[Sex, Age, Sex,", "models.full[2]", "'Sex' is listed twice"),
+        ("themes", "name: PosWork", "name: Sex", "themes[0].name",
+         "'Sex' is already a column of the table"),
+        ("themes", "name: PosHealth", "name: PosWork", "themes[1].name",
+         "'PosWork' is already a column of the table"),
+        ("recode", "missing_threshold: 50", "missing_threshold: 5000", "missing_threshold",
+         "collapsing rare levels of 'Sex' would leave 0 level(s)"),
+    ], ids=["repeated_model_entry", "theme_named_like_a_column", "theme_named_twice",
+            "threshold_leaves_one_level"])
+    def test_bad_config_exit_2_at_its_position_without_output(self, tmp_path, capsys, config,
+                                                              old, new, position, reason):
+        files = {"recode": PREP, "themes": THEMES}
+        with open(files[config], encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / f"{config}.yaml"
+        bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+        files[config] = bad
+        code = run(
+            "prep", "--raw", RAW, "--recode", files["recode"], "--themes", files["themes"],
+            "--workspace", tmp_path / "ws", "--name", "x",
+        )
+        assert code == 2
+        assert f"beliefnet: error: {bad}: {position}: {reason}" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
 
 class TestLearn:
     def test_model_and_strengths_written(self, ws):
@@ -231,6 +272,22 @@ class TestLearn:
         assert "unknown variable: 'Bogus'" in capsys.readouterr().err
         for directory in ("models", "strengths"):
             assert not list((tmp_path / "wst" / directory).iterdir())
+
+    def test_missing_cell_exit_2_without_output(self, ws, tmp_path, capsys):
+        # refused before the bootstrap: this one (seed 3, B=1) does not draw
+        # row 5, so without the check the fit would meet the missing cell
+        lines = (ws / "data" / "survey_full.csv").read_text(encoding="utf-8").split("\n")
+        lines[5] = "," + lines[5].split(",", 1)[1]
+        data = tmp_path / "holed.csv"
+        data.write_text("\n".join(lines), encoding="utf-8")
+        code = run(
+            "learn", "--data", data, "--dict", ws / "data" / "survey_full.dict.yaml",
+            "--bootstrap", 1, "--seed", 3, "--workspace", tmp_path / "ws",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"beliefnet: error: {data}: row 5: 'Sex' is missing" in err
+        assert list((tmp_path / "ws" / "models").iterdir()) == []
 
     @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
     def test_arc_list_config_refused_without_output(self, ws, tmp_path, capsys, key):
@@ -565,6 +622,16 @@ class TestCliContract:
             "--config", "fixtures/query.yaml", "--workspace", tmp_path / "ws",
         )
         assert code == 2
+
+    def test_internal_error_is_not_a_data_error(self, ws, tmp_path, monkeypatch):
+        # only a BeliefnetError or an OSError is exit 2; a bare ValueError is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli.analysis, "sobol_matrix", broken)
+        with pytest.raises(ValueError, match="internal"):
+            run("sobol", "--model", ws / "models" / "full.bn.yaml",
+                "--config", "fixtures/sobol.yaml", "--workspace", tmp_path / "ws")
 
     @pytest.mark.parametrize("command", ["export --model", "learn --dict"])
     def test_malformed_yaml_exit_2_with_position(self, ws, tmp_path, capsys, command):

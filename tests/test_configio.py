@@ -393,19 +393,42 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
     (load_model, MODEL_CHAIN, "parents: [A]", "parents: [A, A]", "(document)"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [0.5, 0.5]", "(document)"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [[1.0]]", "(document)"),
+    (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [a0, ~]", "variables[0].levels[1]"),
+    (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [Yes, No]", "variables[0].levels[0]"),
+    (load_model, MODEL_BODY, "name: A", "name: yes", "variables[0].name"),
+    (_load_dictionary, DICT_TEXT, "levels: [b0, b1, b2]", "levels: [b0, b1, null]",
+     "variables[1].levels[2]"),
+    (load_prep_config, PREP_BODY, "full: [Q]", "full: [Q, ~]", "models.full[1]"),
+    (load_prep_config, PREP_BODY, "full: [Q]", "full: [Q, Q]", "models.full[1]"),
+    (load_prep_config, PREP_BODY + "framing: F\n", "framing: F", "framing: no", "framing"),
+    (load_tier_config, TIERS_BODY, "[A]", "[A, off]", "tiers[0].variables[1]"),
+    (load_scenario_config, SCENARIO_BODY, "'14-29'", "yes", "scenarios[0].evidence.Age"),
+    (load_sensitivity_config, "format: beliefnet-sensitivity\nversion: 1\n"
+     "target: {variable: A, state: x}\n", "state: x", "state: on", "target.state"),
+    (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': a, yes: a}", "variables[0].map"),
+    (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': a, ~: a}", "variables[0].map"),
+    (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': Off}", "variables[0].map"),
+    (load_scenario_config, SCENARIO_BODY, "{Age:", "{yes:", "scenarios[0].evidence"),
 ], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
         "prep.models", "prep.framing", "themes.members", "tiers.variables",
         "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
         "scenarios.targets", "scenarios.evidence", "scenarios.name", "sensitivity.state",
         "prep.unmapped", "themes.no_members", "tiers.entry_not_mapping", "dict.one_level",
         "dict.repeated_variable", "model.one_level", "model.repeated_variable",
-        "model.repeated_parent", "model.rows_1d", "model.rows_one_state"])
+        "model.repeated_parent", "model.rows_1d", "model.rows_one_state",
+        "model.null_level", "model.boolean_levels", "model.boolean_name", "dict.null_level",
+        "prep.null_model_entry", "prep.repeated_model_entry", "prep.boolean_framing",
+        "tiers.boolean_variable", "scenarios.boolean_evidence", "sensitivity.boolean_state",
+        "prep.boolean_token", "prep.null_token", "prep.boolean_label",
+        "scenarios.boolean_evidence_key"])
 def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
     """A list or mapping where a name or label belongs is refused at its
-    position, not read as its Python repr (``name: [A]`` as "['A']"), and
-    so is an entry no constructor accepts: an unknown ``unmapped`` policy, a
-    theme without members, a variable with one level or listed twice, a
-    repeated parent, or CPT rows that are not a (q, r) table of r >= 2."""
+    position, not read as its Python repr (``name: [A]`` as "['A']"), and so
+    is a null or a YAML 1.1 boolean (``~`` is not "None", ``yes`` not
+    "True"), a name repeated in a prep table, and an entry no constructor
+    accepts: an unknown ``unmapped`` policy, a theme without members, a
+    variable with one level or listed twice, a repeated parent, or CPT rows
+    that are not a (q, r) table of r >= 2."""
     body = body.replace("@", "")
     loader(write(tmp_path, body, "scalar.yaml"))
     with pytest.raises(MalformedFile) as exc:

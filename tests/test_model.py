@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from graphutil import d_separated
 from netgen import random_dag, random_net
 from beliefnet.errors import (
     CycleDetected,
@@ -25,7 +26,6 @@ from beliefnet.model import (
     TierSpec,
     config_index,
     config_levels,
-    d_separated,
     joint_probability,
     topological_order,
 )
