@@ -288,7 +288,7 @@ def cmd_learn(args, run: _Run):
             "seed": seed,
             "score": cfg.score,
             "bootstrap": b,
-            "threshold": float(threshold),
+            "threshold": threshold,
             "tool_version": __version__,
         }
     )
@@ -321,56 +321,24 @@ def cmd_sobol(args, run: _Run):
     net = load_model(args.model)
     cfg = configio.load_sobol_config(args.config)
     matrix = analysis.sobol_matrix(net, cfg.targets, cfg.inputs)
-    reports.write_sobol_csv(csv_path, matrix)
-    rows = [
-        [name]
-        + [
-            reports.DASH if matrix.value(name, t) is None else float(matrix.value(name, t))
-            for t in matrix.targets
-        ]
-        for name in matrix.inputs
-    ]
-    reports.write_text(
-        txt_path,
-        reports.text_table(
-            "First-order Sobol indices (% of output variance)",
-            ["input", *matrix.targets],
-            rows,
-        ),
-    )
+    reports.write_sobol(csv_path, txt_path, matrix)
     print(f"wrote sobol matrix: {len(matrix.inputs)} inputs x {len(matrix.targets)} targets")
 
 
 def cmd_scenario(args, run: _Run):
     net = load_model(args.model)
     cfg = configio.load_scenario_config(args.config)
-    csv_paths = [run.claim("reports", f"{args.name}_scenario_{t}.csv") for t in cfg.targets]
+    csv_paths = {t: run.claim("reports", f"{args.name}_scenario_{t}.csv") for t in cfg.targets}
     txt_path = run.claim("reports", f"{args.name}_scenario.txt")
     svg_paths = [run.claim("reports", f"{args.name}_scenario_{t}.svg") for t in cfg.targets]
     results = analysis.scenario_posteriors(net, cfg.scenarios, cfg.targets)
+    levels = {t: net.variable(t).levels for t in cfg.targets}
     # all CSVs land before any SVG is attempted
-    for path, target in zip(csv_paths, cfg.targets):
-        reports.write_scenario_csv(path, target, net.variable(target).levels, results)
-    sections = []
-    for target in cfg.targets:
-        levels = net.variable(target).levels
-        rows = [
-            [r.name, float(r.evidence_probability)]
-            + [float(p) for p in r.posteriors[target].distribution]
-            for r in results
-        ]
-        sections.append(
-            reports.text_table(
-                f"Scenario posteriors for {target}",
-                ["scenario", "P(evidence)", *levels],
-                rows,
-            )
-        )
-    reports.write_text(txt_path, "\n".join(sections))
+    reports.write_scenarios(csv_paths, txt_path, levels, results)
     for path, target in zip(svg_paths, cfg.targets):
         svg = charts.scenario_bars_svg(
             target,
-            net.variable(target).levels,
+            levels[target],
             [r.name for r in results],
             [r.posteriors[target].distribution for r in results],
         )
@@ -388,18 +356,7 @@ def cmd_sensitivity(args, run: _Run):
     run.extra = {"delta": cfg.delta}
     event = (cfg.target_variable, cfg.target_state)
     bars = analysis.tornado(net, event, delta=cfg.delta)
-    reports.write_tornado_csv(csv_path, bars, event, cfg.delta)
-    reports.write_text(
-        txt_path,
-        reports.text_table(
-            f"Tornado for {cfg.target_variable}={cfg.target_state} (delta={cfg.delta:g})",
-            ["parameter", "up_shift", "down_shift", "magnitude"],
-            [
-                [b.label, float(b.increase.shift), float(b.decrease.shift), float(b.magnitude)]
-                for b in bars
-            ],
-        ),
-    )
+    reports.write_tornado(csv_path, txt_path, bars, event, cfg.delta)
     influence = analysis.node_influence(net, event)
     reports.write_text(
         dot_path, export_dot(net.dag, analysis.influence_colors(influence))

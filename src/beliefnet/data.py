@@ -115,6 +115,7 @@ class VariableRecode:
             raise ValueError(f"unmapped policy {self.unmapped!r}")
         if problem := _label_problem(self.name, self.levels):
             raise ValueError(problem)
+        self.variable()  # the levels must make a variable: two or more, none repeated
         level_set = set(self.levels)
         for token, label in self.mapping.items():
             if label is not None and label not in level_set:

@@ -457,12 +457,9 @@ def l1_threshold(strengths) -> float:
     if m == 0 or values[-1] <= 0.0:
         raise EmptyStrengths()
     distinct = sorted(set(values))
-    candidates = []
-    positive = [v for v in distinct if v > 0.0]
-    for v in positive:
-        below = [w for w in distinct if w < v]
-        prev = below[-1] if below else 0.0
-        candidates.append((prev + v) / 2.0)
+    # each positive strength against its lower neighbour (0.0 below the first)
+    candidates = [((distinct[i - 1] if i else 0.0) + v) / 2.0
+                  for i, v in enumerate(distinct) if v > 0.0]
     if distinct[-1] < 1.0:
         candidates.append((distinct[-1] + 1.0) / 2.0)
 

@@ -4,15 +4,19 @@ import argparse
 import csv
 import os
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beliefnet import cli
 from beliefnet.cli import build_parser, main
 from beliefnet.learn import POOL_MIN_REPLICATES
+from mutations import MUTATIONS, VALUES, mutate
 from reference_io import read_query_csv
 
 RAW = "fixtures/synthetic_survey.csv"
@@ -178,8 +182,10 @@ class TestPrep:
          "'PosWork' is already a column of the table"),
         ("recode", "missing_threshold: 50", "missing_threshold: 5000", "missing_threshold",
          "collapsing rare levels of 'Sex' would leave 0 level(s)"),
+        ("recode", "levels: [Female, Male]", "levels: [Female, Male, Male]", "variables[0]",
+         "variable 'Sex' has duplicate levels"),
     ], ids=["repeated_model_entry", "theme_named_like_a_column", "theme_named_twice",
-            "threshold_leaves_one_level"])
+            "threshold_leaves_one_level", "repeated_level"])
     def test_bad_config_exit_2_at_its_position_without_output(self, tmp_path, capsys, config,
                                                               old, new, position, reason):
         files = {"recode": PREP, "themes": THEMES}
@@ -838,3 +844,56 @@ class TestCliContract:
         )
         assert code == 0
         assert (tmp_path / "envws" / "reports" / "env.dot").exists()
+
+
+class TestMutatedInputs:
+    """A command handed a file with one line mutated exits 0 or 2 and leaves
+    no ``*.tmp``: any other exception on a file path is a bug that a user
+    sees as a traceback."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, ws, tmp_path_factory):
+        """(file, argv) pairs: a run mutates ``file`` and hands the copy to argv."""
+        # Education is in the first tier, so its ancestors and each run's tornado are few
+        sensitivity = tmp_path_factory.mktemp("sweep") / "sensitivity.yaml"
+        with open("fixtures/sensitivity.yaml", encoding="utf-8") as fh:
+            sensitivity.write_text(
+                fh.read().replace("HeardEURegulation", "Education").replace('"No"', "High"),
+                encoding="utf-8",
+            )
+        model = ws / "models" / "full.bn.yaml"
+        dictionary = ws / "data" / "survey_full.dict.yaml"
+        prep = ["prep", "--raw", RAW, "--recode", PREP, "--themes", THEMES]
+        learn = ["learn", "--data", ws / "data" / "survey_full.csv", "--dict", dictionary,
+                 "--tiers", TIERS, "--config", LEARN, "--bootstrap", 1, "--seed", 3]
+
+        def report(command, config):
+            return [command, "--model", model, "--config", config]
+
+        query = report("query", "fixtures/query.yaml")
+        return [(PREP, prep), (THEMES, prep), (TIERS, learn), (LEARN, learn),
+                (dictionary, learn), (model, query), ("fixtures/query.yaml", query),
+                ("fixtures/sobol.yaml", report("sobol", "fixtures/sobol.yaml")),
+                ("fixtures/scenarios.yaml", report("scenario", "fixtures/scenarios.yaml")),
+                (sensitivity, report("sensitivity", sensitivity))]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_0_or_2_without_tmp(self, sweep, data):
+        file, argv = data.draw(st.sampled_from(sweep), label="file")
+        kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+        value = data.draw(st.sampled_from(VALUES), label="value")
+        with open(file, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        changed = [i for i, line in enumerate(lines) if mutate(line, kind, value) != [line]]
+        assume(changed)
+        i = data.draw(st.sampled_from(changed), label="line")
+        lines[i:i + 1] = mutate(lines[i], kind, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            mutant = os.path.join(tmp, os.path.basename(file))
+            with open(mutant, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            code = run(*(mutant if a == file else a for a in argv),
+                       "--workspace", os.path.join(tmp, "ws"), "--name", "m")
+            assert code in (0, 2)
+            assert not [f for _, _, files in os.walk(tmp) for f in files if f.endswith(".tmp")]

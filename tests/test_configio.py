@@ -23,6 +23,7 @@ from beliefnet.configio import (
 from beliefnet.data import ThemeSpec, load_datatable
 from beliefnet.errors import BeliefnetError, MalformedFile, VersionMismatch
 from beliefnet.modelio import load as load_model
+from mutations import MUTATIONS, VALUES, mutate
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -152,7 +153,7 @@ class TestPrep:
     def test_models_name_the_known_tables(self, tmp_path, models, position):
         # a table is named only here; a misspelled one must not be skipped
         body = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
-                "  - name: Q\n    levels: [a]\n    map: {'1': a}\n" + models)
+                "  - name: Q\n    levels: [a, b]\n    map: {'1': a}\n" + models)
         with pytest.raises(MalformedFile) as exc:
             load_prep_config(write(tmp_path, body))
         assert exc.value.position == position
@@ -298,7 +299,7 @@ def test_removed_option_refused_at_its_key(tmp_path, loader, template, refused, 
 
 
 PREP_BODY = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
-             "  - name: Q\n    levels: [a]\n    map: {'1': a}\n@\nmodels: {full: [Q]}\n")
+             "  - name: Q\n    levels: [a, b]\n    map: {'1': a}\n@\nmodels: {full: [Q]}\n")
 THEMES_BODY = "format: beliefnet-themes\nversion: 1\nthemes:\n  - name: T\n    members: [a, b]\n@\n"
 TIERS_BODY = "format: beliefnet-tiers\nversion: 1\ntiers:\n  - name: t\n    variables: [A]\n@\n"
 QUERY_BODY = ("format: beliefnet-query\nversion: 1\ntables:\n"
@@ -367,7 +368,8 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
     (load_model, MODEL_BODY, "parents: []", "parents: [{A: 1}]", "cpts[0].parents[0]"),
     (_load_dictionary, DICT_TEXT, "levels: [b0, b1, b2]", "levels: [b0, b1, {b2: 1}]",
      "variables[1].levels[2]"),
-    (load_prep_config, PREP_BODY, "levels: [a]", "levels: [[a]]", "variables[0].levels[0]"),
+    (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [[a], b]",
+     "variables[0].levels[0]"),
     (load_prep_config, PREP_BODY, "full: [Q]", "full: [[Q]]", "models.full[0]"),
     (load_prep_config, PREP_BODY + "framing: F\n", "framing: F", "framing: [F]", "framing"),
     (load_theme_config, THEMES_BODY, "[a, b]", "[a, [b]]", "themes[0].members[1]"),
@@ -409,6 +411,8 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
     (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': a, ~: a}", "variables[0].map"),
     (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': Off}", "variables[0].map"),
     (load_scenario_config, SCENARIO_BODY, "{Age:", "{yes:", "scenarios[0].evidence"),
+    (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a]", "variables[0]"),
+    (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a, b, a]", "variables[0]"),
 ], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
         "prep.models", "prep.framing", "themes.members", "tiers.variables",
         "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
@@ -420,7 +424,7 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
         "prep.null_model_entry", "prep.repeated_model_entry", "prep.boolean_framing",
         "tiers.boolean_variable", "scenarios.boolean_evidence", "sensitivity.boolean_state",
         "prep.boolean_token", "prep.null_token", "prep.boolean_label",
-        "scenarios.boolean_evidence_key"])
+        "scenarios.boolean_evidence_key", "prep.one_level", "prep.repeated_level"])
 def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
     """A list or mapping where a name or label belongs is refused at its
     position, not read as its Python repr (``name: [A]`` as "['A']"), and so
@@ -539,27 +543,6 @@ LOADERS = [
     ]
 ] + [("dict.yaml", DICT_TEXT, _load_dictionary)]
 
-VALUES = ("", "[]", "{}", "x", "-1", "0", "2.5", "[1, 2]", "{a: 1}", "{1: x}", "null",
-          ".nan", ".inf", "true", "auto", "'1e-3'", "[[A]]", "!!int x", "!!float y")
-
-
-MUTATIONS = ("delete", "drop colon", "indent", "dedent", "duplicate", "value")
-
-
-def _mutate(line, kind, value):
-    """The lines that replace ``line`` after one mutation."""
-    key, colon, _ = line.partition(":")
-    lead = line[:len(line) - len(line.lstrip(" -"))]
-    return {
-        "delete": [],
-        "drop colon": [key + line[len(key) + 1:]] if colon else [line + ":"],
-        "indent": ["  " + line],
-        "dedent": [line.lstrip(" -")],
-        "duplicate": [line, line],
-        "value": [f"{key}: {value}" if colon else lead + value],
-    }[kind]
-
-
 class TestMutatedFiles:
     """A file with one line mutated either loads or raises a BeliefnetError."""
 
@@ -571,7 +554,7 @@ class TestMutatedFiles:
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
         value = data.draw(st.sampled_from(VALUES), label="value")
-        lines[i:i + 1] = _mutate(lines[i], kind, value)
+        lines[i:i + 1] = mutate(lines[i], kind, value)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, name)
             with open(path, "w", encoding="utf-8") as fh:

@@ -5,13 +5,15 @@ import os
 import stat
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from beliefnet.analysis import CptParameterId, DirectedShift, TornadoBar
 from beliefnet.charts import scenario_bars_svg, tornado_svg
+from beliefnet.data import DataTable, save_datatable
 from beliefnet.inference import posterior
 from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
-from beliefnet.reports import fmt, text_table, write_query_csv, write_text
+from beliefnet.reports import _write_report_csv, fmt, text_table, write_query_csv, write_text
 from reference_io import read_query_csv
 
 
@@ -38,6 +40,28 @@ class TestNumberFormat:
         for x in (1 / 3, 0.1234567890123456, 2 / 7, 1e-12):
             once = fmt(x)
             assert fmt(float(once)) == once
+
+    @pytest.mark.parametrize("cell, text", [
+        (1 / 3, "0.333333333333"), (np.float64(2 / 3), "0.666666666667"),
+        (np.float64(1e-7), "1e-07"), (1e13, "1e+13"),
+        ("0.1234567890123456", "0.1234567890123456"), ("--", "--"),
+        (10 ** 13, "10000000000000"), (np.int64(3), "3"),
+    ])
+    def test_report_csv_cell(self, tmp_path, cell, text):
+        # a float cell, numpy.float64 included, is written as fmt writes it;
+        # a str or int cell as given
+        path = tmp_path / "r.csv"
+        _write_report_csv(path, ["name", "cell"], [["x", cell]])
+        assert path.read_text(encoding="utf-8") == f"name,cell\nx,{text}\n"
+        if isinstance(cell, float):
+            assert text == fmt(cell)
+
+    def test_datatable_labels_untouched(self, tmp_path):
+        labels = ("0.1234567890123456", "1e+13", "7")
+        t = DataTable([CategoricalVariable("A", labels)], [[0], [1], [2]])
+        save_datatable(t, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
+        text = (tmp_path / "t.csv").read_text(encoding="utf-8")
+        assert text == "A\n" + "\n".join(labels) + "\n"
 
 
 class TestQueryCsv:
