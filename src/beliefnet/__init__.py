@@ -40,7 +40,6 @@ from .data import (
 )
 from .errors import BeliefnetError
 from .inference import (
-    Factor,
     QueryResult,
     fit_bayes,
     posterior,
@@ -63,23 +62,21 @@ from .model import (
     Dag,
     FittedNetwork,
     TierSpec,
-    joint_probability,
     topological_order,
 )
 from .modelio import deserialize, export_dot, load, save, serialize
-from .scores import ScoreCache, score
 
 __all__ = [
     "ArcStrengthTable", "BeliefnetError", "CategoricalVariable", "Cpt",
-    "CptParameterId", "Dag", "DataTable", "DirectedShift", "Factor",
-    "FittedNetwork", "QueryResult", "RawTable", "RecodeSpec", "ScenarioDef",
-    "ScenarioResult", "ScoreCache", "SobolMatrix", "SobolResult", "TabuConfig",
-    "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar", "VariableRecode", "averaged_network", "bootstrap_strengths", "collapse_rare",
-    "deserialize", "drop_incomplete", "export_dot", "fit_bayes",
-    "group_themes", "influence_colors", "joint_probability", "l1_threshold",
-    "load", "load_csv", "load_datatable", "node_influence", "optimal_threshold",
-    "perturb_parameter", "posterior", "recode", "sample", "save",
-    "save_datatable", "scenario_posteriors", "score", "sensitivity_slope",
+    "CptParameterId", "Dag", "DataTable", "DirectedShift", "FittedNetwork",
+    "QueryResult", "RawTable", "RecodeSpec", "ScenarioDef", "ScenarioResult",
+    "SobolMatrix", "SobolResult", "TabuConfig", "TabuLog", "ThemeSpec",
+    "TierSpec", "TornadoBar", "VariableRecode", "averaged_network",
+    "bootstrap_strengths", "collapse_rare", "deserialize", "drop_incomplete",
+    "export_dot", "fit_bayes", "group_themes", "influence_colors",
+    "l1_threshold", "load", "load_csv", "load_datatable", "node_influence",
+    "optimal_threshold", "perturb_parameter", "posterior", "recode", "sample",
+    "save", "save_datatable", "scenario_posteriors", "sensitivity_slope",
     "serialize", "sobol_first_order", "sobol_matrix", "split_population",
     "tabu_search", "tiers_to_blacklist", "topological_order", "tornado",
 ]

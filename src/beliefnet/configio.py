@@ -6,6 +6,7 @@ raise MalformedFile with the file path and a dotted key position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _yamlio
@@ -29,7 +30,7 @@ def _load_doc(path, expected_format, keys):
 
 
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_POSITIVE = (lambda v: v > 0, "must be > 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
 _AUTO_NODES = (lambda v: v == "auto", "the tornado covers the ancestors; must be 'auto' or absent")
 
 

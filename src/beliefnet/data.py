@@ -202,14 +202,6 @@ class DataTable:
     def filter_rows(self, mask) -> "DataTable":
         return DataTable(self.variables, self.codes[np.asarray(mask, bool)], self.source)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DataTable)
-            and self.variables == other.variables
-            and self.codes.shape == other.codes.shape
-            and bool(np.all(self.codes == other.codes))
-        )
-
 
 def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
     """Map raw tokens to level indices; unmapped tokens error or become missing."""

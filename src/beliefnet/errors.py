@@ -32,12 +32,6 @@ class UnknownLevel(BeliefnetError):
         super().__init__(f"variable {variable!r} has no level {level!r}")
 
 
-class IncompleteAssignment(BeliefnetError):
-    def __init__(self, missing):
-        self.missing = tuple(missing)
-        super().__init__(f"assignment misses variables: {', '.join(self.missing)}")
-
-
 class MalformedFile(BeliefnetError):
     """A model, data, or config file failed to parse or validate.
 

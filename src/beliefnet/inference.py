@@ -16,10 +16,11 @@ probability survives underflow: QueryResult carries log P(evidence) exactly,
 and evidence is rejected only when its probability is a structural zero.
 
 A query's cost is mostly Python overhead per step, so the min-fill ordering
-works on int bitmasks, and the factors a query builds skip the checks of the
-public ``Factor`` constructor. Neither changes the arithmetic: every product
-and sum happens in the same order as in the reference elimination loop of
-the tests, so results are bit-identical to it.
+works on int bitmasks, and ``Factor`` has one unchecked constructor: the
+shape checks live in the reference factor of the tests, which validates
+every table it builds. Neither changes the arithmetic: every product and sum
+happens in the same order as in that reference elimination loop, so results
+are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -39,30 +40,20 @@ from .model import (
 )
 
 class Factor:
-    """A nonnegative table over an ordered variable scope."""
+    """A nonnegative table over an ordered variable scope: ``scope`` and
+    ``cards`` are tuples and ``values`` a float array of shape ``cards``,
+    all taken unchecked."""
 
     __slots__ = ("scope", "cards", "values")
 
     def __init__(self, scope, cards, values):
-        self.scope = tuple(scope)
-        self.cards = tuple(int(c) for c in cards)
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.cards:
-            raise ValueError(f"values shape {values.shape} != cards {self.cards}")
-        self.values = values
-
-    @classmethod
-    def _raw(cls, scope, cards, values):
-        """Unchecked: tuples ``scope``, ``cards`` and a float array of that shape."""
-        f = object.__new__(cls)
-        f.scope, f.cards, f.values = scope, cards, values
-        return f
+        self.scope, self.cards, self.values = scope, cards, values
 
     @staticmethod
     def from_cpt(net: FittedNetwork, name: str) -> "Factor":
         cpt = net.cpts[name]
         cards = net.family_cards[name]
-        return Factor._raw(cpt.parent_order + (name,), cards, cpt.table.reshape(cards))
+        return Factor(cpt.parent_order + (name,), cards, cpt.table.reshape(cards))
 
     def reduce(self, evidence_levels: dict) -> "Factor":
         """Select the observed level on every evidence axis in scope."""
@@ -71,7 +62,7 @@ class Factor:
             return self
         # the trailing Ellipsis keeps a fully indexed table a 0-d array
         index = tuple(evidence_levels.get(v, slice(None)) for v in self.scope)
-        return Factor._raw(
+        return Factor(
             tuple(self.scope[i] for i in keep),
             tuple(self.cards[i] for i in keep),
             self.values[index + (...,)],
@@ -90,11 +81,11 @@ class Factor:
         cards = self.cards + tuple(other.cards[i] for i in extra)
         # self's axes already lead the product's scope, in order
         left = self.values.reshape(self.cards + (1,) * len(extra))
-        return Factor._raw(scope, cards, left * other._aligned(scope, cards))
+        return Factor(scope, cards, left * other._aligned(scope, cards))
 
     def sum_out(self, name: str) -> "Factor":
         axis = self.scope.index(name)
-        return Factor._raw(
+        return Factor(
             self.scope[:axis] + self.scope[axis + 1:],
             self.cards[:axis] + self.cards[axis + 1:],
             self.values.sum(axis=axis)[...],  # 0-d array, not a numpy scalar
@@ -205,7 +196,7 @@ def _eliminate(net, keep, ev_levels, order=None, without=None):
     # left: factors over kept variables and the scalar factors of reduced
     # evidence roots; renormalize their running product as it grows, and keep
     # multiplying past a structural zero so every kept axis is present
-    final = factors[0] if factors else Factor._raw((), (), np.ones(()))
+    final = factors[0] if factors else Factor((), (), np.ones(()))
     for f in factors[1:]:
         final = final.multiply(f)
         total = float(final.values.sum())

@@ -27,7 +27,7 @@ import numpy as np
 from .data import DataTable
 from .errors import BootstrapError, EmptyStrengths, UnassignedVariable, UnknownVariable
 from .model import Dag, TierSpec
-from .scores import DecomposableScore, ScoreCache
+from .scores import DecomposableScore
 
 # score deltas below this are treated as ties, not improvements
 SCORE_EPS = 1e-9
@@ -222,7 +222,7 @@ def tabu_search(
         if a not in col or b not in col:
             raise UnknownVariable(a if a not in col else b)
 
-    scorer = DecomposableScore(data, score, cache=ScoreCache(), weights=weights)
+    scorer = DecomposableScore(data, score, weights=weights)
     state = _SearchState(scorer, _arc_masks(constraints, col))
     n = state.n
     # tabu[kind*n*n + a*n + b]: last iteration at which that move is tabu

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CycleDetected,
-    IncompleteAssignment,
-    UnknownLevel,
-    UnknownVariable,
-)
+from .errors import CycleDetected, UnknownLevel, UnknownVariable
 
 # Row sums within EXACT_TOL are accepted as-is; within REPAIR_TOL they are
 # renormalized with a warning; anything worse is rejected.
@@ -32,16 +27,9 @@ ROW_SUM_EXACT_TOL = 1e-12
 ROW_SUM_REPAIR_TOL = 1e-9
 
 
-def config_index(cards, levels):
-    """Mixed-radix index of a parent configuration (first parent most significant)."""
-    j = 0
-    for card, level in zip(cards, levels):
-        j = j * card + level
-    return j
-
-
 def config_levels(cards, j):
-    """Inverse of :func:`config_index`."""
+    """The parent levels of configuration ``j`` over ``cards``, decoded
+    mixed-radix with the first parent most significant."""
     levels = [0] * len(cards)
     for pos in range(len(cards) - 1, -1, -1):
         levels[pos] = j % cards[pos]
@@ -206,7 +194,7 @@ class Cpt:
     ``table`` has shape (q, r): one row per parent configuration (mixed-radix
     over ``parent_order``), one column per variable state. Rows summing to 1
     within 1e-12 are taken as-is; discrepancies up to 1e-9 are renormalized
-    with a warning; larger ones are rejected.
+    with a warning; larger ones, and rows holding a NaN, are rejected.
     """
 
     __slots__ = ("variable", "parent_order", "table")
@@ -222,11 +210,11 @@ class Cpt:
         if np.any(table < 0) or np.any(table > 1 + ROW_SUM_REPAIR_TOL):
             raise ValueError(f"CPT for {variable!r} has entries outside [0, 1]")
         sums = table.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_REPAIR_TOL
+        bad = ~(np.abs(sums - 1.0) <= ROW_SUM_REPAIR_TOL)  # a NaN entry makes its row bad
         if np.any(bad):
             j = int(np.flatnonzero(bad)[0])
             raise ValueError(
-                f"CPT for {variable!r}: row {j} sums to {sums[j]!r}, not 1"
+                f"CPT for {variable!r}: row {j} sums to {float(sums[j])!r}, not 1"
             )
         repair = np.abs(sums - 1.0) > ROW_SUM_EXACT_TOL
         if np.any(repair):
@@ -246,15 +234,6 @@ class Cpt:
     @property
     def r(self) -> int:
         return self.table.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cpt)
-            and self.variable == other.variable
-            and self.parent_order == other.parent_order
-            and self.table.shape == other.table.shape
-            and bool(np.all(self.table == other.table))
-        )
 
     def __repr__(self):
         return f"Cpt({self.variable!r}, parents={list(self.parent_order)}, q={self.q}, r={self.r})"
@@ -310,34 +289,3 @@ class FittedNetwork:
         cpts = dict(self.cpts)
         cpts[cpt.variable] = cpt
         return FittedNetwork(self.variables, self.dag, cpts, self.metadata)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FittedNetwork)
-            and self.variables == other.variables
-            and self.dag.nodes == other.dag.nodes
-            and self.dag.parents == other.dag.parents
-            and self.cpts == other.cpts
-            and self.metadata == other.metadata
-        )
-
-
-def joint_probability(net: FittedNetwork, assignment) -> float:
-    """Probability of one complete assignment, read off the CPT product."""
-    assignment = dict(assignment)
-    extra = set(assignment) - {v.name for v in net.variables}
-    if extra:
-        raise UnknownVariable(sorted(extra)[0])
-    missing = [v.name for v in net.variables if v.name not in assignment]
-    if missing:
-        raise IncompleteAssignment(missing)
-    levels = {
-        name: net.variable(name).level_index(lvl) for name, lvl in assignment.items()
-    }
-    p = 1.0
-    for var in net.variables:
-        cpt = net.cpts[var.name]
-        cards = net.parent_cards(var.name)
-        j = config_index(cards, [levels[pa] for pa in cpt.parent_order])
-        p *= cpt.table[j, levels[var.name]]
-    return p

@@ -57,17 +57,17 @@ class DecomposableScore:
     ``weights`` are nonnegative integer row multiplicities: with
     ``np.bincount(idx, minlength=n_rows)`` every score equals the one on the
     table of rows ``data.codes[idx]`` exactly. Zero-weight rows are dropped
-    and N is the weight total. A cache miss tallies the family with one
-    ``bincount`` over int32 cell codes, in the cell order of ``counts``: the
-    parents' mixed-radix configuration code times the child's arity plus the
-    child's level. A parent mask's code is built once per scorer, from its
+    and N is the weight total. Every local score is kept in the scorer's
+    own ``cache``, which counts its hits and misses. A miss tallies the
+    family with one ``bincount`` over int32 cell codes, in the cell order of
+    ``counts``: the parents' mixed-radix configuration code times the
+    child's arity plus the child's level. A parent mask's code is built once per scorer, from its
     longest already built prefix, and kept for every child that shares the
     mask, up to ``_PARENT_CODE_BYTES``. Counts are exact integers, so the
     log-likelihood reads each k*log(k) from the shared table over k = 0..N.
     """
 
-    def __init__(self, data: DataTable, kind: str = "AIC", cache: ScoreCache | None = None,
-                 weights=None):
+    def __init__(self, data: DataTable, kind: str = "AIC", weights=None):
         kind = kind.upper()
         if kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {kind!r}")
@@ -84,7 +84,7 @@ class DecomposableScore:
             raise ValueError("scores require complete-case data")
         self.data = data
         self.kind = kind
-        self.cache = cache
+        self.cache = ScoreCache()
         self._log_n = math.log(n) if n else 0.0
         self._r = tuple(v.r for v in data.variables)
         self._cols = tuple(np.array(codes.T, dtype=np.int32))
@@ -106,12 +106,11 @@ class DecomposableScore:
         if not isinstance(parents, int):
             parents = sum({1 << self.data.var_index(p) for p in parents})
         key = (child, parents)
-        if self.cache is not None:
-            cached = self.cache.store.get(key)
-            if cached is not None:
-                self.cache.hits += 1
-                return cached
-            self.cache.misses += 1
+        cached = self.cache.store.get(key)
+        if cached is not None:
+            self.cache.hits += 1
+            return cached
+        self.cache.misses += 1
         rc = self._r[child]
         memo = self._parent_codes.get(parents)
         if memo is None:
@@ -140,8 +139,7 @@ class DecomposableScore:
         if self.kind != "LOGLIK":
             d = q * (rc - 1)
             value -= d if self.kind == "AIC" else 0.5 * d * self._log_n
-        if self.cache is not None:
-            self.cache.store[key] = value
+        self.cache.store[key] = value
         return value
 
     def _parent_code(self, parents, bits, q):
@@ -160,8 +158,3 @@ class DecomposableScore:
             self._parent_code_bytes += code.nbytes
         return code
 
-
-def score(dag, data: DataTable, kind: str = "AIC", cache: ScoreCache | None = None) -> float:
-    """Network score: sum of penalized local terms over the DAG's families."""
-    evaluator = DecomposableScore(data, kind, cache)
-    return sum(evaluator.local(node, dag.parent_tuple(node)) for node in dag.nodes)

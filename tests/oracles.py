@@ -3,10 +3,13 @@
 The probability oracles work on the full joint tensor built by plain
 broadcasting of CPT tables: no factor algebra, no elimination, no shared code
 with beliefnet.inference. The tally and parameter-count oracles read the table
-and the DAG directly.
+and the DAG directly. ``score`` is no oracle: it sums the library's local
+scores over a DAG, for the tests that compare whole networks.
 """
 
 import numpy as np
+
+from beliefnet.scores import DecomposableScore
 
 
 def full_joint(net, without=None):
@@ -38,9 +41,15 @@ def _axis(net, name):
     return [v.name for v in net.variables].index(name)
 
 
+_last_joint = [None, None]  # the last net joint_prob read, and its joint tensor
+
+
 def joint_prob(net, assignment):
-    """P(one complete assignment), read straight off the joint tensor."""
-    joint = full_joint(net)
+    """P(one complete assignment), read straight off the joint tensor, which
+    is kept while the same net is asked about (criterion 2 reads every cell)."""
+    if _last_joint[0] is not net:
+        _last_joint[:] = net, full_joint(net)
+    joint = _last_joint[1]
     idx = tuple(
         net.variable(v.name).level_index(assignment[v.name]) for v in net.variables
     )
@@ -176,3 +185,9 @@ def parameter_count(dag, variables):
             q *= cards[p]
         d += q * (cards[node] - 1)
     return d
+
+
+def score(dag, data, kind="AIC"):
+    """Network score: one scorer's local terms summed over the DAG's families."""
+    scorer = DecomposableScore(data, kind)
+    return sum(scorer.local(node, dag.parent_tuple(node)) for node in dag.nodes)

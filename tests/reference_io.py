@@ -3,7 +3,8 @@
 These are the straightforward implementations the column-wise and row-text
 code in ``beliefnet.data`` and ``beliefnet.modelio`` replaced. The tests
 require equal bytes, equal codes and equal errors from both. ``read_query_csv``
-reloads a query report for the tests that check its numbers.
+reloads a query report for the tests that check its numbers, and ``same``
+compares what a round trip gives back field by field.
 """
 
 import csv
@@ -14,6 +15,7 @@ import numpy as np
 from beliefnet import _yamlio
 from beliefnet.data import MISSING, DataTable, load_csv
 from beliefnet.errors import UnknownLevel, UnmappedToken
+from beliefnet.model import Cpt, FittedNetwork
 from beliefnet.modelio import FORMAT_NAME, FORMAT_VERSION
 
 
@@ -121,3 +123,20 @@ def read_query_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     return tuple(header[2:]), [(r[0], r[1], [float(x) for x in r[2:]]) for r in rows]
+
+
+def same(a, b):
+    """Whether two DataTables (variables and codes; the source is not
+    compared), Cpts or FittedNetworks hold equal fields; the library's own
+    ``==`` is identity."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, DataTable):
+        return a.variables == b.variables and np.array_equal(a.codes, b.codes)
+    if isinstance(a, Cpt):
+        return ((a.variable, a.parent_order) == (b.variable, b.parent_order)
+                and np.array_equal(a.table, b.table))
+    assert isinstance(a, FittedNetwork), type(a)
+    return (a.variables == b.variables and a.dag == b.dag and a.metadata == b.metadata
+            and a.cpts.keys() == b.cpts.keys()
+            and all(same(a.cpts[k], b.cpts[k]) for k in a.cpts))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from beliefnet.learn import SCORE_EPS, TabuConfig
 from beliefnet.model import Dag
-from beliefnet.scores import DecomposableScore, ScoreCache
+from beliefnet.scores import DecomposableScore
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def tabu_search(data, score="AIC", constraints=None, config=None, log=None):
     config = config or TabuConfig()
     constraints = frozenset(constraints or ())
     nodes = [v.name for v in data.variables]
-    scorer = DecomposableScore(data, score, cache=ScoreCache())
+    scorer = DecomposableScore(data, score)
     state = SearchState(nodes)
     total = best_total = sum(scorer.local(n, state.parents[n]) for n in nodes)
     best_snap = state.snapshot()

@@ -19,6 +19,7 @@ import oracles
 from conftest import record_acceptance
 from graphutil import d_separated
 from netgen import random_evidence, random_net
+from oracles import joint_prob as joint_probability, score
 from beliefnet.analysis import (
     CptParameterId,
     perturb_parameter,
@@ -44,10 +45,8 @@ from beliefnet.model import (
     Dag,
     FittedNetwork,
     TierSpec,
-    joint_probability,
 )
 from beliefnet.modelio import load as load_model
-from beliefnet.scores import score
 
 FAST = TabuConfig(tenure=5, max_iterations=300, stall_limit=10)
 

@@ -10,11 +10,13 @@ import beliefnet
 ROOT = Path(__file__).resolve().parents[1]
 DELETED = {
     "data": ("counts", "CountTable", "DEFAULT_MIN_LEVEL_COUNT"),
-    "errors": ("UnsatisfiableConstraints",),
+    "errors": ("IncompleteAssignment", "UnsatisfiableConstraints"),
     "inference": ("conditional_table", "fit_mle"),
     "reports": ("read_query_csv",),
     "learn": ("Constraints",),
-    "model": ("Evidence", "children_map", "d_separated", "parameter_count"),
+    "model": ("Evidence", "children_map", "config_index", "d_separated", "joint_probability",
+              "parameter_count"),
+    "scores": ("score",),
 }
 
 

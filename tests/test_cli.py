@@ -313,8 +313,38 @@ class TestLearn:
         for directory in ("models", "strengths"):
             assert not list((tmp_path / "wsx" / directory).iterdir())
 
+    def test_infinite_alpha_exit_2_without_output(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "learn.yaml"
+        text = Path(LEARN).read_text(encoding="utf-8")
+        cfg.write_text(text.replace("alpha: 1\n", "alpha: .inf\n", 1), encoding="utf-8")
+        code = run(
+            "learn", "--data", ws / "data" / "survey_full.csv",
+            "--dict", ws / "data" / "survey_full.dict.yaml",
+            "--tiers", TIERS, "--config", cfg, "--bootstrap", 2,
+            "--workspace", tmp_path / "wsi", "--name", "bad",
+        )
+        assert code == 2
+        assert f"{cfg}: alpha: must be finite and > 0" in capsys.readouterr().err
+        for directory in ("models", "strengths"):
+            assert not list((tmp_path / "wsi" / directory).iterdir())
+
 
 class TestQuery:
+    def test_nan_cpt_entry_exit_2_without_report(self, tmp_path, capsys):
+        model = tmp_path / "nan.bn.yaml"
+        text = Path("fixtures/mini.bn.yaml").read_text(encoding="utf-8")
+        model.write_text(text.replace("[0.8, 0.2]", "[.nan, 0.2]", 1), encoding="utf-8")
+        cfg = tmp_path / "query.yaml"
+        cfg.write_text("format: beliefnet-query\nversion: 1\ntables:\n"
+                       "  - target: WetGrass\n    evidence_variables: [Rain]\n",
+                       encoding="utf-8")
+        code = run("query", "--model", model, "--config", cfg,
+                   "--workspace", tmp_path / "wn", "--name", "rep")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{model}: (document): CPT for 'Rain': row 0 sums to nan, not 1" in err
+        assert not list(tmp_path.glob("wn/reports/*.csv"))
+
     def test_layout(self, ws):
         assert run(
             "query", "--model", ws / "models" / "full.bn.yaml",

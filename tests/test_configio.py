@@ -311,6 +311,9 @@ SCENARIO_BODY = ("format: beliefnet-scenarios\nversion: 1\ntargets: [A]\nscenari
 DICT_VARIABLES = DICT_TEXT.replace("variables:\n", "variables:\n@\n")
 MODEL_BODY = ("format: beliefnet-model\nversion: 1\nvariables:\n- {name: A, levels: [a0, a1]}\n"
               "arcs: []\ncpts:\n- variable: A\n  parents: []\n  rows: [[0.5, 0.5]]\n@\n")
+LEARN_BODY = "format: beliefnet-learn\nversion: 1\nalpha: 2.5\n"
+SENSITIVITY_BODY = ("format: beliefnet-sensitivity\nversion: 1\n"
+                    "target: {variable: A, state: x}\ndelta: 0.2\n")
 MODEL_CHAIN = ("format: beliefnet-model\nversion: 1\nvariables:\n"
                "- {name: A, levels: [a0, a1]}\n- {name: B, levels: [b0, b1]}\n"
                "arcs: [[A, B]]\ncpts:\n- {variable: A, parents: [], rows: [[0.5, 0.5]]}\n"
@@ -413,6 +416,9 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
     (load_scenario_config, SCENARIO_BODY, "{Age:", "{yes:", "scenarios[0].evidence"),
     (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a]", "variables[0]"),
     (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a, b, a]", "variables[0]"),
+    (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [[.nan, 0.5]]", "(document)"),
+    (load_learn_config, LEARN_BODY, "alpha: 2.5", "alpha: .inf", "alpha"),
+    (load_sensitivity_config, SENSITIVITY_BODY, "delta: 0.2", "delta: .inf", "delta"),
 ], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
         "prep.models", "prep.framing", "themes.members", "tiers.variables",
         "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
@@ -424,15 +430,17 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
         "prep.null_model_entry", "prep.repeated_model_entry", "prep.boolean_framing",
         "tiers.boolean_variable", "scenarios.boolean_evidence", "sensitivity.boolean_state",
         "prep.boolean_token", "prep.null_token", "prep.boolean_label",
-        "scenarios.boolean_evidence_key", "prep.one_level", "prep.repeated_level"])
+        "scenarios.boolean_evidence_key", "prep.one_level", "prep.repeated_level",
+        "model.nan_entry", "learn.infinite_alpha", "sensitivity.infinite_delta"])
 def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
     """A list or mapping where a name or label belongs is refused at its
     position, not read as its Python repr (``name: [A]`` as "['A']"), and so
     is a null or a YAML 1.1 boolean (``~`` is not "None", ``yes`` not
     "True"), a name repeated in a prep table, and an entry no constructor
     accepts: an unknown ``unmapped`` policy, a theme without members, a
-    variable with one level or listed twice, a repeated parent, or CPT rows
-    that are not a (q, r) table of r >= 2."""
+    variable with one level or listed twice, a repeated parent, CPT rows
+    that are not a (q, r) table of r >= 2 or that hold a NaN, and an infinite
+    ``alpha`` or ``delta``."""
     body = body.replace("@", "")
     loader(write(tmp_path, body, "scalar.yaml"))
     with pytest.raises(MalformedFile) as exc:

@@ -144,7 +144,7 @@ class TestRecode:
     def test_pure(self):
         spec = RecodeSpec([yn_spec("Q")])
         raw = RawTable(["Q"], [("1",), ("2",)])
-        assert recode(raw, spec) == recode(raw, spec)
+        assert reference_io.same(recode(raw, spec), recode(raw, spec))
 
 
 class TestDataTable:
@@ -181,7 +181,7 @@ class TestCollapseRare:
         t = self.make([100, 50])
         out = collapse_rare(t, "X", min_count=50)
         assert out.variable("X").levels == ("l0", "l1")
-        assert out == t
+        assert reference_io.same(out, t)
 
     def test_counts_taken_before_row_dropping(self):
         # level l1 has 50 occurrences overall but only 30 among rows complete
@@ -208,7 +208,7 @@ class TestDropIncomplete:
     def test_identity_when_complete(self):
         spec = RecodeSpec([yn_spec("Q")])
         t = table_from(["Q"], [("1",), ("2",)], spec)
-        assert drop_incomplete(t) == t
+        assert reference_io.same(drop_incomplete(t), t)
 
     def test_all_rows_missing(self):
         spec = RecodeSpec([yn_spec("Q")])
@@ -222,7 +222,7 @@ class TestDropIncomplete:
         assert drop_incomplete(t).n_rows == 0
         out = drop_incomplete(t.select(["Q"]))
         assert out.n_rows == 1
-        assert out == t.select(["Q"]).filter_rows([True, False])
+        assert reference_io.same(out, t.select(["Q"]).filter_rows([True, False]))
 
     def test_matches_brute_force_count(self):
         rng = np.random.default_rng(5)
@@ -382,7 +382,7 @@ class TestPersistence:
         t = table_from(["Q", "R"], [("1", "99"), ("2", "1")], spec)
         save_datatable(t, tmp_path / "d.csv", tmp_path / "d.dict.yaml")
         back = load_datatable(tmp_path / "d.csv", tmp_path / "d.dict.yaml")
-        assert back == t
+        assert reference_io.same(back, t)
         assert back.source == t.source
 
     def test_byte_identical_rewrites(self, tmp_path):
@@ -477,7 +477,7 @@ class TestColumnWiseParity:
                 with open(x, "rb") as fx, open(y, "rb") as fy:
                     assert fx.read() == fy.read()
             back = load_datatable(*a)
-            assert back == t and back.source == "src"
+            assert reference_io.same(back, t) and back.source == "src"
             assert np.array_equal(reference_io.load_codes(a[0], variables), back.codes)
             if t.n_rows:  # one cell set to a label no variable declares
                 i = data.draw(st.integers(0, t.n_rows - 1), label="row")
@@ -524,7 +524,7 @@ class TestColumnWiseParity:
             assert str(got.value) == str(exc)
         else:
             got = recode(raw, spec)
-            assert got == want and got.source == want.source
+            assert reference_io.same(got, want) and got.source == want.source
 
     def test_ragged_row_names_first_bad_row(self):
         with pytest.raises(RaggedRow) as err:

@@ -13,7 +13,6 @@ EXAMPLES = {
     "CycleDetected": (["A", "B", "C"],),
     "UnknownVariable": ("Age",),
     "UnknownLevel": ("Age", "old"),
-    "IncompleteAssignment": (["A", "B"],),
     "MalformedFile": ("model.yaml", "line 3, column 1", "bad indent"),
     "VersionMismatch": ("model.yaml", 7, 1),
     "RaggedRow": (4, 10, 9, "survey.csv", 5),

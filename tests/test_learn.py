@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphutil
+from oracles import score
 from beliefnet.data import DataTable
 from beliefnet.errors import (
     BootstrapError,
@@ -33,7 +34,6 @@ from beliefnet.learn import (
 )
 from beliefnet.model import CategoricalVariable, Dag, TierSpec
 from beliefnet.modelio import load
-from beliefnet.scores import score
 
 FAST = TabuConfig(tenure=5, max_iterations=200, stall_limit=10)
 

@@ -12,7 +12,6 @@ from graphutil import d_separated
 from netgen import random_dag, random_net
 from beliefnet.errors import (
     CycleDetected,
-    IncompleteAssignment,
     InvalidQuery,
     UnknownLevel,
     UnknownVariable,
@@ -24,9 +23,7 @@ from beliefnet.model import (
     Dag,
     FittedNetwork,
     TierSpec,
-    config_index,
     config_levels,
-    joint_probability,
     topological_order,
 )
 
@@ -176,9 +173,11 @@ class TestDSeparation:
 
 
 class TestJointProbability:
+    """The joint-probability oracle that acceptance criterion 2 sums."""
+
     def test_single_binary(self):
         net = make_net([binary("A")], {}, {"A": [[0.3, 0.7]]})
-        assert joint_probability(net, {"A": "yes"}) == pytest.approx(0.7)
+        assert oracles.joint_prob(net, {"A": "yes"}) == pytest.approx(0.7)
 
     def test_two_independent_uniform(self):
         net = make_net(
@@ -188,7 +187,7 @@ class TestJointProbability:
         )
         for a in ("no", "yes"):
             for b in ("no", "yes"):
-                assert joint_probability(net, {"A": a, "B": b}) == pytest.approx(0.25)
+                assert oracles.joint_prob(net, {"A": a, "B": b}) == pytest.approx(0.25)
 
     def test_sums_to_one_on_random_nets(self):
         rng = np.random.default_rng(7)
@@ -197,34 +196,27 @@ class TestJointProbability:
             total = 0.0
             for combo in itertools.product(*(v.levels for v in net.variables)):
                 assignment = dict(zip((v.name for v in net.variables), combo))
-                total += joint_probability(net, assignment)
+                total += oracles.joint_prob(net, assignment)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_oracle(self):
+        # P(x) = P(x without V0) * P(V0 = x_V0 | the rest), both by elimination
         rng = np.random.default_rng(11)
         net = random_net(rng, 5)
         for _ in range(20):
             assignment = {
                 v.name: v.levels[int(rng.integers(v.r))] for v in net.variables
             }
-            assert joint_probability(net, assignment) == pytest.approx(
-                oracles.joint_prob(net, assignment), abs=1e-12
+            rest = {k: v for k, v in assignment.items() if k != "V0"}
+            result = posterior(net, "V0", rest)
+            assert oracles.joint_prob(net, assignment) == pytest.approx(
+                result.evidence_probability * result[assignment["V0"]], abs=1e-12
             )
-
-    def test_incomplete_assignment(self):
-        net = make_net([binary("A"), binary("B")], {}, {"A": [[0.5, 0.5]], "B": [[0.5, 0.5]]})
-        with pytest.raises(IncompleteAssignment):
-            joint_probability(net, {"A": "yes"})
 
     def test_unknown_level(self):
         net = make_net([binary("A")], {}, {"A": [[0.5, 0.5]]})
         with pytest.raises(UnknownLevel):
-            joint_probability(net, {"A": "maybe"})
-
-    def test_unknown_variable(self):
-        net = make_net([binary("A")], {}, {"A": [[0.5, 0.5]]})
-        with pytest.raises(UnknownVariable):
-            joint_probability(net, {"A": "yes", "Z": "yes"})
+            oracles.joint_prob(net, {"A": "maybe"})
 
 
 class TestParameterCount:
@@ -265,11 +257,11 @@ class TestConfigIndexing:
     def test_round_trip(self):
         cards = (3, 2, 4)
         for j in range(24):
-            assert config_index(cards, config_levels(cards, j)) == j
+            assert config_levels(cards, j) == np.unravel_index(j, cards)
 
     def test_first_parent_most_significant(self):
-        assert config_index((3, 2), (1, 0)) == 2
-        assert config_index((3, 2), (0, 1)) == 1
+        assert config_levels((3, 2), 2) == (1, 0)
+        assert config_levels((3, 2), 1) == (0, 1)
 
 
 class TestCpt:

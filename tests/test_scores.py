@@ -12,8 +12,9 @@ from beliefnet.data import DataTable
 from beliefnet.inference import sample
 from beliefnet.learn import TabuConfig, TabuLog, tabu_search
 from beliefnet.model import CategoricalVariable, Dag
-from beliefnet.scores import DecomposableScore, ScoreCache, score
+from beliefnet.scores import DecomposableScore
 from netgen import random_net
+from oracles import score
 
 
 def table(cols):
@@ -168,23 +169,22 @@ class TestScoreCache:
             }
         )
         dag = Dag(("A", "B", "C"), {"B": ("A",), "C": ("B", "A")})
-        cache = ScoreCache()
-        with_cache = score(dag, t, "AIC", cache=cache)
-        again = score(dag, t, "AIC", cache=cache)
-        without = score(dag, t, "AIC")
-        assert with_cache == without
-        assert again == without
-        assert cache.hits >= len(dag.nodes)
+        ev = DecomposableScore(t, "AIC")
+        families = [(n, dag.parent_tuple(n)) for n in dag.nodes]
+        computed = [ev.local(*f) for f in families]
+        cached = [ev.local(*f) for f in families]
+        fresh = [DecomposableScore(t, "AIC").local(*f) for f in families]
+        assert computed == cached == fresh
+        assert (ev.cache.hits, ev.cache.misses) == (len(families), len(families))
 
     def test_cached_equals_recomputation_exactly(self):
         rng = np.random.default_rng(43)
         t = table({"A": rng.integers(0, 2, 100), "B": rng.integers(0, 2, 100)})
-        cache = ScoreCache()
-        ev = DecomposableScore(t, "AIC", cache)
+        ev = DecomposableScore(t, "AIC")
         first = ev.local("B", ("A",))
         fresh = DecomposableScore(t, "AIC").local("B", ("A",))
         assert first == fresh
-        assert cache.store[(1, 0b1)] == fresh  # key: (child column, parent mask)
+        assert ev.cache.store[(1, 0b1)] == fresh  # key: (child column, parent mask)
 
     def test_parent_order_canonicalized(self):
         rng = np.random.default_rng(47)
@@ -317,7 +317,7 @@ class TestCellCodeRange:
         # 2**30 * 2 cells is one more than int32 codes hold; nothing is built
         rng = np.random.default_rng(131)
         t = table({f"V{i}": rng.integers(0, 2, 20) for i in range(32)})
-        ev = DecomposableScore(t, "AIC", ScoreCache())
+        ev = DecomposableScore(t, "AIC")
         parents = [f"V{i}" for i in range(1, n_parents + 1)]
         with pytest.raises(ValueError, match=r"'V0'.*'V1'.*'V%d'" % n_parents):
             ev.local("V0", parents)
