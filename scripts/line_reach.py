@@ -1,7 +1,9 @@
 """Print every executable line of src/beliefnet that the tier-1 tests do not
-reach, then the total.
+reach, then the total; or, with --walkthrough, every function of
+src/beliefnet that the README's seven CLI stages never enter.
 
     PYTHONPATH=src python scripts/line_reach.py [pytest arguments]
+    PYTHONPATH=src python scripts/line_reach.py --walkthrough
 
 It needs no coverage package: pytest runs in this process under a
 ``sys.settrace`` tracer that records lines only in frames whose code lives
@@ -15,12 +17,24 @@ Under the tracer tier-1 runs about three times slower than without it, so
 this is a report, not a test. It exits with pytest's status; the number of
 unreached lines never fails it. ``KEPT`` lists the lines that stay
 unreached on purpose, each with its reason.
+
+``--walkthrough`` runs the README walkthrough (prep, learn, query, sobol,
+scenario, sensitivity, export) in this process on the bundled fixture, with
+one worker and an 8-replicate bootstrap, into a temporary workspace, under a
+``sys.setprofile`` hook that records each function call. It lists the named
+functions (not lambdas, comprehensions or module bodies) that no stage
+enters: the error paths, and what only the library or a script calls. It
+exits 1 if a stage fails; the length of the list never fails it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+import io
 import os
 import sys
+import tempfile
 import threading
 
 import pytest  # imports no beliefnet module, so every one loads under the tracer
@@ -39,17 +53,23 @@ KEPT = {
 }
 
 
-def executable_lines(path):
-    """The line numbers that any code object compiled from ``path`` maps an
-    instruction to."""
-    with open(path, encoding="utf-8") as fh:
-        source = fh.read()
-    lines, todo = set(), [compile(source, path, "exec")]
-    while todo:
-        code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
-        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    return lines, source.splitlines()
+def package_files():
+    """(file name, path, code objects, source lines) of every module in
+    src/beliefnet, read now, so a file edited while the run goes on is
+    reported as it ran."""
+    out = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, name)
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        codes, todo = [], [compile(source, path, "exec")]
+        while todo:
+            codes.append(todo.pop())
+            todo.extend(c for c in codes[-1].co_consts if hasattr(c, "co_lines"))
+        out.append((name, path, codes, source.splitlines()))
+    return out
 
 
 def run_traced(pytest_args):
@@ -81,16 +101,81 @@ def run_traced(pytest_args):
     return int(status), reached
 
 
+def walkthrough():
+    """Run the seven README stages under a profile hook; print every named
+    src/beliefnet function none of them enters. 0, or 1 if a stage fails."""
+    files = package_files()
+    prefix = PACKAGE + os.sep
+    entered = set()
+    add = entered.add
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(prefix):
+            add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    def fixture(name):
+        return os.path.join(ROOT, "fixtures", name)
+
+    with tempfile.TemporaryDirectory() as ws:
+        model = os.path.join(ws, "models", "full.bn.yaml")
+        stages = [
+            ["prep", "--raw", fixture("synthetic_survey.csv"), "--recode", fixture("prep.yaml"),
+             "--themes", fixture("themes.yaml"), "--name", "survey"],
+            ["learn", "--data", os.path.join(ws, "data", "survey_full.csv"),
+             "--dict", os.path.join(ws, "data", "survey_full.dict.yaml"),
+             "--tiers", fixture("tiers_full.yaml"), "--config", fixture("learn_fast.yaml"),
+             "--bootstrap", "8", "--seed", "42", "--workers", "1", "--name", "full"],
+            ["query", "--model", model, "--config", fixture("query.yaml"), "--name", "rep"],
+            ["sobol", "--model", model, "--config", fixture("sobol.yaml"), "--name", "rep"],
+            ["scenario", "--model", model, "--config", fixture("scenarios.yaml"), "--name", "rep"],
+            ["sensitivity", "--model", model, "--config", fixture("sensitivity.yaml"),
+             "--name", "rep"],
+            ["export", "--model", model, "--influence", "HeardEURegulation=No",
+             "--name", "shaded"],
+        ]
+        threading.setprofile(calls)
+        sys.setprofile(calls)
+        try:
+            from beliefnet.cli import main as cli_main  # what runs at import counts
+
+            for argv in stages:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main([*argv, "--workspace", ws])
+                if code != 0:
+                    print(f"beliefnet {argv[0]} exited {code}", file=sys.stderr)
+                    return 1
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+
+    total = never = 0
+    for name, path, codes, _ in files:
+        for code in sorted(codes, key=lambda c: c.co_firstlineno):
+            # a function, not a class body, a lambda, a comprehension or the module
+            if code.co_name.startswith("<") or not code.co_flags & inspect.CO_OPTIMIZED:
+                continue
+            total += 1
+            if (path, code.co_firstlineno, code.co_name) not in entered:
+                never += 1
+                print(f"src/beliefnet/{name}:{code.co_firstlineno}: "
+                      f"{getattr(code, 'co_qualname', code.co_name)}")
+    print(f"never entered: {never} of {total} functions (the README walkthrough, one worker)")
+    return 0
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
+    if "--walkthrough" in args:
+        if len(args) > 1:
+            sys.exit("line_reach.py: --walkthrough takes no other argument")
+        return walkthrough()
+    files = package_files()
     status, reached = run_traced(["-q", "-p", "no:cacheprovider", *args])
     total = unreached = 0
     print()
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        lines, text = executable_lines(path)
+    for name, path, codes, text in files:
+        lines = {line for code in codes for _, _, line in code.co_lines() if line is not None}
         total += len(lines)
         for line in sorted(lines):
             if (path, line) in reached:

@@ -131,13 +131,10 @@ def _known(doc, keys, *, path, where=""):
             raise MalformedFile(path, f"{where}{key}", f"unknown key; known: {', '.join(keys)}")
 
 
-def dump(doc, stream=None, width=None):
-    """Block-style YAML of ``doc`` with keys in insertion order, written to
-    ``stream`` or returned as text."""
+def dump(doc, width=None):
+    """The block-style YAML text of ``doc``, keys in insertion order."""
     dumper = Dumper if _plain(doc) else yaml.SafeDumper
-    return yaml.dump(
-        doc, stream, Dumper=dumper, sort_keys=False, default_flow_style=None, width=width
-    )
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=None, width=width)
 
 
 def _plain(node) -> bool:

@@ -53,23 +53,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class Workspace:
-    DIRS = ("data", "models", "strengths", "reports")
+def _fingerprint(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
-    def __init__(self, root):
-        self.root = os.path.abspath(root)
 
-    def prepare(self):
-        os.makedirs(self.root, exist_ok=True)
-        for d in self.DIRS:
-            os.makedirs(os.path.join(self.root, d), exist_ok=True)
+class _Run:
+    """One command's run in its workspace: the lock it holds, its start time,
+    the outputs it claimed, the extras it recorded, and the manifest that
+    lists them."""
 
-    def path(self, *parts) -> str:
-        return os.path.join(self.root, *parts)
+    def __init__(self, args):
+        self.args = args
+        self.root = os.path.abspath(args.workspace)
+        self._lock = os.path.join(self.root, LOCK_NAME)
+        self.outputs = []
+        self.extra = {}
 
     def __enter__(self):
-        self.prepare()
-        self._lock = os.path.join(self.root, LOCK_NAME)
+        for d in ("data", "models", "strengths", "reports"):
+            os.makedirs(os.path.join(self.root, d), exist_ok=True)
         try:
             fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -79,6 +85,10 @@ class Workspace:
             ) from None
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
+        self.clock = time.monotonic()
+        self.started = datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        )
         return self
 
     def _lock_holder(self) -> str:
@@ -105,45 +115,11 @@ class Workspace:
             pass
         return False
 
-
-def _fingerprint(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-# where each command writes its manifest: (workspace directory, suffix after --name)
-_MANIFESTS = {
-    "prep": ("data", ".manifest.yaml"),
-    "learn": ("models", ".manifest.yaml"),
-    "query": ("reports", "_query.manifest.yaml"),
-    "sobol": ("reports", "_sobol.manifest.yaml"),
-    "scenario": ("reports", "_scenario.manifest.yaml"),
-    "sensitivity": ("reports", "_sensitivity.manifest.yaml"),
-    "export": ("reports", "_export.manifest.yaml"),
-}
-
-
-class _Run:
-    """One command's run: its start time, the outputs it claimed, the extras
-    it recorded, and the manifest that lists them."""
-
-    def __init__(self, args, ws):
-        self.args, self.ws = args, ws
-        self.clock = time.monotonic()
-        self.started = datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        )
-        self.outputs = []
-        self.extra = {}
-
     def claim(self, directory, name) -> str:
         """The workspace path ``directory/name``, recorded as an output; an
         existing file is refused unless --force, and one claimed before in
         this run always is."""
-        path = self.ws.path(directory, name)
+        path = os.path.join(self.root, directory, name)
         if path in self.outputs:
             raise WorkspaceError(f"refusing to write {path} twice in one run")
         if os.path.exists(path) and not self.args.force:
@@ -152,8 +128,9 @@ class _Run:
         return path
 
     def finish(self):
+        """Write the manifest: prep's beside its tables, learn's beside its
+        model, and every other command's among the reports."""
         args = self.args
-        directory, suffix = _MANIFESTS[args.command]
         doc = {
             "format": "beliefnet-manifest",
             "version": 1,
@@ -172,7 +149,9 @@ class _Run:
                 "elapsed_seconds": round(time.monotonic() - self.clock, 3),
             },
         }
-        path = self.ws.path(directory, args.name + suffix)
+        directory = {"prep": "data", "learn": "models"}.get(args.command)
+        stem = args.name if directory else f"{args.name}_{args.command}"
+        path = os.path.join(self.root, directory or "reports", stem + ".manifest.yaml")
         reports.write_text(path, _yamlio.dump(doc))
 
 
@@ -436,29 +415,17 @@ def build_parser() -> _Parser:
     _add_common(p, "model")
     p.set_defaults(func=cmd_learn, inputs=("data", "dict", "tiers", "config"))
 
-    p = commands.add_parser("query", help="conditional probability tables")
-    p.add_argument("--model", required=True)
-    p.add_argument("--config", required=True, help="beliefnet-query config")
-    _add_common(p, "report")
-    p.set_defaults(func=cmd_query, inputs=("model", "config"))
-
-    p = commands.add_parser("sobol", help="first-order Sobol index matrix")
-    p.add_argument("--model", required=True)
-    p.add_argument("--config", required=True, help="beliefnet-sobol config")
-    _add_common(p, "report")
-    p.set_defaults(func=cmd_sobol, inputs=("model", "config"))
-
-    p = commands.add_parser("scenario", help="multi-evidence scenario posteriors")
-    p.add_argument("--model", required=True)
-    p.add_argument("--config", required=True, help="beliefnet-scenarios config")
-    _add_common(p, "report")
-    p.set_defaults(func=cmd_scenario, inputs=("model", "config"))
-
-    p = commands.add_parser("sensitivity", help="CPT perturbation tornado + influence")
-    p.add_argument("--model", required=True)
-    p.add_argument("--config", required=True, help="beliefnet-sensitivity config")
-    _add_common(p, "report")
-    p.set_defaults(func=cmd_sensitivity, inputs=("model", "config"))
+    for command, func, text, config in (
+        ("query", cmd_query, "conditional probability tables", "query"),
+        ("sobol", cmd_sobol, "first-order Sobol index matrix", "sobol"),
+        ("scenario", cmd_scenario, "multi-evidence scenario posteriors", "scenarios"),
+        ("sensitivity", cmd_sensitivity, "CPT perturbation tornado + influence", "sensitivity"),
+    ):
+        p = commands.add_parser(command, help=text)
+        p.add_argument("--model", required=True)
+        p.add_argument("--config", required=True, help=f"beliefnet-{config} config")
+        _add_common(p, "report")
+        p.set_defaults(func=func, inputs=("model", "config"))
 
     p = commands.add_parser("export", help="Graphviz DOT export")
     p.add_argument("--model", required=True)
@@ -476,8 +443,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with Workspace(args.workspace) as ws:
-            run = _Run(args, ws)
+        with _Run(args) as run:
             args.func(args, run)
             run.finish()
     except (BeliefnetError, OSError) as exc:

@@ -260,8 +260,8 @@ def fit_bayes(dag: Dag, data: DataTable, alpha: float = 1.0) -> FittedNetwork:
     alpha = 1 is the uniform prior; every entry is strictly positive, and a
     never-observed parent configuration falls back to the uniform row.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha!r}")
     cpts = {}
     for node, n in _family_tables(dag, data):
         table = (n + alpha) / (n.sum(axis=1)[:, None] + n.shape[1] * alpha)

@@ -96,7 +96,7 @@ def save_datatable(table, csv_path, dict_path):
         ],
     }
     with open(dict_path, "w", encoding="utf-8", newline="\n") as fh:
-        _yamlio.dump(doc, fh)
+        fh.write(_yamlio.dump(doc))
 
 
 def load_codes(csv_path, variables):

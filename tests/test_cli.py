@@ -840,6 +840,33 @@ class TestCliContract:
         assert (root / "reports" / "graph.dot").exists()
         assert not (root / ".beliefnet.lock").exists()
 
+    def test_lock_released_however_a_command_ends(self, ws, tmp_path, monkeypatch, capsys):
+        # a BeliefnetError, an OSError and a bug each end a run in one
+        # workspace; none may leave the lock for the next command
+        root = tmp_path / "ws"
+        model = ws / "models" / "full.bn.yaml"
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli.analysis, "sobol_matrix", broken)
+        ends = [
+            (["export", "--model", model, "--influence", "HeardEURegulation"],
+             "expected VARIABLE=STATE"),
+            (["query", "--model", tmp_path / "missing.bn.yaml", "--config", "fixtures/query.yaml"],
+             "No such file or directory"),
+            (["sobol", "--model", model, "--config", "fixtures/sobol.yaml"], None),
+        ]
+        for i, (argv, message) in enumerate(ends):
+            if message is None:
+                with pytest.raises(ValueError, match="internal"):
+                    run(*argv, "--workspace", root)
+            else:
+                assert run(*argv, "--workspace", root) == 2
+                assert message in capsys.readouterr().err
+            assert not (root / ".beliefnet.lock").exists()
+            assert run("export", "--model", model, "--workspace", root, "--name", f"after{i}") == 0
+
     @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", ""])
     def test_name_with_a_directory_part_is_a_usage_error(self, ws, tmp_path, capsys,
                                                          monkeypatch, name):

@@ -1,5 +1,7 @@
 """Exact inference, parameter fitting, and sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from beliefnet.inference import (
     sample,
 )
 from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
+from beliefnet.modelio import load as load_model
 
 
 def chain_ab(p_a=0.3, p_b_given=((0.9, 0.1), (0.2, 0.8))):
@@ -449,6 +452,15 @@ class TestFitBayes:
         data = DataTable((v,), np.array([[0]], dtype=np.int32))
         with pytest.raises(ValueError):
             fit_bayes(Dag(("A",)), data, alpha=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, -1.0])
+    def test_alpha_must_be_finite(self, alpha):
+        # an infinite alpha is refused by name, not as a NaN row of some CPT
+        net = load_model("fixtures/mini.bn.yaml")
+        data = sample(net, 50, seed=3)
+        with pytest.raises(ValueError, match="alpha"):
+            fit_bayes(net.dag, data, alpha=alpha)
 
     def test_alpha_to_zero_limit_matches(self):
         # as alpha -> 0 the estimate tends to the row ratios N_ijk / N_ij
