@@ -127,7 +127,7 @@ def fixture_tables(workdir):
 
 def search_goldens(workdir):
     """The search results pinned by fixtures/search_goldens.json."""
-    fast = configio.load_learn_config(os.path.join(FIXTURES, "learn_fast.yaml")).tabu
+    *_, fast = configio.load_learn_config(os.path.join(FIXTURES, "learn_fast.yaml"))
     fast = dataclasses.replace(fast, seed=SEARCH_SEED)
     doc = {"seed": SEARCH_SEED, "bootstrap_b": SEARCH_B, "bootstrap": {}}
     tables = fixture_tables(workdir)

@@ -39,7 +39,7 @@ from .errors import (
     SaturatedParameter,
     ZeroProbabilityEvidence,
 )
-from .model import Cpt, FittedNetwork, config_levels
+from .model import Cpt, FittedNetwork
 from .inference import _eliminate, _evidence_levels, posterior
 
 
@@ -322,7 +322,7 @@ def _param_label(net, param: CptParameterId) -> str:
     state = var.levels[param.state]
     if not cpt.parent_order:
         return f"P({param.variable}={state})"
-    levels = config_levels(cards, param.config)
+    levels = np.unravel_index(param.config, cards)  # the first parent most significant
     given = ", ".join(
         f"{p}={net.variable(p).levels[l]}" for p, l in zip(cpt.parent_order, levels)
     )

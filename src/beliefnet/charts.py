@@ -131,8 +131,9 @@ def scenario_bars_svg(target, levels, scenario_names, probabilities) -> str:
     return _render(root)
 
 
-def tornado_svg(bars, event_label, delta) -> str:
-    """Horizontal tornado: per bar, green = increase shift, red = decrease.
+def tornado_svg(bars, event, delta) -> str:
+    """Horizontal tornado for the ``(variable, state)`` event: per bar,
+    green = increase shift, red = decrease.
 
     ``bars`` come pre-sorted by magnitude (the tornado() contract); shifts
     are signed P(event) changes drawn from a common zero axis. Only the top
@@ -148,7 +149,7 @@ def tornado_svg(bars, event_label, delta) -> str:
     width = label_w + plot_w + 40
     height = margin_t + row_h * len(bars) + margin_b
     root = _svg_root(width, height)
-    title = f"Tornado for {event_label} (delta={delta:g})"
+    title = f"Tornado for {event[0]}={event[1]} (delta={delta:g})"
     if len(bars) < total:
         title += f" - top {len(bars)} of {total}"
     _text(root, 12, 20, title, size=14)

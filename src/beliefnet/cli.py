@@ -156,24 +156,24 @@ class _Run:
 
 
 def cmd_prep(args, run: _Run):
-    cfg = configio.load_prep_config(args.recode)
+    spec, missing_threshold, framing, models = configio.load_prep_config(args.recode)
     themes = configio.load_theme_config(args.themes) if args.themes else []
     # a theme column joins the columns its members leave, under a new name
-    columns = {v.name for v in cfg.recode.variables} - {m for t in themes for m in t.members}
+    columns = {v.name for v in spec.variables} - {m for t in themes for m in t.members}
     for i, theme in enumerate(themes):
         if theme.name in columns:
             raise MalformedFile(args.themes, f"themes[{i}].name",
                                 f"{theme.name!r} is already a column of the table")
         columns.add(theme.name)
-    raw = load_csv(args.raw, required_columns=[v.source for v in cfg.recode.variables])
-    table = recode(raw, cfg.recode)
+    raw = load_csv(args.raw, required_columns=[v.source for v in spec.variables])
+    table = recode(raw, spec)
     audit = {"raw_rows": raw.n_rows, "recoded_rows": table.n_rows}
 
     collapsed = {}
     for var in list(table.variables):
         before = table.variable(var.name).levels
         try:
-            table = collapse_rare(table, var.name, cfg.missing_threshold)
+            table = collapse_rare(table, var.name, missing_threshold)
         except ValueError as exc:  # fewer than 2 levels reach the threshold
             raise MalformedFile(args.recode, "missing_threshold", str(exc)) from None
         after = table.variable(var.name).levels
@@ -185,10 +185,10 @@ def cmd_prep(args, run: _Run):
     table = group_themes(table, themes)
 
     tables = {"full": table}
-    if {"risk", "opportunity"} & cfg.models.keys():
-        tables["risk"], tables["opportunity"] = split_population(table, cfg.framing)
+    if {"risk", "opportunity"} & models.keys():
+        tables["risk"], tables["opportunity"] = split_population(table, framing)
     finals, paths = {}, {}
-    for kind, wanted in cfg.models.items():
+    for kind, wanted in models.items():
         t = tables[kind]
         missing = [n for n in wanted if n not in {v.name for v in t.variables}]
         if missing:
@@ -222,9 +222,9 @@ def cmd_learn(args, run: _Run):
         name = data.variables[int(missing[row].argmax())].name
         raise MalformedFile(args.data, f"row {row + 1}",
                             f"{name!r} is missing; learn needs complete rows")
-    cfg = configio.load_learn_config(args.config)
+    score, alpha, bootstrap, tabu = configio.load_learn_config(args.config)
     seed = secrets.randbits(31) if args.seed is None else args.seed
-    b = cfg.bootstrap if args.bootstrap is None else args.bootstrap
+    b = bootstrap if args.bootstrap is None else args.bootstrap
     model_path = run.claim("models", f"{args.name}.bn.yaml")
     strengths_path = run.claim("strengths", f"{args.name}_strengths.csv")
     constraints = None
@@ -235,9 +235,9 @@ def cmd_learn(args, run: _Run):
     strengths = bootstrap_strengths(
         data,
         b=b,
-        score=cfg.score,
+        score=score,
         constraints=constraints,
-        config=cfg.tabu,
+        config=tabu,
         seed=seed,
         n_jobs=args.workers,
     )
@@ -255,17 +255,17 @@ def cmd_learn(args, run: _Run):
         "seed": seed,
         "bootstrap": b,
         "bootstrap_workers": bootstrap_workers(b, args.workers),
-        "score": cfg.score,
-        "alpha": cfg.alpha,
+        "score": score,
+        "alpha": alpha,
         "threshold": threshold,
         "skipped_edges": [list(s) for s in skipped],
     }
 
-    net = fit_bayes(dag, data, alpha=cfg.alpha)
+    net = fit_bayes(dag, data, alpha=alpha)
     net.metadata.update(
         {
             "seed": seed,
-            "score": cfg.score,
+            "score": score,
             "bootstrap": b,
             "threshold": threshold,
             "tool_version": __version__,
@@ -277,8 +277,8 @@ def cmd_learn(args, run: _Run):
 
 def cmd_query(args, run: _Run):
     net = load_model(args.model)
-    cfg = configio.load_query_config(args.config)
-    paths = [run.claim("reports", f"{args.name}_query_{target}.csv") for target, _ in cfg.tables]
+    query_tables = configio.load_query_config(args.config)
+    paths = [run.claim("reports", f"{args.name}_query_{target}.csv") for target, _ in query_tables]
     # every table is computed before the first is written, so a bad table
     # leaves no report behind
     tables = [
@@ -287,7 +287,7 @@ def cmd_query(args, run: _Run):
                      for level in net.variable(sweep).levels])
             for sweep in sweeps
         ])
-        for target, sweeps in cfg.tables
+        for target, sweeps in query_tables
     ]
     for path, table in zip(paths, tables):
         reports.write_query_csv(path, *table)
@@ -298,23 +298,22 @@ def cmd_sobol(args, run: _Run):
     csv_path = run.claim("reports", f"{args.name}_sobol.csv")
     txt_path = run.claim("reports", f"{args.name}_sobol.txt")
     net = load_model(args.model)
-    cfg = configio.load_sobol_config(args.config)
-    matrix = analysis.sobol_matrix(net, cfg.targets, cfg.inputs)
+    matrix = analysis.sobol_matrix(net, *configio.load_sobol_config(args.config))
     reports.write_sobol(csv_path, txt_path, matrix)
     print(f"wrote sobol matrix: {len(matrix.inputs)} inputs x {len(matrix.targets)} targets")
 
 
 def cmd_scenario(args, run: _Run):
     net = load_model(args.model)
-    cfg = configio.load_scenario_config(args.config)
-    csv_paths = {t: run.claim("reports", f"{args.name}_scenario_{t}.csv") for t in cfg.targets}
+    targets, scenarios = configio.load_scenario_config(args.config)
+    csv_paths = {t: run.claim("reports", f"{args.name}_scenario_{t}.csv") for t in targets}
     txt_path = run.claim("reports", f"{args.name}_scenario.txt")
-    svg_paths = [run.claim("reports", f"{args.name}_scenario_{t}.svg") for t in cfg.targets]
-    results = analysis.scenario_posteriors(net, cfg.scenarios, cfg.targets)
-    levels = {t: net.variable(t).levels for t in cfg.targets}
+    svg_paths = [run.claim("reports", f"{args.name}_scenario_{t}.svg") for t in targets]
+    results = analysis.scenario_posteriors(net, scenarios, targets)
+    levels = {t: net.variable(t).levels for t in targets}
     # all CSVs land before any SVG is attempted
     reports.write_scenarios(csv_paths, txt_path, levels, results)
-    for path, target in zip(svg_paths, cfg.targets):
+    for path, target in zip(svg_paths, targets):
         svg = charts.scenario_bars_svg(
             target,
             levels[target],
@@ -322,7 +321,7 @@ def cmd_scenario(args, run: _Run):
             [r.posteriors[target].distribution for r in results],
         )
         reports.write_text(path, svg)
-    print(f"wrote {len(cfg.scenarios)} scenarios x {len(cfg.targets)} targets")
+    print(f"wrote {len(scenarios)} scenarios x {len(targets)} targets")
 
 
 def cmd_sensitivity(args, run: _Run):
@@ -331,17 +330,15 @@ def cmd_sensitivity(args, run: _Run):
     dot_path = run.claim("reports", f"{args.name}_influence.dot")
     svg_path = run.claim("reports", f"{args.name}_tornado.svg")
     net = load_model(args.model)
-    cfg = configio.load_sensitivity_config(args.config)
-    run.extra = {"delta": cfg.delta}
-    event = (cfg.target_variable, cfg.target_state)
-    bars = analysis.tornado(net, event, delta=cfg.delta)
-    reports.write_tornado(csv_path, txt_path, bars, event, cfg.delta)
+    event, delta = configio.load_sensitivity_config(args.config)
+    run.extra = {"delta": delta}
+    bars = analysis.tornado(net, event, delta=delta)
+    reports.write_tornado(csv_path, txt_path, bars, event, delta)
     influence = analysis.node_influence(net, event)
     reports.write_text(
         dot_path, export_dot(net.dag, analysis.influence_colors(influence))
     )
-    svg = charts.tornado_svg(bars, f"{cfg.target_variable}={cfg.target_state}", cfg.delta)
-    reports.write_text(svg_path, svg)
+    reports.write_text(svg_path, charts.tornado_svg(bars, event, delta))
     print(f"wrote {len(bars)} tornado bars")
 
 

@@ -2,12 +2,14 @@
 
 Every config carries ``format`` and ``version`` headers. Validation failures
 raise MalformedFile with the file path and a dotted key position.
+The loaders define no types: each returns the arguments its command hands
+to the library, as plain tuples of the library's own types (``RecodeSpec``,
+``TabuConfig``, ``TierSpec``, ``ScenarioDef``), which check themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _yamlio
 from ._yamlio import _field, _known, _names
@@ -34,15 +36,9 @@ _POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
 _AUTO_NODES = (lambda v: v == "auto", "the tornado covers the ancestors; must be 'auto' or absent")
 
 
-@dataclass(frozen=True)
-class PrepConfig:
-    recode: RecodeSpec
-    missing_threshold: int
-    framing: str
-    models: dict  # "full", "risk" and/or "opportunity", in that order -> variable list
-
-
-def load_prep_config(path) -> PrepConfig:
+def load_prep_config(path):
+    """``(recode spec, missing_threshold, framing, models)``; ``models`` maps
+    "full", "risk" and/or "opportunity", in that order, to variable lists."""
     doc = _load_doc(path, "beliefnet-prep",
                     ("missing_threshold", "framing", "variables", "models"))
     entries = []
@@ -86,12 +82,8 @@ def load_prep_config(path) -> PrepConfig:
         spec = RecodeSpec(entries)
     except ValueError as exc:
         raise MalformedFile(path, "variables", str(exc)) from exc
-    return PrepConfig(
-        recode=spec,
-        missing_threshold=_field(doc, "missing_threshold", int, 50, _NONNEGATIVE, path=path),
-        framing=_field(doc, "framing", str, "DevelopAI", path=path),
-        models=models,
-    )
+    return (spec, _field(doc, "missing_threshold", int, 50, _NONNEGATIVE, path=path),
+            _field(doc, "framing", str, "DevelopAI", path=path), models)
 
 
 def load_theme_config(path) -> list:
@@ -124,16 +116,9 @@ def load_tier_config(path) -> TierSpec:
         raise MalformedFile(path, "tiers", str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class LearnConfig:
-    score: str
-    alpha: float
-    bootstrap: int
-    tabu: TabuConfig
-
-
-def load_learn_config(path) -> LearnConfig:
-    """The learn config at ``path``; every default when ``path`` is None."""
+def load_learn_config(path):
+    """``(score, alpha, bootstrap, TabuConfig)`` from the learn config at
+    ``path``; every default when ``path`` is None."""
     doc = {} if path is None else _load_doc(
         path, "beliefnet-learn", ("score", "alpha", "bootstrap", "tabu"))
     tabu_doc = _field(doc, "tabu", dict, {}, path=path)
@@ -145,20 +130,12 @@ def load_learn_config(path) -> LearnConfig:
     score = _field(doc, "score", str, "AIC", path=path).upper()
     if score not in SCORE_KINDS:
         raise MalformedFile(path, "score", f"unknown score {score!r}")
-    return LearnConfig(
-        score=score,
-        alpha=_field(doc, "alpha", float, 1.0, _POSITIVE, path=path),
-        bootstrap=_field(doc, "bootstrap", int, 2000, _POSITIVE, path=path),
-        tabu=TabuConfig(**tabu),
-    )
+    return (score, _field(doc, "alpha", float, 1.0, _POSITIVE, path=path),
+            _field(doc, "bootstrap", int, 2000, _POSITIVE, path=path), TabuConfig(**tabu))
 
 
-@dataclass(frozen=True)
-class QueryConfig:
-    tables: tuple  # (target, evidence variable list) pairs
-
-
-def load_query_config(path) -> QueryConfig:
+def load_query_config(path):
+    """The ``(target, evidence variables)`` pair of each table."""
     doc = _load_doc(path, "beliefnet-query", ("tables",))
     tables = []
     for i, entry in enumerate(_field(doc, "tables", list, path=path)):
@@ -172,30 +149,17 @@ def load_query_config(path) -> QueryConfig:
                 path, f"{where}evidence_variables", f"{repeated[0]!r} is listed twice"
             )
         tables.append((target, sweeps))
-    return QueryConfig(tuple(tables))
+    return tuple(tables)
 
 
-@dataclass(frozen=True)
-class SobolConfig:
-    targets: tuple
-    inputs: tuple
-
-
-def load_sobol_config(path) -> SobolConfig:
+def load_sobol_config(path):
+    """``(targets, inputs)``."""
     doc = _load_doc(path, "beliefnet-sobol", ("targets", "inputs"))
-    return SobolConfig(
-        targets=_names(doc, "targets", path=path),
-        inputs=_names(doc, "inputs", path=path),
-    )
+    return _names(doc, "targets", path=path), _names(doc, "inputs", path=path)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    targets: tuple
-    scenarios: tuple
-
-
-def load_scenario_config(path) -> ScenarioConfig:
+def load_scenario_config(path):
+    """``(targets, scenarios)``."""
     doc = _load_doc(path, "beliefnet-scenarios", ("targets", "scenarios"))
     scenarios = []
     for i, entry in enumerate(_field(doc, "scenarios", list, path=path)):
@@ -208,20 +172,12 @@ def load_scenario_config(path) -> ScenarioConfig:
                 raise MalformedFile(path, f"{where}evidence", f"expected a variable, got {k!r}")
         ev = {str(k): _field(ev_doc, k, str, path=path, where=f"{where}evidence.") for k in ev_doc}
         scenarios.append(ScenarioDef(name, ev))
-    return ScenarioConfig(
-        targets=_names(doc, "targets", path=path),
-        scenarios=tuple(scenarios),
-    )
+    return _names(doc, "targets", path=path), tuple(scenarios)
 
 
-@dataclass(frozen=True)
-class SensitivityConfig:
-    target_variable: str
-    target_state: str
-    delta: float
-
-
-def load_sensitivity_config(path) -> SensitivityConfig:
+def load_sensitivity_config(path):
+    """``((variable, state), delta)``: the event the tornado and the
+    influence shading share, and the perturbation size."""
     doc = _load_doc(path, "beliefnet-sensitivity", ("target", "nodes", "delta"))
     target = _field(doc, "target", dict, path=path)
     _known(target, ("variable", "state"), path=path, where="target.")
@@ -229,4 +185,4 @@ def load_sensitivity_config(path) -> SensitivityConfig:
     state = _field(target, "state", str, path=path, where="target.")
     _field(doc, "nodes", str, "auto", _AUTO_NODES, path=path)
     delta = _field(doc, "delta", float, 0.1, _POSITIVE, path=path)
-    return SensitivityConfig(variable, state, delta)
+    return (variable, state), delta

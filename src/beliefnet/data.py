@@ -62,9 +62,10 @@ def load_csv(path, required_columns=None) -> RawTable:
     """Read a UTF-8 CSV with a header row, preserving cell text verbatim.
 
     Text that is not UTF-8 or not CSV raises MalformedFile with the line of
-    the bad byte or of the record the reader could not finish; a record with
-    more or fewer cells than the header raises RaggedRow with the line it
-    starts on.
+    the bad byte or of the record the reader could not finish, and an empty
+    file or a header without a required column raises it at line 1; a
+    record with more or fewer cells than the header raises RaggedRow with
+    the line it starts on.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -84,11 +85,11 @@ def load_csv(path, required_columns=None) -> RawTable:
     except csv.Error as exc:
         raise MalformedFile(path, f"line {start}", str(exc)) from None
     if not rows:
-        raise MissingColumn("(empty file: no header row)")
+        raise MalformedFile(path, "line 1", "empty file: no header row")
     table = RawTable(rows[0], rows[1:])
     for name in required_columns or ():
         if name not in table.columns:
-            raise MissingColumn(name)
+            raise MalformedFile(path, "line 1", f"missing column {name!r}")
     return table
 
 
@@ -367,10 +368,13 @@ def load_datatable(csv_path, dict_path) -> DataTable:
     columns = []
     for var in variables:
         lookup = {label: i for i, label in enumerate(("",) + var.levels, MISSING)}
+        cells = raw.column(var.name)
         try:
-            columns.append(np.array([lookup[c] for c in raw.column(var.name)], dtype=np.int32))
+            columns.append(np.array([lookup[c] for c in cells], dtype=np.int32))
         except KeyError as exc:
-            raise UnknownLevel(var.name, exc.args[0]) from None
+            row = next(i for i, c in enumerate(cells, 1) if c not in lookup)
+            raise MalformedFile(csv_path, f"row {row}",
+                                f"variable {var.name!r} has no level {exc.args[0]!r}") from None
     codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
     return DataTable(variables, codes, source=_field(doc, "source", str, "", path=dict_path))
 

@@ -27,16 +27,6 @@ ROW_SUM_EXACT_TOL = 1e-12
 ROW_SUM_REPAIR_TOL = 1e-9
 
 
-def config_levels(cards, j):
-    """The parent levels of configuration ``j`` over ``cards``, decoded
-    mixed-radix with the first parent most significant."""
-    levels = [0] * len(cards)
-    for pos in range(len(cards) - 1, -1, -1):
-        levels[pos] = j % cards[pos]
-        j //= cards[pos]
-    return tuple(levels)
-
-
 @dataclass(frozen=True)
 class CategoricalVariable:
     """A named variable with an ordered, finite set of level labels.

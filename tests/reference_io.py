@@ -14,7 +14,7 @@ import numpy as np
 
 from beliefnet import _yamlio
 from beliefnet.data import MISSING, DataTable, load_csv
-from beliefnet.errors import UnknownLevel, UnmappedToken
+from beliefnet.errors import MalformedFile, UnmappedToken
 from beliefnet.model import Cpt, FittedNetwork
 from beliefnet.modelio import FORMAT_NAME, FORMAT_VERSION
 
@@ -114,7 +114,8 @@ def load_codes(csv_path, variables):
                 try:
                     codes[i, out_col] = lookup[cell]
                 except KeyError:
-                    raise UnknownLevel(var.name, cell) from None
+                    raise MalformedFile(csv_path, f"row {i + 1}",
+                                        f"variable {var.name!r} has no level {cell!r}") from None
     return codes
 
 

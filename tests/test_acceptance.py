@@ -17,6 +17,7 @@ import pytest
 import graphutil
 import oracles
 from conftest import record_acceptance
+from gesis import prep_learn_argv
 from graphutil import d_separated
 from netgen import random_evidence, random_net
 from oracles import joint_prob as joint_probability, score
@@ -471,22 +472,8 @@ def test_criterion_10_conditional_paper_reproduction(tmp_path):
     b = int(os.environ.get("BELIEFNET_GESIS_BOOTSTRAP", "200"))
     prep_cfg = os.environ.get("BELIEFNET_GESIS_PREP", "configs/gesis/prep.yaml")
     root = tmp_path / "gesis"
-    assert cli_main(
-        [
-            "prep", "--raw", path, "--recode", prep_cfg,
-            "--workspace", str(root), "--name", "gesis",
-        ]
-    ) == 0
-    assert cli_main(
-        [
-            "learn", "--data", str(root / "data" / "gesis_full.csv"),
-            "--dict", str(root / "data" / "gesis_full.dict.yaml"),
-            "--tiers", "configs/gesis/tiers.yaml",
-            "--config", "configs/gesis/learn.yaml", "--bootstrap", str(b),
-            "--seed", "20230626", "--workers", "2",
-            "--workspace", str(root), "--name", "full",
-        ]
-    ) == 0
+    for argv in prep_learn_argv(path, root, b, prep=prep_cfg):
+        assert cli_main(argv) == 0
     net = load_model(root / "models" / "full.bn.yaml")
     develop = posterior(net, "DevelopAI")
     aireg = posterior(net, "AIRegulations")

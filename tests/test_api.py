@@ -14,8 +14,8 @@ DELETED = {
     "inference": ("conditional_table", "fit_mle"),
     "reports": ("read_query_csv",),
     "learn": ("Constraints",),
-    "model": ("Evidence", "children_map", "config_index", "d_separated", "joint_probability",
-              "parameter_count"),
+    "model": ("Evidence", "children_map", "config_index", "config_levels", "d_separated",
+              "joint_probability", "parameter_count"),
     "scores": ("score",),
 }
 

@@ -100,6 +100,29 @@ class TestPrep:
         assert audit["raw_rows"] == 0
         assert all(t["rows"] == 0 for t in audit["tables"].values())
 
+    @pytest.mark.parametrize("fault, reason", [
+        ("empty", "empty file: no header row"),
+        ("no_sex", "missing column 'sex'"),
+    ])
+    def test_raw_csv_fault_exit_2_at_line_1_without_output(self, tmp_path, capsys, fault,
+                                                           reason):
+        raw = tmp_path / f"{fault}.csv"
+        if fault == "empty":
+            raw.write_bytes(b"")
+        else:  # the fixture survey without its first column, sex
+            with open(RAW, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][0] == "sex"
+            with open(raw, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(row[1:] for row in rows)
+        code = run(
+            "prep", "--raw", raw, "--recode", PREP, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "survey",
+        )
+        assert code == 2
+        assert f"beliefnet: error: {raw}: line 1: {reason}\n" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
     def test_bad_theme_member_names_column(self, tmp_path, capsys):
         bad = tmp_path / "themes.yaml"
         bad.write_text(
@@ -294,6 +317,23 @@ class TestLearn:
         err = capsys.readouterr().err
         assert f"beliefnet: error: {data}: row 5: 'Sex' is missing" in err
         assert list((tmp_path / "ws" / "models").iterdir()) == []
+
+    def test_unknown_label_exit_2_at_its_row_without_output(self, ws, tmp_path, capsys):
+        with open(ws / "data" / "survey_full.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[4][rows[0].index("Age")] = "Bogus"  # data row 4: the header is row 0
+        data = tmp_path / "bogus.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = run(
+            "learn", "--data", data, "--dict", ws / "data" / "survey_full.dict.yaml",
+            "--bootstrap", 1, "--seed", 3, "--workspace", tmp_path / "ws",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"beliefnet: error: {data}: row 4: variable 'Age' has no level 'Bogus'" in err
+        for directory in ("models", "strengths"):
+            assert list((tmp_path / "ws" / directory).iterdir()) == []
 
     @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
     def test_arc_list_config_refused_without_output(self, ws, tmp_path, capsys, key):

@@ -74,7 +74,7 @@ class TestLoadCsv:
     def test_missing_declared_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(MalformedFile, match=r"t\.csv: line 1: missing column 'zz'"):
             load_csv(p, required_columns=["a", "zz"])
 
     def test_cells_verbatim(self, tmp_path):
@@ -96,7 +96,7 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_bytes(b"")
-        with pytest.raises(MissingColumn, match="no header row"):
+        with pytest.raises(MalformedFile, match=r"t\.csv: line 1: .*no header row"):
             load_csv(p)
 
     def test_not_utf8_names_line(self, tmp_path):
@@ -489,11 +489,12 @@ class TestColumnWiseParity:
                     writer = csv.writer(fh, lineterminator="\n")
                     writer.writerow([v.name for v in variables])
                     writer.writerows(labels)
-                with pytest.raises(UnknownLevel) as want:
+                with pytest.raises(MalformedFile) as want:
                     reference_io.load_codes(a[0], variables)
-                with pytest.raises(UnknownLevel) as got:
+                with pytest.raises(MalformedFile) as got:
                     load_datatable(*a)
                 assert str(got.value) == str(want.value)
+                assert got.value.position == f"row {i + 1}"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())

@@ -16,6 +16,7 @@ from beliefnet.errors import (
     UnknownLevel,
     UnknownVariable,
 )
+from beliefnet.analysis import tornado
 from beliefnet.inference import posterior
 from beliefnet.model import (
     CategoricalVariable,
@@ -23,7 +24,6 @@ from beliefnet.model import (
     Dag,
     FittedNetwork,
     TierSpec,
-    config_levels,
     topological_order,
 )
 
@@ -254,14 +254,21 @@ class TestParameterCount:
 
 
 class TestConfigIndexing:
-    def test_round_trip(self):
-        cards = (3, 2, 4)
-        for j in range(24):
-            assert config_levels(cards, j) == np.unravel_index(j, cards)
-
     def test_first_parent_most_significant(self):
-        assert config_levels((3, 2), 2) == (1, 0)
-        assert config_levels((3, 2), 1) == (0, 1)
+        # a CPT row's configuration decodes mixed-radix over the parent cards
+        # (3, 2), as a tornado bar's label shows
+        a = CategoricalVariable("A", ("a0", "a1", "a2"))
+        b, c = binary("B"), binary("C")
+        rows = np.linspace(0.2, 0.7, 6)
+        net = make_net(
+            [a, b, c], {"A": (), "B": (), "C": ("A", "B")},
+            {"A": [[0.2, 0.3, 0.5]], "B": [[0.4, 0.6]],
+             "C": np.stack([rows, 1 - rows], axis=1)},
+        )
+        labels = {(bar.param.config, bar.param.state): bar.label
+                  for bar in tornado(net, ("C", "yes"), nodes=["C"])}
+        assert labels[2, 0] == "P(C=no | A=a1, B=no)"
+        assert labels[1, 0] == "P(C=no | A=a0, B=yes)"
 
 
 class TestCpt:

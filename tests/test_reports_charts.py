@@ -203,16 +203,16 @@ class TestSvg:
 
     def test_tornado_svg_well_formed_and_capped(self):
         bars = fake_bars(60)
-        svg = tornado_svg(bars, "X=s0", 0.1)
+        svg = tornado_svg(bars, ("X", "s0"), 0.1)
         root = ET.fromstring(svg)
         assert "top 40 of 60" in svg
         assert root.tag.endswith("svg")
 
     def test_tornado_colors_by_direction(self):
-        svg = tornado_svg(fake_bars(2), "X=s0", 0.1)
+        svg = tornado_svg(fake_bars(2), ("X", "s0"), 0.1)
         assert "#55a868" in svg  # increase
         assert "#c44e52" in svg  # decrease
 
     def test_deterministic(self):
         bars = fake_bars(4)
-        assert tornado_svg(bars, "X=s0", 0.1) == tornado_svg(bars, "X=s0", 0.1)
+        assert tornado_svg(bars, ("X", "s0"), 0.1) == tornado_svg(bars, ("X", "s0"), 0.1)

@@ -209,7 +209,7 @@ def test_pure_fallback_serves_model_config_and_dictionary(monkeypatch, tmp_path)
     monkeypatch.setattr(_CountingDumper, "made", 0)
     net = random_net(np.random.default_rng(3), 6)
     assert same(deserialize(serialize(net)), net)
-    assert load_learn_config("fixtures/learn_fast.yaml").bootstrap == 200
+    assert load_learn_config("fixtures/learn_fast.yaml")[2] == 200
     data = sample(net, 20, seed=4)
     save_datatable(data, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
     back = load_datatable(tmp_path / "t.csv", tmp_path / "t.dict.yaml")
