@@ -21,7 +21,8 @@ Three instruments:
   of P(event, evidence) and P(evidence). Parameters outside the ancestral
   closure of the event and the evidence give exact zeros. Tornado bars
   record the P-shift at theta +/- delta from perturbed copies of the
-  network, computing the unperturbed P(event) once.
+  network, computing the unperturbed P(event) once; every copy has the
+  same DAG, so all of them share its min-fill elimination order.
 
 Every instrument runs serially in the calling process.
 """
@@ -189,7 +190,7 @@ def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
     return results
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CptParameterId:
     """One CPT entry: (variable, parent configuration j, state k), 0-based."""
 
@@ -224,11 +225,6 @@ def perturb_parameter(net: FittedNetwork, param: CptParameterId, value: float) -
     row[param.state] = value
     table[param.config] = row
     return net.with_cpt(Cpt(param.variable, cpt.parent_order, table))
-
-
-def _event_probability(net, event):
-    variable, level = event
-    return posterior(net, variable)[level]
 
 
 def _gradient(net, name, ev_levels):
@@ -294,7 +290,7 @@ def sensitivity_slope(
     return math.exp(scale - ev_scale) * (slope - p * ev_slope / p_ev) / p_ev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedShift:
     """Effect of moving one parameter in one direction."""
 
@@ -303,7 +299,7 @@ class DirectedShift:
     shift: float  # signed change in P(event)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TornadoBar:
     param: CptParameterId
     label: str
@@ -336,7 +332,8 @@ def _node_params(net, name):
             yield CptParameterId(name, j, k)
 
 
-def _make_bar(net, event, param, delta, p0):
+def _make_bar(net, event, param, delta, p0, order):
+    variable, level = event
     cpt = net.cpts[param.variable]
     theta = float(cpt.table[param.config, param.state])
     if 1.0 - theta == 0.0:
@@ -346,12 +343,12 @@ def _make_bar(net, event, param, delta, p0):
         return TornadoBar(param, _param_label(net, param), up, down)
     d_up = min(delta, 1.0 - theta)
     d_down = min(delta, theta)
-    shift_up = _event_probability(perturb_parameter(net, param, theta + d_up), event) - p0
-    shift_down = (
-        _event_probability(perturb_parameter(net, param, theta - d_down), event) - p0
-        if d_down > 0.0
-        else 0.0
-    )
+
+    def shift(value):  # a perturbed copy has the same DAG, so the same min-fill order
+        return posterior(perturb_parameter(net, param, value), variable, order=order)[level] - p0
+
+    shift_up = shift(theta + d_up)
+    shift_down = shift(theta - d_down) if d_down > 0.0 else 0.0
     return TornadoBar(
         param,
         _param_label(net, param),
@@ -376,9 +373,10 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
         ancestors = net.dag.ancestors(variable)
         nodes = [n for n in net.dag.nodes if n in ancestors]
     _distinct_variables(net, nodes, "node")
-    p0 = _event_probability(net, event)
+    base = posterior(net, variable)
+    p0, order = base[level], base.elimination_order
     bars = [
-        _make_bar(net, event, p, delta, p0)
+        _make_bar(net, event, p, delta, p0, order)
         for name in nodes
         for p in _node_params(net, name)
     ]

@@ -30,7 +30,7 @@ from .data import (
     save_datatable,
     split_population,
 )
-from .errors import BeliefnetError, MalformedFile, WorkspaceError
+from .errors import BeliefnetError, MalformedFile, UnmappedToken, WorkspaceError
 from .inference import fit_bayes, posterior
 from .learn import (
     averaged_network,
@@ -166,7 +166,11 @@ def cmd_prep(args, run: _Run):
                                 f"{theme.name!r} is already a column of the table")
         columns.add(theme.name)
     raw = load_csv(args.raw, required_columns=[v.source for v in spec.variables])
-    table = recode(raw, spec)
+    try:
+        table = recode(raw, spec)
+    except UnmappedToken as exc:  # name the raw file and the first row holding the token
+        tokens = raw.column(next(v.source for v in spec.variables if v.name == exc.variable))
+        raise MalformedFile(args.raw, f"row {tokens.index(exc.token) + 1}", str(exc)) from None
     audit = {"raw_rows": raw.n_rows, "recoded_rows": table.n_rows}
 
     collapsed = {}

@@ -1,15 +1,21 @@
 """Sobol decomposition, scenario reasoning, and CPT sensitivity."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 import oracles
 from graphutil import d_separated
 from netgen import random_evidence, random_net, window_dag
-from beliefnet import analysis
+from beliefnet import analysis, inference
 from beliefnet.analysis import (
     CptParameterId,
+    DirectedShift,
     ScenarioDef,
+    TornadoBar,
     influence_colors,
     node_influence,
     perturb_parameter,
@@ -373,9 +379,9 @@ class TestPerturbParameter:
             perturb_parameter(copy_net(), CptParameterId("X", 0, 0), value)
 
 
-def zeroed_net(rng, n_nodes):
+def zeroed_net(rng, n_nodes, dag=None):
     """A random net whose CPTs hold theta = 0 entries and saturated rows."""
-    net = random_net(rng, n_nodes)
+    net = random_net(rng, n_nodes, dag=dag)
     cpts = {}
     for name, cpt in net.cpts.items():
         table = np.array(cpt.table)
@@ -601,6 +607,40 @@ class TestTornado:
         node_influence(net, event)
         assert calls["n"] <= n_params + 1
 
+    def test_one_min_fill_search_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(scopes, hidden):
+            calls.append(hidden)
+            return min_fill(scopes, hidden)
+
+        min_fill = inference._min_fill_order
+        monkeypatch.setattr(inference, "_min_fill_order", counting)
+        bars = tornado(chain_xmy(), ("Y", "y1"))
+        assert len(bars) == 8  # 17 posteriors in all
+        assert len(calls) == 1
+
+    def test_shared_order_matches_a_search_per_copy(self):
+        """Bars equal, float for float, those of a reference that runs its own
+        min-fill search on every perturbed copy."""
+        rng = np.random.default_rng(29)
+        zeros = saturated = 0
+        for case in range(24):
+            n = int(rng.integers(4, 9))
+            dag = window_dag(rng, n, window=4, max_parents=3) if case % 3 else None
+            net = zeroed_net(rng, n, dag)
+            t_var = net.variables[-1] if dag else net.variables[int(rng.integers(n))]
+            event = (t_var.name, t_var.levels[int(rng.integers(t_var.r))])
+            delta = (0.05, 0.1, 0.3)[case % 3]
+            bars = tornado(net, event, delta=delta)
+            assert bars == reference_tornado(net, event, delta)
+            tables = [net.cpts[b.param.variable].table for b in bars]
+            zeros += sum(float(t[b.param.config, b.param.state]) == 0.0
+                         for t, b in zip(tables, bars))
+            saturated += sum(float(t[b.param.config, b.param.state]) == 1.0
+                             for t, b in zip(tables, bars))
+        assert zeros > 0 and saturated > 0
+
     def test_bars_cover_every_parameter_once(self):
         net = chain_xmy()
         bars = tornado(net, ("Y", "y1"))
@@ -610,6 +650,66 @@ class TestTornado:
             net.cpts[n].q * net.cpts[n].r for n in ("X", "M")
         )
         assert len(params) == expected
+
+
+def reference_tornado(net, event, delta):
+    """Tornado bars with one posterior per side on a fully built perturbed copy,
+    each with its own min-fill search; sorted as ``tornado`` sorts."""
+    variable, level = event
+    p0 = posterior(net, variable)[level]
+
+    def shift(param, value):
+        moved = perturb_parameter(net, param, value)
+        moved = FittedNetwork(moved.variables, moved.dag, moved.cpts)  # every CPT checked
+        return posterior(moved, variable)[level] - p0
+
+    bars = []
+    ancestors = net.dag.ancestors(variable)
+    for name in (n for n in net.dag.nodes if n in ancestors):
+        table = net.cpts[name].table
+        for j, k in np.ndindex(table.shape):
+            param, theta = CptParameterId(name, j, k), float(table[j, k])
+            up = 0.0 if theta == 1.0 else min(delta, 1.0 - theta)  # saturated: a zero bar
+            down = 0.0 if theta == 1.0 else min(delta, theta)
+            bars.append(TornadoBar(
+                param, analysis._param_label(net, param),
+                DirectedShift("increase", up, shift(param, theta + up) if up else 0.0),
+                DirectedShift("decrease", down, shift(param, theta - down) if down else 0.0),
+            ))
+    bars.sort(key=lambda bar: (-bar.magnitude, bar.param))
+    return bars
+
+
+SLOTTED = [
+    CptParameterId("X", 1, 0),
+    DirectedShift("increase", 0.1, -0.025),
+    TornadoBar(CptParameterId("X", 1, 0), "P(X=x0 | M=m1)",
+               DirectedShift("increase", 0.1, -0.025), DirectedShift("decrease", 0.05, 0.0125)),
+]
+
+
+class TestSlottedTypes:
+    @pytest.mark.parametrize("obj", SLOTTED, ids=lambda o: type(o).__name__)
+    def test_no_dict_frozen_and_round_trips(self, obj):
+        assert not hasattr(obj, "__dict__")
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(back) is type(obj)
+            assert back == obj
+            assert hash(back) == hash(obj)
+
+    def test_equality_order_and_hash_by_fields(self):
+        ids = [CptParameterId("Y", 0, 0), CptParameterId("X", 1, 0), CptParameterId("X", 0, 1)]
+        assert sorted(ids) == [ids[2], ids[1], ids[0]]
+        assert CptParameterId("X", 1, 0) == ids[1]
+        assert hash(ids[1]) == hash(("X", 1, 0))
+        assert {ids[1]: "a"}[CptParameterId("X", 1, 0)] == "a"
+        bar = SLOTTED[2]
+        assert bar.magnitude == 0.025
+        assert dataclasses.replace(bar, label="L") != bar
+        assert hash(bar) == hash(tuple(getattr(bar, f.name) for f in dataclasses.fields(bar)))
 
 
 class TestNodeInfluence:

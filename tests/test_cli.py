@@ -123,6 +123,23 @@ class TestPrep:
         assert f"beliefnet: error: {raw}: line 1: {reason}\n" in capsys.readouterr().err
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
+    def test_unmapped_token_names_file_and_row_without_output(self, tmp_path, capsys):
+        with open(RAW, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "sex"
+        rows[3][0] = "7"  # the third data row; the strict sex map has no 7
+        raw = tmp_path / "survey.csv"
+        with open(raw, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = run(
+            "prep", "--raw", raw, "--recode", PREP, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "survey",
+        )
+        assert code == 2
+        assert (f"beliefnet: error: {raw}: row 3: variable 'Sex': unmapped token '7'\n"
+                in capsys.readouterr().err)
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
     def test_bad_theme_member_names_column(self, tmp_path, capsys):
         bad = tmp_path / "themes.yaml"
         bad.write_text(

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from beliefnet import errors
+from beliefnet.analysis import CptParameterId
 from beliefnet.errors import BeliefnetError
 
 # constructor arguments for each error type; a new type needs an entry here
@@ -23,7 +24,7 @@ EXAMPLES = {
     "EmptyStrengths": (),
     "ZeroProbabilityEvidence": ({"A": "a0"}, 0.0, "lockdown"),
     "DegenerateTarget": ("Age",),
-    "SaturatedParameter": (("X", "x1", ("u",)),),
+    "SaturatedParameter": (CptParameterId("X", 0, 1),),
     "BootstrapError": (3, errors.UnknownLevel("Age", "old")),
     "InvalidQuery": ("target is evidence",),
     "WorkspaceError": ("workspace is locked",),

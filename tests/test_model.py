@@ -346,6 +346,33 @@ class TestFittedNetwork:
         assert other.cpts["A"].table[0, 1] == 0.9
         assert net.cpts["A"].table[0, 1] == 0.5
 
+    @pytest.mark.parametrize("cpt", [
+        Cpt("D", (), [[0.5, 0.5]]),  # no such node
+        Cpt("C", ("B", "A"), np.full((4, 2), 0.5)),  # parents out of DAG order
+        Cpt("C", ("A", "B"), np.full((2, 2), 0.5)),  # needs q=4 rows
+        Cpt("A", (), [[0.2, 0.3, 0.5]]),  # A has 2 levels, not 3
+    ], ids=["unknown-node", "parent-order", "rows", "levels"])
+    def test_with_cpt_refuses_what_the_constructor_refuses(self, cpt):
+        net = make_net([binary(n) for n in "ABC"], {"C": ("A", "B")},
+                       {"A": [[0.5, 0.5]], "B": [[0.5, 0.5]], "C": np.full((4, 2), 0.5)})
+        with pytest.raises(ValueError):
+            net.with_cpt(cpt)
+        with pytest.raises(ValueError):
+            FittedNetwork(net.variables, net.dag, {**net.cpts, cpt.variable: cpt})
+
+    def test_with_cpt_shares_untouched_cpts_and_copies_metadata(self):
+        net = make_net([binary("A"), binary("B")], {"B": ("A",)},
+                       {"A": [[0.5, 0.5]], "B": [[0.9, 0.1], [0.2, 0.8]]})
+        net.metadata["method"] = "bayes"
+        other = net.with_cpt(Cpt("B", ("A",), [[0.6, 0.4], [0.2, 0.8]]))
+        assert other.cpts["A"] is net.cpts["A"]
+        assert other.cpts["B"] is not net.cpts["B"]
+        assert other.family_cards == net.family_cards
+        assert net.cpts["B"].table[0, 0] == 0.9  # the source keeps its own dicts
+        other.metadata["n_rows"] = 5  # as cmd_learn updates a network's metadata in place
+        assert net.metadata == {"method": "bayes"}
+        assert other.metadata == {"method": "bayes", "n_rows": 5}
+
 
 class TestEvidence:
     def test_validate(self):
