@@ -16,6 +16,7 @@ from .analysis import (
     TornadoBar,
     influence_colors,
     node_influence,
+    param_label,
     perturb_parameter,
     scenario_posteriors,
     sensitivity_slope,
@@ -75,10 +76,11 @@ __all__ = [
     "bootstrap_strengths", "collapse_rare", "deserialize", "drop_incomplete",
     "export_dot", "fit_bayes", "group_themes", "influence_colors",
     "l1_threshold", "load", "load_csv", "load_datatable", "node_influence",
-    "optimal_threshold", "perturb_parameter", "posterior", "recode", "sample",
-    "save", "save_datatable", "scenario_posteriors", "sensitivity_slope",
-    "serialize", "sobol_first_order", "sobol_matrix", "split_population",
-    "tabu_search", "tiers_to_blacklist", "topological_order", "tornado",
+    "optimal_threshold", "param_label", "perturb_parameter", "posterior",
+    "recode", "sample", "save", "save_datatable", "scenario_posteriors",
+    "sensitivity_slope", "serialize", "sobol_first_order", "sobol_matrix",
+    "split_population", "tabu_search", "tiers_to_blacklist",
+    "topological_order", "tornado",
 ]
 
 __version__ = "0.1.0"

@@ -20,9 +20,11 @@ Three instruments:
   slopes are exact; with evidence, the quotient rule combines the gradients
   of P(event, evidence) and P(evidence). Parameters outside the ancestral
   closure of the event and the evidence give exact zeros. Tornado bars
-  record the P-shift at theta +/- delta from perturbed copies of the
-  network, computing the unperturbed P(event) once; every copy has the
-  same DAG, so all of them share its min-fill elimination order.
+  record the P-shift at theta +/- delta: one elimination of P(event) is
+  recorded, and each side replays it with the co-varied CPT factor, which
+  recomputes only the steps that factor reaches. No perturbed network or
+  ``Cpt`` is built; only the moved row is checked, by ``Cpt``'s rule, and a
+  row that rule would renormalize goes through a full ``Cpt``.
 
 Every instrument runs serially in the calling process.
 """
@@ -40,8 +42,8 @@ from .errors import (
     SaturatedParameter,
     ZeroProbabilityEvidence,
 )
-from .model import Cpt, FittedNetwork
-from .inference import _eliminate, _evidence_levels, posterior
+from .model import Cpt, FittedNetwork, check_rows
+from .inference import Factor, _eliminate, _evidence_levels, posterior
 
 
 def _distinct_variables(net, names, role):
@@ -220,11 +222,23 @@ def perturb_parameter(net: FittedNetwork, param: CptParameterId, value: float) -
         raise SaturatedParameter(param)
     if not 0.0 <= value <= 1.0:
         raise ValueError("perturbed value must lie in [0, 1]")
+    return net.with_cpt(Cpt(param.variable, cpt.parent_order, _covaried(cpt, param, value)))
+
+
+def _covaried(cpt, param, value):
+    """``cpt``'s table with ``param`` set to ``value`` and the rest of its row
+    scaled by (1 - value) / (1 - theta). Only that row is checked, by the rule
+    ``Cpt`` applies: a row it would renormalize goes through a full ``Cpt``
+    (which warns), and a row it would refuse raises SaturatedParameter."""
     table = np.array(cpt.table)
-    row = table[param.config] * ((1.0 - value) / (1.0 - theta))
+    row = table[param.config]
+    row *= (1.0 - value) / (1.0 - row[param.state])
     row[param.state] = value
-    table[param.config] = row
-    return net.with_cpt(Cpt(param.variable, cpt.parent_order, table))
+    try:
+        repair = check_rows(param.variable, table[param.config:param.config + 1])[1]
+    except ValueError:
+        raise SaturatedParameter(param) from None
+    return Cpt(param.variable, cpt.parent_order, table).table if repair[0] else table
 
 
 def _gradient(net, name, ev_levels):
@@ -299,19 +313,42 @@ class DirectedShift:
     shift: float  # signed change in P(event)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TornadoBar:
+    """One parameter's clipped moves up and down and the P(event) shift of
+    each. ``increase`` and ``decrease`` give a side as a ``DirectedShift``;
+    a side passed so (as ``dataclasses.replace`` may) sets its two fields."""
+
     param: CptParameterId
-    label: str
-    increase: DirectedShift
-    decrease: DirectedShift
+    up_delta: float
+    up_shift: float
+    down_delta: float
+    down_shift: float
+
+    def __init__(self, param, up_delta, up_shift, down_delta, down_shift, *,
+                 increase=None, decrease=None):
+        if increase is not None:
+            up_delta, up_shift = increase.delta, increase.shift
+        if decrease is not None:
+            down_delta, down_shift = decrease.delta, decrease.shift
+        for name, value in zip(self.__slots__, (param, up_delta, up_shift, down_delta, down_shift)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def increase(self) -> DirectedShift:
+        return DirectedShift("increase", self.up_delta, self.up_shift)
+
+    @property
+    def decrease(self) -> DirectedShift:
+        return DirectedShift("decrease", self.down_delta, self.down_shift)
 
     @property
     def magnitude(self) -> float:
-        return max(abs(self.increase.shift), abs(self.decrease.shift))
+        return max(abs(self.up_shift), abs(self.down_shift))
 
 
-def _param_label(net, param: CptParameterId) -> str:
+def param_label(net, param: CptParameterId) -> str:
+    """``param`` as the entry it names, e.g. ``P(C=no | A=a1, B=no)``."""
     var = net.variable(param.variable)
     cpt = net.cpts[param.variable]
     cards = net.parent_cards(param.variable)
@@ -332,29 +369,23 @@ def _node_params(net, name):
             yield CptParameterId(name, j, k)
 
 
-def _make_bar(net, event, param, delta, p0, order):
-    variable, level = event
+def _make_bar(net, record, index, p0, param, delta):
     cpt = net.cpts[param.variable]
     theta = float(cpt.table[param.config, param.state])
     if 1.0 - theta == 0.0:
         # saturated row: co-variation undefined, recorded as a zero bar
-        up = DirectedShift("increase", 0.0, 0.0)
-        down = DirectedShift("decrease", 0.0, 0.0)
-        return TornadoBar(param, _param_label(net, param), up, down)
+        return TornadoBar(param, 0.0, 0.0, 0.0, 0.0)
     d_up = min(delta, 1.0 - theta)
     d_down = min(delta, theta)
 
-    def shift(value):  # a perturbed copy has the same DAG, so the same min-fill order
-        return posterior(perturb_parameter(net, param, value), variable, order=order)[level] - p0
+    def shift(value):
+        factor = Factor.from_cpt(net, param.variable, _covaried(cpt, param, value))
+        values = record.replay(param.variable, factor)[0].values
+        return float(values[index] / values.sum()) - p0
 
     shift_up = shift(theta + d_up)
     shift_down = shift(theta - d_down) if d_down > 0.0 else 0.0
-    return TornadoBar(
-        param,
-        _param_label(net, param),
-        DirectedShift("increase", d_up, shift_up),
-        DirectedShift("decrease", d_down, shift_down),
-    )
+    return TornadoBar(param, d_up, shift_up, d_down, shift_down)
 
 
 def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
@@ -363,22 +394,24 @@ def tornado(net: FittedNetwork, event, nodes=None, delta: float = 0.1) -> list:
     ``nodes`` defaults to the ancestors of the event variable. Each bar holds
     the P(event) shift at theta + delta and theta - delta (deltas clipped so
     the entry stays in [0, 1]); bars sort by max absolute shift, descending,
-    ties by parameter id. A node listed twice raises InvalidQuery.
+    ties by parameter id. A node listed twice raises InvalidQuery, and an
+    entry whose row does not co-vary (the rest of it is not 1 - theta)
+    raises SaturatedParameter.
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
     variable, level = event
-    net.variable(variable).level_index(level)
+    index = net.variable(variable).level_index(level)
     if nodes is None:
         ancestors = net.dag.ancestors(variable)
         nodes = [n for n in net.dag.nodes if n in ancestors]
     _distinct_variables(net, nodes, "node")
-    base = posterior(net, variable)
-    p0, order = base[level], base.elimination_order
+    base, _, record = _eliminate(net, (variable,), {})
+    p0 = float(base[index] / base.sum())  # as ``posterior`` gives it
     bars = [
-        _make_bar(net, event, p, delta, p0, order)
+        _make_bar(net, record, index, p0, param, delta)
         for name in nodes
-        for p in _node_params(net, name)
+        for param in _node_params(net, name)
     ]
     bars.sort(key=lambda bar: (-bar.magnitude, bar.param))
     return bars

@@ -131,9 +131,9 @@ def scenario_bars_svg(target, levels, scenario_names, probabilities) -> str:
     return _render(root)
 
 
-def tornado_svg(bars, event, delta) -> str:
-    """Horizontal tornado for the ``(variable, state)`` event: per bar,
-    green = increase shift, red = decrease.
+def tornado_svg(bars, labels, event, delta) -> str:
+    """Horizontal tornado for the ``(variable, state)`` event: per bar, under
+    its label (one per bar), green = increase shift, red = decrease.
 
     ``bars`` come pre-sorted by magnitude (the tornado() contract); shifts
     are signed P(event) changes drawn from a common zero axis. Only the top
@@ -141,10 +141,10 @@ def tornado_svg(bars, event, delta) -> str:
     """
     bars = list(bars)
     total = len(bars)
-    bars = bars[:MAX_BARS]
+    bars, labels = bars[:MAX_BARS], list(labels)[:MAX_BARS]
     row_h = 20
     margin_t, margin_b = 56, 30
-    label_w = 16 + 7 * max((len(b.label) for b in bars), default=10)
+    label_w = 16 + 7 * max((len(label) for label in labels), default=10)
     plot_w = 360
     width = label_w + plot_w + 40
     height = margin_t + row_h * len(bars) + margin_b
@@ -175,13 +175,10 @@ def tornado_svg(bars, event, delta) -> str:
         anchor="end",
     )
 
-    for i, bar in enumerate(bars):
+    for i, (bar, label) in enumerate(zip(bars, labels)):
         y = margin_t + i * row_h
-        _text(root, label_w - 6, y + 12, bar.label, size=9, anchor="end")
-        for shift, color, lane in (
-            (bar.increase.shift, GREEN, 0),
-            (bar.decrease.shift, RED, 1),
-        ):
+        _text(root, label_w - 6, y + 12, label, size=9, anchor="end")
+        for shift, color, lane in ((bar.up_shift, GREEN, 0), (bar.down_shift, RED, 1)):
             w = dx(shift)
             x = x_zero + min(w, 0.0)
             _rect(root, x, y + 2 + lane * 8, abs(w), 6, color)

@@ -337,12 +337,13 @@ def cmd_sensitivity(args, run: _Run):
     event, delta = configio.load_sensitivity_config(args.config)
     run.extra = {"delta": delta}
     bars = analysis.tornado(net, event, delta=delta)
-    reports.write_tornado(csv_path, txt_path, bars, event, delta)
+    labels = [analysis.param_label(net, bar.param) for bar in bars]
+    reports.write_tornado(csv_path, txt_path, bars, labels, event, delta)
     influence = analysis.node_influence(net, event)
     reports.write_text(
         dot_path, export_dot(net.dag, analysis.influence_colors(influence))
     )
-    reports.write_text(svg_path, charts.tornado_svg(bars, event, delta))
+    reports.write_text(svg_path, charts.tornado_svg(bars, labels, event, delta))
     print(f"wrote {len(bars)} tornado bars")
 
 

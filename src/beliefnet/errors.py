@@ -122,12 +122,13 @@ class DegenerateTarget(BeliefnetError):
 
 
 class SaturatedParameter(BeliefnetError):
-    """A CPT entry equal to 1 cannot be co-varied: the rest of its row is zero."""
+    """A CPT entry that cannot be co-varied: the rest of its row does not sum
+    to 1 - theta (an entry equal to 1 leaves nothing to scale)."""
 
     def __init__(self, param):
         self.param = param
         super().__init__(
-            f"parameter {param} equals 1 with an otherwise-zero row; "
+            f"parameter {param}: the rest of its row does not sum to 1 - theta; "
             "proportional co-variation is undefined"
         )
 

@@ -9,7 +9,12 @@ closure of the target and the evidence), reduce the remaining CPT factors by
 the evidence, and eliminate hidden variables along a min-fill ordering. The
 same elimination, ``_eliminate``, can keep several variables (a joint
 marginal) and leave one CPT out of the product (a CPT gradient); the
-analysis module builds Sobol indices and sensitivity slopes on it.
+analysis module builds Sobol indices and sensitivity slopes on it. It plans
+its steps on the factor scopes, then runs them, and returns the record of
+the run (``Elimination``): each step's input slots, its factor and its log
+term. A replay with one CPT factor replaced reruns only the steps on that
+factor's path, the rest reused as they are, so it gives bit for bit what a
+fresh elimination of the changed network would; tornado bars are replays.
 Factors are renormalized as they are produced, and so is the running product
 of the factors left at the end, accumulating the log scale, so the evidence
 probability survives underflow: QueryResult carries log P(evidence) exactly,
@@ -50,10 +55,10 @@ class Factor:
         self.scope, self.cards, self.values = scope, cards, values
 
     @staticmethod
-    def from_cpt(net: FittedNetwork, name: str) -> "Factor":
-        cpt = net.cpts[name]
+    def from_cpt(net: FittedNetwork, name: str, table) -> "Factor":
+        """``name``'s CPT factor holding ``table``, a (q, r) array."""
         cards = net.family_cards[name]
-        return Factor(cpt.parent_order + (name,), cards, cpt.table.reshape(cards))
+        return Factor(net.cpts[name].parent_order + (name,), cards, table.reshape(cards))
 
     def reduce(self, evidence_levels: dict) -> "Factor":
         """Select the observed level on every evidence axis in scope."""
@@ -153,6 +158,51 @@ class QueryResult:
         return float(self.distribution[self.levels.index(level)])
 
 
+class Elimination:
+    """One elimination's record, replayable with one CPT factor replaced.
+
+    Slots 0..n-1 hold the reduced CPT factors of ``names``; step i
+    multiplies its input slots in order, sums out its variable (None in the
+    final product), divides out the total, whose log is its term, and fills
+    slot n + i. Every slot is read once at most, so a slot reaches one path of
+    steps. ``factors`` and ``terms`` hold the baseline's, arrays read-only."""
+
+    def __init__(self, order, names, factors, steps, result):
+        self.order, self.names, self.steps, self.result = tuple(order), names, steps, result
+        self.factors, self.terms = factors + [None] * len(steps), [0.0] * len(steps)
+
+    def run(self, factors, terms, dirty=None):
+        """Fill in ``factors`` (one per slot) and ``terms`` (one per step) by
+        running the steps, or given a ``dirty`` slot only those on its path.
+        Returns the result factor and the log scale, the terms' sum in order."""
+        n, log_scale = len(self.names), 0.0
+        for i, (inputs, name) in enumerate(self.steps):
+            if dirty is None or dirty in inputs:
+                dirty = None if dirty is None else n + i
+                prod = factors[inputs[0]]
+                for s in inputs[1:]:
+                    prod = prod.multiply(factors[s])
+                if name is not None:
+                    prod = prod.sum_out(name)
+                total, term = float(prod.values.sum()), 0.0
+                if total > 0.0:
+                    prod.values /= total  # a fresh array, not a CPT view
+                    term = math.log(total)
+                prod.values.setflags(write=False)  # a no-op on a numpy scalar
+                factors[n + i], terms[i] = prod, term
+            log_scale += terms[i]
+        return Factor((), (), np.ones(())) if self.result is None else factors[self.result], log_scale
+
+    def replay(self, name, factor):
+        """``run`` with ``factor`` in place of ``name``'s CPT slot, if the
+        elimination reads it: only the steps on that slot's path recompute."""
+        factors, dirty = list(self.factors), -1
+        if name in self.names:
+            dirty = self.names.index(name)
+            factors[dirty] = factor
+        return self.run(factors, list(self.terms), dirty)
+
+
 def _eliminate(net, keep, ev_levels, order=None, without=None):
     """Variable elimination down to the variables ``keep``.
 
@@ -162,14 +212,11 @@ def _eliminate(net, keep, ev_levels, order=None, without=None):
     variables along ``order`` (min-fill by default). Returns the product of
     the remaining factors as an array with one axis per variable of ``keep``
     (of length 1 for a kept variable no factor holds), the log of the scale
-    divided out of it, and the elimination order.
+    divided out of it, and the ``Elimination`` record of the run.
     """
     relevant = net.dag.ancestral_closure([*keep, *ev_levels])
-    factors = [
-        Factor.from_cpt(net, name).reduce(ev_levels)
-        for name in net.dag.nodes
-        if name in relevant and name != without
-    ]
+    names = [n for n in net.dag.nodes if n in relevant and n != without]
+    factors = [Factor.from_cpt(net, n, net.cpts[n].table).reduce(ev_levels) for n in names]
     hidden = relevant - set(keep) - set(ev_levels)
     if order is None:
         order = _min_fill_order([f.scope for f in factors], hidden)
@@ -180,31 +227,27 @@ def _eliminate(net, keep, ev_levels, order=None, without=None):
                 "elimination order must cover the hidden variables exactly once"
             )
 
-    log_scale = 0.0
+    # plan on the scopes: eliminating a variable multiplies the live factors
+    # holding it; the rest (over kept variables, and the scalars of reduced
+    # evidence roots) multiply into one, renormalized as it grows and past a
+    # structural zero too, so every kept axis is present
+    n = len(factors)
+    scopes, live, steps = [f.scope for f in factors], list(range(n)), []
     for name in order:
-        related = [f for f in factors if name in f.scope]
-        prod = related[0]
-        for f in related[1:]:
-            prod = prod.multiply(f)
-        summed = prod.sum_out(name)
-        total = float(summed.values.sum())
-        if total > 0.0:
-            summed.values /= total  # a fresh array, not a CPT view
-            log_scale += math.log(total)
-        factors = [f for f in factors if name not in f.scope] + [summed]
-
-    # left: factors over kept variables and the scalar factors of reduced
-    # evidence roots; renormalize their running product as it grows, and keep
-    # multiplying past a structural zero so every kept axis is present
-    final = factors[0] if factors else Factor((), (), np.ones(()))
-    for f in factors[1:]:
-        final = final.multiply(f)
-        total = float(final.values.sum())
-        if total > 0.0:
-            final.values /= total  # a fresh array, not a CPT view
-            log_scale += math.log(total)
+        related, rest = [], []
+        for s in live:
+            (related if name in scopes[s] else rest).append(s)
+        live = rest + [len(scopes)]
+        scopes.append({v for s in related for v in scopes[s] if v != name})
+        steps.append((related, name))
+    result = live[0] if live else None
+    for s in live[1:]:
+        steps.append(((result, s), None))
+        result = n + len(steps) - 1
+    record = Elimination(order, names, factors, steps, result)
+    final, log_scale = record.run(record.factors, record.terms)
     cards = tuple(net.variable(v).r for v in keep)
-    return final._aligned(keep, cards), log_scale, tuple(order)
+    return final._aligned(keep, cards), log_scale, record
 
 
 def _evidence_levels(net, evidence, target=None) -> dict:
@@ -226,7 +269,7 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
     evidence = dict(evidence or {})
     ev_levels = _evidence_levels(net, evidence, target)
     var = net.variable(target)
-    final, log_scale, order = _eliminate(net, (target,), ev_levels, order)
+    final, log_scale, record = _eliminate(net, (target,), ev_levels, order)
     z = float(final.sum())
     if z == 0.0:
         raise ZeroProbabilityEvidence(evidence, 0.0)
@@ -234,7 +277,7 @@ def posterior(net: FittedNetwork, target: str, evidence=None, order=None) -> Que
     dist.flags.writeable = False
     return QueryResult(
         target, var.levels, dist, evidence, z * math.exp(log_scale),
-        log_scale + math.log(z), order,
+        log_scale + math.log(z), record.order,
     )
 
 

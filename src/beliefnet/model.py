@@ -178,6 +178,20 @@ class TierSpec:
         return {v for t in self.tiers for v in t}
 
 
+def check_rows(variable, table):
+    """``Cpt``'s rule on the rows of a (q, r) ``table``: their sums and the
+    mask of rows to renormalize, or ValueError for a row it refuses."""
+    if np.any(table < 0) or np.any(table > 1 + ROW_SUM_REPAIR_TOL):
+        raise ValueError(f"CPT for {variable!r} has entries outside [0, 1]")
+    sums = table.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    bad = ~(off <= ROW_SUM_REPAIR_TOL)  # a NaN entry makes its row bad
+    if np.any(bad):
+        j = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"CPT for {variable!r}: row {j} sums to {float(sums[j])!r}, not 1")
+    return sums, off > ROW_SUM_EXACT_TOL
+
+
 class Cpt:
     """Conditional probability table of one variable.
 
@@ -197,16 +211,7 @@ class Cpt:
             raise ValueError(f"CPT for {variable!r} must be 2-D (q, r)")
         if table.shape[1] < 2:
             raise ValueError(f"CPT for {variable!r} needs at least 2 states")
-        if np.any(table < 0) or np.any(table > 1 + ROW_SUM_REPAIR_TOL):
-            raise ValueError(f"CPT for {variable!r} has entries outside [0, 1]")
-        sums = table.sum(axis=1)
-        bad = ~(np.abs(sums - 1.0) <= ROW_SUM_REPAIR_TOL)  # a NaN entry makes its row bad
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"CPT for {variable!r}: row {j} sums to {float(sums[j])!r}, not 1"
-            )
-        repair = np.abs(sums - 1.0) > ROW_SUM_EXACT_TOL
+        sums, repair = check_rows(variable, table)
         if np.any(repair):
             warnings.warn(
                 f"CPT for {variable!r}: renormalizing {int(repair.sum())} row(s) "

@@ -66,15 +66,15 @@ def write_strengths_csv(path, table) -> None:
     ))
 
 
-def write_tornado(csv_path, txt_path, bars, event, delta) -> None:
-    """One row per bar as CSV; its label, shifts and magnitude as a text table."""
+def write_tornado(csv_path, txt_path, bars, labels, event, delta) -> None:
+    """One row per bar, under its label (one per bar), as CSV; the label,
+    shifts and magnitude as a text table."""
     variable, state = event
     rows = [
         [variable, state, delta,
-         bar.param.variable, bar.param.config, bar.param.state, bar.label,
-         bar.increase.delta, bar.increase.shift,
-         bar.decrease.delta, bar.decrease.shift, bar.magnitude]
-        for bar in bars
+         bar.param.variable, bar.param.config, bar.param.state, label,
+         bar.up_delta, bar.up_shift, bar.down_delta, bar.down_shift, bar.magnitude]
+        for bar, label in zip(bars, labels)
     ]
     _write_report_csv(csv_path, ["target_variable", "target_state", "requested_delta",
                                  "parameter_variable", "parent_config", "parameter_state",

@@ -9,8 +9,10 @@ import pytest
 
 import oracles
 from graphutil import d_separated
+from gesis import prep_learn_argv, write_raw_survey
 from netgen import random_evidence, random_net, window_dag
-from beliefnet import analysis, inference
+from beliefnet import analysis, inference, modelio
+from beliefnet.cli import main
 from beliefnet.analysis import (
     CptParameterId,
     DirectedShift,
@@ -617,7 +619,7 @@ class TestTornado:
         min_fill = inference._min_fill_order
         monkeypatch.setattr(inference, "_min_fill_order", counting)
         bars = tornado(chain_xmy(), ("Y", "y1"))
-        assert len(bars) == 8  # 17 posteriors in all
+        assert len(bars) == 8  # one recorded elimination, 16 replays
         assert len(calls) == 1
 
     def test_shared_order_matches_a_search_per_copy(self):
@@ -651,6 +653,79 @@ class TestTornado:
         )
         assert len(params) == expected
 
+    def test_repaired_perturbation_matches_a_full_cpt(self):
+        """A perturbed row off 1 by between 1e-12 and 1e-9 is renormalized as
+        a full ``Cpt`` renormalizes it, with the same warning."""
+        net = FittedNetwork(
+            (binary("X"), CategoricalVariable("A", ("a0", "a1", "a2")), binary("Y")),
+            Dag(("X", "A", "Y"), {"A": ("X",), "Y": ("A",)}),
+            # row 0 is exact within 1e-12; moving 0.99 down by 0.1 scales the
+            # rest by 11, so the moved row is off 1 by about 1e-11
+            {"X": Cpt("X", (), [[0.3, 0.7]]),
+             "A": Cpt("A", ("X",), [[0.99, 0.004, 0.006 + 9e-13], [0.2, 0.3, 0.5]]),
+             "Y": Cpt("Y", ("A",), [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])},
+        )
+        with pytest.warns(UserWarning, match="renormalizing 1 row") as got:
+            bars = tornado(net, ("Y", "y1"))
+        with pytest.warns(UserWarning, match="renormalizing 1 row") as want:
+            assert bars == reference_tornado(net, ("Y", "y1"), 0.1)
+        assert len(got) == len(want) == 1
+
+    def test_near_saturated_row_names_the_parameter(self):
+        """The rest of the row sums to 1 - theta only within 1e-12 of 1: a
+        perturbed copy would be refused, so both paths raise the same error."""
+        net = FittedNetwork(
+            (CategoricalVariable("A", ("a0", "a1", "a2")), binary("Y")),
+            Dag(("A", "Y"), {"Y": ("A",)}),
+            {"A": Cpt("A", (), [[1 - 1e-13, 6.5e-14, 6.5e-14 + 3e-14]]),
+             "Y": Cpt("Y", ("A",), [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])},
+        )
+        param = CptParameterId("A", 0, 0)
+        with pytest.raises(SaturatedParameter, match="does not sum to 1 - theta") as exc:
+            tornado(net, ("Y", "y1"))
+        assert exc.value.param == param
+        with pytest.raises(SaturatedParameter) as exc:
+            perturb_parameter(net, param, 0.5)
+        assert exc.value.param == param
+
+    def test_replay_recomputes_only_what_the_perturbed_cpt_reaches(self, monkeypatch):
+        """On the benchmark's fixture model, the bars cost fewer factor
+        products than one full elimination per perturbed side would."""
+        net = modelio.load("perfbench/data/fixture_full.bn.yaml")
+        event = ("HeardEURegulation", "No")
+        calls = []
+        multiply = inference.Factor.multiply
+        monkeypatch.setattr(inference.Factor, "multiply",
+                            lambda f, g: calls.append(1) or multiply(f, g))
+        posterior(net, event[0])
+        baseline = len(calls)
+        calls.clear()
+        bars = tornado(net, event)
+        runs = 1 + sum(1 + (bar.down_delta > 0.0) for bar in bars if bar.up_delta > 0.0)
+        assert runs == 2165  # the baseline and one run per perturbed side
+        assert baseline > 0 and len(calls) < runs * baseline
+
+    def test_held_baseline_arrays_are_read_only(self):
+        net = chain_xmy()
+        _, _, record = inference._eliminate(net, ("Y",), {"X": 0})
+        arrays = [f.values for f in record.factors if isinstance(f.values, np.ndarray)]
+        assert len(arrays) == len(record.factors)
+        for values in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = 0.0
+
+    def test_gesis_shaped_model_matches_the_reference(self, tmp_path):
+        """The paper's configs on 400 synthetic raw rows: 22 variables, 477 bars."""
+        raw = tmp_path / "raw.csv"
+        write_raw_survey(raw, n_rows=400, seed=1)
+        for argv in prep_learn_argv(raw, tmp_path, bootstrap=4):
+            assert main(argv) == 0, argv[0]
+        net = modelio.load(tmp_path / "models" / "full.bn.yaml")
+        event = ("HeardEURegulation", "No")
+        bars = tornado(net, event)
+        assert len(bars) > 400
+        assert bars == reference_tornado(net, event, 0.1)
+
 
 def reference_tornado(net, event, delta):
     """Tornado bars with one posterior per side on a fully built perturbed copy,
@@ -672,9 +747,9 @@ def reference_tornado(net, event, delta):
             up = 0.0 if theta == 1.0 else min(delta, 1.0 - theta)  # saturated: a zero bar
             down = 0.0 if theta == 1.0 else min(delta, theta)
             bars.append(TornadoBar(
-                param, analysis._param_label(net, param),
-                DirectedShift("increase", up, shift(param, theta + up) if up else 0.0),
-                DirectedShift("decrease", down, shift(param, theta - down) if down else 0.0),
+                param,
+                up, shift(param, theta + up) if up else 0.0,
+                down, shift(param, theta - down) if down else 0.0,
             ))
     bars.sort(key=lambda bar: (-bar.magnitude, bar.param))
     return bars
@@ -683,8 +758,7 @@ def reference_tornado(net, event, delta):
 SLOTTED = [
     CptParameterId("X", 1, 0),
     DirectedShift("increase", 0.1, -0.025),
-    TornadoBar(CptParameterId("X", 1, 0), "P(X=x0 | M=m1)",
-               DirectedShift("increase", 0.1, -0.025), DirectedShift("decrease", 0.05, 0.0125)),
+    TornadoBar(CptParameterId("X", 1, 0), 0.1, -0.025, 0.05, 0.0125),
 ]
 
 
@@ -708,7 +782,13 @@ class TestSlottedTypes:
         assert {ids[1]: "a"}[CptParameterId("X", 1, 0)] == "a"
         bar = SLOTTED[2]
         assert bar.magnitude == 0.025
-        assert dataclasses.replace(bar, label="L") != bar
+        assert dataclasses.replace(bar, up_shift=0.025) != bar
+        assert bar.increase == DirectedShift("increase", 0.1, -0.025)
+        assert bar.decrease == DirectedShift("decrease", 0.05, 0.0125)
+        # a side passed whole sets its two fields, as in the benchmark's own tests
+        moved = dataclasses.replace(bar, decrease=DirectedShift("decrease", 0.2, 0.5))
+        assert (moved.param, moved.increase, moved.down_delta, moved.down_shift) == (
+            bar.param, bar.increase, 0.2, 0.5)
         assert hash(bar) == hash(tuple(getattr(bar, f.name) for f in dataclasses.fields(bar)))
 
 

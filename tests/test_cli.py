@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from beliefnet import cli
 from beliefnet.cli import build_parser, main
 from beliefnet.learn import POOL_MIN_REPLICATES
+from beliefnet.model import CategoricalVariable, Cpt, Dag, FittedNetwork
+from beliefnet.modelio import save
 from mutations import MUTATIONS, VALUES, mutate
 from reference_io import read_query_csv
 
@@ -637,6 +639,33 @@ class TestSensitivity:
         assert code == 2
         assert "unknown variable: 'Bogus'" in capsys.readouterr().err
         assert not list((tmp_path / "wsb" / "reports").iterdir())
+
+    def test_near_saturated_row_exit_2_naming_the_parameter(self, tmp_path, capsys):
+        # the prior row sums to 1 within 1e-12, so the model loads, but the
+        # rest of it is far from 1 - theta: moving theta down by delta
+        # would give a row the CPT check refuses
+        a = CategoricalVariable("A", ("a0", "a1", "a2"))
+        b = CategoricalVariable("B", ("b0", "b1"))
+        model = tmp_path / "saturated.bn.yaml"
+        save(FittedNetwork(
+            (a, b), Dag(("A", "B"), {"B": ("A",)}),
+            {"A": Cpt("A", (), [[1 - 1e-13, 6.5e-14, 6.5e-14 + 3e-14]]),
+             "B": Cpt("B", ("A",), [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])},
+        ), model)
+        cfg = tmp_path / "sens.yaml"
+        cfg.write_text(
+            "format: beliefnet-sensitivity\nversion: 1\n"
+            "target: {variable: B, state: b1}\ndelta: 0.1\n",
+            encoding="utf-8",
+        )
+        code = run("sensitivity", "--model", model, "--config", cfg,
+                   "--workspace", tmp_path / "ws", "--name", "sat")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "CptParameterId(variable='A', config=0, state=0)" in err
+        assert "does not sum to 1 - theta" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "ws" / "reports").glob("*_tornado.csv"))
 
 
 class TestExport:

@@ -16,7 +16,7 @@ from beliefnet.errors import (
     UnknownLevel,
     UnknownVariable,
 )
-from beliefnet.analysis import tornado
+from beliefnet.analysis import param_label, tornado
 from beliefnet.inference import posterior
 from beliefnet.model import (
     CategoricalVariable,
@@ -265,7 +265,7 @@ class TestConfigIndexing:
             {"A": [[0.2, 0.3, 0.5]], "B": [[0.4, 0.6]],
              "C": np.stack([rows, 1 - rows], axis=1)},
         )
-        labels = {(bar.param.config, bar.param.state): bar.label
+        labels = {(bar.param.config, bar.param.state): param_label(net, bar.param)
                   for bar in tornado(net, ("C", "yes"), nodes=["C"])}
         assert labels[2, 0] == "P(C=no | A=a1, B=no)"
         assert labels[1, 0] == "P(C=no | A=a0, B=yes)"

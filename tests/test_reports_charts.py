@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from beliefnet.analysis import CptParameterId, DirectedShift, TornadoBar
+from beliefnet.analysis import CptParameterId, TornadoBar
 from beliefnet.charts import scenario_bars_svg, tornado_svg
 from beliefnet.data import DataTable, save_datatable
 from beliefnet.inference import posterior
@@ -167,17 +167,10 @@ class TestTextTable:
 
 
 def fake_bars(n=3):
-    bars = []
-    for i in range(n):
-        bars.append(
-            TornadoBar(
-                CptParameterId("X", 0, i),
-                f"P(X=s{i})",
-                DirectedShift("increase", 0.1, 0.05 * (n - i)),
-                DirectedShift("decrease", 0.1, -0.04 * (n - i)),
-            )
-        )
-    return bars
+    """``n`` bars and their labels."""
+    bars = [TornadoBar(CptParameterId("X", 0, i), 0.1, 0.05 * (n - i), 0.1, -0.04 * (n - i))
+            for i in range(n)]
+    return bars, [f"P(X=s{i})" for i in range(n)]
 
 
 class TestSvg:
@@ -202,17 +195,17 @@ class TestSvg:
         assert len(bars) >= 3  # one per level plus legend swatch
 
     def test_tornado_svg_well_formed_and_capped(self):
-        bars = fake_bars(60)
-        svg = tornado_svg(bars, ("X", "s0"), 0.1)
+        bars, labels = fake_bars(60)
+        svg = tornado_svg(bars, labels, ("X", "s0"), 0.1)
         root = ET.fromstring(svg)
         assert "top 40 of 60" in svg
         assert root.tag.endswith("svg")
 
     def test_tornado_colors_by_direction(self):
-        svg = tornado_svg(fake_bars(2), ("X", "s0"), 0.1)
+        svg = tornado_svg(*fake_bars(2), ("X", "s0"), 0.1)
         assert "#55a868" in svg  # increase
         assert "#c44e52" in svg  # decrease
 
     def test_deterministic(self):
-        bars = fake_bars(4)
-        assert tornado_svg(bars, ("X", "s0"), 0.1) == tornado_svg(bars, ("X", "s0"), 0.1)
+        bars, labels = fake_bars(4)
+        assert tornado_svg(bars, labels, ("X", "s0"), 0.1) == tornado_svg(bars, labels, ("X", "s0"), 0.1)
