@@ -24,7 +24,9 @@ Three instruments:
   recorded, and each side replays it with the co-varied CPT factor, which
   recomputes only the steps that factor reaches. No perturbed network or
   ``Cpt`` is built; only the moved row is checked, by ``Cpt``'s rule, and a
-  row that rule would renormalize goes through a full ``Cpt``.
+  row it would renormalize goes through a full ``Cpt``. ``_check_param``
+  refuses an entry with no CPT (InvalidQuery) or at theta = 1
+  (SaturatedParameter) for ``perturb_parameter`` and ``sensitivity_slope``.
 
 Every instrument runs serially in the calling process.
 """
@@ -202,11 +204,15 @@ class CptParameterId:
 
 
 def _check_param(net, param: CptParameterId) -> Cpt:
+    """``param``'s CPT; InvalidQuery if the entry is not in one, and
+    SaturatedParameter at theta = 1, where the rest of its row cannot co-vary."""
     cpt = net.cpts.get(param.variable)
     if cpt is None:
         raise InvalidQuery(f"no CPT for {param.variable!r}")
     if not (0 <= param.config < cpt.q and 0 <= param.state < cpt.r):
         raise InvalidQuery(f"parameter {param} out of bounds for {cpt!r}")
+    if cpt.table[param.config, param.state] == 1.0:
+        raise SaturatedParameter(param)
     return cpt
 
 
@@ -214,15 +220,14 @@ def perturb_parameter(net: FittedNetwork, param: CptParameterId, value: float) -
     """Set one CPT entry to ``value``, co-varying the rest of its row.
 
     The remaining entries scale by (1 - value) / (1 - theta), preserving the
-    row sum exactly up to float rounding.
+    row sum exactly up to float rounding. A value outside [0, 1] raises
+    ValueError; the copy shares every untouched ``Cpt``.
     """
     cpt = _check_param(net, param)
-    theta = float(cpt.table[param.config, param.state])
-    if 1.0 - theta == 0.0:
-        raise SaturatedParameter(param)
     if not 0.0 <= value <= 1.0:
         raise ValueError("perturbed value must lie in [0, 1]")
-    return net.with_cpt(Cpt(param.variable, cpt.parent_order, _covaried(cpt, param, value)))
+    moved = Cpt(param.variable, cpt.parent_order, _covaried(cpt, param, value))
+    return FittedNetwork(net.variables, net.dag, {**net.cpts, param.variable: moved}, net.metadata)
 
 
 def _covaried(cpt, param, value):
@@ -280,9 +285,6 @@ def sensitivity_slope(
     cpt = _check_param(net, param)
     variable, level = event
     target = net.variable(variable).level_index(level)
-    theta = float(cpt.table[param.config, param.state])
-    if 1.0 - theta == 0.0:
-        raise SaturatedParameter(param)
     ev = _evidence_levels(net, evidence, variable)
     both = {**ev, variable: target}
     if param.variable not in net.dag.ancestral_closure(both):

@@ -6,6 +6,7 @@ Encoded tables store level indices (int32, -1 for missing).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -61,14 +62,14 @@ class RawTable:
 def load_csv(path, required_columns=None) -> RawTable:
     """Read a UTF-8 CSV with a header row, preserving cell text verbatim.
 
-    Text that is not UTF-8 or not CSV raises MalformedFile with the line of
-    the bad byte or of the record the reader could not finish, and an empty
-    file or a header without a required column raises it at line 1; a
-    record with more or fewer cells than the header raises RaggedRow with
-    the line it starts on.
+    A leading byte-order mark is dropped. Text that is not UTF-8 or not CSV
+    raises MalformedFile with the line of the bad byte or of the record the
+    reader could not finish, and an empty file or a header without a required
+    column raises it at line 1; a record with more or fewer cells than the
+    header raises RaggedRow with the line it starts on.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)  # as Excel's "CSV UTF-8" writes
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -235,7 +235,7 @@ class Cpt:
 
 
 class FittedNetwork:
-    """A DAG plus one CPT per node: a fully parameterized discrete network."""
+    """A DAG plus one CPT per node. The constructor, the one way to build one, checks each CPT."""
 
     __slots__ = ("variables", "dag", "cpts", "metadata", "family_cards", "_index")
 
@@ -250,23 +250,20 @@ class FittedNetwork:
         cpts = dict(cpts)
         if set(cpts) != set(self._index):
             raise ValueError("need exactly one CPT per node")
-        # name -> (parent cards in CPT order..., own card): the CPT's shape
-        # as a factor, read by every query
-        self.family_cards = {name: self._family_cards(name, cpt) for name, cpt in cpts.items()}
+        # name -> (parent cards in CPT order..., own card): each CPT's shape as a factor
+        self.family_cards = {}
+        for name, cpt in cpts.items():
+            if cpt.variable != name:
+                raise ValueError(f"CPT under key {name!r} is for {cpt.variable!r}")
+            if cpt.parent_order != dag.parents[name]:
+                raise ValueError(f"CPT parent order for {name!r} does not match the DAG")
+            cards = tuple(self._index[v].r for v in cpt.parent_order + (name,))
+            expected = (math.prod(cards[:-1]), cards[-1])
+            if cpt.table.shape != expected:
+                raise ValueError(f"CPT for {name!r} has shape {cpt.table.shape}, expected {expected}")
+            self.family_cards[name] = cards
         self.cpts = cpts
         self.metadata = dict(metadata or {})
-
-    def _family_cards(self, name, cpt) -> tuple:
-        """Family cards of ``cpt`` as node ``name``'s CPT; ValueError if it does not fit."""
-        if cpt.variable != name:
-            raise ValueError(f"CPT under key {name!r} is for {cpt.variable!r}")
-        if cpt.parent_order != self.dag.parents.get(name):  # None for no node
-            raise ValueError(f"CPT parent order for {name!r} does not match the DAG")
-        cards = tuple(self._index[v].r for v in cpt.parent_order + (name,))
-        expected = (math.prod(cards[:-1]), cards[-1])
-        if cpt.table.shape != expected:
-            raise ValueError(f"CPT for {name!r} has shape {cpt.table.shape}, expected {expected}")
-        return cards
 
     def variable(self, name: str) -> CategoricalVariable:
         try:
@@ -276,13 +273,3 @@ class FittedNetwork:
 
     def parent_cards(self, name: str) -> tuple:
         return self.family_cards[name][:-1]
-
-    def with_cpt(self, cpt: Cpt) -> "FittedNetwork":
-        """A copy of this network with one CPT replaced, checking only that CPT
-        (metadata preserved); the copy shares every other CPT with this one."""
-        name, copy = cpt.variable, object.__new__(FittedNetwork)
-        copy.variables, copy.dag, copy._index = self.variables, self.dag, self._index
-        copy.family_cards = {**self.family_cards, name: self._family_cards(name, cpt)}
-        copy.cpts = {**self.cpts, name: cpt}
-        copy.metadata = dict(self.metadata)
-        return copy

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ import oracles
 from graphutil import d_separated
 from gesis import prep_learn_argv, write_raw_survey
 from netgen import random_evidence, random_net, window_dag
+from reference_inference import reference_posterior
 from beliefnet import analysis, inference, modelio
 from beliefnet.cli import main
 from beliefnet.analysis import (
@@ -360,6 +362,8 @@ class TestSensitivitySlope:
     def test_parameter_outside_the_network(self, param, message):
         with pytest.raises(InvalidQuery, match=message):
             sensitivity_slope(copy_net(), ("Y", "y1"), param)
+        with pytest.raises(InvalidQuery, match=message):  # the same check
+            perturb_parameter(copy_net(), param, 0.5)
 
     def test_evidence_uses_quotient_rule(self):
         net = chain_xmy()
@@ -380,6 +384,22 @@ class TestPerturbParameter:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             perturb_parameter(copy_net(), CptParameterId("X", 0, 0), value)
 
+    def test_shares_untouched_cpts_and_copies_metadata(self):
+        net = FittedNetwork(
+            (binary("A"), binary("B")),
+            Dag(("A", "B"), {"B": ("A",)}),
+            {"A": Cpt("A", (), [[0.5, 0.5]]), "B": Cpt("B", ("A",), [[0.9, 0.1], [0.2, 0.8]])},
+            {"method": "bayes"},
+        )
+        other = perturb_parameter(net, CptParameterId("B", 0, 0), 0.6)
+        assert other.cpts["A"] is net.cpts["A"]
+        assert other.cpts["B"].table[0] == pytest.approx([0.6, 0.4], abs=1e-15)
+        assert other.family_cards == net.family_cards
+        assert net.cpts["B"].table[0, 0] == 0.9  # the source keeps its own dicts
+        other.metadata["n_rows"] = 5  # as cmd_learn updates a network's metadata in place
+        assert net.metadata == {"method": "bayes"}
+        assert other.metadata == {"method": "bayes", "n_rows": 5}
+
 
 def zeroed_net(rng, n_nodes, dag=None):
     """A random net whose CPTs hold theta = 0 entries and saturated rows."""
@@ -394,6 +414,28 @@ def zeroed_net(rng, n_nodes, dag=None):
             row /= row.sum()
         cpts[name] = Cpt(name, cpt.parent_order, table)
     return FittedNetwork(net.variables, net.dag, cpts)
+
+
+def random_tornado_cases():
+    """24 seeded (net, event, delta) cases, with theta = 0 entries and
+    saturated rows; two in three on a windowed DAG with the event last."""
+    rng = np.random.default_rng(29)
+    for case in range(24):
+        n = int(rng.integers(4, 9))
+        dag = window_dag(rng, n, window=4, max_parents=3) if case % 3 else None
+        net = zeroed_net(rng, n, dag)
+        t_var = net.variables[-1] if dag else net.variables[int(rng.integers(n))]
+        event = (t_var.name, t_var.levels[int(rng.integers(t_var.r))])
+        yield net, event, (0.05, 0.1, 0.3)[case % 3]
+
+
+def gesis_net(tmp_path):
+    """The paper's configs learned from 400 synthetic raw rows: 22 variables."""
+    raw = tmp_path / "raw.csv"
+    write_raw_survey(raw, n_rows=400, seed=1)
+    for argv in prep_learn_argv(raw, tmp_path, bootstrap=4):
+        assert main(argv) == 0, argv[0]
+    return modelio.load(tmp_path / "models" / "full.bn.yaml")
 
 
 def random_case(rng, n_nodes=6):
@@ -625,15 +667,8 @@ class TestTornado:
     def test_shared_order_matches_a_search_per_copy(self):
         """Bars equal, float for float, those of a reference that runs its own
         min-fill search on every perturbed copy."""
-        rng = np.random.default_rng(29)
         zeros = saturated = 0
-        for case in range(24):
-            n = int(rng.integers(4, 9))
-            dag = window_dag(rng, n, window=4, max_parents=3) if case % 3 else None
-            net = zeroed_net(rng, n, dag)
-            t_var = net.variables[-1] if dag else net.variables[int(rng.integers(n))]
-            event = (t_var.name, t_var.levels[int(rng.integers(t_var.r))])
-            delta = (0.05, 0.1, 0.3)[case % 3]
+        for net, event, delta in random_tornado_cases():
             bars = tornado(net, event, delta=delta)
             assert bars == reference_tornado(net, event, delta)
             tables = [net.cpts[b.param.variable].table for b in bars]
@@ -716,11 +751,7 @@ class TestTornado:
 
     def test_gesis_shaped_model_matches_the_reference(self, tmp_path):
         """The paper's configs on 400 synthetic raw rows: 22 variables, 477 bars."""
-        raw = tmp_path / "raw.csv"
-        write_raw_survey(raw, n_rows=400, seed=1)
-        for argv in prep_learn_argv(raw, tmp_path, bootstrap=4):
-            assert main(argv) == 0, argv[0]
-        net = modelio.load(tmp_path / "models" / "full.bn.yaml")
+        net = gesis_net(tmp_path)
         event = ("HeardEURegulation", "No")
         bars = tornado(net, event)
         assert len(bars) > 400
@@ -728,15 +759,14 @@ class TestTornado:
 
 
 def reference_tornado(net, event, delta):
-    """Tornado bars with one posterior per side on a fully built perturbed copy,
-    each with its own min-fill search; sorted as ``tornado`` sorts."""
+    """Tornado bars with one posterior per side on a perturbed copy that the
+    ``FittedNetwork`` constructor checks whole, each with its own min-fill
+    search; sorted as ``tornado`` sorts."""
     variable, level = event
     p0 = posterior(net, variable)[level]
 
     def shift(param, value):
-        moved = perturb_parameter(net, param, value)
-        moved = FittedNetwork(moved.variables, moved.dag, moved.cpts)  # every CPT checked
-        return posterior(moved, variable)[level] - p0
+        return posterior(perturb_parameter(net, param, value), variable)[level] - p0
 
     bars = []
     ancestors = net.dag.ancestors(variable)
@@ -753,6 +783,118 @@ def reference_tornado(net, event, delta):
             ))
     bars.sort(key=lambda bar: (-bar.magnitude, bar.param))
     return bars
+
+
+# The 80-bit judge: ``reference_posterior`` in np.longdouble (eps 1.08e-19 on
+# x86-64). Each bound is about twice, rounded up, the largest error of a sweep
+# over every bar and every ancestor entry of the three inputs below, with 3-4
+# evidence sets each (CHANGES.md), in float64 eps: shifts 0.72 and
+# evidence-free slopes 1.49 off, absolutely; with evidence 7.93 off, relative
+# to the size of what is differentiated. Never loosened.
+LD = np.longdouble
+EPS = np.finfo(float).eps
+SHIFT_BOUND, SLOPE_BOUND, RELATIVE_BOUND = 2 * EPS, 3 * EPS, 16 * EPS
+
+
+def p80(net, event, evidence=None, param=None, value=None):
+    """80-bit (P(event | evidence), P(evidence)), with ``param`` moved to
+    ``value`` and the rest of its row co-varied, if given."""
+    tables = {}
+    if param is not None:
+        table = tables[param.variable] = net.cpts[param.variable].table.astype(LD)
+        row = table[param.config]
+        row *= (1 - LD(value)) / (1 - row[param.state])
+        row[param.state] = value
+    dist, log_pe, _ = reference_posterior(net, event[0], evidence, LD, tables)
+    return dist[net.variable(event[0]).level_index(event[1])], np.exp(log_pe)
+
+
+def gradient_slope(net, param, levels):
+    """The slope of P(``levels``) along ``param`` as ``sensitivity_slope``
+    takes it from the CPT gradient."""
+    grad, scale = analysis._gradient(net, param.variable, levels)
+    slopes = analysis._slopes(net.cpts[param.variable].table, grad)
+    return slopes[param.config, param.state] * math.exp(scale)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= 1e-18, reason="np.longdouble is no wider than "
+                    "float64 on this platform (as on arm64 macOS): no 80-bit reference")
+class TestLongDoubleReference:
+    """Tornado shifts and CPT slopes against an 80-bit elimination, a judge
+    independent of both the replay and the perturbation path."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """(net, event, delta) cases: the benchmark's fixture model and the
+        GESIS-shaped model at HeardEURegulation=No, and the 24 random nets of
+        the shared-order test."""
+        event = ("HeardEURegulation", "No")
+        return {
+            "fixture": [(modelio.load("perfbench/data/fixture_full.bn.yaml"), event, 0.1)],
+            "gesis": [(gesis_net(tmp_path_factory.mktemp("gesis")), event, 0.1)],
+            "random": list(random_tornado_cases()),
+        }
+
+    @pytest.mark.parametrize("name, n_bars", [("fixture", 200), ("gesis", 200), ("random", 12)])
+    def test_tornado_shifts(self, inputs, name, n_bars):
+        """A seeded sample of each model's bars, up to 12 per random net."""
+        rng, checked = np.random.default_rng(22), 0
+        for net, event, delta in inputs[name]:
+            bars = tornado(net, event, delta=delta)
+            bars = [bars[i] for i in rng.choice(len(bars), min(n_bars, len(bars)), replace=False)]
+            p0 = p80(net, event)[0]
+            for bar in bars:
+                param = bar.param
+                theta = float(net.cpts[param.variable].table[param.config, param.state])
+                for step, shift in ((bar.up_delta, bar.up_shift), (-bar.down_delta, bar.down_shift)):
+                    if step:  # the value set is theta + step as float64 rounds it
+                        want = p80(net, event, None, param, theta + step)[0] - p0
+                        assert abs(shift - want) <= SHIFT_BOUND, (param, step)
+                        checked += 1
+        assert checked >= 200  # sides moved: a saturated bar has none
+
+    @pytest.mark.parametrize("name", ["fixture", "gesis", "random"])
+    def test_slopes(self, inputs, name):
+        """``sensitivity_slope`` against the 80-bit difference of P at two
+        values of theta: P(event) is linear in theta, and with evidence
+        P(event, e) and P(e) are, so their slopes are checked one by one."""
+        rng, checked = np.random.default_rng(22), 0
+        for net, event, _ in inputs[name]:
+            target = {event[0]: net.variable(event[0]).level_index(event[1])}
+            params = [CptParameterId(n, j, k) for n in sorted(net.dag.ancestors(event[0]))
+                      for j, k in np.ndindex(net.cpts[n].table.shape)
+                      if net.cpts[n].table[j, k] < 1.0]
+            evidence = {}
+            while not evidence:  # one or two observed variables, of positive probability
+                evidence = random_evidence(rng, net, max_vars=2, exclude=(event[0],))
+                try:
+                    at = p80(net, event, evidence)
+                except ZeroProbabilityEvidence:
+                    evidence = {}
+            ev = {v: net.variable(v).level_index(level) for v, level in evidence.items()}
+            for i in rng.choice(len(params), min(len(params), 20), replace=False):
+                param = params[i]
+                theta = LD(net.cpts[param.variable].table[param.config, param.state])
+                lo, hi = theta / 2, (1 + theta) / 2
+                p_lo, p_hi = (p80(net, event, None, param, v)[0] for v in (lo, hi))
+                want = (p_hi - p_lo) / (hi - lo)
+                assert abs(sensitivity_slope(net, event, param) - want) <= SLOPE_BOUND, param
+                # with evidence: the numerator P(event, e) and the denominator P(e),
+                # each within the bound of its size, the larger of its two values
+                (p_lo, e_lo), (p_hi, e_hi) = (p80(net, event, evidence, param, v) for v in (lo, hi))
+                slopes, sizes = [], []
+                for levels, a, b in (({**ev, **target}, p_lo * e_lo, p_hi * e_hi), (ev, e_lo, e_hi)):
+                    slopes.append((b - a) / (hi - lo))
+                    sizes.append(max(a, b))
+                    got = gradient_slope(net, param, levels)
+                    assert abs(got - slopes[-1]) <= RELATIVE_BOUND * sizes[-1], (param, levels)
+                # and their quotient rule, within what those bounds carry into it
+                want = (slopes[0] - at[0] * slopes[1]) / at[1]
+                size = (sizes[0] + at[0] * sizes[1]) / at[1]
+                got = sensitivity_slope(net, event, param, evidence)
+                assert abs(got - want) <= RELATIVE_BOUND * size, (param, evidence)
+                checked += 1
+        assert checked >= 20
 
 
 SLOTTED = [
@@ -790,6 +932,12 @@ class TestSlottedTypes:
         assert (moved.param, moved.increase, moved.down_delta, moved.down_shift) == (
             bar.param, bar.increase, 0.2, 0.5)
         assert hash(bar) == hash(tuple(getattr(bar, f.name) for f in dataclasses.fields(bar)))
+
+    def test_sides_passed_whole_set_their_fields(self):
+        bar = TornadoBar(CptParameterId("X", 1, 0), 0.0, 0.0, 0.0, 0.0,
+                         increase=DirectedShift("increase", 0.1, -0.025),
+                         decrease=DirectedShift("decrease", 0.05, 0.0125))
+        assert bar == SLOTTED[2]
 
 
 class TestNodeInfluence:

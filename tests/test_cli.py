@@ -1,6 +1,7 @@
 """End-to-end CLI behavior on the bundled synthetic fixture."""
 
 import argparse
+import codecs
 import csv
 import os
 import re
@@ -101,6 +102,22 @@ class TestPrep:
         )
         assert audit["raw_rows"] == 0
         assert all(t["rows"] == 0 for t in audit["tables"].values())
+
+    def test_byte_order_mark_preps_the_plain_files_tables(self, tmp_path):
+        """A survey saved as Excel's "CSV UTF-8" (a leading byte-order mark)
+        preps to the plain file's tables and audit byte for byte: the
+        fingerprint, and so each dictionary's ``source``, is the same."""
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + Path(RAW).read_bytes())
+        for raw, name in ((RAW, "plain"), (bom, "bom")):
+            assert run("prep", "--raw", raw, "--recode", PREP, "--themes", THEMES,
+                       "--workspace", tmp_path / name, "--name", "survey") == 0
+        files = sorted(p.name for p in (tmp_path / "plain" / "data").iterdir()
+                       if not p.name.endswith(".manifest.yaml"))
+        assert len(files) == 7
+        for f in files:
+            assert (tmp_path / "bom" / "data" / f).read_bytes() == (
+                tmp_path / "plain" / "data" / f).read_bytes(), f
 
     @pytest.mark.parametrize("fault, reason", [
         ("empty", "empty file: no header row"),

@@ -1,6 +1,7 @@
 """Survey pipeline: loading, recoding, missing handling, themes, splits, and the
 family tally that parameter fitting reads."""
 
+import codecs
 import csv
 import os
 import tempfile
@@ -102,6 +103,20 @@ class TestLoadCsv:
     def test_not_utf8_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(MalformedFile, match=r"t\.csv: line 3: not UTF-8"):
+            load_csv(p)
+
+    def test_one_byte_order_mark_dropped(self, tmp_path):
+        """As Excel's "CSV UTF-8" export writes it: the header and the
+        fingerprint read as without it, and a bad byte keeps its line."""
+        plain, p = tmp_path / "plain.csv", tmp_path / "t.csv"
+        plain.write_bytes(b"a,b\n1,2\n")
+        p.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load_csv(p).columns == ("a", "b")
+        assert load_csv(p).fingerprint == load_csv(plain).fingerprint
+        p.write_bytes(codecs.BOM_UTF8 * 2 + plain.read_bytes())  # only one is dropped
+        assert load_csv(p).columns == ("\ufeffa", "b")
+        p.write_bytes(codecs.BOM_UTF8 + b"a,b\n1,2\n3,\xff\n")
         with pytest.raises(MalformedFile, match=r"t\.csv: line 3: not UTF-8"):
             load_csv(p)
 
