@@ -20,8 +20,8 @@ Three instruments:
   slopes are exact; with evidence, the quotient rule combines the gradients
   of P(event, evidence) and P(evidence). Parameters outside the ancestral
   closure of the event and the evidence give exact zeros. Tornado bars
-  record the P-shift at theta +/- delta: one elimination of P(event) is
-  recorded, and each side replays it with the co-varied CPT factor, which
+  record the P-shift at theta +/- delta: one elimination of P(event) keeps
+  its trace, and each side replays it with the co-varied CPT factor, which
   recomputes only the steps that factor reaches. No perturbed network or
   ``Cpt`` is built; only the moved row is checked, by ``Cpt``'s rule, and a
   row it would renormalize goes through a full ``Cpt``. ``_check_param``
@@ -178,9 +178,7 @@ def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
         _evidence_levels(net, evidence)
         for t in targets:
             if t in evidence:
-                raise InvalidQuery(
-                    f"scenario {scen.name!r} fixes the target {t!r}"
-                )
+                raise InvalidQuery(f"scenario {scen.name!r} fixes the target {t!r}")
         queries = {}
         for t in targets:
             try:

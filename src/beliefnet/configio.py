@@ -148,6 +148,9 @@ def load_query_config(path):
             raise MalformedFile(
                 path, f"{where}evidence_variables", f"{repeated[0]!r} is listed twice"
             )
+        if target in sweeps:
+            raise MalformedFile(path, f"{where}evidence_variables[{sweeps.index(target)}]",
+                                f"target {target!r} appears in the evidence")
         tables.append((target, sweeps))
     return tuple(tables)
 
@@ -161,7 +164,7 @@ def load_sobol_config(path):
 def load_scenario_config(path):
     """``(targets, scenarios)``."""
     doc = _load_doc(path, "beliefnet-scenarios", ("targets", "scenarios"))
-    scenarios = []
+    targets, scenarios = _names(doc, "targets", path=path), []
     for i, entry in enumerate(_field(doc, "scenarios", list, path=path)):
         where = f"scenarios[{i}]."
         name = _field(entry, "name", str, path=path, where=where)
@@ -171,8 +174,12 @@ def load_scenario_config(path):
             if k is None or isinstance(k, bool):
                 raise MalformedFile(path, f"{where}evidence", f"expected a variable, got {k!r}")
         ev = {str(k): _field(ev_doc, k, str, path=path, where=f"{where}evidence.") for k in ev_doc}
+        for t in targets:
+            if t in ev:
+                raise MalformedFile(path, f"{where}evidence.{t}",
+                                    f"scenario {name!r} fixes the target {t!r}")
         scenarios.append(ScenarioDef(name, ev))
-    return _names(doc, "targets", path=path), tuple(scenarios)
+    return targets, tuple(scenarios)
 
 
 def load_sensitivity_config(path):

@@ -9,12 +9,12 @@ closure of the target and the evidence), reduce the remaining CPT factors by
 the evidence, and eliminate hidden variables along a min-fill ordering. The
 same elimination, ``_eliminate``, can keep several variables (a joint
 marginal) and leave one CPT out of the product (a CPT gradient); the
-analysis module builds Sobol indices and sensitivity slopes on it. It plans
-its steps on the factor scopes, then runs them, and returns the record of
-the run (``Elimination``): each step's input slots, its factor and its log
-term. A replay with one CPT factor replaced reruns only the steps on that
-factor's path, the rest reused as they are, so it gives bit for bit what a
-fresh elimination of the changed network would; tornado bars are replays.
+analysis module builds Sobol indices and sensitivity slopes on it. Its one
+loop keeps a trace (``Elimination``): the factors each step multiplied, the
+factor it made and its log term. A replay with one CPT factor replaced
+recomputes only the steps that read that factor or one made from it, the
+rest reused as they are, so it gives bit for bit what a fresh elimination of
+the changed network would; tornado bars are replays.
 Factors are renormalized as they are produced, and so is the running product
 of the factors left at the end, accumulating the log scale, so the evidence
 probability survives underflow: QueryResult carries log P(evidence) exactly,
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -158,49 +159,56 @@ class QueryResult:
         return float(self.distribution[self.levels.index(level)])
 
 
+def _step(inputs, name):
+    """Multiply ``inputs`` in order, sum out ``name`` unless None, and divide
+    out a positive total: the read-only factor and the total's log, or 0.0."""
+    prod = reduce(Factor.multiply, inputs)
+    if name is not None:
+        prod = prod.sum_out(name)
+    total, term = float(prod.values.sum()), 0.0
+    if total > 0.0:
+        prod.values /= total  # a fresh array, not a CPT view
+        term = math.log(total)
+    prod.values.setflags(write=False)  # a no-op on a numpy scalar
+    return prod, term
+
+
 class Elimination:
-    """One elimination's record, replayable with one CPT factor replaced.
+    """One elimination's trace, replayable with one CPT factor replaced.
 
-    Slots 0..n-1 hold the reduced CPT factors of ``names``; step i
-    multiplies its input slots in order, sums out its variable (None in the
-    final product), divides out the total, whose log is its term, and fills
-    slot n + i. Every slot is read once at most, so a slot reaches one path of
-    steps. ``factors`` and ``terms`` hold the baseline's, arrays read-only."""
+    ``cpts`` maps names to reduced CPT factors. A variable's step multiplies
+    the live factors holding it; the rest (over kept variables, and scalars
+    of reduced evidence roots) multiply pairwise at the end, variable None,
+    so every kept axis is present. ``steps`` holds each (input factors,
+    variable, factor, log term); a factor feeds one step at most."""
 
-    def __init__(self, order, names, factors, steps, result):
-        self.order, self.names, self.steps, self.result = tuple(order), names, steps, result
-        self.factors, self.terms = factors + [None] * len(steps), [0.0] * len(steps)
+    def __init__(self, order, cpts):
+        self.order, self.cpts, self.steps, self.log_scale = tuple(order), cpts, [], 0.0
+        live = list(cpts.values())
+        for name in order:
+            related = [f for f in live if name in f.scope]
+            live = [f for f in live if name not in f.scope] + [self._record(related, name)]
+        self.result = live[0] if live else Factor((), (), np.ones(()))
+        for f in live[1:]:
+            self.result = self._record([self.result, f], None)
 
-    def run(self, factors, terms, dirty=None):
-        """Fill in ``factors`` (one per slot) and ``terms`` (one per step) by
-        running the steps, or given a ``dirty`` slot only those on its path.
-        Returns the result factor and the log scale, the terms' sum in order."""
-        n, log_scale = len(self.names), 0.0
-        for i, (inputs, name) in enumerate(self.steps):
-            if dirty is None or dirty in inputs:
-                dirty = None if dirty is None else n + i
-                prod = factors[inputs[0]]
-                for s in inputs[1:]:
-                    prod = prod.multiply(factors[s])
-                if name is not None:
-                    prod = prod.sum_out(name)
-                total, term = float(prod.values.sum()), 0.0
-                if total > 0.0:
-                    prod.values /= total  # a fresh array, not a CPT view
-                    term = math.log(total)
-                prod.values.setflags(write=False)  # a no-op on a numpy scalar
-                factors[n + i], terms[i] = prod, term
-            log_scale += terms[i]
-        return Factor((), (), np.ones(())) if self.result is None else factors[self.result], log_scale
+    def _record(self, inputs, name):
+        factor, term = _step(inputs, name)
+        self.steps.append((inputs, name, factor, term))
+        self.log_scale += term
+        return factor
 
     def replay(self, name, factor):
-        """``run`` with ``factor`` in place of ``name``'s CPT slot, if the
-        elimination reads it: only the steps on that slot's path recompute."""
-        factors, dirty = list(self.factors), -1
-        if name in self.names:
-            dirty = self.names.index(name)
-            factors[dirty] = factor
-        return self.run(factors, list(self.terms), dirty)
+        """The result factor and log scale with ``factor`` in place of
+        ``name``'s CPT factor: only the steps that read it, or a factor made
+        from it, recompute. A CPT the elimination left out gives the baseline."""
+        old, log_scale = self.cpts.get(name), 0.0
+        for inputs, var, out, term in self.steps:
+            if old in inputs:  # by identity: Factor has no __eq__
+                factor, term = _step([factor if f is old else f for f in inputs], var)
+                old = out
+            log_scale += term
+        return (factor if self.result is old else self.result), log_scale
 
 
 def _eliminate(net, keep, ev_levels, order=None, without=None):
@@ -212,42 +220,21 @@ def _eliminate(net, keep, ev_levels, order=None, without=None):
     variables along ``order`` (min-fill by default). Returns the product of
     the remaining factors as an array with one axis per variable of ``keep``
     (of length 1 for a kept variable no factor holds), the log of the scale
-    divided out of it, and the ``Elimination`` record of the run.
+    divided out of it, and the run's ``Elimination`` trace.
     """
     relevant = net.dag.ancestral_closure([*keep, *ev_levels])
-    names = [n for n in net.dag.nodes if n in relevant and n != without]
-    factors = [Factor.from_cpt(net, n, net.cpts[n].table).reduce(ev_levels) for n in names]
+    cpts = {n: Factor.from_cpt(net, n, net.cpts[n].table).reduce(ev_levels)
+            for n in net.dag.nodes if n in relevant and n != without}
     hidden = relevant - set(keep) - set(ev_levels)
     if order is None:
-        order = _min_fill_order([f.scope for f in factors], hidden)
+        order = _min_fill_order([f.scope for f in cpts.values()], hidden)
     else:
         order = [v for v in order if v in hidden]  # barren nodes are pruned
         if set(order) != hidden or len(order) != len(hidden):
-            raise InvalidQuery(
-                "elimination order must cover the hidden variables exactly once"
-            )
-
-    # plan on the scopes: eliminating a variable multiplies the live factors
-    # holding it; the rest (over kept variables, and the scalars of reduced
-    # evidence roots) multiply into one, renormalized as it grows and past a
-    # structural zero too, so every kept axis is present
-    n = len(factors)
-    scopes, live, steps = [f.scope for f in factors], list(range(n)), []
-    for name in order:
-        related, rest = [], []
-        for s in live:
-            (related if name in scopes[s] else rest).append(s)
-        live = rest + [len(scopes)]
-        scopes.append({v for s in related for v in scopes[s] if v != name})
-        steps.append((related, name))
-    result = live[0] if live else None
-    for s in live[1:]:
-        steps.append(((result, s), None))
-        result = n + len(steps) - 1
-    record = Elimination(order, names, factors, steps, result)
-    final, log_scale = record.run(record.factors, record.terms)
+            raise InvalidQuery("elimination order must cover the hidden variables exactly once")
+    record = Elimination(order, cpts)
     cards = tuple(net.variable(v).r for v in keep)
-    return final._aligned(keep, cards), log_scale, record
+    return record.result._aligned(keep, cards), record.log_scale, record
 
 
 def _evidence_levels(net, evidence, target=None) -> dict:

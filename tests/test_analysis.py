@@ -743,11 +743,37 @@ class TestTornado:
     def test_held_baseline_arrays_are_read_only(self):
         net = chain_xmy()
         _, _, record = inference._eliminate(net, ("Y",), {"X": 0})
-        arrays = [f.values for f in record.factors if isinstance(f.values, np.ndarray)]
-        assert len(arrays) == len(record.factors)
+        factors = [factor for _, _, factor, _ in record.steps] + [record.result]
+        arrays = [f.values for f in factors if isinstance(f.values, np.ndarray)]
+        assert len(arrays) == len(factors) == 3
         for values in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 values[...] = 0.0
+
+    @pytest.mark.parametrize("keep, without, pruned", [
+        (("M",), None, "Y"),  # barren
+        (("Y",), "M", "M"),  # left out
+    ])
+    def test_replay_of_a_cpt_outside_the_elimination_is_the_baseline(
+        self, keep, without, pruned
+    ):
+        net = chain_xmy()
+        _, log_scale, record = inference._eliminate(net, keep, {}, without=without)
+        factor = inference.Factor.from_cpt(net, pruned, net.cpts[pruned].table * 0.5)
+        result, replayed = record.replay(pruned, factor)
+        assert result is record.result and replayed == log_scale
+
+    def test_replay_of_the_baseline_factors_is_bit_identical(self):
+        """Each CPT replayed with a fresh copy of its own table recomputes
+        its path of steps and gives the baseline back bit for bit."""
+        for net, (variable, _), _ in random_tornado_cases():
+            _, log_scale, record = inference._eliminate(net, (variable,), {})
+            for name in record.cpts:
+                table = net.cpts[name].table.copy()
+                result, replayed = record.replay(name, inference.Factor.from_cpt(net, name, table))
+                assert result is not record.result
+                assert result.values.tobytes() == record.result.values.tobytes()
+                assert replayed.hex() == log_scale.hex()
 
     def test_gesis_shaped_model_matches_the_reference(self, tmp_path):
         """The paper's configs on 400 synthetic raw rows: 22 variables, 477 bars."""

@@ -494,6 +494,22 @@ class TestQuery:
         assert not list((tmp_path / "wd" / "reports").iterdir())
 
 
+    def test_sweep_of_its_own_target_exit_2_at_the_entry(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "query.yaml"
+        text = Path("fixtures/query.yaml").read_text(encoding="utf-8")
+        cfg.write_text(text.replace("[AIEasierLife, InterestAI]",
+                                    "[AIEasierLife, InterestAI, DevelopAI]", 1),
+                       encoding="utf-8")
+        code = run(
+            "query", "--model", ws / "models" / "full.bn.yaml", "--config", cfg,
+            "--workspace", tmp_path / "wt", "--name", "rep",
+        )
+        assert code == 2
+        assert (f"{cfg}: tables[0].evidence_variables[2]: "
+                "target 'DevelopAI' appears in the evidence") in capsys.readouterr().err
+        assert not list((tmp_path / "wt" / "reports").iterdir())
+
+
 class TestSobol:
     def test_matrix_written(self, ws):
         assert run(
@@ -607,6 +623,24 @@ class TestScenario:
         assert code == 2
         assert "at least one target" in capsys.readouterr().err
         assert not list((tmp_path / "wse" / "reports").iterdir())
+
+    def test_evidence_on_a_target_exit_2_at_the_variable(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "format: beliefnet-scenarios\nversion: 1\n"
+            "targets: [AIRegulations, DevelopAI]\nscenarios:\n"
+            "  - name: Baseline\n    evidence: {}\n"
+            "  - name: Odd\n    evidence: {InterestAI: Strongly, DevelopAI: Risk}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "scenario", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wst", "--name", "odd",
+        )
+        assert code == 2
+        assert (f"{cfg}: scenarios[1].evidence.DevelopAI: "
+                "scenario 'Odd' fixes the target 'DevelopAI'") in capsys.readouterr().err
+        assert not list((tmp_path / "wst" / "reports").iterdir())
 
     def test_csv_survives_svg_failure(self, ws, tmp_path, monkeypatch):
         import beliefnet.charts as charts

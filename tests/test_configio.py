@@ -519,6 +519,23 @@ class TestAnalysisConfigs:
             load_sensitivity_config(p)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize("loader, body, old, new, position, reason", [
+        (load_query_config, QUERY_BODY, "[B]", "[B, C, A]",
+         "tables[0].evidence_variables[2]", "target 'A' appears in the evidence"),
+        (load_scenario_config, SCENARIO_BODY, "targets: [A]", "targets: [A, Age]",
+         "scenarios[0].evidence.Age", "scenario 'Young' fixes the target 'Age'"),
+    ], ids=["query", "scenarios"])
+    def test_target_in_the_evidence_refused_at_its_entry(
+        self, tmp_path, loader, body, old, new, position, reason
+    ):
+        """Evidence on a target contradicts itself in any model, so the file
+        is refused before one is read."""
+        body = body.replace("@", "")
+        loader(write(tmp_path, body, "plain.yaml"))
+        with pytest.raises(MalformedFile) as exc:
+            loader(write(tmp_path, body.replace(old, new, 1), "target.yaml"))
+        assert (exc.value.position, exc.value.reason) == (position, reason)
+
     def test_sensitivity_bad_delta(self, tmp_path):
         p = write(
             tmp_path,
