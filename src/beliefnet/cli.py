@@ -169,22 +169,12 @@ def cmd_prep(args, run: _Run):
     try:
         table = recode(raw, spec)
     except UnmappedToken as exc:  # name the raw file and the first row holding the token
-        tokens = raw.column(next(v.source for v in spec.variables if v.name == exc.variable))
-        raise MalformedFile(args.raw, f"row {tokens.index(exc.token) + 1}", str(exc)) from None
-    audit = {"raw_rows": raw.n_rows, "recoded_rows": table.n_rows}
-
-    collapsed = {}
-    for var in list(table.variables):
-        before = table.variable(var.name).levels
-        try:
-            table = collapse_rare(table, var.name, missing_threshold)
-        except ValueError as exc:  # fewer than 2 levels reach the threshold
-            raise MalformedFile(args.recode, "missing_threshold", str(exc)) from None
-        after = table.variable(var.name).levels
-        gone = [lvl for lvl in before if lvl not in after]
-        if gone:
-            collapsed[var.name] = gone
-    audit["collapsed_levels"] = collapsed
+        raise MalformedFile(args.raw, f"row {exc.row}", str(exc)) from None
+    try:
+        table, collapsed = collapse_rare(table, missing_threshold)
+    except ValueError as exc:  # fewer than 2 levels reach the threshold
+        raise MalformedFile(args.recode, "missing_threshold", str(exc)) from None
+    audit = {"raw_rows": raw.n_rows, "recoded_rows": table.n_rows, "collapsed_levels": collapsed}
 
     table = group_themes(table, themes)
 

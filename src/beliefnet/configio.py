@@ -75,6 +75,8 @@ def load_prep_config(path):
     models = {t: _names(models_doc, t, path=path, where="models.")
               for t in tables if t in models_doc}
     for table, names in models.items():
+        if not names:  # a table of no columns would be written as a bare newline
+            raise MalformedFile(path, f"models.{table}", "lists no variables")
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise MalformedFile(path, f"models.{table}[{i}]", f"{name!r} is listed twice")

@@ -1,7 +1,10 @@
-"""Survey data pipeline: recoding, missing-data handling, themes and splits.
+"""Survey data pipeline: recoding, rare-level collapsing, missing-data
+handling, themes and splits.
 
 All stages are pure: the same input table and spec produce identical output.
-Encoded tables store level indices (int32, -1 for missing).
+Encoded tables store level indices (int32, -1 for missing). ``recode`` names
+an unmapped token's row and ``collapse_rare`` returns the levels it dropped,
+so no caller scans a column again.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ def load_csv(path, required_columns=None) -> RawTable:
 
     A leading byte-order mark is dropped. Text that is not UTF-8 or not CSV
     raises MalformedFile with the line of the bad byte or of the record the
-    reader could not finish, and an empty file or a header without a required
-    column raises it at line 1; a record with more or fewer cells than the
-    header raises RaggedRow with the line it starts on.
+    reader could not finish, and an empty file or a header that lacks or
+    repeats a required column raises it at line 1; a record with more or
+    fewer cells than the header raises RaggedRow with the line it starts on.
     """
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)  # as Excel's "CSV UTF-8" writes
@@ -91,6 +94,8 @@ def load_csv(path, required_columns=None) -> RawTable:
     for name in required_columns or ():
         if name not in table.columns:
             raise MalformedFile(path, "line 1", f"missing column {name!r}")
+        if table.columns.count(name) > 1:  # ``column`` would read the first copy alone
+            raise MalformedFile(path, "line 1", f"repeated column {name!r}")
     return table
 
 
@@ -206,7 +211,8 @@ class DataTable:
 
 
 def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
-    """Map raw tokens to level indices; unmapped tokens error or become missing."""
+    """Map raw tokens to level indices; an unmapped token becomes missing or
+    raises UnmappedToken with the data row of its first cell."""
     columns = []
     for vr in spec.variables:
         lookup = {t: MISSING if x is None else vr.levels.index(x) for t, x in vr.mapping.items()}
@@ -216,41 +222,38 @@ def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
         try:
             columns.append(np.array([lookup[t] for t in tokens], dtype=np.int32))
         except KeyError as exc:
-            raise UnmappedToken(vr.name, exc.args[0]) from None
+            raise UnmappedToken(vr.name, exc.args[0], tokens.index(exc.args[0]) + 1) from None
     codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
     return DataTable([vr.variable() for vr in spec.variables], codes, source=raw.fingerprint)
 
 
-def collapse_rare(table: DataTable, variable, min_count: int) -> DataTable:
-    """Drop levels observed fewer than ``min_count`` times, marking cells missing.
+def collapse_rare(table: DataTable, min_count: int):
+    """Drop every level observed fewer than ``min_count`` times in its column,
+    marking its cells missing; ``(table, {variable: [dropped levels]})``.
 
-    Counts are taken on the table as given, i.e. before any row filtering. An
+    One pass over the columns, in table order, builds at most one table.
+    Counts are taken on the table as given, i.e. before any row filtering;
+    the first column left with fewer than two levels raises ValueError. An
     empty table passes through unchanged: with no observations there is no
     basis for collapsing a domain.
     """
     if table.n_rows == 0:
-        return table
-    vi = table.var_index(variable)
-    var = table.variables[vi]
-    col = table.codes[:, vi]
-    observed = np.bincount(col[col >= 0], minlength=var.r)
-    keep = observed >= min_count
-    if np.all(keep):
-        return table
-    if keep.sum() < 2:
-        raise ValueError(
-            f"collapsing rare levels of {variable!r} would leave "
-            f"{int(keep.sum())} level(s)"
-        )
-    new_levels = tuple(lvl for lvl, k in zip(var.levels, keep) if k)
-    remap = np.full(var.r + 1, MISSING, dtype=np.int32)  # slot -1 aliases to last
-    remap[np.flatnonzero(keep)] = np.arange(int(keep.sum()), dtype=np.int32)
-    new_col = remap[col]
-    codes = np.array(table.codes)
-    codes[:, vi] = new_col
-    variables = list(table.variables)
-    variables[vi] = CategoricalVariable(var.name, new_levels, var.ordinal)
-    return DataTable(variables, codes, table.source)
+        return table, {}
+    codes, variables, dropped = table.codes.copy(), list(table.variables), {}
+    for vi, var in enumerate(table.variables):
+        col = codes[:, vi]
+        keep = np.bincount(col[col >= 0], minlength=var.r) >= min_count
+        if np.all(keep):
+            continue
+        if (n := int(keep.sum())) < 2:
+            raise ValueError(f"collapsing rare levels of {var.name!r} would leave {n} level(s)")
+        remap = np.full(var.r + 1, MISSING, dtype=np.int32)  # slot -1 aliases to last
+        remap[np.flatnonzero(keep)] = np.arange(n, dtype=np.int32)
+        codes[:, vi] = remap[col]
+        new_levels = tuple(lvl for lvl, k in zip(var.levels, keep) if k)
+        variables[vi] = CategoricalVariable(var.name, new_levels, var.ordinal)
+        dropped[var.name] = [lvl for lvl, k in zip(var.levels, keep) if not k]
+    return (DataTable(variables, codes, table.source) if dropped else table), dropped
 
 
 def drop_incomplete(table: DataTable) -> DataTable:

@@ -77,9 +77,12 @@ class MissingColumn(BeliefnetError):
 
 
 class UnmappedToken(BeliefnetError):
-    def __init__(self, variable, token):
+    """``row`` is the 1-based data row of the token's first cell, when known."""
+
+    def __init__(self, variable, token, row=None):
         self.variable = variable
         self.token = token
+        self.row = row
         super().__init__(f"variable {variable!r}: unmapped token {token!r}")
 
 

@@ -142,6 +142,29 @@ class TestPrep:
         assert f"beliefnet: error: {raw}: line 1: {reason}\n" in capsys.readouterr().err
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
+    @pytest.mark.parametrize("copy", ["appended", "first"])
+    def test_repeated_column_exit_2_at_line_1_without_output(self, tmp_path, capsys, copy):
+        # a second sex column: a copy appended would go unread, and a column
+        # of the missing token put first would be read in place of the real one
+        with open(RAW, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "sex"
+        if copy == "appended":
+            rows = [row + row[:1] for row in rows]
+        else:
+            rows = [["sex"] + rows[0]] + [["9"] + row for row in rows[1:]]
+        raw = tmp_path / "survey.csv"
+        with open(raw, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = run(
+            "prep", "--raw", raw, "--recode", PREP, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "survey",
+        )
+        assert code == 2
+        assert (f"beliefnet: error: {raw}: line 1: repeated column 'sex'\n"
+                in capsys.readouterr().err)
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
     def test_unmapped_token_names_file_and_row_without_output(self, tmp_path, capsys):
         with open(RAW, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -200,6 +223,20 @@ class TestPrep:
         )
         assert code == 2
         assert f"{bad}: models.riks: unknown key" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
+    def test_empty_model_table_exit_2_without_output(self, tmp_path, capsys):
+        # it would be written as a bare newline that learn then refuses
+        with open(PREP, encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / "prep.yaml"
+        bad.write_text(text[:text.index("models:")] + "models:\n  full: []\n", encoding="utf-8")
+        code = run(
+            "prep", "--raw", RAW, "--recode", bad, "--themes", THEMES,
+            "--workspace", tmp_path / "ws", "--name", "x",
+        )
+        assert code == 2
+        assert f"beliefnet: error: {bad}: models.full: lists no variables" in capsys.readouterr().err
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
     def test_tables_not_listed_are_not_written(self, tmp_path):
@@ -368,6 +405,23 @@ class TestLearn:
         assert code == 2
         err = capsys.readouterr().err
         assert f"beliefnet: error: {data}: row 4: variable 'Age' has no level 'Bogus'" in err
+        for directory in ("models", "strengths"):
+            assert list((tmp_path / "ws" / directory).iterdir()) == []
+
+    def test_repeated_column_exit_2_at_line_1_without_output(self, ws, tmp_path, capsys):
+        # a copy of the Age column appended: learn would read the first alone
+        with open(ws / "data" / "survey_full.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        age = rows[0].index("Age")
+        data = tmp_path / "twice.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(row + [row[age]] for row in rows)
+        code = run(
+            "learn", "--data", data, "--dict", ws / "data" / "survey_full.dict.yaml",
+            "--bootstrap", 1, "--seed", 3, "--workspace", tmp_path / "ws",
+        )
+        assert code == 2
+        assert f"beliefnet: error: {data}: line 1: repeated column 'Age'" in capsys.readouterr().err
         for directory in ("models", "strengths"):
             assert list((tmp_path / "ws" / directory).iterdir()) == []
 

@@ -157,6 +157,14 @@ class TestPrep:
             load_prep_config(write(tmp_path, body))
         assert exc.value.position == position
 
+    def test_empty_model_table_refused_at_the_table(self, tmp_path):
+        # a table of no columns would be written as a bare newline
+        body = ("format: beliefnet-prep\nversion: 1\nvariables:\n"
+                "  - name: Q\n    levels: [a, b]\n    map: {'1': a}\nmodels: {full: []}\n")
+        with pytest.raises(MalformedFile) as exc:
+            load_prep_config(write(tmp_path, body))
+        assert (exc.value.position, exc.value.reason) == ("models.full", "lists no variables")
+
 
 class TestThemes:
     def test_fixture_parses(self):

@@ -78,6 +78,14 @@ class TestLoadCsv:
         with pytest.raises(MalformedFile, match=r"t\.csv: line 1: missing column 'zz'"):
             load_csv(p, required_columns=["a", "zz"])
 
+    def test_repeated_declared_column(self, tmp_path):
+        # a column reads its first copy alone, so a second copy would go unseen
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,a\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(MalformedFile, match=r"t\.csv: line 1: repeated column 'a'"):
+            load_csv(p, required_columns=["b", "a"])
+        assert load_csv(p, required_columns=["b"]).columns == ("a", "b", "a")
+
     def test_cells_verbatim(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text('a\n" spacey "\n', encoding="utf-8")
@@ -138,6 +146,13 @@ class TestRecode:
         with pytest.raises(UnmappedToken):
             table_from(["Q"], [("7",)], spec)
 
+    def test_unmapped_strict_names_the_first_row_of_the_token(self):
+        spec = RecodeSpec([yn_spec("P"), yn_spec("Q")])
+        with pytest.raises(UnmappedToken) as exc:
+            table_from(["P", "Q"], [("1", "1"), ("2", "7"), ("1", "2"), ("2", "7")], spec)
+        assert (exc.value.variable, exc.value.token, exc.value.row) == ("Q", "7", 2)
+        assert str(exc.value) == "variable 'Q': unmapped token '7'"
+
     def test_unmapped_missing_policy(self):
         vr = VariableRecode("Q", ("Yes", "No"), {"1": "Yes"}, unmapped="missing")
         t = table_from(["Q"], [("7",), ("1",)], RecodeSpec([vr]))
@@ -185,18 +200,18 @@ class TestCollapseRare:
         return DataTable([var], np.array(codes, dtype=np.int32)[:, None])
 
     def test_level_at_49_removed(self):
-        t = self.make([100, 49])
         # collapsing to below two levels is refused, so add a third level
         t = self.make([100, 49, 60])
-        out = collapse_rare(t, "X", min_count=50)
+        out, dropped = collapse_rare(t, min_count=50)
         assert out.variable("X").levels == ("l0", "l2")
         assert int((out.column("X") == MISSING).sum()) == 49
+        assert dropped == {"X": ["l1"]}
 
     def test_level_at_50_retained(self):
         t = self.make([100, 50])
-        out = collapse_rare(t, "X", min_count=50)
+        out, dropped = collapse_rare(t, min_count=50)
         assert out.variable("X").levels == ("l0", "l1")
-        assert reference_io.same(out, t)
+        assert out is t and dropped == {}  # nothing drops, so no table is built
 
     def test_counts_taken_before_row_dropping(self):
         # level l1 has 50 occurrences overall but only 30 among rows complete
@@ -204,10 +219,10 @@ class TestCollapseRare:
         x = CategoricalVariable("X", ("l0", "l1"))
         y = CategoricalVariable("Y", ("a", "b"))
         x_codes = np.array([0] * 100 + [1] * 50, dtype=np.int32)
-        y_codes = np.array([0] * 100 + [0] * 30 + [MISSING] * 20, dtype=np.int32)
+        y_codes = np.array([0] * 50 + [1] * 50 + [0] * 30 + [MISSING] * 20, dtype=np.int32)
         t = DataTable([x, y], np.stack([x_codes, y_codes], axis=1))
-        kept = collapse_rare(t, "X", min_count=50)
-        assert kept.variable("X").levels == ("l0", "l1")
+        kept, dropped = collapse_rare(t, min_count=50)
+        assert kept.variable("X").levels == ("l0", "l1") and dropped == {}
         # the reversed order would have dropped l1
         dropped_first = drop_incomplete(t)
         obs = np.bincount(dropped_first.column("X"), minlength=2)
@@ -215,8 +230,53 @@ class TestCollapseRare:
 
     def test_refuses_single_level_result(self):
         t = self.make([100, 10])
-        with pytest.raises(ValueError):
-            collapse_rare(t, "X", min_count=50)
+        with pytest.raises(ValueError, match="rare levels of 'X' would leave 1 level"):
+            collapse_rare(t, min_count=50)
+
+    @staticmethod
+    def one_column(table, variable, min_count):
+        """The reference: one column collapsed on its own, cell by cell."""
+        vi = table.var_index(variable)
+        var, col = table.variables[vi], table.codes[:, vi]
+        keep = np.bincount(col[col >= 0], minlength=var.r) >= min_count
+        codes = np.array(table.codes)
+        codes[:, vi] = [MISSING if c < 0 or not keep[c] else int(keep[:c].sum()) for c in col]
+        variables = list(table.variables)
+        variables[vi] = CategoricalVariable(
+            var.name, [lvl for lvl, k in zip(var.levels, keep) if k], var.ordinal)
+        return DataTable(variables, codes, table.source)
+
+    def test_two_columns_collapse_in_table_order(self):
+        rng = np.random.default_rng(5)
+        z = CategoricalVariable("Z", ("z0", "z1", "z2", "z3"), ordinal=True)
+        m = CategoricalVariable("M", ("m0", "m1"))
+        a = CategoricalVariable("A", ("a0", "a1", "a2"))
+        codes = np.stack([
+            rng.choice([MISSING, 0, 1, 2, 3], 300, p=[0.1, 0.4, 0.05, 0.4, 0.05]),
+            rng.choice([MISSING, 0, 1], 300, p=[0.2, 0.4, 0.4]),
+            rng.choice([MISSING, 0, 1, 2], 300, p=[0.1, 0.03, 0.47, 0.4]),
+        ], axis=1)
+        t = DataTable([z, m, a], codes, source="abc")
+        out, dropped = collapse_rare(t, min_count=30)
+        assert list(dropped.items()) == [("Z", ["z1", "z3"]), ("A", ["a0"])]
+        want = t
+        for name in ("Z", "M", "A"):
+            want = self.one_column(want, name, 30)
+        assert reference_io.same(out, want) and out.source == "abc"
+        assert out.variable("Z").ordinal
+
+    def test_first_column_short_of_two_levels_named(self):
+        x = CategoricalVariable("X", ("x0", "x1"))
+        y = CategoricalVariable("Y", ("y0", "y1"))
+        t = DataTable([y, x], [[0, 0]] * 5 + [[1, 0]] * 5)
+        with pytest.raises(ValueError, match="^collapsing rare levels of 'Y' would leave 0"):
+            collapse_rare(t, min_count=6)
+
+    def test_empty_table_passes_through(self):
+        t = self.make([0, 0])
+        assert t.n_rows == 0
+        out, dropped = collapse_rare(t, min_count=50)
+        assert out is t and dropped == {}
 
 
 class TestDropIncomplete:

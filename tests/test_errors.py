@@ -18,7 +18,7 @@ EXAMPLES = {
     "VersionMismatch": ("model.yaml", 7, 1),
     "RaggedRow": (4, 10, 9, "survey.csv", 5),
     "MissingColumn": ("Age",),
-    "UnmappedToken": ("Age", "??"),
+    "UnmappedToken": ("Age", "??", 3),
     "NonBinaryMember": ("Fairness", "Q12", ("yes", "no", "maybe")),
     "UnassignedVariable": ("Age",),
     "EmptyStrengths": (),
