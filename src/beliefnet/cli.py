@@ -158,13 +158,20 @@ class _Run:
 def cmd_prep(args, run: _Run):
     spec, missing_threshold, framing, models = configio.load_prep_config(args.recode)
     themes = configio.load_theme_config(args.themes) if args.themes else []
+    columns = {v.name for v in spec.variables}
+    for i, theme in enumerate(themes):
+        if unknown := [m for m in theme.members if m not in columns]:
+            raise MalformedFile(args.themes, f"themes[{i}].members", f"unknown variables {unknown}")
     # a theme column joins the columns its members leave, under a new name
-    columns = {v.name for v in spec.variables} - {m for t in themes for m in t.members}
+    columns -= {m for t in themes for m in t.members}
     for i, theme in enumerate(themes):
         if theme.name in columns:
             raise MalformedFile(args.themes, f"themes[{i}].name",
                                 f"{theme.name!r} is already a column of the table")
         columns.add(theme.name)
+    for kind, wanted in models.items():
+        if missing := [n for n in wanted if n not in columns]:
+            raise MalformedFile(args.recode, f"models.{kind}", f"unknown variables {missing}")
     raw = load_csv(args.raw, required_columns=[v.source for v in spec.variables])
     try:
         table = recode(raw, spec)
@@ -183,11 +190,7 @@ def cmd_prep(args, run: _Run):
         tables["risk"], tables["opportunity"] = split_population(table, framing)
     finals, paths = {}, {}
     for kind, wanted in models.items():
-        t = tables[kind]
-        missing = [n for n in wanted if n not in {v.name for v in t.variables}]
-        if missing:
-            raise MalformedFile(args.recode, f"models.{kind}", f"unknown variables {missing}")
-        finals[kind] = drop_incomplete(t.select(wanted))
+        finals[kind] = drop_incomplete(tables[kind].select(wanted))
         paths[kind] = (run.claim("data", f"{args.name}_{kind}.csv"),
                        run.claim("data", f"{args.name}_{kind}.dict.yaml"))
     audit_path = run.claim("data", f"{args.name}.audit.yaml")

@@ -1,5 +1,6 @@
 """Survey data pipeline: recoding, rare-level collapsing, missing-data
-handling, themes and splits.
+handling, themes and splits. ``recode`` is the one decoder of text cells:
+prep applies it to the raw survey and ``load_datatable`` to a saved table.
 
 All stages are pure: the same input table and spec produce identical output.
 Encoded tables store level indices (int32, -1 for missing). ``recode`` names
@@ -319,7 +320,9 @@ def split_population(table: DataTable, framing: str):
 
 def save_datatable(table: DataTable, csv_path, dict_path) -> None:
     """Write the table as a label CSV plus a YAML variable dictionary."""
-    _check_levels(table.variables, csv_path)
+    for v in table.variables:
+        if problem := _label_problem(v.name, v.levels):
+            raise MalformedFile(csv_path, "variables", problem)
     # code -1 picks the trailing "", so a missing cell is written empty
     labels = [np.array(v.levels + ("",), dtype=object)[table.codes[:, i]]
               for i, v in enumerate(table.variables)]
@@ -359,35 +362,27 @@ def read_variables(doc, path) -> list:
 
 
 def load_datatable(csv_path, dict_path) -> DataTable:
-    """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts."""
+    """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts,
+    decoded by ``recode``: each level is its own token, the empty cell missing."""
     doc = _yamlio.header(_yamlio.read(dict_path), dict_path, "beliefnet-dict", 1)
     _known(doc, ("format", "version", "n_rows", "source", "variables"), path=dict_path)
     variables = read_variables(doc, dict_path)
-    _check_levels(variables, dict_path)
+    try:  # VariableRecode refuses a label the CSV cannot round-trip
+        spec = RecodeSpec([VariableRecode(v.name, v.levels, {"": None, **{x: x for x in v.levels}},
+                                          ordinal=v.ordinal) for v in variables])
+    except ValueError as exc:
+        raise MalformedFile(dict_path, "variables", str(exc)) from None
     n_rows = _field(doc, "n_rows", int, path=dict_path)
     raw = load_csv(csv_path, required_columns=[v.name for v in variables])
     if raw.n_rows != n_rows:
         reason = f"{raw.n_rows} rows, but {dict_path} declares {n_rows}"
         raise MalformedFile(csv_path, "n_rows", reason)
-    columns = []
-    for var in variables:
-        lookup = {label: i for i, label in enumerate(("",) + var.levels, MISSING)}
-        cells = raw.column(var.name)
-        try:
-            columns.append(np.array([lookup[c] for c in cells], dtype=np.int32))
-        except KeyError as exc:
-            row = next(i for i, c in enumerate(cells, 1) if c not in lookup)
-            raise MalformedFile(csv_path, f"row {row}",
-                                f"variable {var.name!r} has no level {exc.args[0]!r}") from None
-    codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
-    return DataTable(variables, codes, source=_field(doc, "source", str, "", path=dict_path))
-
-
-def _check_levels(variables, path):
-    """MalformedFile for a variable ``_label_problem`` refuses."""
-    for v in variables:
-        if problem := _label_problem(v.name, v.levels):
-            raise MalformedFile(path, "variables", problem)
+    try:
+        table = recode(raw, spec)
+    except UnmappedToken as exc:
+        raise MalformedFile(csv_path, f"row {exc.row}",
+                            f"variable {exc.variable!r} has no level {exc.token!r}") from None
+    return DataTable(table.variables, table.codes, _field(doc, "source", str, "", path=dict_path))
 
 
 def _label_problem(name, levels):

@@ -57,11 +57,11 @@ class DecomposableScore:
     ``weights`` are nonnegative integer row multiplicities: with
     ``np.bincount(idx, minlength=n_rows)`` every score equals the one on the
     table of rows ``data.codes[idx]`` exactly. Zero-weight rows are dropped
-    and N is the weight total. Every local score is kept in the scorer's
-    own ``cache``, which counts its hits and misses. A miss tallies the
-    family with one ``bincount`` over int32 cell codes, in the cell order of
-    ``counts``: the parents' mixed-radix configuration code times the
-    child's arity plus the child's level. A parent mask's code is built once per scorer, from its
+    and N is the weight total. Every local score is kept in the scorer's own
+    ``cache``, which counts its hits and misses. A miss tallies the family
+    with one ``bincount`` over int32 cell codes: the parents' mixed-radix
+    code, first parent most significant, times the child's arity, plus the
+    child's level. A parent mask's code is built once per scorer, from its
     longest already built prefix, and kept for every child that shares the
     mask, up to ``_PARENT_CODE_BYTES``. Counts are exact integers, so the
     log-likelihood reads each k*log(k) from the shared table over k = 0..N.

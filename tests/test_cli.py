@@ -194,7 +194,8 @@ class TestPrep:
             "--workspace", tmp_path / "ws", "--name", "x",
         )
         assert code == 2
-        assert "does_not_exist" in capsys.readouterr().err
+        assert (f"{bad}: themes[0].members: unknown variables ['does_not_exist']"
+                in capsys.readouterr().err)
 
     def test_unknown_model_variable_writes_nothing(self, tmp_path, capsys):
         with open(PREP, encoding="utf-8") as fh:
@@ -209,6 +210,16 @@ class TestPrep:
         )
         assert code == 2
         assert "models.risk: unknown variables ['Nope']" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
+
+    def test_unknown_model_variable_refused_before_raw_is_read(self, tmp_path, capsys):
+        # without --themes, models.risk names theme columns the plan lacks
+        code = run(
+            "prep", "--raw", tmp_path / "does_not_exist.csv", "--recode", PREP,
+            "--workspace", tmp_path / "ws", "--name", "x",
+        )
+        assert code == 2
+        assert f"{PREP}: models.risk: unknown variables [" in capsys.readouterr().err
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
 
