@@ -3,8 +3,9 @@ PyYAML ships it. Both parsers give the same documents; the emitters differ
 only on strings outside printable ASCII (the pure one may split them across
 lines) and on empty keys, so such documents take the pure emitter and every
 file is written byte for byte as ``yaml.safe_dump`` writes it. Every loader
-reads its fields through ``_field`` and ``_known``, which name a wrong field
-by its position.
+opens its file with ``document``, which checks the header and the root keys,
+and reads its fields through the ``Reader`` that returns, which names a
+wrong field by its position.
 """
 
 from __future__ import annotations
@@ -61,74 +62,100 @@ def read(path):
         return load(fh, path)
 
 
-def header(doc, source, name, version):
-    """``doc`` once it is a mapping whose ``format`` is ``name`` and whose
-    ``version`` is ``version``: else MalformedFile at "(root)" or "format",
-    or VersionMismatch."""
-    if not isinstance(doc, dict):
-        raise MalformedFile(source, "(root)", "expected a mapping")
-    if doc.get("format") != name:
-        raise MalformedFile(source, "format", f"expected {name!r}, got {doc.get('format')!r}")
-    if doc.get("version") != version:
-        raise VersionMismatch(source, doc.get("version"), version)
-    return doc
-
-
 _REQUIRED = object()
 
 
-def _field(doc, key, kind, default=_REQUIRED, check=None, *, path, where=""):
-    """``doc[key]`` read as ``kind``, ``default`` when absent or empty.
+class Reader:
+    """A mapping of the file ``path`` at ``where`` ("", "key." or "key[i].sub."),
+    read field by field; every refusal is MalformedFile at the field's position."""
 
-    ``kind`` is bool, int, list or dict (the value must be one), float (a
-    number, or a string such as "1e-3", which YAML 1.1 does not read as a
-    number) or str (a scalar, converted; a list, a mapping or a boolean, which
-    YAML 1.1 reads from an unquoted yes/no/on/off, is refused);
-    ``check`` is a (predicate, reason) pair on the result. Every failure
-    raises MalformedFile naming the field ``where`` + ``key``.
-    """
-    if not isinstance(doc, dict):
-        raise MalformedFile(path, where.rstrip(".") or "(root)", "expected a mapping")
-    value = doc.get(key)
-    position = f"{where}{key}"
-    if value is None:
-        if default is _REQUIRED:
-            raise MalformedFile(path, position, "missing field")
-        value = default
-    if kind is float and not isinstance(value, bool):
-        try:
-            value, ok = float(value), True
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-    elif kind is str:
-        ok = not isinstance(value, (list, dict, bool))
-        value = str(value) if ok else value
-    else:
-        ok = type(value) is kind
-    if not ok:
-        raise MalformedFile(path, position, f"expected {kind.__name__}, got {value!r}")
-    if check is not None and not check[0](value):
-        raise MalformedFile(path, position, check[1])
-    return value
+    __slots__ = ("doc", "path", "where")
+
+    def __init__(self, doc, path, where=""):
+        self.doc, self.path, self.where = doc, path, where
+        if not isinstance(doc, dict):
+            raise self.error("expected a mapping")
+
+    def error(self, reason, key=""):
+        """MalformedFile at ``key``, or at this mapping when ``key`` is ""."""
+        position = f"{self.where}{key}" if key != "" else self.where[:-1] or "(root)"
+        return MalformedFile(self.path, position, reason)
+
+    def get(self, key, kind, default=_REQUIRED, check=None):
+        """``doc[key]`` read as ``kind``, ``default`` when absent or empty.
+
+        ``kind`` is bool, int, list or dict (the value must be one), float (a
+        number, or a string such as "1e-3", which YAML 1.1 does not read as a
+        number) or str (a scalar, converted; a list, a mapping or a boolean,
+        which YAML 1.1 reads from an unquoted yes/no/on/off, is refused);
+        ``check`` is a (predicate, reason) pair on the result.
+        """
+        value = self.doc.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise self.error("missing field", key)
+            value = default
+        if kind is float and not isinstance(value, bool):
+            try:
+                value, ok = float(value), True
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+        elif kind is str:
+            ok = not isinstance(value, (list, dict, bool))
+            value = str(value) if ok else value
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise self.error(f"expected {kind.__name__}, got {value!r}", key)
+        if check is not None and not check[0](value):
+            raise self.error(check[1], key)
+        return value
+
+    def names(self, key, distinct=False):
+        """``doc[key]``, a required list of scalars, as a tuple of strings; an
+        item that is a list, a mapping, a null or a boolean is refused at
+        ``key[i]``, so ``~`` is not read as "None", nor ``yes`` as "True";
+        with ``distinct``, so is an item listed before."""
+        items = self.get(key, list)
+        for i, item in enumerate(items):
+            if item is None or isinstance(item, (list, dict, bool)):
+                raise self.error(f"expected a name, got {item!r}", f"{key}[{i}]")
+        names = tuple(map(str, items))
+        for i, name in enumerate(names if distinct else ()):
+            if names.index(name) < i:
+                raise self.error(f"{name!r} is listed twice", f"{key}[{i}]")
+        return names
+
+    def known(self, keys):
+        """This reader, once no key is outside ``keys``: a misspelled key is
+        refused, not read as absent."""
+        for key in self.doc:
+            if key not in keys:
+                raise self.error(f"unknown key; known: {', '.join(keys)}", key)
+        return self
+
+    def section(self, key, keys, default=_REQUIRED):
+        """The mapping ``doc[key]`` at ``key.``, its keys checked against
+        ``keys`` unless that is None (keys that are data, not fields)."""
+        section = Reader(self.get(key, dict, default), self.path, f"{self.where}{key}.")
+        return section if keys is None else section.known(keys)
+
+    def entries(self, key, keys):
+        """The required list ``doc[key]`` as one reader per item, at
+        ``key[i].``; each item must be a mapping whose keys are in ``keys``."""
+        return [Reader(item, self.path, f"{self.where}{key}[{i}].").known(keys)
+                for i, item in enumerate(self.get(key, list))]
 
 
-def _names(doc, key, *, path, where=""):
-    """``doc[key]``, a required list of scalars, as a tuple of strings; an
-    item that is a list, a mapping, a null or a boolean raises MalformedFile
-    at ``key[i]``, so ``~`` is not read as "None", nor ``yes`` as "True"."""
-    items = _field(doc, key, list, path=path, where=where)
-    for i, item in enumerate(items):
-        if item is None or isinstance(item, (list, dict, bool)):
-            raise MalformedFile(path, f"{where}{key}[{i}]", f"expected a name, got {item!r}")
-    return tuple(map(str, items))
-
-
-def _known(doc, keys, *, path, where=""):
-    """Refuse the first key of the mapping ``doc`` that is not in ``keys``,
-    so a misspelled key is not read as absent."""
-    for key in doc:
-        if key not in keys:
-            raise MalformedFile(path, f"{where}{key}", f"unknown key; known: {', '.join(keys)}")
+def document(doc, path, name, version, keys):
+    """The ``Reader`` of ``doc``, a mapping whose ``format`` is ``name``, whose
+    ``version`` is ``version`` and whose other root keys are in ``keys``."""
+    doc = Reader(doc, path)
+    if doc.doc.get("format") != name:
+        raise doc.error(f"expected {name!r}, got {doc.doc.get('format')!r}", "format")
+    if doc.doc.get("version") != version:
+        raise VersionMismatch(path, doc.doc.get("version"), version)
+    return doc.known(("format", "version", *keys))
 
 
 def dump(doc, width=None):

@@ -164,11 +164,12 @@ class ScenarioResult:
 def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
     """One posterior per (scenario, target), preserving scenario order.
 
-    No targets, or a scenario name used twice, raises InvalidQuery.
+    No targets, a target or a scenario name listed twice, raises InvalidQuery.
     """
     targets = tuple(targets)
     if not targets:
         raise InvalidQuery("scenario posteriors need at least one target")
+    _distinct_variables(net, targets, "target")
     results, seen = [], set()
     for scen in scenarios:
         if scen.name in seen:

@@ -172,6 +172,8 @@ def cmd_prep(args, run: _Run):
     for kind, wanted in models.items():
         if missing := [n for n in wanted if n not in columns]:
             raise MalformedFile(args.recode, f"models.{kind}", f"unknown variables {missing}")
+    if {"risk", "opportunity"} & models.keys() and framing not in columns:
+        raise MalformedFile(args.recode, "framing", f"unknown variable {framing!r}")
     raw = load_csv(args.raw, required_columns=[v.source for v in spec.variables])
     try:
         table = recode(raw, spec)

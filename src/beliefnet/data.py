@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _yamlio, reports
-from ._yamlio import _field, _known, _names
 from .errors import (
     MalformedFile,
     MissingColumn,
@@ -342,37 +341,34 @@ def variable_entries(variables) -> list:
     return [{"name": v.name, "levels": list(v.levels), "ordinal": v.ordinal} for v in variables]
 
 
-def read_variables(doc, path) -> list:
-    """The variables in ``doc``'s ``variables:`` list, as ``variable_entries``
+def read_variables(doc) -> list:
+    """The variables in the ``variables:`` list of ``doc``, a
+    ``_yamlio.Reader`` of a dictionary or model file, as ``variable_entries``
     writes it; MalformedFile at the entry or field that is wrong."""
     variables = []
-    for i, entry in enumerate(_field(doc, "variables", list, path=path)):
-        where = f"variables[{i}]."
-        name = _field(entry, "name", str, path=path, where=where)
-        _known(entry, ("name", "levels", "ordinal"), path=path, where=where)
-        levels = _names(entry, "levels", path=path, where=where)
-        ordinal = _field(entry, "ordinal", bool, False, path=path, where=where)
+    for entry in doc.entries("variables", ("name", "levels", "ordinal")):
         try:
-            variables.append(CategoricalVariable(name, levels, ordinal))
+            variables.append(CategoricalVariable(
+                entry.get("name", str), entry.names("levels"), entry.get("ordinal", bool, False)))
         except ValueError as exc:
-            raise MalformedFile(path, f"variables[{i}]", str(exc)) from exc
+            raise entry.error(str(exc)) from exc
     if len({v.name for v in variables}) != len(variables):
-        raise MalformedFile(path, "variables", "duplicate variable names")
+        raise doc.error("duplicate variable names", "variables")
     return variables
 
 
 def load_datatable(csv_path, dict_path) -> DataTable:
     """The table in ``csv_path``, whose rows the dictionary ``dict_path`` counts,
     decoded by ``recode``: each level is its own token, the empty cell missing."""
-    doc = _yamlio.header(_yamlio.read(dict_path), dict_path, "beliefnet-dict", 1)
-    _known(doc, ("format", "version", "n_rows", "source", "variables"), path=dict_path)
-    variables = read_variables(doc, dict_path)
+    doc = _yamlio.document(_yamlio.read(dict_path), dict_path, "beliefnet-dict", 1,
+                           ("n_rows", "source", "variables"))
+    variables = read_variables(doc)
     try:  # VariableRecode refuses a label the CSV cannot round-trip
         spec = RecodeSpec([VariableRecode(v.name, v.levels, {"": None, **{x: x for x in v.levels}},
                                           ordinal=v.ordinal) for v in variables])
     except ValueError as exc:
-        raise MalformedFile(dict_path, "variables", str(exc)) from None
-    n_rows = _field(doc, "n_rows", int, path=dict_path)
+        raise doc.error(str(exc), "variables") from None
+    n_rows = doc.get("n_rows", int)
     raw = load_csv(csv_path, required_columns=[v.name for v in variables])
     if raw.n_rows != n_rows:
         reason = f"{raw.n_rows} rows, but {dict_path} declares {n_rows}"
@@ -382,7 +378,7 @@ def load_datatable(csv_path, dict_path) -> DataTable:
     except UnmappedToken as exc:
         raise MalformedFile(csv_path, f"row {exc.row}",
                             f"variable {exc.variable!r} has no level {exc.token!r}") from None
-    return DataTable(table.variables, table.codes, _field(doc, "source", str, "", path=dict_path))
+    return DataTable(table.variables, table.codes, doc.get("source", str, ""))
 
 
 def _label_problem(name, levels):

@@ -9,7 +9,6 @@ field, bit for bit.
 from __future__ import annotations
 
 from . import _yamlio, reports
-from ._yamlio import _field, _known, _names
 from .data import read_variables, variable_entries
 from .errors import MalformedFile
 from .model import Cpt, Dag, FittedNetwork
@@ -70,24 +69,22 @@ def load(path) -> FittedNetwork:
 
 
 def _network(doc, source) -> FittedNetwork:
-    _yamlio.header(doc, source, FORMAT_NAME, FORMAT_VERSION)
-    _known(doc, ("format", "version", "variables", "arcs", "cpts", "metadata"), path=source)
-    variables = read_variables(doc, source)
+    doc = _yamlio.document(doc, source, FORMAT_NAME, FORMAT_VERSION,
+                           ("variables", "arcs", "cpts", "metadata"))
+    variables = read_variables(doc)
     parents, rows = {}, {}
-    for i, entry in enumerate(_field(doc, "cpts", list, path=source)):
-        where = f"cpts[{i}]."
-        name = _field(entry, "variable", str, path=source, where=where)
-        _known(entry, ("variable", "parents", "rows"), path=source, where=where)
+    for entry in doc.entries("cpts", ("variable", "parents", "rows")):
+        name = entry.get("variable", str)
         if name in parents:
-            raise MalformedFile(source, "cpts", f"duplicate entry for {name!r}")
-        parents[name] = _names(entry, "parents", path=source, where=where)
-        rows[name] = _field(entry, "rows", list, path=source, where=where)
-    arcs = _field(doc, "arcs", list, path=source)
-    metadata = _field(doc, "metadata", dict, {}, path=source)
+            raise doc.error(f"duplicate entry for {name!r}", "cpts")
+        parents[name] = entry.names("parents")
+        rows[name] = entry.get("rows", list)
+    arcs = doc.get("arcs", list)
+    metadata = doc.get("metadata", dict, {})
     try:
         dag = Dag(tuple(v.name for v in variables), parents)
         if {(str(a), str(b)) for a, b in arcs} != set(dag.arcs()):
-            raise MalformedFile(source, "arcs", "arc list disagrees with CPT parents")
+            raise doc.error("arc list disagrees with CPT parents", "arcs")
         cpts = {name: Cpt(name, parents[name], rows[name]) for name in parents}
         return FittedNetwork(variables, dag, cpts, metadata)
     except MalformedFile:

@@ -224,6 +224,10 @@ class TestScenarios:
         with pytest.raises(InvalidQuery, match="scenario 'Baseline' is listed twice"):
             scenario_posteriors(net, scens, ["Y"])
 
+    def test_repeated_target_rejected(self):
+        with pytest.raises(InvalidQuery, match="target 'Y' is listed twice"):
+            scenario_posteriors(chain_xmy(), [ScenarioDef("s", {})], ["Y", "X", "Y"])
+
     def test_results_keep_their_own_evidence(self):
         net = chain_xmy()
         evidence = {"X": "x1"}

@@ -222,6 +222,20 @@ class TestPrep:
         assert f"{PREP}: models.risk: unknown variables [" in capsys.readouterr().err
         assert list((tmp_path / "ws" / "data").iterdir()) == []
 
+    def test_unknown_framing_refused_before_raw_is_read(self, tmp_path, capsys):
+        # models lists risk and opportunity, which split the rows by framing
+        with open(PREP, encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / "prep.yaml"
+        bad.write_text(text.replace("framing: DevelopAI", "framing: DevelopA", 1),
+                       encoding="utf-8")
+        code = run(
+            "prep", "--raw", tmp_path / "does_not_exist.csv", "--recode", bad,
+            "--themes", THEMES, "--workspace", tmp_path / "ws", "--name", "x",
+        )
+        assert code == 2
+        assert f"{bad}: framing: unknown variable 'DevelopA'" in capsys.readouterr().err
+        assert list((tmp_path / "ws" / "data").iterdir()) == []
 
     def test_misspelled_table_writes_nothing(self, tmp_path, capsys):
         with open(PREP, encoding="utf-8") as fh:
@@ -673,6 +687,22 @@ class TestScenario:
         assert code == 2
         assert "scenario 'Baseline' is listed twice" in capsys.readouterr().err
         assert not list((tmp_path / "wsd" / "reports").iterdir())
+
+    def test_repeated_target_exit_2_at_its_position_without_report(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "format: beliefnet-scenarios\nversion: 1\n"
+            "targets: [DevelopAI, AIRegulations, DevelopAI]\nscenarios:\n"
+            "  - name: Baseline\n    evidence: {}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "scenario", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wst", "--name", "twice",
+        )
+        assert code == 2
+        assert f"{cfg}: targets[2]: 'DevelopAI' is listed twice" in capsys.readouterr().err
+        assert not list((tmp_path / "wst" / "reports").iterdir())
 
     def test_no_targets_exit_2_without_report(self, ws, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"

@@ -373,6 +373,24 @@ def test_misspelled_key_refused_at_its_position(tmp_path, loader, body, typo, po
 
 
 @pytest.mark.parametrize("loader, body, old, new, position", [
+    (load_theme_config, THEMES_BODY, "- name: T\n    members:", "- membrs:", "themes[0].membrs"),
+    (load_tier_config, TIERS_BODY, "variables:", "variabls:", "tiers[0].variabls"),
+    (load_query_config, QUERY_BODY, "- target: A\n    evidence_variables:", "- evidence:",
+     "tables[0].evidence"),
+    (load_scenario_config, SCENARIO_BODY, "- name: Young\n    evidence:", "- evidnce:",
+     "scenarios[0].evidnce"),
+], ids=["themes", "tiers", "query", "scenarios"])
+def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old, new, position):
+    """A list entry, like the root and every nested mapping, refuses an
+    unknown key before it reads a field, so an entry with a misspelled key
+    in place of a required one is refused at the misspelling."""
+    body = body.replace("@", "")
+    with pytest.raises(MalformedFile) as exc:
+        loader(write(tmp_path, body.replace(old, new, 1)))
+    assert (exc.value.position, exc.value.reason.split(";")[0]) == (position, "unknown key")
+
+
+@pytest.mark.parametrize("loader, body, old, new, position", [
     (load_model, MODEL_BODY, "name: A", "name: [A]", "variables[0].name"),
     (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [[a0], a1]", "variables[0].levels[0]"),
     (load_model, MODEL_BODY, "parents: []", "parents: [{A: 1}]", "cpts[0].parents[0]"),
@@ -543,6 +561,13 @@ class TestAnalysisConfigs:
         with pytest.raises(MalformedFile) as exc:
             loader(write(tmp_path, body.replace(old, new, 1), "target.yaml"))
         assert (exc.value.position, exc.value.reason) == (position, reason)
+
+    def test_repeated_scenario_target_refused_at_its_entry(self, tmp_path):
+        # it would claim one report twice; models.<table>[i] is refused alike
+        body = SCENARIO_BODY.replace("@", "").replace("targets: [A]", "targets: [A, B, A]")
+        with pytest.raises(MalformedFile) as exc:
+            load_scenario_config(write(tmp_path, body))
+        assert (exc.value.position, exc.value.reason) == ("targets[2]", "'A' is listed twice")
 
     def test_sensitivity_bad_delta(self, tmp_path):
         p = write(

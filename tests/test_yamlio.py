@@ -223,3 +223,62 @@ def test_constructor_crash_is_malformed_file(text):
     with pytest.raises(MalformedFile) as err:
         _yamlio.load(text, "t.yaml")
     assert (err.value.path, err.value.position) == ("t.yaml", "(document)")
+
+
+def _refusal(read, doc):
+    """(position, reason) of the MalformedFile ``read`` raises on the
+    document ``doc`` of the format "beliefnet-x", version 1."""
+    with pytest.raises(MalformedFile) as err:
+        read(_yamlio.document(doc, "x.yaml", "beliefnet-x", 1, tuple(doc)[2:]))
+    assert err.value.path == "x.yaml"
+    return err.value.position, err.value.reason
+
+
+HEAD = {"format": "beliefnet-x", "version": 1}
+
+
+class TestReader:
+    """Each reader method refuses at the position of what it reads: ``key``,
+    ``key.sub`` or ``key[i].sub``."""
+
+    def test_document_not_a_mapping_is_refused_at_the_root(self):
+        with pytest.raises(MalformedFile) as err:
+            _yamlio.document(["format", "version"], "x.yaml", "beliefnet-x", 1, ())
+        assert (err.value.position, err.value.reason) == ("(root)", "expected a mapping")
+
+    def test_document_refuses_an_unknown_root_key(self):
+        with pytest.raises(MalformedFile) as err:
+            _yamlio.document({**HEAD, "tabu": {}}, "x.yaml", "beliefnet-x", 1, ("alpha",))
+        assert err.value.position == "tabu"
+
+    def test_section(self):
+        def read(doc):
+            doc.section("tabu", ("tenure",)).get("tenure", int, 10, (lambda v: v > 0, "> 0"))
+        assert _refusal(read, {**HEAD, "tabu": {"tenure": 0}}) == ("tabu.tenure", "> 0")
+        assert _refusal(read, {**HEAD, "tabu": {"tenur": 3}})[0] == "tabu.tenur"
+        assert _refusal(read, {**HEAD, "tabu": [3]}) == ("tabu", "expected dict, got [3]")
+
+    def test_entries(self):
+        def read(doc):
+            return [entry.get("name", str) for entry in doc.entries("variables", ("name",))]
+        doc = {**HEAD, "variables": [{"name": "A"}, {"name": "B"}, {}]}
+        assert _refusal(read, doc) == ("variables[2].name", "missing field")
+        doc = {**HEAD, "variables": ["A"]}
+        assert _refusal(read, doc) == ("variables[0]", "expected a mapping")
+        doc = {**HEAD, "variables": [{"name": "A"}, {"nme": "B"}]}
+        assert _refusal(read, doc)[0] == "variables[1].nme"
+
+    def test_names(self):
+        def read(doc):
+            doc.section("models", ("full",)).names("full", distinct=True)
+        doc = {**HEAD, "models": {"full": ["A", ["B"]]}}
+        assert _refusal(read, doc) == ("models.full[1]", "expected a name, got ['B']")
+        doc = {**HEAD, "models": {"full": ["A", "B", "A"]}}
+        assert _refusal(read, doc) == ("models.full[2]", "'A' is listed twice")
+
+    def test_error_at_an_entry_and_at_its_field(self):
+        doc = _yamlio.document({**HEAD, "tiers": [{"variables": []}]}, "x.yaml",
+                               "beliefnet-x", 1, ("tiers",))
+        (entry,) = doc.entries("tiers", ("variables",))
+        assert (entry.error("r").position, entry.error("r", "variables").position,
+                doc.error("r").position) == ("tiers[0]", "tiers[0].variables", "(root)")
