@@ -14,9 +14,10 @@ more than one worker) are not recorded: a line that only a worker runs is
 reported as unreached, so the count is an upper bound.
 
 Under the tracer tier-1 runs about three times slower than without it, so
-this is a report, not a test. It exits with pytest's status; the number of
-unreached lines never fails it. ``KEPT`` lists the lines that stay
-unreached on purpose, each with its reason.
+this is a gate of its own, not a test. It exits with pytest's status when
+that is not 0, else 1 if a line outside ``KEPT`` is unreached, else 0.
+``KEPT`` lists the lines that stay unreached on purpose, each with its
+reason.
 
 ``--walkthrough`` runs the README walkthrough (prep, learn, query, sobol,
 scenario, sensitivity, export) in this process on the bundled fixture, with
@@ -172,7 +173,7 @@ def main(argv=None):
         return walkthrough()
     files = package_files()
     status, reached = run_traced(["-q", "-p", "no:cacheprovider", *args])
-    total = unreached = 0
+    total = unreached = stray = 0
     print()
     for name, path, codes, text in files:
         lines = {line for code in codes for _, _, line in code.co_lines() if line is not None}
@@ -183,11 +184,12 @@ def main(argv=None):
             unreached += 1
             source = text[line - 1].strip()
             reason = KEPT.get((name, source))
+            stray += reason is None
             tail = f"    # kept: {reason}" if reason else ""
             print(f"src/beliefnet/{name}:{line}: {source}{tail}")
     print(f"unreached: {unreached} of {total} executable lines "
           "(process-pool workers untraced)")
-    return status
+    return status or int(stray > 0)
 
 
 if __name__ == "__main__":

@@ -111,19 +111,18 @@ class Reader:
             raise self.error(check[1], key)
         return value
 
-    def names(self, key, distinct=False):
+    def names(self, key):
         """``doc[key]``, a required list of scalars, as a tuple of strings; an
         item that is a list, a mapping, a null or a boolean is refused at
-        ``key[i]``, so ``~`` is not read as "None", nor ``yes`` as "True";
-        with ``distinct``, so is an item listed before."""
+        ``key[i]``, so ``~`` is not read as "None", nor ``yes`` as "True", and
+        so is an item listed before: a list of names names each thing once."""
         items = self.get(key, list)
+        names = tuple(map(str, items))
         for i, item in enumerate(items):
             if item is None or isinstance(item, (list, dict, bool)):
                 raise self.error(f"expected a name, got {item!r}", f"{key}[{i}]")
-        names = tuple(map(str, items))
-        for i, name in enumerate(names if distinct else ()):
-            if names.index(name) < i:
-                raise self.error(f"{name!r} is listed twice", f"{key}[{i}]")
+            if names.index(names[i]) < i:
+                raise self.error(f"{names[i]!r} is listed twice", f"{key}[{i}]")
         return names
 
     def known(self, keys):
@@ -136,8 +135,12 @@ class Reader:
 
     def section(self, key, keys, default=_REQUIRED):
         """The mapping ``doc[key]`` at ``key.``, its keys checked against
-        ``keys`` unless that is None (keys that are data, not fields)."""
+        ``keys``; when that is None its keys are data, not fields, and one YAML
+        1.1 reads as null or a boolean (``~``, ``yes``) is refused at ``key``."""
         section = Reader(self.get(key, dict, default), self.path, f"{self.where}{key}.")
+        bad = [k for k in section.doc if k is None or isinstance(k, bool)]
+        if keys is None and bad:
+            raise section.error(f"{bad[0]!r}: quote a key YAML reads as null or a boolean")
         return section if keys is None else section.known(keys)
 
     def entries(self, key, keys):

@@ -44,11 +44,10 @@ def load_prep_config(path):
     for entry in doc.entries("variables",
                              ("name", "source", "levels", "ordinal", "unmapped", "map")):
         name, levels, mapping = entry.get("name", str), entry.names("levels"), {}
-        for token, label in entry.get("map", dict).items():
-            # YAML 1.1 reads an unquoted yes/no/on/off as a boolean (and True == 1)
-            if token is None or isinstance(token, bool) or isinstance(label, bool):
-                raise entry.error(f"{token!r}: {label!r}: quote a token or label YAML "
-                                  "reads as null or a boolean", "map")
+        map_doc = entry.section("map", None)
+        for token, label in map_doc.doc.items():
+            if isinstance(label, bool):  # a null label is "missing"
+                raise map_doc.error(f"{token!r}: {label!r}: quote a label YAML reads as a boolean")
             mapping[str(token)] = None if label is None else str(label)
         try:
             entries.append(VariableRecode(
@@ -59,7 +58,7 @@ def load_prep_config(path):
             raise entry.error(str(exc)) from exc
     tables = ("full", "risk", "opportunity")
     models_doc = doc.section("models", tables)
-    models = {t: models_doc.names(t, distinct=True) for t in tables if t in models_doc.doc}
+    models = {t: models_doc.names(t) for t in tables if t in models_doc.doc}
     for table, names in models.items():
         if not names:  # a table of no columns would be written as a bare newline
             raise models_doc.error("lists no variables", table)
@@ -116,9 +115,6 @@ def load_query_config(path):
     for entry in doc.entries("tables", ("target", "evidence_variables")):
         target = entry.get("target", str)
         sweeps = entry.names("evidence_variables")
-        repeated = [v for k, v in enumerate(sweeps) if v in sweeps[:k]]
-        if repeated:
-            raise entry.error(f"{repeated[0]!r} is listed twice", "evidence_variables")
         if target in sweeps:
             raise entry.error(f"target {target!r} appears in the evidence",
                               f"evidence_variables[{sweeps.index(target)}]")
@@ -135,13 +131,12 @@ def load_sobol_config(path):
 def load_scenario_config(path):
     """``(targets, scenarios)``."""
     doc = _load_doc(path, "beliefnet-scenarios", ("targets", "scenarios"))
-    targets, scenarios = doc.names("targets", distinct=True), []
+    targets, scenarios = doc.names("targets"), []
     for entry in doc.entries("scenarios", ("name", "evidence")):
         name = entry.get("name", str)
+        if any(s.name == name for s in scenarios):
+            raise entry.error(f"scenario {name!r} is listed twice", "name")
         ev_doc = entry.section("evidence", None, {})
-        for k in ev_doc.doc:
-            if k is None or isinstance(k, bool):
-                raise ev_doc.error(f"expected a variable, got {k!r}")
         ev = {str(k): ev_doc.get(k, str) for k in ev_doc.doc}
         for t in targets:
             if t in ev:

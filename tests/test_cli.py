@@ -303,8 +303,8 @@ class TestPrep:
          "'PosWork' is already a column of the table"),
         ("recode", "missing_threshold: 50", "missing_threshold: 5000", "missing_threshold",
          "collapsing rare levels of 'Sex' would leave 0 level(s)"),
-        ("recode", "levels: [Female, Male]", "levels: [Female, Male, Male]", "variables[0]",
-         "variable 'Sex' has duplicate levels"),
+        ("recode", "levels: [Female, Male]", "levels: [Female, Male, Male]",
+         "variables[0].levels[2]", "'Male' is listed twice"),
     ], ids=["repeated_model_entry", "theme_named_like_a_column", "theme_named_twice",
             "threshold_leaves_one_level", "repeated_level"])
     def test_bad_config_exit_2_at_its_position_without_output(self, tmp_path, capsys, config,
@@ -553,7 +553,7 @@ class TestQuery:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: tables[0].evidence_variables: 'InterestAI' is listed twice" in err
+        assert f"{cfg}: tables[0].evidence_variables[1]: 'InterestAI' is listed twice" in err
         assert not list(tmp_path.glob("wr/reports/rep_query_*.csv"))
 
     def test_repeated_target_exit_2_without_report(self, ws, tmp_path, capsys):
@@ -632,7 +632,7 @@ class TestSobol:
             "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
         )
         assert code == 2
-        assert "input 'Sex' is listed twice" in capsys.readouterr().err
+        assert f"{cfg}: inputs[1]: 'Sex' is listed twice" in capsys.readouterr().err
         assert not list((tmp_path / "wsd" / "reports").iterdir())
 
 
@@ -687,6 +687,22 @@ class TestScenario:
         assert code == 2
         assert "scenario 'Baseline' is listed twice" in capsys.readouterr().err
         assert not list((tmp_path / "wsd" / "reports").iterdir())
+
+    def test_repeated_name_exit_2_at_its_position(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "format: beliefnet-scenarios\nversion: 1\ntargets: [DevelopAI]\nscenarios:\n"
+            "  - name: Baseline\n    evidence: {}\n"
+            "  - name: Baseline\n    evidence: {InterestAI: Strongly}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "scenario", "--model", ws / "models" / "full.bn.yaml",
+            "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: scenarios[1].name: scenario 'Baseline' is listed twice" in err
 
     def test_repeated_target_exit_2_at_its_position_without_report(self, ws, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"

@@ -420,7 +420,7 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
     (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [a0]", "variables[0]"),
     (load_model, MODEL_BODY, "variables:\n", "variables:\n- {name: A, levels: [x, y]}\n",
      "variables"),
-    (load_model, MODEL_CHAIN, "parents: [A]", "parents: [A, A]", "(document)"),
+    (load_model, MODEL_CHAIN, "parents: [A]", "parents: [A, A]", "cpts[1].parents[1]"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [0.5, 0.5]", "(document)"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [[1.0]]", "(document)"),
     (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [a0, ~]", "variables[0].levels[1]"),
@@ -440,10 +440,20 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
     (load_prep_config, PREP_BODY, "map: {'1': a}", "map: {'1': Off}", "variables[0].map"),
     (load_scenario_config, SCENARIO_BODY, "{Age:", "{yes:", "scenarios[0].evidence"),
     (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a]", "variables[0]"),
-    (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a, b, a]", "variables[0]"),
+    (load_prep_config, PREP_BODY, "levels: [a, b]", "levels: [a, b, a]",
+     "variables[0].levels[2]"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [[.nan, 0.5]]", "(document)"),
     (load_learn_config, LEARN_BODY, "alpha: 2.5", "alpha: .inf", "alpha"),
     (load_sensitivity_config, SENSITIVITY_BODY, "delta: 0.2", "delta: .inf", "delta"),
+    (load_theme_config, THEMES_BODY, "[a, b]", "[a, a]", "themes[0].members[1]"),
+    (load_tier_config, TIERS_BODY, "[A]", "[A, A]", "tiers[0].variables[1]"),
+    (load_sobol_config, SOBOL_BODY, "targets: [A]", "targets: [A, A]", "targets[1]"),
+    (load_sobol_config, SOBOL_BODY, "inputs: [B]", "inputs: [B, B]", "inputs[1]"),
+    (load_query_config, QUERY_BODY, "[B]", "[B, B]", "tables[0].evidence_variables[1]"),
+    (_load_dictionary, DICT_TEXT, "levels: [b0, b1, b2]", "levels: [b0, b1, b0]",
+     "variables[1].levels[2]"),
+    (load_scenario_config, SCENARIO_BODY, "- name: Young\n",
+     "- name: Young\n    evidence: {}\n  - name: Young\n", "scenarios[1].name"),
 ], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
         "prep.models", "prep.framing", "themes.members", "tiers.variables",
         "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
@@ -456,14 +466,17 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
         "tiers.boolean_variable", "scenarios.boolean_evidence", "sensitivity.boolean_state",
         "prep.boolean_token", "prep.null_token", "prep.boolean_label",
         "scenarios.boolean_evidence_key", "prep.one_level", "prep.repeated_level",
-        "model.nan_entry", "learn.infinite_alpha", "sensitivity.infinite_delta"])
+        "model.nan_entry", "learn.infinite_alpha", "sensitivity.infinite_delta",
+        "themes.repeated_member", "tiers.repeated_variable", "sobol.repeated_target",
+        "sobol.repeated_input", "query.repeated_sweep", "dict.repeated_level",
+        "scenarios.repeated_name"])
 def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
     """A list or mapping where a name or label belongs is refused at its
     position, not read as its Python repr (``name: [A]`` as "['A']"), and so
     is a null or a YAML 1.1 boolean (``~`` is not "None", ``yes`` not
-    "True"), a name repeated in a prep table, and an entry no constructor
-    accepts: an unknown ``unmapped`` policy, a theme without members, a
-    variable with one level or listed twice, a repeated parent, CPT rows
+    "True"), a name repeated in any list of names or levels, and an entry no
+    constructor accepts: an unknown ``unmapped`` policy, a theme without
+    members, a variable with one level or listed twice, CPT rows
     that are not a (q, r) table of r >= 2 or that hold a NaN, and an infinite
     ``alpha`` or ``delta``."""
     body = body.replace("@", "")

@@ -39,6 +39,7 @@ from beliefnet.errors import (
     NonBinaryMember,
     RaggedRow,
     UnknownLevel,
+    UnknownVariable,
     UnmappedToken,
 )
 from beliefnet.inference import _family_tables
@@ -188,6 +189,13 @@ class TestDataTable:
         variables = [CategoricalVariable(n, ("Yes", "No")) for n in names]
         with pytest.raises(ValueError, match=reason):
             DataTable(variables, codes)
+
+    def test_unknown_variable(self):
+        table = DataTable([CategoricalVariable("Q", ("Yes", "No"))], [[0], [1]])
+        with pytest.raises(UnknownVariable, match="nope"):
+            table.column("nope")
+        with pytest.raises(UnknownVariable, match="nope"):
+            table.select(["nope"])
 
 
 class TestCollapseRare:

@@ -258,6 +258,17 @@ class TestReader:
         assert _refusal(read, {**HEAD, "tabu": {"tenur": 3}})[0] == "tabu.tenur"
         assert _refusal(read, {**HEAD, "tabu": [3]}) == ("tabu", "expected dict, got [3]")
 
+    def test_section_of_data_keys(self):
+        # a YAML 1.1 null or boolean key would be read as "None" or "True"
+        def read(doc):
+            doc.section("evidence", None)
+        assert _refusal(read, {**HEAD, "evidence": _yamlio.load("{yes: x}", "x.yaml")}) == (
+            "evidence", "True: quote a key YAML reads as null or a boolean")
+        assert _refusal(read, {**HEAD, "evidence": _yamlio.load("{~: x}", "x.yaml")})[0] == (
+            "evidence")
+        read(_yamlio.document({**HEAD, "evidence": {"yes": "x", 1: "y"}}, "x.yaml",
+                              "beliefnet-x", 1, ("evidence",)))
+
     def test_entries(self):
         def read(doc):
             return [entry.get("name", str) for entry in doc.entries("variables", ("name",))]
@@ -270,7 +281,7 @@ class TestReader:
 
     def test_names(self):
         def read(doc):
-            doc.section("models", ("full",)).names("full", distinct=True)
+            doc.section("models", ("full",)).names("full")
         doc = {**HEAD, "models": {"full": ["A", ["B"]]}}
         assert _refusal(read, doc) == ("models.full[1]", "expected a name, got ['B']")
         doc = {**HEAD, "models": {"full": ["A", "B", "A"]}}
