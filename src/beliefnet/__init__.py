@@ -9,7 +9,6 @@ decomposition and one-way CPT sensitivity.
 from .analysis import (
     CptParameterId,
     DirectedShift,
-    ScenarioDef,
     ScenarioResult,
     SobolMatrix,
     SobolResult,
@@ -27,7 +26,6 @@ from .analysis import (
 from .data import (
     DataTable,
     RawTable,
-    RecodeSpec,
     ThemeSpec,
     VariableRecode,
     collapse_rare,
@@ -70,17 +68,16 @@ from .modelio import deserialize, export_dot, load, save, serialize
 __all__ = [
     "ArcStrengthTable", "BeliefnetError", "CategoricalVariable", "Cpt",
     "CptParameterId", "Dag", "DataTable", "DirectedShift", "FittedNetwork",
-    "QueryResult", "RawTable", "RecodeSpec", "ScenarioDef", "ScenarioResult",
-    "SobolMatrix", "SobolResult", "TabuConfig", "TabuLog", "ThemeSpec",
-    "TierSpec", "TornadoBar", "VariableRecode", "averaged_network",
-    "bootstrap_strengths", "collapse_rare", "deserialize", "drop_incomplete",
-    "export_dot", "fit_bayes", "group_themes", "influence_colors",
-    "l1_threshold", "load", "load_csv", "load_datatable", "node_influence",
-    "optimal_threshold", "param_label", "perturb_parameter", "posterior",
-    "recode", "sample", "save", "save_datatable", "scenario_posteriors",
-    "sensitivity_slope", "serialize", "sobol_first_order", "sobol_matrix",
-    "split_population", "tabu_search", "tiers_to_blacklist",
-    "topological_order", "tornado",
+    "QueryResult", "RawTable", "ScenarioResult", "SobolMatrix", "SobolResult",
+    "TabuConfig", "TabuLog", "ThemeSpec", "TierSpec", "TornadoBar",
+    "VariableRecode", "averaged_network", "bootstrap_strengths",
+    "collapse_rare", "deserialize", "drop_incomplete", "export_dot",
+    "fit_bayes", "group_themes", "influence_colors", "l1_threshold", "load",
+    "load_csv", "load_datatable", "node_influence", "optimal_threshold",
+    "param_label", "perturb_parameter", "posterior", "recode", "sample",
+    "save", "save_datatable", "scenario_posteriors", "sensitivity_slope",
+    "serialize", "sobol_first_order", "sobol_matrix", "split_population",
+    "tabu_search", "tiers_to_blacklist", "topological_order", "tornado",
 ]
 
 __version__ = "0.1.0"

@@ -149,6 +149,18 @@ class Reader:
         return [Reader(item, self.path, f"{self.where}{key}[{i}].").known(keys)
                 for i, item in enumerate(self.get(key, list))]
 
+    def keyed(self, key, keys, field):
+        """``entries(key, keys)`` as ``{name: entry}`` in list order, each
+        named by its required ``field``, read as str; a name an earlier entry
+        used is refused at ``key[i].field``, as ``names`` refuses one."""
+        keyed = {}
+        for entry in self.entries(key, keys):
+            name = entry.get(field, str)
+            if name in keyed:
+                raise entry.error(f"{name!r} is listed twice", field)
+            keyed[name] = entry
+        return keyed
+
 
 def document(doc, path, name, version, keys):
     """The ``Reader`` of ``doc``, a mapping whose ``format`` is ``name``, whose

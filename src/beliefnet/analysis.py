@@ -146,14 +146,6 @@ def sobol_matrix(net: FittedNetwork, targets, inputs) -> SobolMatrix:
 
 
 @dataclass(frozen=True)
-class ScenarioDef:
-    """A named multi-variable evidence profile, ``{variable: level}``."""
-
-    name: str
-    evidence: dict
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
     name: str
     evidence: dict
@@ -162,34 +154,32 @@ class ScenarioResult:
 
 
 def scenario_posteriors(net: FittedNetwork, scenarios, targets) -> list:
-    """One posterior per (scenario, target), preserving scenario order.
+    """One posterior per (scenario, target), in the order of ``scenarios``,
+    a mapping ``{name: {variable: level}}`` of evidence profiles.
 
-    No targets, a target or a scenario name listed twice, raises InvalidQuery.
+    No targets, or a target listed twice, raises InvalidQuery.
     """
     targets = tuple(targets)
     if not targets:
         raise InvalidQuery("scenario posteriors need at least one target")
     _distinct_variables(net, targets, "target")
-    results, seen = [], set()
-    for scen in scenarios:
-        if scen.name in seen:
-            raise InvalidQuery(f"scenario {scen.name!r} is listed twice")
-        seen.add(scen.name)
-        evidence = dict(scen.evidence)
+    results = []
+    for name, evidence in scenarios.items():
+        evidence = dict(evidence)
         _evidence_levels(net, evidence)
         for t in targets:
             if t in evidence:
-                raise InvalidQuery(f"scenario {scen.name!r} fixes the target {t!r}")
+                raise InvalidQuery(f"scenario {name!r} fixes the target {t!r}")
         queries = {}
         for t in targets:
             try:
                 queries[t] = posterior(net, t, evidence)
             except ZeroProbabilityEvidence as exc:
                 raise ZeroProbabilityEvidence(
-                    evidence, exc.probability, scenario=scen.name
+                    evidence, exc.probability, scenario=name
                 ) from exc
         p_ev = queries[targets[0]].evidence_probability
-        results.append(ScenarioResult(scen.name, evidence, p_ev, queries))
+        results.append(ScenarioResult(name, evidence, p_ev, queries))
     return results
 
 

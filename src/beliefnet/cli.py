@@ -156,9 +156,9 @@ class _Run:
 
 
 def cmd_prep(args, run: _Run):
-    spec, missing_threshold, framing, models = configio.load_prep_config(args.recode)
+    variables, missing_threshold, framing, models = configio.load_prep_config(args.recode)
     themes = configio.load_theme_config(args.themes) if args.themes else []
-    columns = {v.name for v in spec.variables}
+    columns = {v.name for v in variables}
     for i, theme in enumerate(themes):
         if unknown := [m for m in theme.members if m not in columns]:
             raise MalformedFile(args.themes, f"themes[{i}].members", f"unknown variables {unknown}")
@@ -174,9 +174,9 @@ def cmd_prep(args, run: _Run):
             raise MalformedFile(args.recode, f"models.{kind}", f"unknown variables {missing}")
     if {"risk", "opportunity"} & models.keys() and framing not in columns:
         raise MalformedFile(args.recode, "framing", f"unknown variable {framing!r}")
-    raw = load_csv(args.raw, required_columns=[v.source for v in spec.variables])
+    raw = load_csv(args.raw, required_columns=[v.source for v in variables])
     try:
-        table = recode(raw, spec)
+        table = recode(raw, variables)
     except UnmappedToken as exc:  # name the raw file and the first row holding the token
         raise MalformedFile(args.raw, f"row {exc.row}", str(exc)) from None
     try:

@@ -4,10 +4,11 @@ Every config carries ``format`` and ``version`` headers. Each loader opens
 its file with ``_yamlio.document`` and reads every field through the
 ``_yamlio.Reader`` that returns, so a validation failure raises
 MalformedFile with the file path and the field's position (``key``,
-``key.sub`` or ``key[i].sub``).
+``key.sub`` or ``key[i].sub``); a name repeated in an entry list keyed by
+it (``variables``, ``themes``, ``scenarios``) is refused at ``key[i].name``.
 The loaders define no types: each returns the arguments its command hands
-to the library, as plain tuples of the library's own types (``RecodeSpec``,
-``TabuConfig``, ``TierSpec``, ``ScenarioDef``), which check themselves.
+to the library, as plain tuples and mappings of the library's own types
+(``VariableRecode``, ``ThemeSpec``, ``TabuConfig``, ``TierSpec``).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 import math
 
 from . import _yamlio
-from .data import RecodeSpec, ThemeSpec, VariableRecode
+from .data import ThemeSpec, VariableRecode
 from .learn import TabuConfig
 from .model import TierSpec
-from .analysis import ScenarioDef
 from .scores import SCORE_KINDS
 
 SUPPORTED_VERSION = 1
@@ -36,21 +36,22 @@ _AUTO_NODES = (lambda v: v == "auto", "the tornado covers the ancestors; must be
 
 
 def load_prep_config(path):
-    """``(recode spec, missing_threshold, framing, models)``; ``models`` maps
-    "full", "risk" and/or "opportunity", in that order, to variable lists."""
+    """``(variables, missing_threshold, framing, models)``: ``variables`` is
+    a tuple of ``VariableRecode``, ``models`` maps "full", "risk" and/or
+    "opportunity", in that order, to variable lists."""
     doc = _load_doc(path, "beliefnet-prep",
                     ("missing_threshold", "framing", "variables", "models"))
-    entries = []
-    for entry in doc.entries("variables",
-                             ("name", "source", "levels", "ordinal", "unmapped", "map")):
-        name, levels, mapping = entry.get("name", str), entry.names("levels"), {}
+    variables = []
+    for name, entry in doc.keyed("variables", ("name", "source", "levels", "ordinal",
+                                               "unmapped", "map"), "name").items():
+        levels, mapping = entry.names("levels"), {}
         map_doc = entry.section("map", None)
         for token, label in map_doc.doc.items():
             if isinstance(label, bool):  # a null label is "missing"
                 raise map_doc.error(f"{token!r}: {label!r}: quote a label YAML reads as a boolean")
             mapping[str(token)] = None if label is None else str(label)
         try:
-            entries.append(VariableRecode(
+            variables.append(VariableRecode(
                 name, levels, mapping, source=entry.get("source", str, ""),
                 ordinal=entry.get("ordinal", bool, False),
                 unmapped=entry.get("unmapped", str, "strict")))
@@ -62,20 +63,16 @@ def load_prep_config(path):
     for table, names in models.items():
         if not names:  # a table of no columns would be written as a bare newline
             raise models_doc.error("lists no variables", table)
-    try:
-        spec = RecodeSpec(entries)
-    except ValueError as exc:
-        raise doc.error(str(exc), "variables") from exc
-    return (spec, doc.get("missing_threshold", int, 50, _NONNEGATIVE),
+    return (tuple(variables), doc.get("missing_threshold", int, 50, _NONNEGATIVE),
             doc.get("framing", str, "DevelopAI"), models)
 
 
 def load_theme_config(path) -> list:
     doc = _load_doc(path, "beliefnet-themes", ("themes",))
     specs = []
-    for entry in doc.entries("themes", ("name", "members")):
+    for name, entry in doc.keyed("themes", ("name", "members"), "name").items():
         try:
-            specs.append(ThemeSpec(entry.get("name", str), entry.names("members")))
+            specs.append(ThemeSpec(name, entry.names("members")))
         except ValueError as exc:
             raise entry.error(str(exc)) from exc
     return specs
@@ -83,8 +80,13 @@ def load_theme_config(path) -> list:
 
 def load_tier_config(path) -> TierSpec:
     doc = _load_doc(path, "beliefnet-tiers", ("tiers",))
-    # a tier's ``name`` only labels it for the reader
-    tiers = tuple(entry.names("variables") for entry in doc.entries("tiers", ("name", "variables")))
+    tiers, earlier = [], set()
+    for entry in doc.entries("tiers", ("name", "variables")):  # ``name`` only labels a tier
+        tiers.append(entry.names("variables"))
+        for j, name in enumerate(tiers[-1]):
+            if name in earlier:
+                raise entry.error(f"{name!r} is in an earlier tier", f"variables[{j}]")
+        earlier.update(tiers[-1])
     try:
         return TierSpec(tiers)
     except ValueError as exc:
@@ -129,20 +131,17 @@ def load_sobol_config(path):
 
 
 def load_scenario_config(path):
-    """``(targets, scenarios)``."""
+    """``(targets, {scenario name: {variable: level}})``."""
     doc = _load_doc(path, "beliefnet-scenarios", ("targets", "scenarios"))
-    targets, scenarios = doc.names("targets"), []
-    for entry in doc.entries("scenarios", ("name", "evidence")):
-        name = entry.get("name", str)
-        if any(s.name == name for s in scenarios):
-            raise entry.error(f"scenario {name!r} is listed twice", "name")
+    targets, scenarios = doc.names("targets"), {}
+    for name, entry in doc.keyed("scenarios", ("name", "evidence"), "name").items():
         ev_doc = entry.section("evidence", None, {})
         ev = {str(k): ev_doc.get(k, str) for k in ev_doc.doc}
         for t in targets:
             if t in ev:
                 raise ev_doc.error(f"scenario {name!r} fixes the target {t!r}", t)
-        scenarios.append(ScenarioDef(name, ev))
-    return targets, tuple(scenarios)
+        scenarios[name] = ev
+    return targets, scenarios
 
 
 def load_sensitivity_config(path):

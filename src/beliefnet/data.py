@@ -136,17 +136,6 @@ class VariableRecode:
 
 
 @dataclass(frozen=True)
-class RecodeSpec:
-    variables: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names in recode spec")
-
-
-@dataclass(frozen=True)
 class ThemeSpec:
     """A theme column defined as the OR of binary Mentioned indicators."""
 
@@ -210,11 +199,12 @@ class DataTable:
         return DataTable(self.variables, self.codes[np.asarray(mask, bool)], self.source)
 
 
-def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
-    """Map raw tokens to level indices; an unmapped token becomes missing or
-    raises UnmappedToken with the data row of its first cell."""
+def recode(raw: RawTable, spec) -> DataTable:
+    """Map raw tokens to level indices by ``spec``, a sequence of
+    ``VariableRecode``; an unmapped token becomes missing or raises
+    UnmappedToken with the data row of its first cell."""
     columns = []
-    for vr in spec.variables:
+    for vr in spec:
         lookup = {t: MISSING if x is None else vr.levels.index(x) for t, x in vr.mapping.items()}
         tokens = raw.column(vr.source)
         if vr.unmapped == "missing":
@@ -224,7 +214,7 @@ def recode(raw: RawTable, spec: RecodeSpec) -> DataTable:
         except KeyError as exc:
             raise UnmappedToken(vr.name, exc.args[0], tokens.index(exc.args[0]) + 1) from None
     codes = np.array(columns, dtype=np.int32).reshape(len(columns), raw.n_rows).T
-    return DataTable([vr.variable() for vr in spec.variables], codes, source=raw.fingerprint)
+    return DataTable([vr.variable() for vr in spec], codes, source=raw.fingerprint)
 
 
 def collapse_rare(table: DataTable, min_count: int):
@@ -346,14 +336,12 @@ def read_variables(doc) -> list:
     ``_yamlio.Reader`` of a dictionary or model file, as ``variable_entries``
     writes it; MalformedFile at the entry or field that is wrong."""
     variables = []
-    for entry in doc.entries("variables", ("name", "levels", "ordinal")):
+    for name, entry in doc.keyed("variables", ("name", "levels", "ordinal"), "name").items():
         try:
             variables.append(CategoricalVariable(
-                entry.get("name", str), entry.names("levels"), entry.get("ordinal", bool, False)))
+                name, entry.names("levels"), entry.get("ordinal", bool, False)))
         except ValueError as exc:
             raise entry.error(str(exc)) from exc
-    if len({v.name for v in variables}) != len(variables):
-        raise doc.error("duplicate variable names", "variables")
     return variables
 
 
@@ -364,8 +352,8 @@ def load_datatable(csv_path, dict_path) -> DataTable:
                            ("n_rows", "source", "variables"))
     variables = read_variables(doc)
     try:  # VariableRecode refuses a label the CSV cannot round-trip
-        spec = RecodeSpec([VariableRecode(v.name, v.levels, {"": None, **{x: x for x in v.levels}},
-                                          ordinal=v.ordinal) for v in variables])
+        spec = [VariableRecode(v.name, v.levels, {"": None, **{x: x for x in v.levels}},
+                               ordinal=v.ordinal) for v in variables]
     except ValueError as exc:
         raise doc.error(str(exc), "variables") from None
     n_rows = doc.get("n_rows", int)

@@ -72,13 +72,9 @@ def _network(doc, source) -> FittedNetwork:
     doc = _yamlio.document(doc, source, FORMAT_NAME, FORMAT_VERSION,
                            ("variables", "arcs", "cpts", "metadata"))
     variables = read_variables(doc)
-    parents, rows = {}, {}
-    for entry in doc.entries("cpts", ("variable", "parents", "rows")):
-        name = entry.get("variable", str)
-        if name in parents:
-            raise doc.error(f"duplicate entry for {name!r}", "cpts")
-        parents[name] = entry.names("parents")
-        rows[name] = entry.get("rows", list)
+    entries = doc.keyed("cpts", ("variable", "parents", "rows"), "variable")
+    parents = {name: entry.names("parents") for name, entry in entries.items()}
+    rows = {name: entry.get("rows", list) for name, entry in entries.items()}
     arcs = doc.get("arcs", list)
     metadata = doc.get("metadata", dict, {})
     try:

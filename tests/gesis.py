@@ -43,8 +43,7 @@ def write_raw_survey(path, n_rows, seed):
     the search has arcs to find.
     """
     rng = np.random.default_rng(seed)
-    spec = load_prep_config(PREP)[0]
-    columns = [(v.source, list(v.mapping)) for v in spec.variables]
+    columns = [(v.source, list(v.mapping)) for v in load_prep_config(PREP)[0]]
     rows = []
     for _ in range(n_rows):
         u, row = rng.random(), []

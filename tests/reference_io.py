@@ -53,9 +53,10 @@ def fingerprint(columns, rows):
 
 
 def recode(raw, spec):
-    """Token by token, writing each code into a numpy column."""
+    """Token by token, writing each code into a numpy column; ``spec`` is a
+    sequence of ``VariableRecode``."""
     columns = []
-    for vr in spec.variables:
+    for vr in spec:
         tokens = raw.column(vr.source)
         lookup = {}
         for token, label in vr.mapping.items():
@@ -72,7 +73,7 @@ def recode(raw, spec):
     codes = (
         np.stack(columns, axis=1) if columns else np.empty((raw.n_rows, 0), dtype=np.int32)
     )
-    return DataTable([vr.variable() for vr in spec.variables], codes, source=raw.fingerprint)
+    return DataTable([vr.variable() for vr in spec], codes, source=raw.fingerprint)
 
 
 def save_datatable(table, csv_path, dict_path):

@@ -18,7 +18,6 @@ from beliefnet.cli import main
 from beliefnet.analysis import (
     CptParameterId,
     DirectedShift,
-    ScenarioDef,
     TornadoBar,
     influence_colors,
     node_influence,
@@ -202,63 +201,50 @@ class TestSobolMatrix:
 class TestScenarios:
     def test_baseline_equals_marginals(self):
         net = chain_xmy()
-        res = scenario_posteriors(net, [ScenarioDef("Baseline", {})], ["Y"])
+        res = scenario_posteriors(net, {"Baseline": {}}, ["Y"])
         want = posterior(net, "Y").distribution
         assert np.abs(res[0].posteriors["Y"].distribution - want).max() < 1e-12
         assert res[0].evidence_probability == pytest.approx(1.0)
 
     def test_scenario_fixing_target_rejected(self):
         net = chain_xmy()
-        scen = ScenarioDef("bad", {"Y": "y0"})
-        with pytest.raises(InvalidQuery):
-            scenario_posteriors(net, [scen], ["Y"])
+        with pytest.raises(InvalidQuery, match="scenario 'bad' fixes the target 'Y'"):
+            scenario_posteriors(net, {"bad": {"Y": "y0"}}, ["Y"])
 
     def test_no_targets_rejected(self):
         # with no target there is no query to report P(evidence) from
         with pytest.raises(InvalidQuery, match="at least one target"):
-            scenario_posteriors(chain_xmy(), [ScenarioDef("s", {"X": "x1"})], [])
-
-    def test_repeated_name_rejected(self):
-        net = chain_xmy()
-        scens = [ScenarioDef("Baseline", {}), ScenarioDef("Baseline", {"X": "x1"})]
-        with pytest.raises(InvalidQuery, match="scenario 'Baseline' is listed twice"):
-            scenario_posteriors(net, scens, ["Y"])
+            scenario_posteriors(chain_xmy(), {"s": {"X": "x1"}}, [])
 
     def test_repeated_target_rejected(self):
         with pytest.raises(InvalidQuery, match="target 'Y' is listed twice"):
-            scenario_posteriors(chain_xmy(), [ScenarioDef("s", {})], ["Y", "X", "Y"])
+            scenario_posteriors(chain_xmy(), {"s": {}}, ["Y", "X", "Y"])
 
     def test_results_keep_their_own_evidence(self):
         net = chain_xmy()
         evidence = {"X": "x1"}
-        res = scenario_posteriors(net, [ScenarioDef("s", evidence)], ["Y"])
+        res = scenario_posteriors(net, {"s": evidence}, ["Y"])
         evidence["X"] = "x0"
         assert res[0].evidence == {"X": "x1"}
         assert res[0].posteriors["Y"].evidence == {"X": "x1"}
 
     def test_matches_oracle(self):
         net = chain_xmy()
-        scens = [
-            ScenarioDef("s1", {"X": "x1"}),
-            ScenarioDef("s2", {"X": "x0", "M": "m2"}),
-        ]
+        scens = {"s1": {"X": "x1"}, "s2": {"X": "x0", "M": "m2"}}
         res = scenario_posteriors(net, scens, ["Y"])
-        for r, scen in zip(res, scens):
-            want, p_ev = oracles.posterior(net, "Y", scen.evidence)
+        for r, evidence in zip(res, scens.values()):
+            want, p_ev = oracles.posterior(net, "Y", evidence)
             assert np.abs(r.posteriors["Y"].distribution - want).max() < 1e-9
             assert r.evidence_probability == pytest.approx(p_ev, abs=1e-9)
 
     def test_order_preserved_and_equal_to_single_calls(self):
         net = chain_xmy()
-        scens = [
-            ScenarioDef("b", {"M": "m1"}),
-            ScenarioDef("a", {"M": "m0"}),
-        ]
+        scens = {"b": {"M": "m1"}, "a": {"M": "m0"}}
         res = scenario_posteriors(net, scens, ["Y", "X"])
         assert [r.name for r in res] == ["b", "a"]
-        for r, scen in zip(res, scens):
+        for r, evidence in zip(res, scens.values()):
             for t in ("Y", "X"):
-                single = posterior(net, t, scen.evidence)
+                single = posterior(net, t, evidence)
                 assert np.all(r.posteriors[t].distribution == single.distribution)
 
     def test_zero_probability_names_scenario(self):
@@ -271,9 +257,8 @@ class TestScenarios:
                 "Y": Cpt("Y", ("X",), [[0.5, 0.5], [0.5, 0.5]]),
             },
         )
-        scen = ScenarioDef("impossible", {"X": "x1"})
         with pytest.raises(ZeroProbabilityEvidence) as exc:
-            scenario_posteriors(net, [scen], ["Y"])
+            scenario_posteriors(net, {"impossible": {"X": "x1"}}, ["Y"])
         assert exc.value.scenario == "impossible"
 
 

@@ -300,13 +300,14 @@ class TestPrep:
         ("themes", "name: PosWork", "name: Sex", "themes[0].name",
          "'Sex' is already a column of the table"),
         ("themes", "name: PosHealth", "name: PosWork", "themes[1].name",
-         "'PosWork' is already a column of the table"),
+         "'PosWork' is listed twice"),
         ("recode", "missing_threshold: 50", "missing_threshold: 5000", "missing_threshold",
          "collapsing rare levels of 'Sex' would leave 0 level(s)"),
         ("recode", "levels: [Female, Male]", "levels: [Female, Male, Male]",
          "variables[0].levels[2]", "'Male' is listed twice"),
+        ("recode", "name: Age", "name: Sex", "variables[1].name", "'Sex' is listed twice"),
     ], ids=["repeated_model_entry", "theme_named_like_a_column", "theme_named_twice",
-            "threshold_leaves_one_level", "repeated_level"])
+            "threshold_leaves_one_level", "repeated_level", "repeated_variable"])
     def test_bad_config_exit_2_at_its_position_without_output(self, tmp_path, capsys, config,
                                                               old, new, position, reason):
         files = {"recode": PREP, "themes": THEMES}
@@ -685,7 +686,7 @@ class TestScenario:
             "--config", cfg, "--workspace", tmp_path / "wsd", "--name", "dup",
         )
         assert code == 2
-        assert "scenario 'Baseline' is listed twice" in capsys.readouterr().err
+        assert "'Baseline' is listed twice" in capsys.readouterr().err
         assert not list((tmp_path / "wsd" / "reports").iterdir())
 
     def test_repeated_name_exit_2_at_its_position(self, ws, tmp_path, capsys):
@@ -702,7 +703,7 @@ class TestScenario:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: scenarios[1].name: scenario 'Baseline' is listed twice" in err
+        assert f"{cfg}: scenarios[1].name: 'Baseline' is listed twice" in err
 
     def test_repeated_target_exit_2_at_its_position_without_report(self, ws, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"

@@ -92,12 +92,12 @@ class TestHeaders:
 
 class TestPrep:
     def test_fixture_parses(self):
-        spec, missing_threshold, framing, models = load_prep_config("fixtures/prep.yaml")
+        variables, missing_threshold, framing, models = load_prep_config("fixtures/prep.yaml")
         assert missing_threshold == 50
         assert framing == "DevelopAI"
-        names = [v.name for v in spec.variables]
+        names = [v.name for v in variables]
         assert "VoteIntent" in names and "op24" in names
-        vi = next(v for v in spec.variables if v.name == "VoteIntent")
+        vi = next(v for v in variables if v.name == "VoteIntent")
         assert vi.source == "party"
         assert vi.mapping["2"] == "Left"
         assert vi.mapping["99"] is None
@@ -204,8 +204,10 @@ class TestTiers:
             "format: beliefnet-tiers\nversion: 1\ntiers:\n"
             "  - variables: [A]\n  - variables: [A]\n",
         )
-        with pytest.raises(MalformedFile):
+        with pytest.raises(MalformedFile) as exc:
             load_tier_config(p)
+        assert (exc.value.position, exc.value.reason) == (
+            "tiers[1].variables[0]", "'A' is in an earlier tier")
 
 
 class TestLearn:
@@ -416,10 +418,10 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
     (load_theme_config, THEMES_BODY, "[a, b]", "[]", "themes[0]"),
     (load_tier_config, TIERS_BODY, "- name: t\n    variables: [A]", "- [A]", "tiers[0]"),
     (_load_dictionary, DICT_TEXT, "levels: [a0, a1]", "levels: [a0]", "variables[0]"),
-    (_load_dictionary, DICT_TEXT, "name: B", "name: A", "variables"),
+    (_load_dictionary, DICT_TEXT, "name: B", "name: A", "variables[1].name"),
     (load_model, MODEL_BODY, "levels: [a0, a1]", "levels: [a0]", "variables[0]"),
     (load_model, MODEL_BODY, "variables:\n", "variables:\n- {name: A, levels: [x, y]}\n",
-     "variables"),
+     "variables[1].name"),
     (load_model, MODEL_CHAIN, "parents: [A]", "parents: [A, A]", "cpts[1].parents[1]"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [0.5, 0.5]", "(document)"),
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]", "rows: [[1.0]]", "(document)"),
@@ -454,6 +456,16 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
      "variables[1].levels[2]"),
     (load_scenario_config, SCENARIO_BODY, "- name: Young\n",
      "- name: Young\n    evidence: {}\n  - name: Young\n", "scenarios[1].name"),
+    (load_tier_config, TIERS_BODY, "[A]\n", "[A]\n  - name: u\n    variables: [B, A]\n",
+     "tiers[1].variables[1]"),
+    (load_prep_config, PREP_BODY, "map: {'1': a}\n",
+     "map: {'1': a}\n  - name: Q\n    levels: [c, d]\n    map: {'1': c}\n", "variables[1].name"),
+    (load_theme_config, THEMES_BODY, "[a, b]\n", "[a, b]\n  - name: T\n    members: [c]\n",
+     "themes[1].name"),
+    (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]\n",
+     "rows: [[0.5, 0.5]]\n- {variable: A, parents: [], rows: [[0.5, 0.5]]}\n",
+     "cpts[1].variable"),
+    (load_tier_config, TIERS_BODY, "[A]\n", "[A]\n  - name: u\n    variables: []\n", "tiers"),
 ], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
         "prep.models", "prep.framing", "themes.members", "tiers.variables",
         "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
@@ -469,14 +481,16 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
         "model.nan_entry", "learn.infinite_alpha", "sensitivity.infinite_delta",
         "themes.repeated_member", "tiers.repeated_variable", "sobol.repeated_target",
         "sobol.repeated_input", "query.repeated_sweep", "dict.repeated_level",
-        "scenarios.repeated_name"])
+        "scenarios.repeated_name", "tiers.variable_in_earlier_tier", "prep.repeated_variable",
+        "themes.repeated_name", "model.repeated_cpt", "tiers.empty_tier"])
 def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
     """A list or mapping where a name or label belongs is refused at its
     position, not read as its Python repr (``name: [A]`` as "['A']"), and so
     is a null or a YAML 1.1 boolean (``~`` is not "None", ``yes`` not
-    "True"), a name repeated in any list of names or levels, and an entry no
+    "True"), a name repeated in any list of names or levels, or by a later
+    entry of a list keyed by name, or in a later tier, and an entry no
     constructor accepts: an unknown ``unmapped`` policy, a theme without
-    members, a variable with one level or listed twice, CPT rows
+    members, a tier without variables, a variable with one level, CPT rows
     that are not a (q, r) table of r >= 2 or that hold a NaN, and an infinite
     ``alpha`` or ``delta``."""
     body = body.replace("@", "")
@@ -539,10 +553,9 @@ class TestAnalysisConfigs:
     def test_scenarios(self):
         _, scenarios = load_scenario_config("fixtures/scenarios.yaml")
         assert len(scenarios) == 11
-        assert scenarios[0].name == "Baseline"
-        assert len(scenarios[0].evidence) == 0
-        young = scenarios[1]
-        assert young.evidence["MediaAI"] == "Yes"  # quoted, not a YAML bool
+        assert list(scenarios)[:2] == ["Baseline", "Young Informed Left"]
+        assert scenarios["Baseline"] == {}
+        assert scenarios["Young Informed Left"]["MediaAI"] == "Yes"  # quoted, not a YAML bool
 
     def test_sensitivity(self):
         assert load_sensitivity_config("fixtures/sensitivity.yaml") == (

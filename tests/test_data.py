@@ -20,7 +20,6 @@ from beliefnet.data import (
     NOT_MENTIONED,
     DataTable,
     RawTable,
-    RecodeSpec,
     ThemeSpec,
     VariableRecode,
     collapse_rare,
@@ -132,23 +131,23 @@ class TestLoadCsv:
 
 class TestRecode:
     def test_basic_mapping(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         t = table_from(["Q"], [("1",), ("2",), ("2",)], spec)
         assert list(t.column("Q")) == [0, 1, 1]
 
     def test_missing_token(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         t = table_from(["Q"], [("99",), ("1",)], spec)
         assert list(t.column("Q")) == [MISSING, 0]
         assert t.missing_mask()[0, 0]
 
     def test_unmapped_strict(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         with pytest.raises(UnmappedToken):
             table_from(["Q"], [("7",)], spec)
 
     def test_unmapped_strict_names_the_first_row_of_the_token(self):
-        spec = RecodeSpec([yn_spec("P"), yn_spec("Q")])
+        spec = [yn_spec("P"), yn_spec("Q")]
         with pytest.raises(UnmappedToken) as exc:
             table_from(["P", "Q"], [("1", "1"), ("2", "7"), ("1", "2"), ("2", "7")], spec)
         assert (exc.value.variable, exc.value.token, exc.value.row) == ("Q", "7", 2)
@@ -156,7 +155,7 @@ class TestRecode:
 
     def test_unmapped_missing_policy(self):
         vr = VariableRecode("Q", ("Yes", "No"), {"1": "Yes"}, unmapped="missing")
-        t = table_from(["Q"], [("7",), ("1",)], RecodeSpec([vr]))
+        t = table_from(["Q"], [("7",), ("1",)], [vr])
         assert list(t.column("Q")) == [MISSING, 0]
 
     def test_undeclared_level_rejected(self):
@@ -165,15 +164,15 @@ class TestRecode:
 
     def test_source_column_absent(self):
         with pytest.raises(MissingColumn, match="'q17'"):
-            table_from(["Q"], [("1",)], RecodeSpec([yn_spec("Q", source="q17")]))
+            table_from(["Q"], [("1",)], [yn_spec("Q", source="q17")])
 
     def test_source_column(self):
-        spec = RecodeSpec([yn_spec("Nice", source="q17")])
+        spec = [yn_spec("Nice", source="q17")]
         t = table_from(["q17"], [("1",)], spec)
         assert t.variables[0].name == "Nice"
 
     def test_pure(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         raw = RawTable(["Q"], [("1",), ("2",)])
         assert reference_io.same(recode(raw, spec), recode(raw, spec))
 
@@ -289,18 +288,18 @@ class TestCollapseRare:
 
 class TestDropIncomplete:
     def test_identity_when_complete(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         t = table_from(["Q"], [("1",), ("2",)], spec)
         assert reference_io.same(drop_incomplete(t), t)
 
     def test_all_rows_missing(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         t = table_from(["Q"], [("99",), ("99",)], spec)
         assert drop_incomplete(t).n_rows == 0
 
     def test_only_listed_variables_matter(self):
         # prep lists a table's variables by selecting them first
-        spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
+        spec = [yn_spec("Q"), yn_spec("R")]
         t = table_from(["Q", "R"], [("1", "99"), ("99", "1")], spec)
         assert drop_incomplete(t).n_rows == 0
         out = drop_incomplete(t.select(["Q"]))
@@ -309,7 +308,7 @@ class TestDropIncomplete:
 
     def test_matches_brute_force_count(self):
         rng = np.random.default_rng(5)
-        spec = RecodeSpec([yn_spec("Q"), yn_spec("R"), yn_spec("S")])
+        spec = [yn_spec("Q"), yn_spec("R"), yn_spec("S")]
         rows = [
             tuple(rng.choice(["1", "2", "99"]) for _ in range(3)) for _ in range(500)
         ]
@@ -412,7 +411,7 @@ def counts(table, variable, parents=()):
 
 class TestCounts:
     def test_marginal_histogram(self):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         t = table_from(["Q"], [("1",), ("1",), ("2",)], spec)
         assert counts(t, "Q").tolist() == [[2, 1]]
 
@@ -461,7 +460,7 @@ class TestCounts:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
+        spec = [yn_spec("Q"), yn_spec("R")]
         t = table_from(["Q", "R"], [("1", "99"), ("2", "1")], spec)
         save_datatable(t, tmp_path / "d.csv", tmp_path / "d.dict.yaml")
         back = load_datatable(tmp_path / "d.csv", tmp_path / "d.dict.yaml")
@@ -469,7 +468,7 @@ class TestPersistence:
         assert back.source == t.source
 
     def test_byte_identical_rewrites(self, tmp_path):
-        spec = RecodeSpec([yn_spec("Q")])
+        spec = [yn_spec("Q")]
         t = table_from(["Q"], [("1",), ("99",)], spec)
         save_datatable(t, tmp_path / "a.csv", tmp_path / "a.yaml")
         save_datatable(t, tmp_path / "b.csv", tmp_path / "b.yaml")
@@ -487,7 +486,7 @@ class TestPersistence:
         assert not (tmp_path / "t.csv").exists()
 
     def test_empty_level_label_refused_in_dictionary(self, tmp_path):
-        t = table_from(["Q"], [("1",), ("2",)], RecodeSpec([yn_spec("Q")]))
+        t = table_from(["Q"], [("1",), ("2",)], [yn_spec("Q")])
         save_datatable(t, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
         text = (tmp_path / "t.dict.yaml").read_text(encoding="utf-8")
         (tmp_path / "t.dict.yaml").write_text(text.replace("'No'", "''"), encoding="utf-8")
@@ -496,7 +495,7 @@ class TestPersistence:
         assert err.value.position == "variables" and "empty level" in err.value.reason
 
     def test_unquoted_carriage_return_refused_in_dictionary(self, tmp_path):
-        t = table_from(["Q"], [("1",), ("2",)], RecodeSpec([yn_spec("Q")]))
+        t = table_from(["Q"], [("1",), ("2",)], [yn_spec("Q")])
         save_datatable(t, tmp_path / "t.csv", tmp_path / "t.dict.yaml")
         text = (tmp_path / "t.dict.yaml").read_text(encoding="utf-8")
         (tmp_path / "t.dict.yaml").write_text(text.replace("'No'", '"N\\ro"'), encoding="utf-8")
@@ -506,7 +505,7 @@ class TestPersistence:
         assert err.value.position == "variables" and "carriage return" in err.value.reason
 
     def test_truncated_csv_refused(self, tmp_path):
-        spec = RecodeSpec([yn_spec("Q"), yn_spec("R")])
+        spec = [yn_spec("Q"), yn_spec("R")]
         t = table_from(["Q", "R"], [("1", "2"), ("2", "1"), ("99", "1"), ("1", "1")], spec)
         csv_path = tmp_path / "t.csv"
         save_datatable(t, csv_path, tmp_path / "t.dict.yaml")
@@ -599,7 +598,7 @@ class TestColumnWiseParity:
                 for _ in range(n_rows)]
         raw = RawTable(columns, rows)
         assert raw.fingerprint == reference_io.fingerprint(columns, rows)
-        spec = RecodeSpec(specs)
+        spec = specs
         try:
             want = reference_io.recode(raw, spec)
         except UnmappedToken as exc:

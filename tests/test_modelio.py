@@ -176,7 +176,7 @@ class TestErrors:
                             "  - [0.5, 0.5]\nmetadata:")
         with pytest.raises(MalformedFile) as exc:
             deserialize(text, source="mini.bn.yaml")
-        assert str(exc.value) == "mini.bn.yaml: cpts: duplicate entry for 'Rain'"
+        assert str(exc.value) == "mini.bn.yaml: cpts[3].variable: 'Rain' is listed twice"
 
     @pytest.mark.parametrize("field", ["variables", "cpts", "arcs"])
     def test_missing_field(self, field):

@@ -287,6 +287,21 @@ class TestReader:
         doc = {**HEAD, "models": {"full": ["A", "B", "A"]}}
         assert _refusal(read, doc) == ("models.full[2]", "'A' is listed twice")
 
+    def test_keyed(self):
+        def read(doc):
+            return doc.keyed("cpts", ("variable", "rows"), "variable")
+        doc = _yamlio.document({**HEAD, "cpts": [{"variable": "B", "rows": 1}, {"variable": 2}]},
+                               "x.yaml", "beliefnet-x", 1, ("cpts",))
+        keyed = read(doc)
+        assert list(keyed) == ["B", "2"]  # list order, each name read as a str
+        assert keyed["B"].get("rows", int) == 1 and keyed["2"].where == "cpts[1]."
+        doc = {**HEAD, "cpts": [{"variable": "A"}, {"rows": []}]}
+        assert _refusal(read, doc) == ("cpts[1].variable", "missing field")
+        doc = {**HEAD, "cpts": [{"variable": ["A"]}]}
+        assert _refusal(read, doc) == ("cpts[0].variable", "expected str, got ['A']")
+        doc = {**HEAD, "cpts": [{"variable": "A"}, {"variable": "B"}, {"variable": "A"}]}
+        assert _refusal(read, doc) == ("cpts[2].variable", "'A' is listed twice")
+
     def test_error_at_an_entry_and_at_its_field(self):
         doc = _yamlio.document({**HEAD, "tiers": [{"variables": []}]}, "x.yaml",
                                "beliefnet-x", 1, ("tiers",))
