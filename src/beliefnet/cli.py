@@ -226,10 +226,19 @@ def cmd_learn(args, run: _Run):
     b = bootstrap if args.bootstrap is None else args.bootstrap
     model_path = run.claim("models", f"{args.name}.bn.yaml")
     strengths_path = run.claim("strengths", f"{args.name}_strengths.csv")
-    constraints = None
+    names, constraints = [v.name for v in data.variables], None
     if args.tiers:
         tiers = configio.load_tier_config(args.tiers)
-        constraints = tiers_to_blacklist(tiers, [v.name for v in data.variables])
+        for i, tier in enumerate(tiers.tiers):
+            for j, name in enumerate(tier):
+                if name not in names:
+                    raise MalformedFile(args.tiers, f"tiers[{i}].variables[{j}]",
+                                        f"unknown variable: {name!r}")
+        members = tiers.members()
+        if unassigned := [n for n in names if n not in members]:
+            raise MalformedFile(args.tiers, "tiers",
+                                f"variable {unassigned[0]!r} is not assigned to any tier")
+        constraints = tiers_to_blacklist(tiers, names)
 
     strengths = bootstrap_strengths(
         data,
@@ -242,13 +251,7 @@ def cmd_learn(args, run: _Run):
     )
     threshold = optimal_threshold(strengths)
     skipped = []
-    dag = averaged_network(
-        strengths,
-        threshold,
-        [v.name for v in data.variables],
-        constraints,
-        skipped=skipped,
-    )
+    dag = averaged_network(strengths, threshold, names, constraints, skipped=skipped)
     reports.write_strengths_csv(strengths_path, strengths)
     run.extra = {
         "seed": seed,

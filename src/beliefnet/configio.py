@@ -83,14 +83,15 @@ def load_tier_config(path) -> TierSpec:
     tiers, earlier = [], set()
     for entry in doc.entries("tiers", ("name", "variables")):  # ``name`` only labels a tier
         tiers.append(entry.names("variables"))
+        if not tiers[-1]:
+            raise entry.error("lists no variables", "variables")
         for j, name in enumerate(tiers[-1]):
             if name in earlier:
                 raise entry.error(f"{name!r} is in an earlier tier", f"variables[{j}]")
         earlier.update(tiers[-1])
-    try:
-        return TierSpec(tiers)
-    except ValueError as exc:
-        raise doc.error(str(exc), "tiers") from exc
+    if not tiers:
+        raise doc.error("lists no tiers", "tiers")
+    return TierSpec(tiers)
 
 
 def load_learn_config(path):

@@ -10,8 +10,9 @@ test, and a per-pair table of move deltas is kept across iterations, so a move
 rescores only the candidates that read the one or two families it changed.
 Robustness comes from a nonparametric bootstrap: each replicate resamples the
 rows with replacement, learns a DAG, and the per-edge inclusion frequencies
-("strengths") are averaged into a consensus network at a threshold estimated
-from the strength distribution itself.
+("strengths") are averaged into a consensus network at the L1-optimal
+threshold, which falls between the two strengths that bracket 1/2: the
+consensus keeps the edges of strength >= 1/2.
 """
 
 from __future__ import annotations
@@ -366,15 +367,6 @@ class ArcStrengthTable:
         seen = {tuple(sorted(k)) for k in self.dir_counts}
         return sorted(seen)
 
-    def all_pair_strengths(self):
-        """Strengths of every unordered variable pair, zeros included."""
-        names = self.variables
-        return [
-            self.strength(names[i], names[j])
-            for i in range(len(names))
-            for j in range(i + 1, len(names))
-        ]
-
 
 def _boot_one(data, score, constraints, config, seed, replicate):
     """Arcs of one replicate, searched on row multiplicities, not a copied table."""
@@ -446,45 +438,29 @@ def bootstrap_strengths(
 def l1_threshold(strengths) -> float:
     """Significance threshold minimizing the L1 gap to an ideal 0/1 strength law.
 
-    For a candidate t, arcs with strength >= t are declared significant; the
-    ideal distribution then puts mass pi(t) at 1 and the rest at 0. The
-    returned t minimizes the L1 distance between the empirical strength CDF
-    and that two-point CDF, evaluated at midpoints between consecutive
-    distinct strengths; ties break toward the smaller t (inclusive).
+    A threshold t declares the strengths >= t significant; the ideal CDF is
+    then flat at c, the share of strengths below t. The L1 gap to the
+    empirical CDF F sums |F - c| over F's segments of [0, 1] weighted by
+    their widths, which sum to 1, so it is least when c is F just below 1/2,
+    the weighted median. Of the candidate midpoints (Scutari & Nagarajan
+    2013), that is the one between the largest strength below 1/2 (0 if
+    none) and the smallest at or above 1/2 (1 if none); a strength of exactly
+    1/2 ties it with the next one up, and the smaller is kept.
     """
-    values = sorted(float(s) for s in strengths)
-    m = len(values)
-    if m == 0 or values[-1] <= 0.0:
+    values = [float(s) for s in strengths]
+    if not all(0.0 <= s <= 1.0 for s in values):
+        raise ValueError("strengths must lie in [0, 1]")
+    if not any(values):
         raise EmptyStrengths()
-    distinct = sorted(set(values))
-    # each positive strength against its lower neighbour (0.0 below the first)
-    candidates = [((distinct[i - 1] if i else 0.0) + v) / 2.0
-                  for i, v in enumerate(distinct) if v > 0.0]
-    if distinct[-1] < 1.0:
-        candidates.append((distinct[-1] + 1.0) / 2.0)
-
-    # segment decomposition of the empirical CDF on [0, 1]
-    cuts = [0.0] + [v for v in distinct if 0.0 < v < 1.0] + [1.0]
-    heights = []
-    for left in cuts[:-1]:
-        heights.append(sum(1 for v in values if v <= left) / m)
-
-    best_t, best_obj = None, math.inf
-    for t in candidates:
-        pi = sum(1 for v in values if v >= t) / m
-        c = 1.0 - pi
-        obj = sum(
-            abs(h - c) * (right - left)
-            for left, right, h in zip(cuts[:-1], cuts[1:], heights)
-        )
-        if obj < best_obj - 1e-12 or (abs(obj - best_obj) <= 1e-12 and t < best_t):
-            best_t, best_obj = t, obj
-    return best_t
+    below = max((s for s in values if s < 0.5), default=0.0)
+    return (below + min((s for s in values if s >= 0.5), default=1.0)) / 2.0
 
 
 def optimal_threshold(strengths: ArcStrengthTable) -> float:
-    """L1-optimal inclusion threshold over all pair strengths (zeros included)."""
-    return l1_threshold(strengths.all_pair_strengths())
+    """L1-optimal inclusion threshold of the positive pair strengths: it falls
+    between the two strengths that bracket 1/2, so the consensus keeps the
+    edges of strength >= 1/2. A zero-strength pair cannot move it."""
+    return l1_threshold(strengths.strength(a, b) for a, b in strengths.pairs())
 
 
 def averaged_network(

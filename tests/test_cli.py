@@ -385,19 +385,35 @@ class TestLearn:
         assert "--bootstrap: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ws0").exists()
 
-    def test_tier_naming_an_absent_variable_exit_2_without_output(self, ws, tmp_path, capsys):
+    def learn_with_tiers(self, ws, tmp_path, old, new):
+        """Exit code and stderr of ``learn`` with the fixture tiers, ``old``
+        replaced by ``new``, in the empty workspace ``wst``."""
         tiers = tmp_path / "tiers.yaml"
-        text = Path(TIERS).read_text(encoding="utf-8")
-        tiers.write_text(text.replace("AIRegulations]", "AIRegulations, Bogus]"),
+        tiers.write_text(Path(TIERS).read_text(encoding="utf-8").replace(old, new),
                          encoding="utf-8")
-        code = run(
+        return run(
             "learn", "--data", ws / "data" / "survey_full.csv",
             "--dict", ws / "data" / "survey_full.dict.yaml",
             "--tiers", tiers, "--config", LEARN, "--bootstrap", 1,
             "--workspace", tmp_path / "wst", "--name", "bad",
         )
+
+    def test_tier_naming_an_absent_variable_exit_2_without_output(self, ws, tmp_path, capsys):
+        code = self.learn_with_tiers(ws, tmp_path, "AIRegulations]", "AIRegulations, Bogus]")
         assert code == 2
-        assert "unknown variable: 'Bogus'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'tiers.yaml'}: tiers[2].variables[5]: unknown variable: 'Bogus'" in err
+        assert "Traceback" not in err
+        for directory in ("models", "strengths"):
+            assert not list((tmp_path / "wst" / directory).iterdir())
+
+    def test_variable_in_no_tier_exit_2_without_output(self, ws, tmp_path, capsys):
+        code = self.learn_with_tiers(ws, tmp_path, ", AIRegulations]", "]")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'tiers.yaml'}: tiers: "
+                "variable 'AIRegulations' is not assigned to any tier") in err
+        assert "Traceback" not in err
         for directory in ("models", "strengths"):
             assert not list((tmp_path / "wst" / directory).iterdir())
 

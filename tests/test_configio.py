@@ -209,6 +209,16 @@ class TestTiers:
         assert (exc.value.position, exc.value.reason) == (
             "tiers[1].variables[0]", "'A' is in an earlier tier")
 
+    @pytest.mark.parametrize("tiers, position, reason", [
+        ("\n  - variables: [A]\n  - variables: []\n", "tiers[1].variables", "lists no variables"),
+        (" []\n", "tiers", "lists no tiers"),
+    ], ids=["empty_tier", "no_tiers"])
+    def test_nothing_to_order_refused_at_its_position(self, tmp_path, tiers, position, reason):
+        p = write(tmp_path, "format: beliefnet-tiers\nversion: 1\ntiers:" + tiers)
+        with pytest.raises(MalformedFile) as exc:
+            load_tier_config(p)
+        assert (exc.value.position, exc.value.reason) == (position, reason)
+
 
 class TestLearn:
     def test_fixture_parses(self):
@@ -465,7 +475,10 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
     (load_model, MODEL_BODY, "rows: [[0.5, 0.5]]\n",
      "rows: [[0.5, 0.5]]\n- {variable: A, parents: [], rows: [[0.5, 0.5]]}\n",
      "cpts[1].variable"),
-    (load_tier_config, TIERS_BODY, "[A]\n", "[A]\n  - name: u\n    variables: []\n", "tiers"),
+    (load_tier_config, TIERS_BODY, "[A]\n", "[A]\n  - name: u\n    variables: []\n",
+     "tiers[1].variables"),
+    (load_tier_config, TIERS_BODY, "tiers:\n  - name: t\n    variables: [A]\n", "tiers: []\n",
+     "tiers"),
 ], ids=["model.name", "model.levels", "model.parents", "dict.levels", "prep.levels",
         "prep.models", "prep.framing", "themes.members", "tiers.variables",
         "query.evidence_variables", "query.target", "sobol.targets", "sobol.inputs",
@@ -482,7 +495,8 @@ def test_unknown_key_refused_before_a_missing_field(tmp_path, loader, body, old,
         "themes.repeated_member", "tiers.repeated_variable", "sobol.repeated_target",
         "sobol.repeated_input", "query.repeated_sweep", "dict.repeated_level",
         "scenarios.repeated_name", "tiers.variable_in_earlier_tier", "prep.repeated_variable",
-        "themes.repeated_name", "model.repeated_cpt", "tiers.empty_tier"])
+        "themes.repeated_name", "model.repeated_cpt", "tiers.empty_tier",
+        "tiers.no_tiers"])
 def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, position):
     """A list or mapping where a name or label belongs is refused at its
     position, not read as its Python repr (``name: [A]`` as "['A']"), and so
@@ -490,9 +504,9 @@ def test_bad_entry_refused_at_its_position(tmp_path, loader, body, old, new, pos
     "True"), a name repeated in any list of names or levels, or by a later
     entry of a list keyed by name, or in a later tier, and an entry no
     constructor accepts: an unknown ``unmapped`` policy, a theme without
-    members, a tier without variables, a variable with one level, CPT rows
-    that are not a (q, r) table of r >= 2 or that hold a NaN, and an infinite
-    ``alpha`` or ``delta``."""
+    members, a tier without variables, an empty ``tiers`` list, a variable
+    with one level, CPT rows that are not a (q, r) table of r >= 2 or that
+    hold a NaN, and an infinite ``alpha`` or ``delta``."""
     body = body.replace("@", "")
     loader(write(tmp_path, body, "scalar.yaml"))
     with pytest.raises(MalformedFile) as exc:

@@ -1,6 +1,7 @@
 """Structure learning: tabu search, bootstrap strengths, threshold, consensus."""
 
 import concurrent.futures
+import math
 import multiprocessing
 import os
 import pickle
@@ -100,6 +101,11 @@ class TestTiersToBlacklist:
     def test_unassigned_variable(self):
         spec = TierSpec((("A",),))
         with pytest.raises(UnassignedVariable):
+            tiers_to_blacklist(spec, ["A", "B"])
+
+    def test_unknown_variable(self):
+        spec = TierSpec((("A",), ("B", "Z")))
+        with pytest.raises(UnknownVariable, match="'Z'"):
             tiers_to_blacklist(spec, ["A", "B"])
 
 
@@ -393,6 +399,82 @@ def brute_force_l1_partition(values):
     return best_sig
 
 
+def reference_l1_threshold(strengths):
+    """The L1 threshold by exhaustive scoring, the judge of ``l1_threshold``:
+    every candidate midpoint between consecutive distinct strengths is scored
+    against every segment of the empirical strength CDF on [0, 1], and the
+    least L1 gap wins, ties toward the smaller threshold."""
+    values = sorted(float(s) for s in strengths)
+    m = len(values)
+    if m == 0 or values[-1] <= 0.0:
+        raise EmptyStrengths()
+    distinct = sorted(set(values))
+    # each positive strength against its lower neighbour (0.0 below the first)
+    candidates = [((distinct[i - 1] if i else 0.0) + v) / 2.0
+                  for i, v in enumerate(distinct) if v > 0.0]
+    if distinct[-1] < 1.0:
+        candidates.append((distinct[-1] + 1.0) / 2.0)
+
+    # segment decomposition of the empirical CDF on [0, 1]
+    cuts = [0.0] + [v for v in distinct if 0.0 < v < 1.0] + [1.0]
+    heights = []
+    for left in cuts[:-1]:
+        heights.append(sum(1 for v in values if v <= left) / m)
+
+    best_t, best_obj = None, math.inf
+    for t in candidates:
+        pi = sum(1 for v in values if v >= t) / m
+        c = 1.0 - pi
+        obj = sum(
+            abs(h - c) * (right - left)
+            for left, right, h in zip(cuts[:-1], cuts[1:], heights)
+        )
+        if obj < best_obj - 1e-12 or (abs(obj - best_obj) <= 1e-12 and t < best_t):
+            best_t, best_obj = t, obj
+    return best_t
+
+
+def strength_lists(seed, n):
+    """``n`` strength lists in the mixes a threshold meets: the k/B grid of a
+    bootstrap of B replicates, zero-heavy lists, lists crowding 1/2, lists
+    holding 1/2 exactly, and random floats, rounded or not."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = int(rng.integers(1, 120))
+        mix = i % 5
+        if mix == 0:
+            b = int(rng.integers(1, 2001))
+            values = rng.integers(0, b + 1, m) / b
+        elif mix == 1:
+            values = np.where(rng.random(m) < 0.8, 0.0, rng.random(m))
+        elif mix == 2:
+            values = np.clip(0.5 + rng.normal(0.0, 0.01, m), 0.0, 1.0)
+        elif mix == 3:
+            values = np.where(rng.random(m) < 0.3, 0.5, rng.random(m))
+        else:
+            values = rng.random(m)
+        if rng.random() < 0.5:
+            values = np.round(values, int(rng.integers(1, 4)))
+        yield [float(v) for v in values]
+
+
+def random_strength_table(rng):
+    """An ArcStrengthTable of 3-6 variables from B = 1..2000 replicates, each
+    pair absent, rare, near half of B or frequent, its direction split at random."""
+    n, b = int(rng.integers(3, 7)), int(rng.integers(1, 2001))
+    names = tuple(f"X{i}" for i in range(n))
+    dir_counts = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            share = rng.choice([0.0, rng.random() * 0.2, 0.5 + rng.normal(0.0, 0.02),
+                                rng.random()])
+            total = int(np.clip(round(share * b), 0, b))
+            forward = int(rng.integers(0, total + 1))
+            dir_counts[(names[i], names[j])] = forward
+            dir_counts[(names[j], names[i])] = total - forward
+    return ArcStrengthTable(names, b, dir_counts)
+
+
 class TestThreshold:
     def test_separable_case(self):
         t = l1_threshold([1.0, 1.0, 0.0])
@@ -430,9 +512,38 @@ class TestThreshold:
 
     def test_table_wrapper_includes_zero_pairs(self):
         table = ArcStrengthTable(("A", "B", "C"), 10, {("A", "B"): 10})
-        assert sorted(table.all_pair_strengths()) == [0.0, 0.0, 1.0]
         t = optimal_threshold(table)
         assert table.strength("A", "B") >= t
+
+    def test_closed_form_equals_the_reference_bit_for_bit(self):
+        for values in strength_lists(seed=61, n=2000):
+            if not any(values):
+                with pytest.raises(EmptyStrengths):
+                    l1_threshold(values)
+                continue
+            assert l1_threshold(values) == reference_l1_threshold(values), values
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.2])
+    def test_strength_outside_the_unit_interval_refused(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            l1_threshold([0.2, bad, 0.7])
+
+    def test_consensus_keeps_exactly_the_strengths_of_one_half_or_more(self):
+        rng = np.random.default_rng(67)
+        kept_some = kept_none = 0
+        for _ in range(300):
+            table = random_strength_table(rng)
+            if not table.pairs():
+                continue
+            skipped = []
+            dag = averaged_network(table, optimal_threshold(table), skipped=skipped)
+            # every pair is considered once: drawn, or skipped as a cycle
+            considered = {frozenset(a) for a in dag.arcs()} | {frozenset(s[:2]) for s in skipped}
+            half = {frozenset(p) for p in table.pairs() if table.strength(*p) >= 0.5}
+            assert considered == half
+            kept_some += bool(half)
+            kept_none += not half
+        assert kept_some and kept_none
 
 
 class TestArcStrengthTable:
